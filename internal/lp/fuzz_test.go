@@ -13,45 +13,11 @@ func FuzzSimplexConsistency(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 1, 128, 7, 9, 200, 33, 21, 90, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		p, vars, ok := fuzzLP(data)
+		if !ok {
 			return
 		}
-		// Decode: first byte picks shape, rest become coefficients in [-6, 6].
-		nVars := 1 + int(data[0]%4)
-		nCons := 1 + int(data[1]%4)
-		sense := Minimize
-		if data[2]%2 == 1 {
-			sense = Maximize
-		}
-		vals := data[3:]
-		at := 0
-		next := func() float64 {
-			if at >= len(vals) {
-				return 1
-			}
-			v := float64(int(vals[at])%13 - 6)
-			at++
-			return v
-		}
-		p := NewProblem("fuzz", sense)
-		vars := make([]VarID, nVars)
-		for j := range vars {
-			vars[j] = p.AddVar("x", 0, 20) // bounded box keeps it solvable
-			p.SetObj(vars[j], next())
-		}
-		for i := 0; i < nCons; i++ {
-			e := NewExpr()
-			for j := 0; j < nVars; j++ {
-				if c := next(); c != 0 {
-					e = e.Add(vars[j], c)
-				}
-			}
-			if len(e.Terms) == 0 {
-				continue
-			}
-			rel := []Rel{LE, GE, EQ}[int(vals[at%max(len(vals), 1)]%3)]
-			p.AddConstraint("c", e, rel, next()*3)
-		}
+		nVars := len(vars)
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatalf("solver error: %v", err)
@@ -157,4 +123,50 @@ func FuzzSimplexConsistency(f *testing.F) {
 				warmChild.Objective, coldChild.Objective, warmChild.Warm, warmChild.WarmFallback)
 		}
 	})
+}
+
+// fuzzLP decodes fuzz bytes into a small LP over a bounded box: the first
+// byte picks the variable count, the second the row count, the third the
+// sense, and the rest become coefficients in [-6, 6]. ok is false when the
+// input is too short to decode.
+func fuzzLP(data []byte) (p *Problem, vars []VarID, ok bool) {
+	if len(data) < 4 {
+		return nil, nil, false
+	}
+	nVars := 1 + int(data[0]%4)
+	nCons := 1 + int(data[1]%4)
+	sense := Minimize
+	if data[2]%2 == 1 {
+		sense = Maximize
+	}
+	vals := data[3:]
+	at := 0
+	next := func() float64 {
+		if at >= len(vals) {
+			return 1
+		}
+		v := float64(int(vals[at])%13 - 6)
+		at++
+		return v
+	}
+	p = NewProblem("fuzz", sense)
+	vars = make([]VarID, nVars)
+	for j := range vars {
+		vars[j] = p.AddVar("x", 0, 20) // bounded box keeps it solvable
+		p.SetObj(vars[j], next())
+	}
+	for i := 0; i < nCons; i++ {
+		e := NewExpr()
+		for j := 0; j < nVars; j++ {
+			if c := next(); c != 0 {
+				e = e.Add(vars[j], c)
+			}
+		}
+		if len(e.Terms) == 0 {
+			continue
+		}
+		rel := []Rel{LE, GE, EQ}[int(vals[at%max(len(vals), 1)]%3)]
+		p.AddConstraint("c", e, rel, next()*3)
+	}
+	return p, vars, true
 }
