@@ -16,8 +16,11 @@ fmt:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# bench/ is its own Go module, so ./... skips it; its tests keep the
+# benchmark compiling against the APIs it uses.
 test:
 	$(GO) test -race -shuffle=on ./...
+	cd bench && $(GO) test -count=1 .
 
 # lint is the CI lint job: stock vet, the gapvet contract suite with the
 # stale-allow audit, and (when the network allows fetching it) govulncheck.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/demand"
@@ -125,4 +127,112 @@ func withFix(ov, fix map[lp.VarID][2]float64) map[lp.VarID][2]float64 {
 		out[v] = b
 	}
 	return out
+}
+
+// TestWarmResolveAllocBelowDenseMatrix bounds the memory a warm-started
+// node LP allocates: re-solving a fixed B4 node from its parent's basis must
+// average less than one dense m x n standard-form matrix (m*n*8 bytes) per
+// solve. The standard form's matrix comes from a pool and the elimination
+// kernels work in tableau scratch, so only O(m+n) bookkeeping remains.
+func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random")
+	}
+	mod := b4NodeModel(t)
+	root, err := mod.P.SolveWith(lp.SolveOptions{Engine: lp.EngineDense, CaptureBasis: true})
+	if err != nil || root.Status != lp.StatusOptimal {
+		t.Fatalf("root: %v %v", err, root)
+	}
+	fixes, ok := b4Branch(mod, root.X)
+	if !ok {
+		t.Fatal("root relaxation is already feasible; no child to re-solve")
+	}
+	opts := lp.SolveOptions{Engine: lp.EngineDense, BoundOverride: fixes[0], WarmStart: root.Basis}
+	m, n, err := lp.StdShape(mod.P, fixes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() {
+		sol, err := mod.P.SolveWith(opts)
+		if err != nil || !sol.Warm {
+			t.Fatalf("warm re-solve: err=%v warm=%v", err, sol != nil && sol.Warm)
+		}
+	}
+	solve() // fill the slab pool
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(m * n * 8); perSolve >= limit {
+		t.Errorf("warm re-solve allocates %d bytes on average, want < %d (one dense %dx%d matrix)",
+			perSolve, limit, m, n)
+	}
+}
+
+// TestConcurrentSolvesShareSlabPool runs B4 node LPs from several goroutines
+// at once — the way milp workers and gapserved jobs do — and requires every
+// answer to equal its serial reference bit for bit. All of them draw their
+// standard-form matrices from one pool, so a slab released while still in
+// use, or handed to two solves, shows up here (and under -race).
+func TestConcurrentSolvesShareSlabPool(t *testing.T) {
+	mod := b4NodeModel(t)
+	root, err := mod.P.SolveWith(lp.SolveOptions{Engine: lp.EngineDense, CaptureBasis: true})
+	if err != nil || root.Status != lp.StatusOptimal {
+		t.Fatalf("root: %v %v", err, root)
+	}
+	fixes, ok := b4Branch(mod, root.X)
+	if !ok {
+		t.Fatal("root relaxation is already feasible; no child to solve")
+	}
+	var cases []lp.SolveOptions
+	for _, eng := range []lp.Engine{lp.EngineDense, lp.EngineSparse} {
+		cases = append(cases, lp.SolveOptions{Engine: eng})
+		for _, fix := range fixes {
+			cases = append(cases,
+				lp.SolveOptions{Engine: eng, BoundOverride: fix},
+				lp.SolveOptions{Engine: eng, BoundOverride: fix, WarmStart: root.Basis})
+		}
+	}
+	ref := make([]*lp.Solution, len(cases))
+	for i, opts := range cases {
+		if ref[i], err = mod.P.SolveWith(opts); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+	}
+
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range cases {
+					i := (k + w) % len(cases) // stagger so different shapes overlap
+					got, err := mod.P.SolveWith(cases[i])
+					if err != nil {
+						t.Errorf("worker %d case %d: %v", w, i, err)
+						return
+					}
+					want := ref[i]
+					same := got.Status == want.Status && got.Iterations == want.Iterations &&
+						math.Float64bits(got.Objective) == math.Float64bits(want.Objective) &&
+						len(got.X) == len(want.X)
+					for j := 0; same && j < len(got.X); j++ {
+						same = math.Float64bits(got.X[j]) == math.Float64bits(want.X[j])
+					}
+					if !same {
+						t.Errorf("worker %d case %d: concurrent answer differs from the serial one", w, i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -16,5 +16,6 @@ func StdShape(p *Problem, override map[VarID][2]float64) (m, n int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	defer s.release()
 	return s.m, s.n, nil
 }

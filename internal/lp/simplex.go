@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -115,7 +117,7 @@ func newBasis(basis []int, sig uint64, eng Engine) *Basis {
 	for i, c := range basis {
 		cols[i] = int32(c)
 	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
+	slices.Sort(cols)
 	return &Basis{cols: cols, sig: sig, engine: eng}
 }
 
@@ -125,9 +127,10 @@ func newBasis(basis []int, sig uint64, eng Engine) *Basis {
 type stdForm struct {
 	m, n int // rows, structural+slack+artificial columns
 
-	a [][]float64 // m x n
-	b []float64   // m
-	c []float64   // n, phase-2 costs (0 for slacks/artificials)
+	a    [][]float64 // m x n, rows of slab
+	slab *stdSlab    // pooled backing store of a; nil once released
+	b    []float64   // m
+	c    []float64   // n, phase-2 costs (0 for slacks/artificials)
 
 	nStruct int // columns 0..nStruct-1 are structural (user-derived)
 	artFrom int // columns >= artFrom are artificials
@@ -170,7 +173,52 @@ type stdVarMap struct {
 	sign   float64 // +1 or -1 (mirrored upper-bounded variables)
 }
 
+// stdSlab is the pooled backing store of a standard form's constraint
+// matrix: one contiguous m*n slab and the m row headers into it. Every node
+// LP of a search builds one or more standard forms of the same shape, so
+// recycling the slab turns a fresh m*n allocation per build into a memclr.
+type stdSlab struct {
+	data []float64
+	rows [][]float64
+}
+
+// slabPool is shared by all solves; sync.Pool makes it safe for the
+// concurrent solves of milp workers and the gapserved job pool.
+var slabPool = sync.Pool{New: func() any { return new(stdSlab) }}
+
+// getSlab returns an all-zero m x n matrix backed by a pooled slab.
+func getSlab(m, n int) *stdSlab {
+	sl := slabPool.Get().(*stdSlab)
+	if need := m * n; cap(sl.data) < need {
+		sl.data = make([]float64, need)
+	} else {
+		sl.data = sl.data[:need]
+		clear(sl.data)
+	}
+	if cap(sl.rows) < m {
+		sl.rows = make([][]float64, m)
+	}
+	sl.rows = sl.rows[:m]
+	for i := range sl.rows {
+		sl.rows[i] = sl.data[i*n : (i+1)*n : (i+1)*n]
+	}
+	return sl
+}
+
+// release hands the constraint matrix back to the pool. The form must not
+// be pivoted or read through a afterwards; nothing a solve returns (X,
+// Dual, Basis) aliases the matrix. Releasing twice is a no-op.
+func (s *stdForm) release() {
+	if s.slab == nil {
+		return
+	}
+	slabPool.Put(s.slab)
+	s.slab, s.a = nil, nil
+}
+
 // buildStandard converts p (with optional bound overrides) to standard form.
+// The constraint matrix comes from the slab pool; the caller releases it
+// when the solve is done with the form.
 func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) {
 	s := &stdForm{negate: p.sense == Maximize}
 	s.varMap = make([]stdVarMap, len(p.vars))
@@ -232,51 +280,26 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 		objSign = -1
 	}
 
-	// Dense rows over structural columns first; slacks/artificials appended.
+	// Right-hand sides and relations first: a row's sign decides its
+	// slack/artificial columns, and so the width of the matrix.
 	nUser := len(p.cons)
 	m := nUser + len(uppers)
-	rows := make([][]float64, m)
 	rhs := make([]float64, m)
 	rels := make([]Rel, m)
 	for i, con := range p.cons {
-		row := make([]float64, ncols)
 		r := con.rhs
 		for _, t := range con.expr.Terms {
-			vm := s.varMap[t.Var]
-			if vm.negCol >= 0 {
-				row[vm.col] += t.Coef
-				row[vm.negCol] -= t.Coef
-				continue
+			if vm := s.varMap[t.Var]; vm.negCol < 0 {
+				r -= t.Coef * vm.shift
 			}
-			row[vm.col] += t.Coef * vm.sign
-			r -= t.Coef * vm.shift
 		}
-		rows[i], rhs[i], rels[i] = row, r, con.rel
+		rhs[i], rels[i] = r, con.rel
 	}
 	for k, u := range uppers {
-		row := make([]float64, ncols)
-		row[u.col] = 1
-		rows[nUser+k], rhs[nUser+k], rels[nUser+k] = row, u.rhs, LE
+		rhs[nUser+k], rels[nUser+k] = u.rhs, LE
 	}
 
-	// Objective over structural columns.
-	s.c = make([]float64, ncols)
-	for j := range p.vars {
-		cj := p.vars[j].obj * objSign
-		if cj == 0 {
-			continue
-		}
-		vm := s.varMap[j]
-		if vm.negCol >= 0 {
-			s.c[vm.col] += cj
-			s.c[vm.negCol] -= cj
-			continue
-		}
-		s.c[vm.col] += cj * vm.sign
-		s.objConst += cj * vm.shift
-	}
-
-	// Normalize b >= 0, then append slack/surplus and artificial columns.
+	// Normalize b >= 0, then lay out slack/surplus and artificial columns.
 	s.rowFlip = make([]float64, m)
 	s.rowUnit = make([]int, m)
 	for i := range s.rowUnit {
@@ -294,9 +317,6 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 		if rhs[i] < 0 {
 			s.rowFlip[i] = -1
 			rhs[i] = -rhs[i]
-			for j := range rows[i] {
-				rows[i][j] = -rows[i][j]
-			}
 			switch rels[i] {
 			case LE:
 				rels[i] = GE
@@ -314,14 +334,7 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			extras = append(extras, extra{row: i, coef: 1, art: true})
 		}
 	}
-	nSlack := 0
-	for _, e := range extras {
-		if !e.art {
-			nSlack++
-		}
-	}
 	total := ncols + len(extras)
-	s.artFrom = total // adjusted below once artificial columns are placed
 	// Place non-artificial slacks first, then artificials, so that
 	// "column >= artFrom" identifies artificials.
 	colOf := make([]int, len(extras))
@@ -340,18 +353,35 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 		}
 	}
 
+	// Fill the matrix in place: structural coefficients (negated on flipped
+	// rows), upper-bound rows, then the slack/artificial unit entries.
 	s.m, s.n = m, total
-	s.a = make([][]float64, m)
-	for i := 0; i < m; i++ {
-		row := make([]float64, total)
-		copy(row, rows[i])
-		s.a[i] = row
-	}
+	s.slab = getSlab(m, total)
+	s.a = s.slab.rows
 	s.b = rhs
-	cfull := make([]float64, total)
-	copy(cfull, s.c)
-	s.c = cfull
-
+	for i, con := range p.cons {
+		row := s.a[i]
+		for _, t := range con.expr.Terms {
+			vm := s.varMap[t.Var]
+			if vm.negCol >= 0 {
+				row[vm.col] += t.Coef
+				row[vm.negCol] -= t.Coef
+				continue
+			}
+			row[vm.col] += t.Coef * vm.sign
+		}
+	}
+	for k, u := range uppers {
+		s.a[nUser+k][u.col] = 1
+	}
+	for i := 0; i < m; i++ {
+		if s.rowFlip[i] < 0 {
+			row := s.a[i][:ncols]
+			for j := range row {
+				row[j] = -row[j]
+			}
+		}
+	}
 	for k, e := range extras {
 		col := colOf[k]
 		s.a[e.row][col] = e.coef
@@ -361,6 +391,23 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			s.rowUnit[e.row] = col
 			s.rowUnitSign[e.row] = e.coef
 		}
+	}
+
+	// Objective over structural columns; slacks and artificials cost 0.
+	s.c = make([]float64, total)
+	for j := range p.vars {
+		cj := p.vars[j].obj * objSign
+		if cj == 0 {
+			continue
+		}
+		vm := s.varMap[j]
+		if vm.negCol >= 0 {
+			s.c[vm.col] += cj
+			s.c[vm.negCol] -= cj
+			continue
+		}
+		s.c[vm.col] += cj * vm.sign
+		s.objConst += cj * vm.shift
 	}
 
 	// Structure signature: everything that fixes the shape and column layout
@@ -408,6 +455,7 @@ type tableau struct {
 	degen    int // pivots that left the phase objective unchanged
 	max      int
 	blocked  []bool          // columns forbidden from entering (artificials in phase 2)
+	nz       []int           // n, scratch: nonzero columns of the current pivot row
 	deadline time.Time       // zero means none
 	ctx      context.Context // nil means uncancellable
 }
@@ -491,12 +539,14 @@ func (p *Problem) solveWith(opts SolveOptions) (*Solution, error) {
 
 // solveDense is the dense tableau path: build the standard form, try the
 // warm transplant when a compatible snapshot is offered, and fall back to
-// the canonical cold two-phase method.
+// the canonical cold two-phase method. The form's matrix goes back to the
+// slab pool on return.
 func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 	s, err := buildStandard(p, opts.BoundOverride)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { s.release() }()
 	if ws := opts.WarmStart; ws != nil {
 		if ws.sig == s.sig && len(ws.cols) == s.m {
 			if sol := p.solveWarm(s, opts); sol != nil {
@@ -505,6 +555,7 @@ func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 			// The warm attempt pivots the standard form in place; rebuild it
 			// so the cold solve starts from pristine data and produces exactly
 			// the answer it would have produced with no warm start at all.
+			s.release()
 			if s, err = buildStandard(p, opts.BoundOverride); err != nil {
 				return nil, err
 			}
@@ -519,8 +570,8 @@ func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 }
 
 // newTableau prepares the mutable solver state for a standard form: iteration
-// budget, deadline, and the blocked set (columns pinned by fixing overrides
-// may never enter a basis).
+// budget, deadline, the blocked set (columns pinned by fixing overrides may
+// never enter a basis), and the pivot-row scratch.
 func newTableau(s *stdForm, opts SolveOptions) *tableau {
 	t := &tableau{s: s, deadline: opts.Deadline, ctx: opts.Ctx}
 	t.max = opts.MaxIters
@@ -530,6 +581,7 @@ func newTableau(s *stdForm, opts SolveOptions) *tableau {
 	t.basis = make([]int, s.m)
 	t.inBasis = make([]bool, s.n)
 	t.blocked = make([]bool, s.n)
+	t.nz = make([]int, s.n)
 	for _, j := range s.fixed {
 		t.blocked[j] = true
 	}
@@ -543,14 +595,12 @@ func newTableau(s *stdForm, opts SolveOptions) *tableau {
 func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 	t := newTableau(s, opts)
 
-	// Initial basis: for each row pick its +1 unit column (slack for LE,
-	// artificial for GE/EQ).
 	// Initial basis. Each slack/artificial column touches exactly one row
 	// by construction, so a +1 entry in row i identifies row i's own column.
-	// Prefer a slack (+1); otherwise try a crash pivot on a singleton
-	// structural column (KKT rewrites produce one explicit slack variable
-	// per inner row, which lands here and avoids an artificial); only then
-	// fall back to the artificial.
+	// Prefer a slack (+1, LE rows); otherwise try a crash pivot on a
+	// singleton structural column (KKT rewrites produce one explicit slack
+	// variable per inner row, which lands here and avoids an artificial);
+	// only then fall back to the artificial (GE/EQ rows).
 	needCrash := false
 	for i := 0; i < s.m; i++ {
 		t.basis[i] = -1
@@ -628,20 +678,18 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 		if st != StatusOptimal || t.obj > feasTol {
 			return t.solution(StatusInfeasible), nil
 		}
-		// Drive remaining artificials out of the basis where possible.
+		// Drive remaining artificials out of the basis where possible. A
+		// row with no usable column is redundant; its artificial stays at 0.
 		for i := 0; i < s.m; i++ {
 			if t.basis[i] < s.artFrom {
 				continue
 			}
-			pivoted := false
 			for j := 0; j < s.artFrom; j++ {
 				if !t.inBasis[j] && !t.blocked[j] && math.Abs(s.a[i][j]) > pivotTol {
 					t.pivot(i, j)
-					pivoted = true
 					break
 				}
 			}
-			_ = pivoted // a fully zero row is redundant; its artificial stays at 0
 		}
 	}
 	// Artificial columns must never enter again — even when phase 1 was
@@ -758,6 +806,7 @@ func finishTerm(p *Problem, term termState, st Status, opts SolveOptions, eng En
 	sort.Ints(support)
 	basis, bval, obj := term.basis, term.bval, term.obj
 	if s2, err := buildStandard(p, opts.BoundOverride); err == nil {
+		defer s2.release()
 		t2 := newTableau(s2, opts)
 		for j := s2.artFrom; j < s2.n; j++ {
 			t2.blocked[j] = true
@@ -929,17 +978,37 @@ func (t *tableau) ratio(pc int) int {
 	return best
 }
 
-// pivot performs a pivot on (pr, pc), updating rows, rhs, reduced costs,
-// objective, and the basis.
-func (t *tableau) pivot(pr, pc int) {
-	s := t.s
-	prow := s.a[pr]
-	piv := prow[pc]
-	inv := 1 / piv
-	for j := 0; j < s.n; j++ {
-		prow[j] *= inv
+// scaleRow divides row pr by its entry in column pc, touching only the
+// row's nonzeros, and returns their columns in ascending order together
+// with the reciprocal pivot it scaled by. The column list is a view of the
+// tableau's scratch, valid until the next call. Zeros are left alone rather
+// than multiplied, so a zero keeps its sign where a full-row loop would turn
+// it into -0 on a negative pivot; every nonzero is bitwise what a full-row
+// loop computes.
+func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
+	prow := t.s.a[pr]
+	inv = 1 / prow[pc]
+	k := 0
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			t.nz[k] = j
+			k++
+		}
 	}
 	prow[pc] = 1
+	return t.nz[:k], inv
+}
+
+// pivot performs a pivot on (pr, pc), updating rows, rhs, reduced costs,
+// objective, and the basis. Elimination runs over the pivot row's nonzeros
+// only: O(nnz(pivot row) x nnz(pivot column)) plus an O(m) column scan.
+//
+//gapvet:hotpath every simplex pivot of the dense engine; the nonzero list lives in presized tableau scratch
+func (t *tableau) pivot(pr, pc int) {
+	s := t.s
+	nz, inv := t.scaleRow(pr, pc)
+	prow := s.a[pr]
 	s.b[pr] *= inv
 	if s.b[pr] < 0 && s.b[pr] > -feasTol {
 		s.b[pr] = 0
@@ -948,12 +1017,12 @@ func (t *tableau) pivot(pr, pc int) {
 		if i == pr {
 			continue
 		}
-		f := s.a[i][pc]
+		row := s.a[i]
+		f := row[pc]
 		if f == 0 {
 			continue
 		}
-		row := s.a[i]
-		for j := 0; j < s.n; j++ {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[pc] = 0
@@ -963,7 +1032,7 @@ func (t *tableau) pivot(pr, pc int) {
 		}
 	}
 	if f := t.r[pc]; f != 0 {
-		for j := 0; j < s.n; j++ {
+		for _, j := range nz {
 			t.r[j] -= f * prow[j]
 		}
 		t.r[pc] = 0
@@ -1251,26 +1320,25 @@ func (t *tableau) installCanonical(support []int) bool {
 // gauss pivots on (pr, pc) updating only the matrix and right-hand side —
 // no reduced-cost or objective bookkeeping, which does not exist yet during
 // install. Negative b entries are expected output: they are exactly the
-// primal infeasibilities the dual phase repairs.
+// primal infeasibilities the dual phase repairs. Like pivot, it eliminates
+// over the pivot row's nonzeros only.
+//
+//gapvet:hotpath m Gauss-Jordan steps per warm install and per canonical extraction; the nonzero list lives in presized tableau scratch
 func (t *tableau) gauss(pr, pc int) {
 	s := t.s
+	nz, inv := t.scaleRow(pr, pc)
 	prow := s.a[pr]
-	inv := 1 / prow[pc]
-	for j := 0; j < s.n; j++ {
-		prow[j] *= inv
-	}
-	prow[pc] = 1
 	s.b[pr] *= inv
 	for i := 0; i < s.m; i++ {
 		if i == pr {
 			continue
 		}
-		f := s.a[i][pc]
+		row := s.a[i]
+		f := row[pc]
 		if f == 0 {
 			continue
 		}
-		row := s.a[i]
-		for j := 0; j < s.n; j++ {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[pc] = 0

@@ -780,6 +780,7 @@ func (p *Problem) solveSparse(opts SolveOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	if ws := opts.WarmStart; ws != nil {
 		if ws.sig == s.sig && len(ws.cols) == s.m {
 			if sol := p.sparseWarm(s, opts); sol != nil {
