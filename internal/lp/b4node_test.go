@@ -132,12 +132,11 @@ func withFix(ov, fix map[lp.VarID][2]float64) map[lp.VarID][2]float64 {
 // TestWarmResolveAllocBelowDenseMatrix bounds the memory a warm-started
 // node LP allocates: re-solving a fixed B4 node from its parent's basis must
 // average less than one dense m x n standard-form matrix (m*n*8 bytes) per
-// solve. The standard form's matrix comes from a pool and the elimination
-// kernels work in tableau scratch, so only O(m+n) bookkeeping remains.
+// solve. The standard form's matrix comes from the slab free list and the
+// elimination kernels work in tableau scratch, so only O(m+n) bookkeeping
+// remains. Each solve follows two garbage collections, which would empty a
+// sync.Pool: recycling must not depend on when the collector runs.
 func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime drops sync.Pool puts at random")
-	}
 	mod := b4NodeModel(t)
 	root, err := mod.P.SolveWith(lp.SolveOptions{Engine: lp.EngineDense, CaptureBasis: true})
 	if err != nil || root.Status != lp.StatusOptimal {
@@ -158,12 +157,14 @@ func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
 			t.Fatalf("warm re-solve: err=%v warm=%v", err, sol != nil && sol.Warm)
 		}
 	}
-	solve() // fill the slab pool
+	solve() // fill the slab free list
 
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.GC()
 		solve()
 	}
 	runtime.ReadMemStats(&after)
@@ -177,7 +178,7 @@ func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
 // TestConcurrentSolvesShareSlabPool runs B4 node LPs from several goroutines
 // at once — the way milp workers and gapserved jobs do — and requires every
 // answer to equal its serial reference bit for bit. All of them draw their
-// standard-form matrices from one pool, so a slab released while still in
+// standard-form matrices from one free list, so a slab released while still in
 // use, or handed to two solves, shows up here (and under -race).
 func TestConcurrentSolvesShareSlabPool(t *testing.T) {
 	mod := b4NodeModel(t)

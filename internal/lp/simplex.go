@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -128,7 +129,7 @@ type stdForm struct {
 	m, n int // rows, structural+slack+artificial columns
 
 	a    [][]float64 // m x n, rows of slab
-	slab *stdSlab    // pooled backing store of a; nil once released
+	slab *stdSlab    // recycled backing store of a; nil once released
 	b    []float64   // m
 	c    []float64   // n, phase-2 costs (0 for slacks/artificials)
 
@@ -173,7 +174,7 @@ type stdVarMap struct {
 	sign   float64 // +1 or -1 (mirrored upper-bounded variables)
 }
 
-// stdSlab is the pooled backing store of a standard form's constraint
+// stdSlab is the recycled backing store of a standard form's constraint
 // matrix: one contiguous m*n slab and the m row headers into it. Every node
 // LP of a search builds one or more standard forms of the same shape, so
 // recycling the slab turns a fresh m*n allocation per build into a memclr.
@@ -182,13 +183,34 @@ type stdSlab struct {
 	rows [][]float64
 }
 
-// slabPool is shared by all solves; sync.Pool makes it safe for the
-// concurrent solves of milp workers and the gapserved job pool.
-var slabPool = sync.Pool{New: func() any { return new(stdSlab) }}
+// freeSlabs is the free list of released slabs, last in first out. Unlike
+// a sync.Pool it is not emptied by garbage collection, so a solve reuses a
+// slab whenever one is free and its cost and allocation do not depend on
+// when the collector last ran. One solve holds at most two slabs at once
+// (its form and finishTerm's extraction form); the list keeps enough for
+// that many per P and drops the rest to the collector.
+var freeSlabs struct {
+	mu   sync.Mutex
+	list []*stdSlab
+}
 
-// getSlab returns an all-zero m x n matrix backed by a pooled slab.
+// maxFreeSlabs bounds freeSlabs: two slabs per P.
+var maxFreeSlabs = 2 * runtime.GOMAXPROCS(0)
+
+// getSlab returns an all-zero m x n matrix backed by a recycled slab when
+// one is free.
 func getSlab(m, n int) *stdSlab {
-	sl := slabPool.Get().(*stdSlab)
+	var sl *stdSlab
+	freeSlabs.mu.Lock()
+	if k := len(freeSlabs.list); k > 0 {
+		sl = freeSlabs.list[k-1]
+		freeSlabs.list[k-1] = nil
+		freeSlabs.list = freeSlabs.list[:k-1]
+	}
+	freeSlabs.mu.Unlock()
+	if sl == nil {
+		sl = new(stdSlab)
+	}
 	if need := m * n; cap(sl.data) < need {
 		sl.data = make([]float64, need)
 	} else {
@@ -205,19 +227,23 @@ func getSlab(m, n int) *stdSlab {
 	return sl
 }
 
-// release hands the constraint matrix back to the pool. The form must not
-// be pivoted or read through a afterwards; nothing a solve returns (X,
+// release hands the constraint matrix back to the free list. The form must
+// not be pivoted or read through a afterwards; nothing a solve returns (X,
 // Dual, Basis) aliases the matrix. Releasing twice is a no-op.
 func (s *stdForm) release() {
 	if s.slab == nil {
 		return
 	}
-	slabPool.Put(s.slab)
+	freeSlabs.mu.Lock()
+	if len(freeSlabs.list) < maxFreeSlabs {
+		freeSlabs.list = append(freeSlabs.list, s.slab)
+	}
+	freeSlabs.mu.Unlock()
 	s.slab, s.a = nil, nil
 }
 
 // buildStandard converts p (with optional bound overrides) to standard form.
-// The constraint matrix comes from the slab pool; the caller releases it
+// The constraint matrix comes from the slab free list; the caller releases it
 // when the solve is done with the form.
 func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) {
 	s := &stdForm{negate: p.sense == Maximize}
@@ -540,7 +566,7 @@ func (p *Problem) solveWith(opts SolveOptions) (*Solution, error) {
 // solveDense is the dense tableau path: build the standard form, try the
 // warm transplant when a compatible snapshot is offered, and fall back to
 // the canonical cold two-phase method. The form's matrix goes back to the
-// slab pool on return.
+// slab free list on return.
 func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 	s, err := buildStandard(p, opts.BoundOverride)
 	if err != nil {
