@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/lp"
 	"repro/internal/obs"
 )
 
@@ -78,14 +77,8 @@ func run() int {
 	tracePath := flag.String("trace", "", "write a JSONL event trace of the searches to this file")
 	metricsDump := flag.Bool("metrics", false, "print a Prometheus-style metrics dump on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. localhost:6060)")
-	engineFlag := flag.String("engine", "auto", "LP simplex engine: dense, sparse, or auto (identical answers)")
 	flag.Parse()
 	csvDir = *csvOut
-	if engine, err := lp.ParseEngine(*engineFlag); err != nil {
-		log.Fatal(err)
-	} else {
-		lp.SetDefaultEngine(engine)
-	}
 
 	if *fromTrace != "" {
 		if err := figFromTrace(*fromTrace); err != nil {

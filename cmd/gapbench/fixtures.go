@@ -17,13 +17,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/benchstore"
 	"repro/internal/core"
 	"repro/internal/demand"
 	"repro/internal/experiments"
-	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
 	"repro/internal/obs"
@@ -120,21 +118,6 @@ func fixtures() []fixture {
 			name: "smoke_b4_dp",
 			desc: "the CI gate: B4, dp heuristic, 4 pairs, searched to optimality with warm starts",
 			run:  runSmoke,
-		},
-		{
-			name: "smoke_b4_dp_sparse",
-			desc: "the smoke search on the sparse LP engine; hard-asserts gap/nodes/lp_solves/lp_iters identical to an in-fixture dense run",
-			run:  runSmokeSparse,
-		},
-		{
-			name: "warm_on_sparse",
-			desc: "the warm_on meta fixture on the sparse engine; hard-asserts solver counters identical to an in-fixture dense run",
-			run:  metaFixtureSparse,
-		},
-		{
-			name: "ablation_sparse_pivot",
-			desc: "large sparse LP solved by both engines: identical answer required, per-pivot wall time must drop >= 2x on the sparse engine",
-			run:  runSparsePivotAblation,
 		},
 	}
 }
@@ -256,176 +239,6 @@ func metaFixture(workers int, warm bool) func(int64, *obs.Tracer) (*runOutcome, 
 		}
 		return &runOutcome{fingerprint: res.Solver.Fingerprint, hard: solverCounters(res)}, nil
 	}
-}
-
-// smokeSearch runs the smoke fixture's gap search on the given lp engine.
-func smokeSearch(seed int64, tr *obs.Tracer, engine lp.Engine) (*core.Result, error) {
-	g := topology.B4()
-	set := demand.RandomPairs(g, 4, rand.New(rand.NewSource(seed+4)))
-	inst, err := mcf.NewInstance(g, set, 2)
-	if err != nil {
-		return nil, err
-	}
-	pr := &core.DPGapProblem{
-		Inst: inst, Threshold: 5,
-		Input: core.InputConstraints{MaxDemand: 100},
-	}
-	opts := milp.Options{DepthFirst: true, WarmStart: true, Workers: 1, Engine: engine, Tracer: tr}
-	res, err := pr.Solve(opts)
-	if err != nil {
-		return nil, err
-	}
-	if res.Solver.Status != milp.StatusOptimal {
-		return nil, fmt.Errorf("smoke(%v): status %v, want optimal", engine, res.Solver.Status)
-	}
-	return res, nil
-}
-
-// runSmokeSparse is the engine-parity gate: the smoke search must explore
-// the bit-identical tree on the sparse engine — same fingerprint, gap,
-// nodes, lp_solves and lp_iters as a dense run performed in-fixture — and
-// the sparse counters are ALSO recorded as hard metrics against the ledger.
-func runSmokeSparse(seed int64, tr *obs.Tracer) (*runOutcome, error) {
-	dense, err := smokeSearch(seed, nil, lp.EngineDense)
-	if err != nil {
-		return nil, err
-	}
-	sparse, err := smokeSearch(seed, tr, lp.EngineSparse)
-	if err != nil {
-		return nil, err
-	}
-	if err := sameSearch("smoke_b4_dp_sparse", dense, sparse); err != nil {
-		return nil, err
-	}
-	return &runOutcome{fingerprint: sparse.Solver.Fingerprint, hard: solverCounters(sparse)}, nil
-}
-
-// sameSearch hard-asserts engine parity on everything the ledger gates.
-func sameSearch(name string, dense, sparse *core.Result) error {
-	if gapMilli(dense.Gap) != gapMilli(sparse.Gap) {
-		return fmt.Errorf("%s: gap %v (sparse) vs %v (dense)", name, sparse.Gap, dense.Gap)
-	}
-	d, s := dense.Solver, sparse.Solver
-	if d.Fingerprint != s.Fingerprint {
-		return fmt.Errorf("%s: search fingerprint %x (sparse) vs %x (dense)", name, s.Fingerprint, d.Fingerprint)
-	}
-	if d.Nodes != s.Nodes || d.LPSolves != s.LPSolves || d.LPIters != s.LPIters ||
-		d.WarmLPSolves != s.WarmLPSolves || d.WarmLPFallbacks != s.WarmLPFallbacks {
-		return fmt.Errorf("%s: counters diverged: nodes %d/%d lp_solves %d/%d lp_iters %d/%d warm %d/%d fallbacks %d/%d (sparse/dense)",
-			name, s.Nodes, d.Nodes, s.LPSolves, d.LPSolves, s.LPIters, d.LPIters,
-			s.WarmLPSolves, d.WarmLPSolves, s.WarmLPFallbacks, d.WarmLPFallbacks)
-	}
-	return nil
-}
-
-// metaFixtureSparse mirrors warm_on on the sparse engine, with the same
-// in-fixture dense parity assertion as the sparse smoke gate.
-func metaFixtureSparse(seed int64, tr *obs.Tracer) (*runOutcome, error) {
-	solveMeta := func(engine lp.Engine, tr *obs.Tracer) (*core.Result, error) {
-		pr, err := metaProblem(seed)
-		if err != nil {
-			return nil, err
-		}
-		opts := milp.Options{Workers: 1, Batch: 8, MaxNodes: 64, WarmStart: true, Engine: engine, Tracer: tr}
-		return pr.Solve(opts)
-	}
-	dense, err := solveMeta(lp.EngineDense, nil)
-	if err != nil {
-		return nil, err
-	}
-	sparse, err := solveMeta(lp.EngineSparse, tr)
-	if err != nil {
-		return nil, err
-	}
-	if sparse.Solver.WarmLPSolves == 0 {
-		return nil, fmt.Errorf("warm_on_sparse: zero warm solves")
-	}
-	if err := sameSearch("warm_on_sparse", dense, sparse); err != nil {
-		return nil, err
-	}
-	return &runOutcome{fingerprint: sparse.Solver.Fingerprint, hard: solverCounters(sparse)}, nil
-}
-
-// buildAblationLP constructs the pivot-ablation LP: a capacitated-path
-// shape (1200 path variables, 150 capacity edges, each path on 2-4 random
-// edges, ~2% density) that is large enough for per-pivot cost to dominate.
-func buildAblationLP(seed int64) *lp.Problem {
-	rng := rand.New(rand.NewSource(seed + 13))
-	p := lp.NewProblem("pivot-ablation", lp.Maximize)
-	const nPaths, nEdges = 1200, 150
-	paths := make([]lp.VarID, nPaths)
-	onEdge := make([][]lp.VarID, nEdges)
-	for i := range paths {
-		paths[i] = p.AddVar("f", 0, lp.Inf)
-		p.SetObj(paths[i], 1+rng.Float64())
-		k := 2 + rng.Intn(3)
-		for e := 0; e < k; e++ {
-			idx := rng.Intn(nEdges)
-			onEdge[idx] = append(onEdge[idx], paths[i])
-		}
-	}
-	for e, vs := range onEdge {
-		if len(vs) == 0 {
-			continue
-		}
-		expr := lp.NewExpr()
-		for _, v := range vs {
-			expr = expr.Add(v, 1)
-		}
-		p.AddConstraint("cap", expr, lp.LE, 20+float64(e%17))
-	}
-	return p
-}
-
-// runSparsePivotAblation is the headline perf claim, measured: a large
-// sparse LP (capacitated-path shape, ~2% density) is solved by both
-// engines. The answers and pivot counts must agree exactly (hard), and the
-// wall time per pivot on the sparse engine must be at least 2x lower — the
-// dense tableau pays O(rows*cols) per pivot where the revised simplex pays
-// roughly O(nnz). The ratio is asserted with margin in-fixture rather than
-// recorded, since wall time is machine-dependent.
-func runSparsePivotAblation(seed int64, tr *obs.Tracer) (*runOutcome, error) {
-	build := func() *lp.Problem { return buildAblationLP(seed) }
-	type timed struct {
-		sol  *lp.Solution
-		secs float64
-	}
-	solve := func(engine lp.Engine) (timed, error) {
-		p := build()
-		start := time.Now()
-		sol, err := p.SolveWith(lp.SolveOptions{Engine: engine})
-		elapsed := time.Since(start)
-		if err != nil {
-			return timed{}, err
-		}
-		if sol.Status != lp.StatusOptimal {
-			return timed{}, fmt.Errorf("pivot ablation (%v): status %v", engine, sol.Status)
-		}
-		return timed{sol: sol, secs: elapsed.Seconds()}, nil
-	}
-	dense, err := solve(lp.EngineDense)
-	if err != nil {
-		return nil, err
-	}
-	sparse, err := solve(lp.EngineSparse)
-	if err != nil {
-		return nil, err
-	}
-	if math.Abs(dense.sol.Objective-sparse.sol.Objective) > 1e-9*(1+math.Abs(dense.sol.Objective)) {
-		return nil, fmt.Errorf("pivot ablation: objective %v (sparse) vs %v (dense)", sparse.sol.Objective, dense.sol.Objective)
-	}
-	if dense.sol.Iterations != sparse.sol.Iterations {
-		return nil, fmt.Errorf("pivot ablation: pivots %d (sparse) vs %d (dense)", sparse.sol.Iterations, dense.sol.Iterations)
-	}
-	densePer := dense.secs / float64(dense.sol.Iterations)
-	sparsePer := sparse.secs / float64(sparse.sol.Iterations)
-	if sparsePer*2 > densePer {
-		return nil, fmt.Errorf("pivot ablation: sparse %.3gs/pivot vs dense %.3gs/pivot — less than the promised 2x drop",
-			sparsePer, densePer)
-	}
-	return &runOutcome{hard: []benchstore.Counter{
-		{Name: "lp_iters", Value: int64(sparse.sol.Iterations)},
-	}}, nil
 }
 
 // runSmoke is the CI gate fixture: the same search the workflow's smoke job

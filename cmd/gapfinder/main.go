@@ -35,7 +35,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
 	"repro/internal/obs"
@@ -86,15 +85,7 @@ func run() int {
 	resumePath := flag.String("resume", "", "resume from this checkpoint file; rerun with the same model flags as the checkpointed run")
 	faultSpec := flag.String("faults", "", "deterministic fault-injection plan, e.g. lp-solve:3,ckpt-write:1,deadline:2 (crash-safety testing)")
 	restarts := flag.Int("restarts", 0, "blackbox restart cap (0 = restart until -budget expires; -checkpoint needs > 0)")
-	engineFlag := flag.String("engine", "auto", "LP simplex engine: dense, sparse, or auto (identical answers; sparse trades O(rows*cols) pivots for factorized ones)")
 	flag.Parse()
-	engine, err := lp.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Every LP in the process — node relaxations, direct heuristic pricing,
-	// KKT relaxations — goes through the selected engine.
-	lp.SetDefaultEngine(engine)
 	reportPath = *report
 
 	tracer, finishObs, err := obs.SetupCLI(*tracePath, *metricsDump, *pprofAddr, os.Stdout)
@@ -161,7 +152,7 @@ func run() int {
 	switch *method {
 	case "whitebox":
 		interrupted = runWhitebox(inst, set, *heuristic, *threshold, *partitions, *instantiations,
-			*maxDemand, *budget, *seed, *target, *diverse, *quiet, *workers, *warmStart, engine, tracer, rb)
+			*maxDemand, *budget, *seed, *target, *diverse, *quiet, *workers, *warmStart, tracer, rb)
 	case "hillclimb", "anneal":
 		interrupted = runBlackbox(inst, set, *heuristic, *method, *threshold, *partitions, *instantiations,
 			*maxDemand, *budget, *seed, *workers, *restarts, tracer, rb)
@@ -182,7 +173,7 @@ func run() int {
 func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic string,
 	threshold float64, partitions, instantiations int, maxDemand float64,
 	budget time.Duration, seed int64, target float64, diverse int, quiet bool,
-	workers int, warmStart bool, engine lp.Engine, tracer *obs.Tracer, rb robustness) bool {
+	workers int, warmStart bool, tracer *obs.Tracer, rb robustness) bool {
 
 	input := metaopt.InputConstraints{MaxDemand: maxDemand}
 	opts := milp.Options{
@@ -193,7 +184,6 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 		Tracer:          tracer,
 		Workers:         workers,
 		WarmStart:       warmStart,
-		Engine:          engine,
 		Ctx:             rb.ctx,
 		Checkpoint:      rb.checkpoint,
 		CheckpointEvery: rb.every,

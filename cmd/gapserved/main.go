@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/lp"
 	"repro/internal/serve"
 )
 
@@ -43,27 +42,10 @@ func main() {
 	defaultBudget := flag.Duration("default-budget", 30*time.Second, "solve budget for jobs that do not set budget_sec")
 	maxBudget := flag.Duration("max-budget", 10*time.Minute, "upper clamp on any job's solve budget")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in solver waves (0 = every wave boundary)")
-	engineFlag := flag.String("engine", "auto", "process-default LP engine for jobs that request engine auto: dense, sparse, or auto")
 	quiet := flag.Bool("q", false, "suppress per-job SUMMARY lines")
 	flag.Parse()
 
 	logf := log.New(os.Stderr, "gapserved: ", log.LstdFlags).Printf
-
-	// Satellite of the silent-misconfiguration fix: if REPRO_LP_ENGINE held
-	// garbage, init() already warned on stderr — but a daemon's stderr is
-	// often a log file nobody reads at boot, so surface it again here where
-	// the operator is looking.
-	if rejected, err := lp.DefaultEngineDiagnostics(); err != nil {
-		logf("WARNING: REPRO_LP_ENGINE=%q ignored: %v (using %s)", rejected, err, lp.DefaultEngine())
-	}
-	eng, err := lp.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if eng != lp.EngineAuto {
-		lp.SetDefaultEngine(eng)
-	}
 
 	srv, err := serve.New(serve.Config{
 		StateDir:        *stateDir,
@@ -93,8 +75,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
-	logf("listening on %s (state %s, %d workers, queue depth %d, engine %s)",
-		*addr, *stateDir, *workers, *queueDepth, lp.DefaultEngine())
+	logf("listening on %s (state %s, %d workers, queue depth %d)",
+		*addr, *stateDir, *workers, *queueDepth)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -66,8 +66,6 @@ func sweepMain(args []string) int {
 	maxDemand := fs.Float64("max-demand", 100, "per-demand upper bound")
 	budget := fs.Float64("budget", 30, "per-cell solve budget in seconds")
 	targetGap := fs.Float64("target-gap", 0, "stop a cell at the first gap >= this (0 = prove optimality)")
-	engine := fs.String("engine", "", "LP engine for every cell: auto, dense, sparse (empty = daemon default)")
-	pricing := fs.String("pricing", "", "sparse pricing rule: auto, dantzig, devex")
 	warm := fs.Bool("warm", false, "warm-start node relaxations")
 	solverWorkers := fs.Int("solver-workers", 0, "per-job solver wave-pool size (0 = daemon default)")
 
@@ -121,8 +119,6 @@ func sweepMain(args []string) int {
 			MaxDemand: *maxDemand,
 			BudgetSec: *budget,
 			TargetGap: *targetGap,
-			Engine:    *engine,
-			Pricing:   *pricing,
 			WarmStart: *warm,
 			Workers:   *solverWorkers,
 		},

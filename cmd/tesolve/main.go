@@ -27,7 +27,6 @@ import (
 	"syscall"
 
 	metaopt "repro"
-	"repro/internal/lp"
 	"repro/internal/obs"
 )
 
@@ -58,13 +57,7 @@ func run() int {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	metricsDump := flag.Bool("metrics", false, "print a Prometheus-style metrics dump on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. localhost:6060)")
-	engineFlag := flag.String("engine", "auto", "LP simplex engine: dense, sparse, or auto (identical answers)")
 	flag.Parse()
-	if engine, err := lp.ParseEngine(*engineFlag); err != nil {
-		log.Fatal(err)
-	} else {
-		lp.SetDefaultEngine(engine)
-	}
 
 	tracer, finishObs, err := obs.SetupCLI(*tracePath, *metricsDump, *pprofAddr, os.Stdout)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 //
 //	//gapvet:hotpath <reason>
 //
-// (in its doc comment) sits inside the per-pivot working set — FTRAN/BTRAN
-// solves, eta application, pricing loops — where a single heap allocation
+// (in its doc comment) sits inside the per-pivot working set — pivot
+// elimination, basis installs, pricing loops — where a single heap allocation
 // per call multiplies into millions per search and shows up directly in
 // the bench ledger's ns/pivot. Inside such a function the analyzer flags:
 //

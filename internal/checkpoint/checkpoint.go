@@ -67,16 +67,13 @@ type TracePoint struct {
 //
 // Portability contract: the state pins only what determines the explored
 // tree — the model shape and the resolved Batch/DepthFirst (via
-// Fingerprint). It deliberately does NOT pin Workers, the LP engine, the
-// pricing rule, or the warm-start flag: all of those change how node
-// relaxations are computed, never their answers, so a snapshot written
-// under `-engine dense -workers 4` resumes under `-engine sparse
-// -workers 1` (or any other combination) and still replays to the
-// bit-identical incumbent, bound, and node count of the uninterrupted run.
-// The frontier's warm-start basis blobs are engine-portable for the same
-// reason (lp's basis wire codec round-trips across engines); an unusable
-// blob only degrades that node to a cold solve. Sealed by
-// TestCrossEngineResume in internal/milp.
+// Fingerprint). It deliberately does NOT pin Workers or the warm-start
+// flag: both change how node relaxations are computed, never their
+// answers, so a snapshot written with 4 workers resumes with 1 (at the
+// same Batch) and still replays to the bit-identical incumbent, bound, and
+// node count of the uninterrupted run. A frontier basis blob that does
+// not decode (a retired wire version, say) only degrades that node to a
+// cold solve; TestResumeFromVersion2Bases in internal/milp seals that.
 type BnBState struct {
 	// Fingerprint hashes the model shape and the tree-determining options
 	// (resolved batch, depth-first flag); Resume refuses a state whose

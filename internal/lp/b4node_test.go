@@ -138,7 +138,7 @@ func withFix(ov, fix map[lp.VarID][2]float64) map[lp.VarID][2]float64 {
 // sync.Pool: recycling must not depend on when the collector runs.
 func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
 	mod := b4NodeModel(t)
-	root, err := mod.P.SolveWith(lp.SolveOptions{Engine: lp.EngineDense, CaptureBasis: true})
+	root, err := mod.P.SolveWith(lp.SolveOptions{CaptureBasis: true})
 	if err != nil || root.Status != lp.StatusOptimal {
 		t.Fatalf("root: %v %v", err, root)
 	}
@@ -146,7 +146,7 @@ func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
 	if !ok {
 		t.Fatal("root relaxation is already feasible; no child to re-solve")
 	}
-	opts := lp.SolveOptions{Engine: lp.EngineDense, BoundOverride: fixes[0], WarmStart: root.Basis}
+	opts := lp.SolveOptions{BoundOverride: fixes[0], WarmStart: root.Basis}
 	m, n, err := lp.StdShape(mod.P, fixes[0])
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestWarmResolveAllocBelowDenseMatrix(t *testing.T) {
 // use, or handed to two solves, shows up here (and under -race).
 func TestConcurrentSolvesShareSlabPool(t *testing.T) {
 	mod := b4NodeModel(t)
-	root, err := mod.P.SolveWith(lp.SolveOptions{Engine: lp.EngineDense, CaptureBasis: true})
+	root, err := mod.P.SolveWith(lp.SolveOptions{CaptureBasis: true})
 	if err != nil || root.Status != lp.StatusOptimal {
 		t.Fatalf("root: %v %v", err, root)
 	}
@@ -190,14 +190,11 @@ func TestConcurrentSolvesShareSlabPool(t *testing.T) {
 	if !ok {
 		t.Fatal("root relaxation is already feasible; no child to solve")
 	}
-	var cases []lp.SolveOptions
-	for _, eng := range []lp.Engine{lp.EngineDense, lp.EngineSparse} {
-		cases = append(cases, lp.SolveOptions{Engine: eng})
-		for _, fix := range fixes {
-			cases = append(cases,
-				lp.SolveOptions{Engine: eng, BoundOverride: fix},
-				lp.SolveOptions{Engine: eng, BoundOverride: fix, WarmStart: root.Basis})
-		}
+	cases := []lp.SolveOptions{{}}
+	for _, fix := range fixes {
+		cases = append(cases,
+			lp.SolveOptions{BoundOverride: fix},
+			lp.SolveOptions{BoundOverride: fix, WarmStart: root.Basis})
 	}
 	ref := make([]*lp.Solution, len(cases))
 	for i, opts := range cases {

@@ -7,44 +7,41 @@ import (
 
 // Basis wire codec.
 //
-// The original (legacy) encoding was versionless: 8-byte LE signature,
-// uvarint count, delta-encoded sorted columns. The engine split surfaced the
-// latent assumption baked into that format: the signature and column set
-// describe the dense tableau's standard-form layout with nothing saying so.
-// Both engines deliberately share one standard form, so the layout itself is
-// engine-portable — but the blob must say which engine captured it, and must
-// be able to evolve if an engine ever gains a layout of its own. Version 2
-// therefore adds a magic header and an engine provenance byte, and the
-// decoder keeps reading legacy blobs (old checkpoints resume fine; they
-// decode with EngineAuto provenance, meaning unknown). Unknown versions fail
-// loudly with *BasisVersionError instead of being misread as column data.
+// A blob is a magic header, a version byte, the 8-byte LE structure
+// signature, a uvarint column count and the delta-encoded sorted columns.
+// The signature and column set describe the tableau's standard-form layout.
+// Version 3 is the only readable version. Version 2 carried an extra byte
+// naming the simplex engine that captured the basis, and the original
+// versionless layout had no header at all; both decode to a
+// *BasisVersionError, which checkpoint resume treats like any other
+// undecodable basis: the node solves cold and the explored tree is unchanged.
 
-// basisMagic introduces a versioned basis blob. A legacy blob starts with
-// the raw signature instead; the decoder tells them apart by this prefix.
+// basisMagic introduces a basis blob.
 var basisMagic = [4]byte{'L', 'P', 'B', 'S'}
 
 // basisVersion is the current wire version.
-const basisVersion = 2
+const basisVersion = 3
 
 // BasisVersionError reports a basis blob whose version this build does not
 // understand. Callers (checkpoint resume, tooling) can detect it with
 // errors.As and degrade to a cold solve instead of failing the whole load.
+// Version is 0 for a blob without the magic header (the versionless layout).
 type BasisVersionError struct {
 	Version byte
 }
 
 func (e *BasisVersionError) Error() string {
-	return fmt.Sprintf("lp: basis blob version %d not supported (max %d)", e.Version, basisVersion)
+	return fmt.Sprintf("lp: basis blob version %d not supported (want %d)", e.Version, basisVersion)
 }
 
 // MarshalBinary serializes the basis snapshot for checkpointing: magic,
-// version, capturing engine, the structure signature, and the sorted
-// basic-column set, varint delta-encoded. Integrity (checksums) remains the
-// surrounding checkpoint format's job.
+// version, the structure signature, and the sorted basic-column set, varint
+// delta-encoded. Integrity (checksums) remains the surrounding checkpoint
+// format's job.
 func (b *Basis) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+2+8+binary.MaxVarintLen64*(len(b.cols)+1))
+	buf := make([]byte, 0, 4+1+8+binary.MaxVarintLen64*(len(b.cols)+1))
 	buf = append(buf, basisMagic[:]...)
-	buf = append(buf, basisVersion, byte(b.engine))
+	buf = append(buf, basisVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, b.sig)
 	buf = binary.AppendUvarint(buf, uint64(len(b.cols)))
 	prev := int32(0)
@@ -55,26 +52,18 @@ func (b *Basis) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBasis reconstructs a Basis written by MarshalBinary — current or
-// legacy versionless format — validating shape (sorted, non-negative
-// columns) so a corrupted checkpoint cannot smuggle an unusable snapshot
-// into the warm-start path. A versioned blob with an unknown version is a
-// *BasisVersionError.
+// UnmarshalBasis reconstructs a Basis written by MarshalBinary, validating
+// shape (sorted, non-negative columns) so a corrupted checkpoint cannot
+// smuggle an unusable snapshot into the warm-start path. A blob of another
+// version, or without the magic header, is a *BasisVersionError.
 func UnmarshalBasis(data []byte) (*Basis, error) {
-	engine := EngineAuto // legacy blobs carry no provenance
-	if len(data) >= 6 && data[0] == basisMagic[0] && data[1] == basisMagic[1] &&
-		data[2] == basisMagic[2] && data[3] == basisMagic[3] {
-		if data[4] != basisVersion {
-			return nil, &BasisVersionError{Version: data[4]}
-		}
-		switch Engine(data[5]) {
-		case EngineAuto, EngineDense, EngineSparse:
-			engine = Engine(data[5])
-		default:
-			return nil, fmt.Errorf("lp: basis blob has unknown engine tag %d", data[5])
-		}
-		data = data[6:]
+	if len(data) < 5 || [4]byte(data[:4]) != basisMagic {
+		return nil, &BasisVersionError{}
 	}
+	if data[4] != basisVersion {
+		return nil, &BasisVersionError{Version: data[4]}
+	}
+	data = data[5:]
 	if len(data) < 8 {
 		return nil, fmt.Errorf("lp: basis blob truncated (%d bytes)", len(data))
 	}
@@ -102,5 +91,5 @@ func UnmarshalBasis(data []byte) (*Basis, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("lp: basis blob has %d trailing bytes", len(rest))
 	}
-	return &Basis{cols: cols, sig: sig, engine: engine}, nil
+	return &Basis{cols: cols, sig: sig}, nil
 }

@@ -71,34 +71,40 @@ func TestUnmarshalBasisRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestUnmarshalBasisLegacyFormat hand-builds a blob in the original
-// versionless wire format (raw signature, uvarint count, delta columns) and
-// checks it still decodes — checkpoints written before the codec was
-// versioned must keep resuming. Provenance of a legacy blob is unknown, so
-// it decodes as EngineAuto.
-func TestUnmarshalBasisLegacyFormat(t *testing.T) {
-	want := basisFixture(t)
-	legacy := binary.LittleEndian.AppendUint64(nil, want.sig)
-	legacy = binary.AppendUvarint(legacy, uint64(len(want.cols)))
+// encodeOldBasis hand-builds b in one of the retired wire layouts: version 2
+// (magic, version, an engine byte, then the payload) or, for version 0, the
+// original headerless layout (the payload alone).
+func encodeOldBasis(b *Basis, version byte) []byte {
+	var buf []byte
+	if version != 0 {
+		buf = append(buf, basisMagic[:]...)
+		buf = append(buf, version, 1)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, b.sig)
+	buf = binary.AppendUvarint(buf, uint64(len(b.cols)))
 	prev := int32(0)
-	for _, c := range want.cols {
-		legacy = binary.AppendUvarint(legacy, uint64(c-prev))
+	for _, c := range b.cols {
+		buf = binary.AppendUvarint(buf, uint64(c-prev))
 		prev = c
 	}
-	got, err := UnmarshalBasis(legacy)
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
-	}
-	if got.sig != want.sig || len(got.cols) != len(want.cols) {
-		t.Fatalf("legacy decode lost data: %+v vs %+v", got, want)
-	}
-	for i := range want.cols {
-		if got.cols[i] != want.cols[i] {
-			t.Fatalf("cols[%d] = %d, want %d", i, got.cols[i], want.cols[i])
+	return buf
+}
+
+// TestUnmarshalBasisLegacyFormat checks that blobs in the retired layouts —
+// the headerless original and version 2 with its engine byte — are
+// rejected with the typed version error, which checkpoint resume degrades to
+// a cold solve, rather than misread as column data.
+func TestUnmarshalBasisLegacyFormat(t *testing.T) {
+	b := basisFixture(t)
+	for _, version := range []byte{0, 2} {
+		_, err := UnmarshalBasis(encodeOldBasis(b, version))
+		var verr *BasisVersionError
+		if !errors.As(err, &verr) {
+			t.Fatalf("version %d blob decoded with err=%v, want *BasisVersionError", version, err)
 		}
-	}
-	if got.Engine() != EngineAuto {
-		t.Fatalf("legacy blob engine = %v, want EngineAuto (unknown)", got.Engine())
+		if verr.Version != version {
+			t.Fatalf("version in error = %d, want %d", verr.Version, version)
+		}
 	}
 }
 
@@ -123,73 +129,41 @@ func TestUnmarshalBasisVersionError(t *testing.T) {
 	}
 }
 
-// TestUnmarshalBasisRejectsBadEngineTag: the engine byte is validated so a
-// corrupted header cannot smuggle an impossible provenance through.
-func TestUnmarshalBasisRejectsBadEngineTag(t *testing.T) {
-	data, err := basisFixture(t).MarshalBinary()
+// TestBasisWireRoundTripWarmStarts pushes a captured basis through the wire
+// codec and reinstalls it as a warm start: the decoded snapshot must take
+// (Warm=true, no fallback) and reproduce the optimal objective.
+func TestBasisWireRoundTripWarmStarts(t *testing.T) {
+	p := NewProblem("wire-warm", Maximize)
+	x := p.AddVar("x", 0, 9)
+	y := p.AddVar("y", 0, 9)
+	z := p.AddVar("z", 0, 9)
+	p.SetObj(x, 3)
+	p.SetObj(y, 5)
+	p.SetObj(z, 4)
+	p.AddConstraint("c1", NewExpr().Add(x, 2).Add(y, 3), LE, 12)
+	p.AddConstraint("c2", NewExpr().Add(y, 2).Add(z, 5), LE, 10)
+	p.AddConstraint("c3", NewExpr().Add(x, 3).Add(y, 2).Add(z, 4), LE, 15)
+	capt, err := p.SolveWith(SolveOptions{CaptureBasis: true})
+	if err != nil || capt.Status != StatusOptimal || capt.Basis == nil {
+		t.Fatalf("capture: %v %v", err, capt)
+	}
+	blob, err := capt.Basis.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	data[5] = 0xEE
-	if _, err := UnmarshalBasis(data); err == nil {
-		t.Fatal("bad engine tag accepted")
+	wire, err := UnmarshalBasis(blob)
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
 	}
-}
-
-// TestBasisCrossEngineRoundTrip captures a basis under each engine, pushes
-// it through the wire codec, and reinstalls it as a warm start into the
-// *other* engine. Both engines share one standard-form layout, so the warm
-// start must actually take (Warm=true, no fallback) and reproduce the
-// optimal objective in either direction.
-func TestBasisCrossEngineRoundTrip(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem("cross-engine", Maximize)
-		x := p.AddVar("x", 0, 9)
-		y := p.AddVar("y", 0, 9)
-		z := p.AddVar("z", 0, 9)
-		p.SetObj(x, 3)
-		p.SetObj(y, 5)
-		p.SetObj(z, 4)
-		p.AddConstraint("c1", NewExpr().Add(x, 2).Add(y, 3), LE, 12)
-		p.AddConstraint("c2", NewExpr().Add(y, 2).Add(z, 5), LE, 10)
-		p.AddConstraint("c3", NewExpr().Add(x, 3).Add(y, 2).Add(z, 4), LE, 15)
-		return p
+	warm, err := p.SolveWith(SolveOptions{WarmStart: wire})
+	if err != nil {
+		t.Fatalf("warm solve: %v", err)
 	}
-	engines := []Engine{EngineDense, EngineSparse}
-	for _, capture := range engines {
-		for _, reinstall := range engines {
-			p := build()
-			capt, err := p.SolveWith(SolveOptions{Engine: capture, CaptureBasis: true})
-			if err != nil || capt.Status != StatusOptimal || capt.Basis == nil {
-				t.Fatalf("capture under %v: %v %v", capture, err, capt.Status)
-			}
-			if capt.Basis.Engine() != capture {
-				t.Fatalf("captured basis engine = %v, want %v", capt.Basis.Engine(), capture)
-			}
-			blob, err := capt.Basis.MarshalBinary()
-			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			wire, err := UnmarshalBasis(blob)
-			if err != nil {
-				t.Fatalf("unmarshal: %v", err)
-			}
-			if wire.Engine() != capture {
-				t.Fatalf("wire engine = %v, want %v", wire.Engine(), capture)
-			}
-			warm, err := p.SolveWith(SolveOptions{Engine: reinstall, WarmStart: wire})
-			if err != nil {
-				t.Fatalf("%v basis into %v engine: %v", capture, reinstall, err)
-			}
-			if warm.Status != StatusOptimal || !warm.Warm || warm.WarmFallback {
-				t.Fatalf("%v basis into %v engine: status=%v warm=%v fallback=%v",
-					capture, reinstall, warm.Status, warm.Warm, warm.WarmFallback)
-			}
-			if diff := warm.Objective - capt.Objective; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%v basis into %v engine: objective %v, want %v",
-					capture, reinstall, warm.Objective, capt.Objective)
-			}
-		}
+	if warm.Status != StatusOptimal || !warm.Warm || warm.WarmFallback {
+		t.Fatalf("warm solve: status=%v warm=%v fallback=%v", warm.Status, warm.Warm, warm.WarmFallback)
+	}
+	if diff := warm.Objective - capt.Objective; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("warm objective %v, want %v", warm.Objective, capt.Objective)
 	}
 }
 

@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// Differential oracle: the dense tableau engine is the reference
-// implementation, and every fixture below is solved by both engines and
-// compared field by field. Both engines funnel terminal states through the
-// same canonical answer extraction (finishTerm + tiebreak), so agreement is
-// demanded at certificate precision (1e-9), not loose test tolerance —
-// a sparse-engine bug that lands on a different vertex of the optimal face,
-// or perturbs one dual, fails here even when the objective agrees.
+// Differential oracle: the fixture table below and seeded random LPs are
+// solved along more than one path (with and without basis capture,
+// presolved) and checked against each other and against the strong-duality
+// certificate. The table also feeds the bitwise golden corpus
+// (golden_test.go), which covers warm-started children.
 
-// diffTol is the engine-agreement tolerance. Deliberately far tighter than
-// the feasibility tolerances: the engines share answer extraction, so any
-// real divergence is a pivoting bug, not roundoff.
+// diffTol is the tolerance for two paths that share the canonical answer
+// extraction (finishSolution + tiebreak). Deliberately far tighter than the
+// feasibility tolerances: any real divergence is a pivoting bug, not
+// roundoff.
 const diffTol = 1e-9
 
 // lpFixtures enumerates the differential corpus: one builder per shape the
@@ -79,8 +78,8 @@ func lpFixtures() map[string]func() *Problem {
 			return p
 		},
 		"fixed-var": func() *Problem {
-			// lo == hi pins the column; the sparse engine must keep it blocked
-			// out of the basis entirely, not just price it last.
+			// lo == hi pins the column; it must stay blocked out of the
+			// basis entirely, not just be priced last.
 			p := NewProblem("fixed-var", Maximize)
 			x := p.AddVar("x", 2, 2)
 			y := p.AddVar("y", 0, 6)
@@ -102,8 +101,7 @@ func lpFixtures() map[string]func() *Problem {
 			return p
 		},
 		"beale": func() *Problem {
-			// Beale's cycling example; exercises the Bland fallback identically
-			// in both engines.
+			// Beale's cycling example; exercises the Bland fallback.
 			p := NewProblem("beale", Minimize)
 			x1 := p.AddVar("x1", 0, Inf)
 			x2 := p.AddVar("x2", 0, Inf)
@@ -222,12 +220,9 @@ func lpFixtures() map[string]func() *Problem {
 	}
 }
 
-// assertPrimalIdentical compares status, objective, point and support at
-// certificate precision. Duals are checked separately: on primal-degenerate
-// problems several dual vectors certify the same canonical vertex, and which
-// one a solve reports depends on the terminal basis (warm vs cold may
-// legitimately differ) — but two engines on the SAME path must still match.
-func assertPrimalIdentical(t *testing.T, name string, ref, got *Solution) {
+// assertSolutionsIdentical compares status, objective, point, support and
+// duals at certificate precision.
+func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
 	t.Helper()
 	if got.Status != ref.Status {
 		t.Fatalf("%s: status %v vs reference %v", name, got.Status, ref.Status)
@@ -246,20 +241,10 @@ func assertPrimalIdentical(t *testing.T, name string, ref, got *Solution) {
 			t.Fatalf("%s: X[%d] = %.15g vs reference %.15g", name, j, got.X[j], ref.X[j])
 		}
 		// Support identity is stricter than closeness on degenerate faces:
-		// the tiebreak must land both engines on the same vertex.
+		// the tiebreak must land both solves on the same vertex.
 		if (math.Abs(got.X[j]) > feasTol) != (math.Abs(ref.X[j]) > feasTol) {
 			t.Fatalf("%s: X[%d] support differs: %.15g vs %.15g", name, j, got.X[j], ref.X[j])
 		}
-	}
-}
-
-// assertSolutionsIdentical is the full contract — primal identity plus an
-// identical dual vector.
-func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
-	t.Helper()
-	assertPrimalIdentical(t, name, ref, got)
-	if ref.Status != StatusOptimal {
-		return
 	}
 	if len(got.Dual) != len(ref.Dual) {
 		t.Fatalf("%s: |duals| %d vs %d", name, len(got.Dual), len(ref.Dual))
@@ -271,134 +256,38 @@ func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
 	}
 }
 
-// TestDifferentialColdDenseVsSparse runs every fixture cold through both
-// engines and requires identical observable behavior, including the pivot
-// count — the sparse engine replays the dense pivot sequence, it does not
-// merely reach the same answer.
-func TestDifferentialColdDenseVsSparse(t *testing.T) {
-	for name, build := range lpFixtures() {
-		t.Run(name, func(t *testing.T) {
-			dense, err := build().SolveWith(SolveOptions{Engine: EngineDense, CaptureBasis: true})
-			if err != nil {
-				t.Fatalf("dense: %v", err)
-			}
-			sparse, err := build().SolveWith(SolveOptions{Engine: EngineSparse, CaptureBasis: true})
-			if err != nil {
-				t.Fatalf("sparse: %v", err)
-			}
-			if dense.EngineUsed != EngineDense || sparse.EngineUsed != EngineSparse {
-				t.Fatalf("engines used: %v / %v", dense.EngineUsed, sparse.EngineUsed)
-			}
-			if sparse.SparseFallback {
-				t.Fatalf("sparse engine fell back to dense on a plain fixture")
-			}
-			assertSolutionsIdentical(t, name, dense, sparse)
-			if sparse.Iterations != dense.Iterations {
-				t.Fatalf("pivot counts diverged: sparse %d vs dense %d", sparse.Iterations, dense.Iterations)
-			}
-			if dense.Status == StatusOptimal {
-				if (dense.Basis == nil) != (sparse.Basis == nil) {
-					t.Fatalf("basis capture mismatch: dense %v, sparse %v", dense.Basis, sparse.Basis)
-				}
-				if dense.Basis != nil {
-					dc, sc := dense.Basis.cols, sparse.Basis.cols
-					if len(dc) != len(sc) {
-						t.Fatalf("basis sizes: %d vs %d", len(dc), len(sc))
-					}
-					for i := range dc {
-						if dc[i] != sc[i] {
-							t.Fatalf("terminal bases differ at %d: %d vs %d", i, dc[i], sc[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialWarmDenseVsSparse branches every optimal fixture the way
-// branch-and-bound does — fix one variable at its relaxation value — and
-// checks all four capture/reinstall engine pairings: each warm child must
-// match the dense cold child on status, objective and canonical point, and
-// all four warm runs must match EACH OTHER exactly (duals included) — they
-// start from the same snapshot, so any spread between them is an engine
-// divergence, not dual multiplicity.
-func TestDifferentialWarmDenseVsSparse(t *testing.T) {
-	engines := []Engine{EngineDense, EngineSparse}
-	for name, build := range lpFixtures() {
-		t.Run(name, func(t *testing.T) {
-			probe, err := build().SolveWith(SolveOptions{Engine: EngineDense})
-			if err != nil {
-				t.Fatalf("probe: %v", err)
-			}
-			if probe.Status != StatusOptimal {
-				t.Skip("warm differential needs an optimal parent")
-			}
-			// Branch on the first fractional-ish variable, else the first.
-			bv := VarID(0)
-			for j, v := range probe.X {
-				if math.Abs(v-math.Round(v)) > 1e-6 {
-					bv = VarID(j)
-					break
-				}
-			}
-			fix := math.Floor(probe.X[bv])
-			ov := map[VarID][2]float64{bv: {fix, fix}}
-			coldChild, err := build().SolveWith(SolveOptions{Engine: EngineDense, BoundOverride: ov})
-			if err != nil {
-				t.Fatalf("cold child: %v", err)
-			}
-			var warmRef *Solution
-			for _, capEng := range engines {
-				capt, err := build().SolveWith(SolveOptions{Engine: capEng, CaptureBasis: true})
-				if err != nil || capt.Basis == nil {
-					t.Fatalf("capture under %v: %v", capEng, err)
-				}
-				for _, warmEng := range engines {
-					warm, err := build().SolveWith(SolveOptions{
-						Engine: warmEng, BoundOverride: ov, WarmStart: capt.Basis,
-					})
-					if err != nil {
-						t.Fatalf("warm %v->%v: %v", capEng, warmEng, err)
-					}
-					if warm.Status != coldChild.Status {
-						t.Fatalf("warm %v->%v: status %v vs cold %v", capEng, warmEng, warm.Status, coldChild.Status)
-					}
-					if coldChild.Status != StatusOptimal {
-						continue
-					}
-					assertPrimalIdentical(t, name+" (vs cold)", coldChild, warm)
-					if warmRef == nil {
-						warmRef = warm
-					} else {
-						assertSolutionsIdentical(t, name+" (warm spread)", warmRef, warm)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialRandomLPs sweeps seeded random instances through both
-// engines — the property-test analogue of the fixture table, catching
-// divergence on shapes nobody thought to enshrine.
+// TestDifferentialRandomLPs sweeps seeded random instances — the
+// property-test analogue of the fixture table, catching divergence on shapes
+// nobody thought to enshrine. Capturing the basis must not perturb the solve
+// (identical answer and pivot count), and every optimal answer must pass the
+// strong-duality certificate.
 func TestDifferentialRandomLPs(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nVars := 1 + rng.Intn(9)
 		nCons := 1 + rng.Intn(9)
 		p, _ := randomLP(rng, nVars, nCons)
-		dense, err := p.SolveWith(SolveOptions{Engine: EngineDense})
+		plain, err := p.SolveWith(SolveOptions{})
 		if err != nil {
-			t.Fatalf("seed %d dense: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sparse, err := p.SolveWith(SolveOptions{Engine: EngineSparse})
+		capt, err := p.SolveWith(SolveOptions{CaptureBasis: true})
 		if err != nil {
-			t.Fatalf("seed %d sparse: %v", seed, err)
+			t.Fatalf("seed %d capture: %v", seed, err)
 		}
-		assertSolutionsIdentical(t, "random", dense, sparse)
-		if sparse.Iterations != dense.Iterations {
-			t.Fatalf("seed %d: pivot counts diverged: sparse %d vs dense %d", seed, sparse.Iterations, dense.Iterations)
+		assertSolutionsIdentical(t, "random", plain, capt)
+		if capt.Iterations != plain.Iterations {
+			t.Fatalf("seed %d: basis capture moved the pivot count: %d vs %d", seed, capt.Iterations, plain.Iterations)
+		}
+		if plain.Status != StatusOptimal {
+			continue
+		}
+		dual, err := p.DualObjective(plain)
+		if err != nil {
+			t.Fatalf("seed %d: dual certificate: %v", seed, err)
+		}
+		if math.Abs(dual-plain.Objective) > 1e-6*(1+math.Abs(plain.Objective)) {
+			t.Fatalf("seed %d: strong duality violated: primal %v dual %v", seed, plain.Objective, dual)
 		}
 	}
 }
@@ -412,32 +301,30 @@ func TestDifferentialRandomLPs(t *testing.T) {
 func TestDifferentialPresolve(t *testing.T) {
 	for name, build := range lpFixtures() {
 		t.Run(name, func(t *testing.T) {
-			ref, err := build().SolveWith(SolveOptions{Engine: EngineDense})
+			ref, err := build().SolveWith(SolveOptions{})
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			for _, eng := range []Engine{EngineDense, EngineSparse} {
-				p := build()
-				pre, err := p.SolveWith(SolveOptions{Engine: eng, Presolve: true})
-				if err != nil {
-					t.Fatalf("presolve(%v): %v", eng, err)
-				}
-				if pre.Status != ref.Status {
-					t.Fatalf("presolve(%v): status %v vs %v", eng, pre.Status, ref.Status)
-				}
-				if ref.Status != StatusOptimal {
-					return
-				}
-				if math.Abs(pre.Objective-ref.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
-					t.Fatalf("presolve(%v): objective %.15g vs %.15g", eng, pre.Objective, ref.Objective)
-				}
-				dual, err := p.DualObjective(pre)
-				if err != nil {
-					t.Fatalf("presolve(%v): dual certificate: %v", eng, err)
-				}
-				if math.Abs(dual-pre.Objective) > 1e-6*(1+math.Abs(pre.Objective)) {
-					t.Fatalf("presolve(%v): strong duality violated: primal %v dual %v", eng, pre.Objective, dual)
-				}
+			p := build()
+			pre, err := p.SolveWith(SolveOptions{Presolve: true})
+			if err != nil {
+				t.Fatalf("presolve: %v", err)
+			}
+			if pre.Status != ref.Status {
+				t.Fatalf("presolve: status %v vs %v", pre.Status, ref.Status)
+			}
+			if ref.Status != StatusOptimal {
+				return
+			}
+			if math.Abs(pre.Objective-ref.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
+				t.Fatalf("presolve: objective %.15g vs %.15g", pre.Objective, ref.Objective)
+			}
+			dual, err := p.DualObjective(pre)
+			if err != nil {
+				t.Fatalf("presolve: dual certificate: %v", err)
+			}
+			if math.Abs(dual-pre.Objective) > 1e-6*(1+math.Abs(pre.Objective)) {
+				t.Fatalf("presolve: strong duality violated: primal %v dual %v", pre.Objective, dual)
 			}
 		})
 	}

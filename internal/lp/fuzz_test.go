@@ -64,37 +64,6 @@ func FuzzSimplexConsistency(f *testing.F) {
 		if math.Abs(dual-sol.Objective) > 1e-4*(1+math.Abs(sol.Objective)) {
 			t.Fatalf("strong duality violated: primal %v vs dual %v", sol.Objective, dual)
 		}
-		// Engine consistency: the sparse revised simplex must reproduce the
-		// dense tableau's answer at certificate precision (shared canonical
-		// extraction) on every instance the generator can produce. Both
-		// engines are forced explicitly so the oracle survives the CI leg
-		// that flips the process default to sparse.
-		dense, err := p.SolveWith(SolveOptions{Engine: EngineDense})
-		if err != nil {
-			t.Fatalf("dense engine: %v", err)
-		}
-		sparse, err := p.SolveWith(SolveOptions{Engine: EngineSparse})
-		if err != nil {
-			t.Fatalf("sparse engine: %v", err)
-		}
-		if sparse.Status != dense.Status {
-			t.Fatalf("sparse status %v, dense %v", sparse.Status, dense.Status)
-		}
-		if dense.Status == StatusOptimal {
-			if math.Abs(sparse.Objective-dense.Objective) > 1e-9*(1+math.Abs(dense.Objective)) {
-				t.Fatalf("sparse objective %v, dense %v", sparse.Objective, dense.Objective)
-			}
-			for j := range dense.X {
-				if math.Abs(sparse.X[j]-dense.X[j]) > 1e-9*(1+math.Abs(dense.X[j])) {
-					t.Fatalf("sparse X[%d]=%v, dense %v", j, sparse.X[j], dense.X[j])
-				}
-			}
-			// Pivot counts are NOT compared here: on degenerate ties the two
-			// engines' different roundoff (incremental tableau vs FTRAN) can
-			// legitimately split a pricing tie and cost a pivot either way.
-			// The answer stays identical by canonical extraction; exact pivot
-			// parity is asserted only on the curated differential fixtures.
-		}
 		// Warm-start consistency: capture the basis, fix one variable at its
 		// optimal value (a branch-and-bound style child), and require the warm
 		// path to agree with a cold solve of the same child — same status and,

@@ -51,18 +51,18 @@ func (r *goldenRecorder) solve(p *lp.Problem, opts lp.SolveOptions) *lp.Solution
 // solves, then two branch-and-bound style children (one variable fixed at
 // its optimal value and at its floor), each solved cold and warm-started
 // from the captured basis.
-func (r *goldenRecorder) smallLP(p *lp.Problem, eng lp.Engine, pick int) {
-	r.solve(p, lp.SolveOptions{Engine: eng})
-	r.solve(p, lp.SolveOptions{Engine: eng, Presolve: true})
-	capt := r.solve(p, lp.SolveOptions{Engine: eng, CaptureBasis: true})
+func (r *goldenRecorder) smallLP(p *lp.Problem, pick int) {
+	r.solve(p, lp.SolveOptions{})
+	r.solve(p, lp.SolveOptions{Presolve: true})
+	capt := r.solve(p, lp.SolveOptions{CaptureBasis: true})
 	if capt == nil || capt.Status != lp.StatusOptimal {
 		return
 	}
 	v := lp.VarID(pick % p.NumVars())
 	for _, val := range []float64{capt.X[v], math.Floor(capt.X[v])} {
 		ov := map[lp.VarID][2]float64{v: {val, val}}
-		r.solve(p, lp.SolveOptions{Engine: eng, BoundOverride: ov})
-		r.solve(p, lp.SolveOptions{Engine: eng, BoundOverride: ov, WarmStart: capt.Basis})
+		r.solve(p, lp.SolveOptions{BoundOverride: ov})
+		r.solve(p, lp.SolveOptions{BoundOverride: ov, WarmStart: capt.Basis})
 	}
 }
 
@@ -70,9 +70,9 @@ func (r *goldenRecorder) smallLP(p *lp.Problem, eng lp.Engine, pick int) {
 // search does: each node is solved cold and warm-started from its parent's
 // captured basis, and the first child with an optimal relaxation becomes the
 // next parent.
-func (r *goldenRecorder) b4Chain(t *testing.T, eng lp.Engine) {
+func (r *goldenRecorder) b4Chain(t *testing.T) {
 	m := b4NodeModel(t)
-	parent := r.solve(m.P, lp.SolveOptions{Engine: eng, CaptureBasis: true})
+	parent := r.solve(m.P, lp.SolveOptions{CaptureBasis: true})
 	ov := map[lp.VarID][2]float64{}
 	for depth := 0; depth < 10 && parent != nil && parent.Status == lp.StatusOptimal; depth++ {
 		fixes, ok := b4Branch(m, parent.X)
@@ -82,8 +82,8 @@ func (r *goldenRecorder) b4Chain(t *testing.T, eng lp.Engine) {
 		var next *lp.Solution
 		for _, fix := range fixes {
 			child := withFix(ov, fix)
-			r.solve(m.P, lp.SolveOptions{Engine: eng, BoundOverride: child})
-			sol := r.solve(m.P, lp.SolveOptions{Engine: eng, BoundOverride: child,
+			r.solve(m.P, lp.SolveOptions{BoundOverride: child})
+			sol := r.solve(m.P, lp.SolveOptions{BoundOverride: child,
 				WarmStart: parent.Basis, CaptureBasis: true})
 			if sol != nil && sol.Status == lp.StatusOptimal {
 				next, ov = sol, child
@@ -95,41 +95,40 @@ func (r *goldenRecorder) b4Chain(t *testing.T, eng lp.Engine) {
 }
 
 // goldenCases computes one hash per corpus case: the differential fixture
-// table, the property-test and fuzz generators, and the B4 node-LP chain,
-// each on both engines.
+// table, the property-test and fuzz generators, and the B4 node-LP chain.
+// Case names carry a "/dense" suffix, after the dense tableau that computes
+// them.
 func goldenCases(t *testing.T) map[string]string {
 	out := map[string]string{}
-	for _, eng := range []lp.Engine{lp.EngineDense, lp.EngineSparse} {
-		run := func(name string, body func(r *goldenRecorder)) {
-			r := &goldenRecorder{h: sha256.New()}
-			body(r)
-			out[fmt.Sprintf("%s/%v", name, eng)] = hex.EncodeToString(r.h.Sum(nil))
-		}
-		fixtures := lp.LPFixtures()
-		for name, build := range fixtures {
-			run("fixture/"+name, func(r *goldenRecorder) { r.smallLP(build(), eng, 0) })
-		}
-		run("random", func(r *goldenRecorder) {
-			for seed := int64(0); seed < 120; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				p, _ := lp.RandomLP(rng, 1+rng.Intn(12), 1+rng.Intn(12))
-				r.smallLP(p, eng, int(seed))
-			}
-		})
-		run("fuzz", func(r *goldenRecorder) {
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 120; i++ {
-				data := make([]byte, 4+rng.Intn(40))
-				for k := range data {
-					data[k] = byte(rng.Intn(256))
-				}
-				if p, _, ok := lp.FuzzLP(data); ok {
-					r.smallLP(p, eng, int(data[0]))
-				}
-			}
-		})
-		run("b4-chain", func(r *goldenRecorder) { r.b4Chain(t, eng) })
+	run := func(name string, body func(r *goldenRecorder)) {
+		r := &goldenRecorder{h: sha256.New()}
+		body(r)
+		out[name+"/dense"] = hex.EncodeToString(r.h.Sum(nil))
 	}
+	fixtures := lp.LPFixtures()
+	for name, build := range fixtures {
+		run("fixture/"+name, func(r *goldenRecorder) { r.smallLP(build(), 0) })
+	}
+	run("random", func(r *goldenRecorder) {
+		for seed := int64(0); seed < 120; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p, _ := lp.RandomLP(rng, 1+rng.Intn(12), 1+rng.Intn(12))
+			r.smallLP(p, int(seed))
+		}
+	})
+	run("fuzz", func(r *goldenRecorder) {
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 120; i++ {
+			data := make([]byte, 4+rng.Intn(40))
+			for k := range data {
+				data[k] = byte(rng.Intn(256))
+			}
+			if p, _, ok := lp.FuzzLP(data); ok {
+				r.smallLP(p, int(data[0]))
+			}
+		}
+	})
+	run("b4-chain", func(r *goldenRecorder) { r.b4Chain(t) })
 	return out
 }
 

@@ -2,50 +2,9 @@ package lp
 
 import "testing"
 
-// The //gapvet:hotpath annotations on the sparse engine's per-pivot
-// kernels are a static promise; this test seals the two solve kernels with
-// the runtime's own counter. ftran and btran run once per pivot (and ftran
-// again per pricing probe), so a single heap allocation in either would
-// multiply into millions per search — AllocsPerRun must read exactly zero
-// once the factor's buffers exist. appendEta is excluded on purpose: it
-// allocates its exactly-sized eta arrays by design (the hotalloc evidence
-// rule), so its cost shows up in the eta-file growth benchmarks instead.
-func TestHotpathSolveKernelsDoNotAllocate(t *testing.T) {
-	a := denseCSC(3,
-		[]float64{0, 2, 1},
-		[]float64{3, 1, 0},
-		[]float64{1, 0, 4},
-	)
-	var lu luFactor
-	if !lu.factorize(a, []int{0, 1, 2}) {
-		t.Fatal("factorize failed on a nonsingular basis")
-	}
-	// One eta in the file so the update loops run too.
-	lu.appendEta(1, []float64{0.5, 2, -1})
-
-	rhs := []float64{5, -2, 3}
-	v := make([]float64, 3)
-	z := make([]float64, 3)
-	if allocs := testing.AllocsPerRun(100, func() {
-		copy(v, rhs)
-		lu.ftran(v, z)
-	}); allocs != 0 {
-		t.Errorf("ftran allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
-	}
-
-	cost := []float64{-1, 4, 2}
-	c := make([]float64, 3)
-	y := make([]float64, 3)
-	if allocs := testing.AllocsPerRun(100, func() {
-		copy(c, cost)
-		lu.btran(c, y)
-	}); allocs != 0 {
-		t.Errorf("btran allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
-	}
-}
-
-// TestHotpathDenseKernelsDoNotAllocate seals the dense tableau's two
-// elimination kernels the same way: gauss (warm install and canonical
+// The //gapvet:hotpath annotations on the tableau kernels are a static
+// promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
+// kernels with the runtime's own counter: gauss (warm install and canonical
 // extraction) and pivot (every simplex step) keep their nonzero list in the
 // tableau's presized scratch, so neither may allocate per call.
 func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {

@@ -288,14 +288,6 @@ type Solution struct {
 	// singular basis, lost dual feasibility, or a repair that failed to
 	// converge). The result is then exactly the cold solve's.
 	WarmFallback bool
-	// EngineUsed is the engine that produced this solution after resolving
-	// EngineAuto and any sparse-to-dense fallback.
-	EngineUsed Engine
-	// SparseFallback reports that the sparse engine was requested but an
-	// internal numerical failure (singular refactorization the eta file
-	// could not absorb) handed the solve to the dense engine. The result is
-	// then exactly the dense solve's.
-	SparseFallback bool
 	// PresolveRows and PresolveCols count the constraint rows and variable
 	// columns eliminated by the presolve pass (zero when SolveOptions.
 	// Presolve was off or nothing reduced). X and Dual are always reported
@@ -347,15 +339,6 @@ type SolveOptions struct {
 	// here: node relaxations run on concurrent workers, so milp emits its
 	// LP events on the coordinator in deterministic apply order instead.
 	Tracer *obs.Tracer
-	// Engine selects the simplex implementation. EngineAuto (the zero
-	// value) resolves to the process default — the dense tableau unless
-	// SetDefaultEngine or REPRO_LP_ENGINE says otherwise. Both engines
-	// return identical answers; see Engine.
-	Engine Engine
-	// Pricing selects the sparse engine's entering-column rule; the dense
-	// engine ignores it. PricingAuto/PricingDantzig reproduce the dense
-	// pivot sequence; PricingDevex trades that parity for fewer pivots.
-	Pricing Pricing
 	// Presolve runs the Andersen-style reduction pass (empty/singleton row
 	// elimination, fixed and empty column removal, redundant-row removal,
 	// singleton-row bound tightening) before the simplex and maps the

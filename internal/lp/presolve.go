@@ -1,7 +1,7 @@
 package lp
 
 // Presolve: Andersen & Andersen (1995)-style reductions applied to the user
-// problem before it ever reaches a simplex engine, with a journal that maps
+// problem before it ever reaches the simplex, with a journal that maps
 // the reduced answer back to the original variable and constraint spaces.
 //
 // The reductions are deliberately restricted to the set with an exact dual
@@ -434,10 +434,10 @@ func (ps *presolveState) postsolve(sol *Solution, reduced *Solution, colMap, row
 	}
 }
 
-// solvePresolved is the Presolve dispatch: reduce, solve the reduced problem
-// with the requested engine, and postsolve the answer. Presolve-detected
-// infeasibility or unboundedness short-circuits the simplex entirely.
-func (p *Problem) solvePresolved(opts SolveOptions, eng Engine) (*Solution, error) {
+// solvePresolved is the Presolve dispatch: reduce, solve the reduced problem,
+// and postsolve the answer. Presolve-detected infeasibility or unboundedness
+// short-circuits the simplex entirely.
+func (p *Problem) solvePresolved(opts SolveOptions) (*Solution, error) {
 	ps := newPresolveState(p)
 	ps.reduce()
 	removedRows, removedCols := 0, 0
@@ -452,17 +452,16 @@ func (p *Problem) solvePresolved(opts SolveOptions, eng Engine) (*Solution, erro
 		}
 	}
 	if ps.infeasible {
-		return &Solution{Status: StatusInfeasible, EngineUsed: eng,
+		return &Solution{Status: StatusInfeasible,
 			PresolveRows: removedRows, PresolveCols: removedCols}, nil
 	}
 	q, colMap, rowMap := ps.buildReduced()
 	inner := opts
 	inner.Presolve = false
-	inner.Engine = eng
 	inner.CaptureBasis = false // a reduced-space basis must not leak out
 	inner.WarmStart = nil
 	inner.Tracer = nil
-	reduced, err := q.solveWith(inner)
+	reduced, err := q.solveDense(inner)
 	if err != nil {
 		return nil, err
 	}
@@ -471,8 +470,6 @@ func (p *Problem) solvePresolved(opts SolveOptions, eng Engine) (*Solution, erro
 		Iterations:       reduced.Iterations,
 		Phase1Iterations: reduced.Phase1Iterations,
 		DegeneratePivots: reduced.DegeneratePivots,
-		EngineUsed:       reduced.EngineUsed,
-		SparseFallback:   reduced.SparseFallback,
 		PresolveRows:     removedRows,
 		PresolveCols:     removedCols,
 	}

@@ -8,22 +8,18 @@ import (
 // Presolve golden instances: each test hand-builds a problem whose reduction
 // is fully predictable, then checks the reduced dimensions (via the
 // PresolveRows/PresolveCols counters), the exact postsolved point, the exact
-// postsolved duals, and the strong-duality certificate — under both engines,
-// since presolve hands the reduced problem to whichever engine was asked
-// for.
+// postsolved duals, and the strong-duality certificate.
 
-func presolveBothEngines(t *testing.T, name string, build func() *Problem, check func(t *testing.T, sol *Solution, p *Problem)) {
+func presolveCase(t *testing.T, name string, build func() *Problem, check func(t *testing.T, sol *Solution, p *Problem)) {
 	t.Helper()
-	for _, eng := range []Engine{EngineDense, EngineSparse} {
-		t.Run(name+"/"+eng.String(), func(t *testing.T) {
-			p := build()
-			sol, err := p.SolveWith(SolveOptions{Presolve: true, Engine: eng})
-			if err != nil {
-				t.Fatalf("solve: %v", err)
-			}
-			check(t, sol, p)
-		})
-	}
+	t.Run(name, func(t *testing.T) {
+		p := build()
+		sol, err := p.SolveWith(SolveOptions{Presolve: true})
+		if err != nil {
+			t.Fatalf("solve: %v", err)
+		}
+		check(t, sol, p)
+	})
 }
 
 func wantFloat(t *testing.T, what string, got, want float64) {
@@ -47,7 +43,7 @@ func certify(t *testing.T, p *Problem, sol *Solution) {
 // TestPresolveEmptyRow: a row whose coefficients all cancel is removed with
 // dual exactly 0; a contradictory empty row is infeasible outright.
 func TestPresolveEmptyRow(t *testing.T) {
-	presolveBothEngines(t, "consistent", func() *Problem {
+	presolveCase(t, "consistent", func() *Problem {
 		p := NewProblem("empty-row", Maximize)
 		x := p.AddVar("x", 0, 5)
 		p.SetObj(x, 2)
@@ -71,7 +67,7 @@ func TestPresolveEmptyRow(t *testing.T) {
 		certify(t, p, sol)
 	})
 
-	presolveBothEngines(t, "contradictory", func() *Problem {
+	presolveCase(t, "contradictory", func() *Problem {
 		p := NewProblem("empty-row-bad", Minimize)
 		x := p.AddVar("x", 0, 5)
 		p.SetObj(x, 1)
@@ -92,7 +88,7 @@ func TestPresolveEmptyRow(t *testing.T) {
 // the binding constraint, its dual is recovered from the reduced cost as
 // rc/coef = 3/2.
 func TestPresolveSingletonRow(t *testing.T) {
-	presolveBothEngines(t, "binding", func() *Problem {
+	presolveCase(t, "binding", func() *Problem {
 		p := NewProblem("singleton-row", Maximize)
 		x := p.AddVar("x", 0, 10)
 		p.SetObj(x, 3)
@@ -115,7 +111,7 @@ func TestPresolveSingletonRow(t *testing.T) {
 
 	// Non-binding singleton: the implied bound is slack at the optimum, so
 	// the removed row's dual must stay 0.
-	presolveBothEngines(t, "slack", func() *Problem {
+	presolveCase(t, "slack", func() *Problem {
 		p := NewProblem("singleton-slack", Maximize)
 		x := p.AddVar("x", 0, 3)
 		p.SetObj(x, 3)
@@ -137,7 +133,7 @@ func TestPresolveSingletonRow(t *testing.T) {
 // empties, value pinned by objective sign — leaving a reduced problem in
 // the remaining variable only.
 func TestPresolveSingletonColumnChain(t *testing.T) {
-	presolveBothEngines(t, "chain", func() *Problem {
+	presolveCase(t, "chain", func() *Problem {
 		p := NewProblem("singleton-col", Maximize)
 		x := p.AddVar("x", 0, 10) // only in its own singleton row
 		y := p.AddVar("y", 0, 6)
@@ -166,7 +162,7 @@ func TestPresolveSingletonColumnChain(t *testing.T) {
 // row; the remaining LP sees the adjusted rhs and the postsolved point
 // restores the pinned value and the full objective.
 func TestPresolveFixedColumn(t *testing.T) {
-	presolveBothEngines(t, "fixed", func() *Problem {
+	presolveCase(t, "fixed", func() *Problem {
 		p := NewProblem("fixed-col", Maximize)
 		x := p.AddVar("x", 2, 2)
 		y := p.AddVar("y", 0, 6)
@@ -195,7 +191,7 @@ func TestPresolveFixedColumn(t *testing.T) {
 // dropped with dual exactly 0 — and the answer matches the unpresolved
 // solve.
 func TestPresolveRedundantRow(t *testing.T) {
-	presolveBothEngines(t, "redundant", func() *Problem {
+	presolveCase(t, "redundant", func() *Problem {
 		p := NewProblem("redundant-row", Maximize)
 		x := p.AddVar("x", 0, 10)
 		y := p.AddVar("y", 0, 10)
@@ -223,7 +219,7 @@ func TestPresolveRedundantRow(t *testing.T) {
 // TestPresolveInfeasibleByBounds: two singleton rows squeeze a variable's
 // interval empty; presolve proves infeasibility without a single pivot.
 func TestPresolveInfeasibleByBounds(t *testing.T) {
-	presolveBothEngines(t, "squeeze", func() *Problem {
+	presolveCase(t, "squeeze", func() *Problem {
 		p := NewProblem("infeasible-bounds", Minimize)
 		x := p.AddVar("x", 0, Inf)
 		p.SetObj(x, 1)
@@ -244,7 +240,7 @@ func TestPresolveInfeasibleByBounds(t *testing.T) {
 // with an improving infinite bound; the combined verdict must be unbounded,
 // not the reduced problem's local optimum.
 func TestPresolveUnboundedAfterElimination(t *testing.T) {
-	presolveBothEngines(t, "unbounded", func() *Problem {
+	presolveCase(t, "unbounded", func() *Problem {
 		p := NewProblem("unbounded-after", Maximize)
 		free := p.AddVar("free", 0, Inf) // appears in no constraint at all
 		y := p.AddVar("y", 0, 10)
@@ -260,7 +256,7 @@ func TestPresolveUnboundedAfterElimination(t *testing.T) {
 
 	// Same shape but the leftover rows are themselves infeasible: the
 	// "unbounded if feasible" flag must NOT override a genuine infeasibility.
-	presolveBothEngines(t, "unbounded-vs-infeasible", func() *Problem {
+	presolveCase(t, "unbounded-vs-infeasible", func() *Problem {
 		p := NewProblem("unbounded-infeasible", Maximize)
 		free := p.AddVar("free", 0, Inf)
 		y := p.AddVar("y", 0, 1)

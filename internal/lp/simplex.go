@@ -2,7 +2,6 @@ package lp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -29,13 +28,6 @@ var (
 	// that did not converge). lp_solves_total covers both kinds.
 	lpWarmSolves    = obs.Default.Counter("lp_warm_solves_total")
 	lpWarmFallbacks = obs.Default.Counter("lp_warm_fallbacks_total")
-	// Engine accounting: lp_sparse_solves_total counts solves answered by
-	// the sparse revised simplex, lp_sparse_fallbacks_total counts solves
-	// where the sparse engine hit an unrecoverable numerical failure and
-	// the dense tableau produced the answer instead. lp_solves_total covers
-	// every engine.
-	lpSparseSolves    = obs.Default.Counter("lp_sparse_solves_total")
-	lpSparseFallbacks = obs.Default.Counter("lp_sparse_fallbacks_total")
 )
 
 // Per-phase attribution: where simplex time and pivots go, not just how
@@ -68,17 +60,11 @@ const (
 	// rule (pricing, dual leaving row, dual ratio test): a candidate only
 	// displaces the incumbent when it wins by more than this margin, so the
 	// ascending scan order breaks near-ties by index. Without the window a
-	// tie split by accumulated roundoff (~1e-15) would send the dense and
-	// sparse engines — whose arithmetics round differently — down different
-	// pivot paths on degenerate problems; with it, both engines make
-	// identical choices whenever their computed quantities agree to well
-	// under the window, which is what the pivot-for-pivot differential
-	// gates rely on.
+	// tie split by accumulated roundoff (~1e-15) would pick the pivot on
+	// degenerate problems, so the pivot path and its counters would hinge
+	// on the order of earlier eliminations rather than on the data.
 	tieTol = 1e-7
 )
-
-// errNumerics is returned when the tableau degrades beyond repair.
-var errNumerics = errors.New("lp: numerical failure in simplex")
 
 // statusWarmAbort is an internal sentinel: the warm-start path gave up and
 // the cold two-phase solve must produce the canonical answer. Never escapes
@@ -98,28 +84,21 @@ const warmDualTol = 1e-7
 // A Basis is immutable after creation and safe to share across goroutines
 // (branch-and-bound hands one parent snapshot to both children).
 type Basis struct {
-	cols   []int32 // basic columns, ascending
-	sig    uint64  // structure signature of the originating stdForm
-	engine Engine  // engine that captured the snapshot (provenance only)
+	cols []int32 // basic columns, ascending
+	sig  uint64  // structure signature of the originating stdForm
 }
 
 // NumBasic reports how many basic columns the snapshot holds (the row count
 // of the standard form it was taken from).
 func (b *Basis) NumBasic() int { return len(b.cols) }
 
-// Engine reports which engine captured the snapshot. Both engines share one
-// standard-form column layout, so a basis reinstalls into either engine
-// regardless of provenance; the tag exists for diagnostics and the
-// versioned wire codec (basisio). EngineAuto means unknown (a legacy blob).
-func (b *Basis) Engine() Engine { return b.engine }
-
-func newBasis(basis []int, sig uint64, eng Engine) *Basis {
+func newBasis(basis []int, sig uint64) *Basis {
 	cols := make([]int32, len(basis))
 	for i, c := range basis {
 		cols[i] = int32(c)
 	}
 	slices.Sort(cols)
-	return &Basis{cols: cols, sig: sig, engine: eng}
+	return &Basis{cols: cols, sig: sig}
 }
 
 // stdForm is the computational form: minimize c'x subject to Ax = b, x >= 0,
@@ -529,38 +508,14 @@ func (p *Problem) SolveWith(opts SolveOptions) (*Solution, error) {
 	return sol, err
 }
 
-// solveWith resolves the engine and presolve knobs and dispatches. The
-// dense tableau is the reference: the sparse engine either reproduces its
-// observable answer or (on an unrecoverable numerical failure) hands the
-// solve to it outright, so callers never see an engine-dependent result.
+// solveWith dispatches a solve: through the presolve pass when it is asked
+// for and no warm start pins the unreduced form, else straight to the
+// tableau.
 func (p *Problem) solveWith(opts SolveOptions) (*Solution, error) {
-	eng := opts.Engine.resolve()
 	if opts.Presolve && opts.WarmStart == nil {
-		return p.solvePresolved(opts, eng)
+		return p.solvePresolved(opts)
 	}
-	if eng == EngineSparse {
-		sol, err := p.solveSparse(opts)
-		if err == nil && sol != nil {
-			lpSparseSolves.Inc()
-			sol.EngineUsed = EngineSparse
-			return sol, nil
-		}
-		if err != nil && !errors.Is(err, errNumerics) {
-			return nil, err
-		}
-		lpSparseFallbacks.Inc()
-		sol, err = p.solveDense(opts)
-		if sol != nil {
-			sol.EngineUsed = EngineDense
-			sol.SparseFallback = true
-		}
-		return sol, err
-	}
-	sol, err := p.solveDense(opts)
-	if sol != nil {
-		sol.EngineUsed = EngineDense
-	}
-	return sol, err
+	return p.solveDense(opts)
 }
 
 // solveDense is the dense tableau path: build the standard form, try the
@@ -679,7 +634,7 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 			}
 		}
 		if col == -1 {
-			return nil, errNumerics
+			return nil, fmt.Errorf("lp: row %d of the standard form has no artificial column", i)
 		}
 		hasArt = true
 		t.basis[i] = col
@@ -737,33 +692,7 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 	return finishSolution(p, t, st, opts), nil
 }
 
-// termState is the engine-neutral snapshot of a terminal simplex state:
-// everything finishTerm needs to turn "the pivots stopped" into a Solution.
-// The dense tableau produces one via tableau.term (bval aliases the pivoted
-// right-hand side); the sparse engine assembles one from its factorized
-// basis (bval is the basic-value vector xB, r the maintained reduced costs).
-type termState struct {
-	s      *stdForm
-	basis  []int     // basic column per row
-	bval   []float64 // current value of each row's basic variable
-	r      []float64 // phase-2 reduced costs of the terminal basis
-	obj    float64   // phase-2 objective of the terminal basis
-	iters  int
-	phase1 int
-	degen  int
-}
-
-func (t *tableau) term() termState {
-	return termState{s: t.s, basis: t.basis, bval: t.s.b, r: t.r, obj: t.obj,
-		iters: t.iters, phase1: t.phase1, degen: t.degen}
-}
-
-// finishSolution turns a terminal dense tableau into a Solution.
-func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solution {
-	return finishTerm(p, t.term(), st, opts, EngineDense)
-}
-
-// finishTerm turns a terminal simplex state into a Solution: effort counters
+// finishSolution turns a terminal tableau into a Solution: effort counters
 // always; primal point, objective, duals and (optionally) the basis snapshot
 // only when the status is optimal, per the Solution contract.
 //
@@ -778,23 +707,17 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 // state instead: its basis is dual feasible (a valid certificate and a
 // transplantable warm start), at the price of being path-dependent in the
 // last bits. Nothing that steers the search consumes them.
-//
-// Both engines funnel through this one function, so the answer-defining
-// extraction — support selection, canonical refactorization, variable
-// mapping — is literally shared code: when the two pivot paths stop on the
-// same vertex (the tiebreak phase drives both to the weight-minimal vertex
-// of the optimal face), the reported X and Objective are identical floats.
-func finishTerm(p *Problem, term termState, st Status, opts SolveOptions, eng Engine) *Solution {
+func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solution {
 	sol := &Solution{
 		Status:           st,
-		Iterations:       term.iters,
-		Phase1Iterations: term.phase1,
-		DegeneratePivots: term.degen,
+		Iterations:       t.iters,
+		Phase1Iterations: t.phase1,
+		DegeneratePivots: t.degen,
 	}
 	if st != StatusOptimal {
 		return sol
 	}
-	s := term.s
+	s := t.s
 
 	// Duals from the terminal state: y_i = -(reduced cost of row i's +1
 	// unit column) in the standardized min problem; map through row flips and
@@ -808,7 +731,7 @@ func finishTerm(p *Problem, term termState, st Status, opts SolveOptions, eng En
 			// zero dual is the safe read-off if that ever changes.
 			continue
 		}
-		y := -term.r[col] / s.rowUnitSign[i]
+		y := -t.r[col] / s.rowUnitSign[i]
 		y *= s.rowFlip[i]
 		if s.negate {
 			y = -y
@@ -816,7 +739,7 @@ func finishTerm(p *Problem, term termState, st Status, opts SolveOptions, eng En
 		sol.Dual[i] = y
 	}
 	if opts.CaptureBasis {
-		sol.Basis = newBasis(term.basis, s.sig, eng)
+		sol.Basis = newBasis(t.basis, s.sig)
 	}
 
 	// Support of the terminal vertex: the basic columns carrying genuinely
@@ -824,13 +747,13 @@ func finishTerm(p *Problem, term termState, st Status, opts SolveOptions, eng En
 	// the canonical completion below does not depend on which of a vertex's
 	// many bases the pivot path happened to stop at.
 	var support []int
-	for i, col := range term.basis {
-		if term.bval[i] > feasTol {
+	for i, col := range t.basis {
+		if s.b[i] > feasTol {
 			support = append(support, col)
 		}
 	}
 	sort.Ints(support)
-	basis, bval, obj := term.basis, term.bval, term.obj
+	basis, bval, obj := t.basis, s.b, t.obj
 	if s2, err := buildStandard(p, opts.BoundOverride); err == nil {
 		defer s2.release()
 		t2 := newTableau(s2, opts)
@@ -1030,7 +953,7 @@ func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
 // objective, and the basis. Elimination runs over the pivot row's nonzeros
 // only: O(nnz(pivot row) x nnz(pivot column)) plus an O(m) column scan.
 //
-//gapvet:hotpath every simplex pivot of the dense engine; the nonzero list lives in presized tableau scratch
+//gapvet:hotpath every simplex pivot; the nonzero list lives in presized tableau scratch
 func (t *tableau) pivot(pr, pc int) {
 	s := t.s
 	nz, inv := t.scaleRow(pr, pc)

@@ -304,9 +304,8 @@ func innerProblem(in *kkt.InnerLP) (*lp.Problem, []lp.VarID, error) {
 // exactly once, with no warm-start basis to preserve, so the Andersen
 // reduction is pure profit — unlike the B&B node relaxations, where
 // DESIGN.md keeps presolve off because a presolved solve may report a
-// different vertex of a degenerate optimal face and steer branching. The
-// engine stays EngineAuto so the process default (CLI -engine flag,
-// REPRO_LP_ENGINE) keeps applying. Sealed by TestOneShotPresolveDifferential.
+// different vertex of a degenerate optimal face and steer branching. Sealed
+// by TestOneShotPresolveDifferential.
 func oneShotOpts() lp.SolveOptions { return lp.SolveOptions{Presolve: true} }
 
 // solveInner solves an InnerLP whose RHS entries are all constants and

@@ -177,60 +177,58 @@ func TestOneShotPresolveDifferential(t *testing.T) {
 
 	corpus = append(corpus, namedLP{name: "b4-dp-phase2", p: dpPhase2Problem(t, b4, 30)})
 
-	for _, engine := range []lp.Engine{lp.EngineDense, lp.EngineSparse} {
-		for _, tc := range corpus {
-			t.Run(fmt.Sprintf("%s/%s", tc.name, engine), func(t *testing.T) {
-				ref, err := tc.p.SolveWith(lp.SolveOptions{Engine: engine})
+	for _, tc := range corpus {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := tc.p.SolveWith(lp.SolveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre, err := tc.p.SolveWith(lp.SolveOptions{Presolve: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pre.Status != ref.Status {
+				t.Fatalf("status with presolve %v, without %v", pre.Status, ref.Status)
+			}
+			if ref.Status != lp.StatusOptimal {
+				t.Fatalf("reference solve not optimal: %v", ref.Status)
+			}
+			objTol := 1e-9 * (1 + math.Abs(ref.Objective))
+			if math.Abs(pre.Objective-ref.Objective) > objTol {
+				t.Errorf("objective with presolve %v, without %v (delta %g)",
+					pre.Objective, ref.Objective, pre.Objective-ref.Objective)
+			}
+			if len(pre.X) != len(ref.X) {
+				t.Fatalf("X length with presolve %d, without %d", len(pre.X), len(ref.X))
+			}
+			// The presolved X must be a genuine optimum of the ORIGINAL
+			// problem: feasible against every constraint and bound, and
+			// attaining the reference objective value.
+			checkFeasible(t, tc.p, pre.X)
+			if got := objectiveAt(tc.p, pre.X); math.Abs(got-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
+				t.Errorf("objective evaluated at presolved X = %v, want %v", got, ref.Objective)
+			}
+			// Both dual vectors must certify their claimed objective by
+			// strong duality. Coordinatewise equality is not required:
+			// on a degenerate face the optimal multipliers are not
+			// unique, and presolve may legitimately return a different
+			// certifying vector.
+			if len(pre.Dual) != len(ref.Dual) {
+				t.Fatalf("dual length with presolve %d, without %d", len(pre.Dual), len(ref.Dual))
+			}
+			for _, c := range []struct {
+				name string
+				sol  *lp.Solution
+			}{{"presolved", pre}, {"reference", ref}} {
+				name, sol := c.name, c.sol
+				dobj, err := tc.p.DualObjective(sol)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s duals do not certify: %v", name, err)
 				}
-				pre, err := tc.p.SolveWith(lp.SolveOptions{Engine: engine, Presolve: true})
-				if err != nil {
-					t.Fatal(err)
+				if math.Abs(dobj-sol.Objective) > 1e-6*(1+math.Abs(sol.Objective)) {
+					t.Errorf("%s dual objective %v, primal %v", name, dobj, sol.Objective)
 				}
-				if pre.Status != ref.Status {
-					t.Fatalf("status with presolve %v, without %v", pre.Status, ref.Status)
-				}
-				if ref.Status != lp.StatusOptimal {
-					t.Fatalf("reference solve not optimal: %v", ref.Status)
-				}
-				objTol := 1e-9 * (1 + math.Abs(ref.Objective))
-				if math.Abs(pre.Objective-ref.Objective) > objTol {
-					t.Errorf("objective with presolve %v, without %v (delta %g)",
-						pre.Objective, ref.Objective, pre.Objective-ref.Objective)
-				}
-				if len(pre.X) != len(ref.X) {
-					t.Fatalf("X length with presolve %d, without %d", len(pre.X), len(ref.X))
-				}
-				// The presolved X must be a genuine optimum of the ORIGINAL
-				// problem: feasible against every constraint and bound, and
-				// attaining the reference objective value.
-				checkFeasible(t, tc.p, pre.X)
-				if got := objectiveAt(tc.p, pre.X); math.Abs(got-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-					t.Errorf("objective evaluated at presolved X = %v, want %v", got, ref.Objective)
-				}
-				// Both dual vectors must certify their claimed objective by
-				// strong duality. Coordinatewise equality is not required:
-				// on a degenerate face the optimal multipliers are not
-				// unique, and presolve may legitimately return a different
-				// certifying vector.
-				if len(pre.Dual) != len(ref.Dual) {
-					t.Fatalf("dual length with presolve %d, without %d", len(pre.Dual), len(ref.Dual))
-				}
-				for _, c := range []struct {
-					name string
-					sol  *lp.Solution
-				}{{"presolved", pre}, {"reference", ref}} {
-					name, sol := c.name, c.sol
-					dobj, err := tc.p.DualObjective(sol)
-					if err != nil {
-						t.Fatalf("%s duals do not certify: %v", name, err)
-					}
-					if math.Abs(dobj-sol.Objective) > 1e-6*(1+math.Abs(sol.Objective)) {
-						t.Errorf("%s dual objective %v, primal %v", name, dobj, sol.Objective)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -216,12 +216,6 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 			// any doubt), so the explored tree stays bit-identical.
 			CaptureBasis: opts.WarmStart,
 			WarmStart:    nd.basis, // nil for the root or under a cold run
-			// The engine and pricing knobs change which implementation (and
-			// pivot rule) computes each relaxation, never the relaxation's
-			// answer, so the explored tree stays engine-independent (same
-			// contract as WarmStart).
-			Engine:  opts.Engine,
-			Pricing: opts.Pricing,
 		})
 		if r.err != nil || r.sol == nil || r.sol.Status != lp.StatusOptimal {
 			return r

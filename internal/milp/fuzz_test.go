@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/lp"
 )
 
 // FuzzParallelSolve feeds arbitrary bytes into the seeded instance generator
@@ -54,21 +52,6 @@ func FuzzParallelSolve(f *testing.F) {
 			t.Fatalf("warm run diverged from cold: obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d",
 				warm.Objective, par.Objective, warm.Bound, par.Bound,
 				warm.Nodes, par.Nodes, warm.LPSolves, par.LPSolves)
-		}
-		// The sparse lp engine must leave the explored tree untouched: same
-		// answer, bound, and node/LP-solve counters as the dense parallel
-		// run. (Raw pivot totals are exempt — a degenerate pricing tie may
-		// cost one engine an extra pivot without changing any relaxation's
-		// answer; see the lp fuzz oracle.)
-		sparse, err := Solve(m, Options{Workers: 4, DepthFirst: knobs&1 == 1, Engine: lp.EngineSparse})
-		if err != nil {
-			t.Fatalf("sparse: %v", err)
-		}
-		if sparse.Objective != par.Objective || sparse.Bound != par.Bound ||
-			sparse.Nodes != par.Nodes || sparse.LPSolves != par.LPSolves || sparse.Status != par.Status {
-			t.Fatalf("sparse engine diverged from dense: obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d",
-				sparse.Objective, par.Objective, sparse.Bound, par.Bound,
-				sparse.Nodes, par.Nodes, sparse.LPSolves, par.LPSolves)
 		}
 	})
 }

@@ -210,27 +210,11 @@ type Options struct {
 	// explored tree, incumbent, bound, and node counters are bit-identical
 	// with the flag on or off, for any Workers/Batch setting — only the
 	// pivot counts (Result.LPIters, lp_iterations_total) change. See
-	// DESIGN.md, "Warm-started re-solves".
+	// DESIGN.md, "Warm-started re-solves". (lp's Presolve knob is
+	// intentionally NOT exposed here: a presolved relaxation may report a
+	// different vertex of a degenerate optimal face, which would steer
+	// branching and break this contract.)
 	WarmStart bool
-	// Engine selects the lp simplex implementation for every node
-	// relaxation (lp.EngineDense, lp.EngineSparse; the zero value
-	// lp.EngineAuto resolves to the process default). Like Workers and
-	// WarmStart this changes only how each relaxation is computed, never
-	// its answer — both engines report the same optimal vertex — so the
-	// explored tree and all node counters are identical across engines and
-	// the knob is deliberately excluded from the checkpoint fingerprint.
-	// (lp's Presolve knob is intentionally NOT exposed here: a presolved
-	// relaxation may report a different vertex of a degenerate optimal
-	// face, which would steer branching and break that contract.)
-	Engine lp.Engine
-	// Pricing selects the sparse engine's entering-column rule for every
-	// node relaxation (the dense engine ignores it; see lp.Pricing). Like
-	// Engine it changes how relaxations are computed, never their answers,
-	// so it is excluded from the checkpoint fingerprint. PricingAuto and
-	// PricingDantzig reproduce the dense pivot sequence exactly; Devex may
-	// change Result.LPIters (fewer, better pivots on large degenerate LPs)
-	// but not the explored tree.
-	Pricing lp.Pricing
 	// Seeds are known-feasible solutions installed as incumbents before the
 	// search starts (same contract as Polish: the objective must be
 	// genuinely achievable and the vector is treated opaquely). They

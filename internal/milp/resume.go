@@ -89,7 +89,7 @@ func resolveBatch(opts Options) int {
 // stores by search identity (cmd/gapserved's results store) use this to
 // look up a fingerprint before paying for the solve. The hash covers the
 // model shape and the tree-determining options (resolved Batch, DepthFirst);
-// Workers, Engine, Pricing and WarmStart are deliberately excluded because
+// Workers and WarmStart are deliberately excluded because
 // they never change the explored tree or the answer.
 func SearchFingerprint(m *Model, opts Options) uint64 {
 	return fingerprint(m, resolveBatch(opts), opts.DepthFirst)

@@ -259,3 +259,104 @@ func TestBasisRoundTripThroughFrontier(t *testing.T) {
 		t.Fatal("warm-started frontier carries no bases")
 	}
 }
+
+// TestResumeFromVersion2Bases resumes a checkpoint whose frontier bases are
+// in the retired version-2 wire layout (magic, version 2, an engine byte,
+// then the payload). lp rejects those blobs with *lp.BasisVersionError,
+// frontierIn degrades each such node to a cold solve, and by the warm-start
+// contract the tree is untouched: incumbent, bound, X and node and LP-solve
+// counts equal the uninterrupted run's. Only pivot counts may differ.
+func TestResumeFromVersion2Bases(t *testing.T) {
+	m := resumeModel(10, 7)
+	base := Options{Batch: 4, WarmStart: true}
+	ref := solve(t, m, base)
+	if ref.Status != StatusOptimal {
+		t.Fatalf("reference run not optimal: %v", ref.Status)
+	}
+	for _, k := range []int{2, 3, 4} {
+		path := filepath.Join(t.TempDir(), "bnb.ckpt")
+		plan, _ := faultinject.Parse(fmt.Sprintf("deadline:%d", k), 0)
+		opts := base
+		opts.Checkpoint = path
+		opts.Faults = plan
+		if _, err := Solve(m, opts); err != nil {
+			t.Fatalf("kill at wave %d: %v", k, err)
+		}
+		snap, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatalf("load at wave %d: %v", k, err)
+		}
+		rewritten := 0
+		for i, fn := range snap.BnB.Frontier {
+			if len(fn.Basis) == 0 {
+				continue
+			}
+			v2 := append([]byte("LPBS\x02\x01"), fn.Basis[5:]...)
+			var verr *lp.BasisVersionError
+			if _, err := lp.UnmarshalBasis(v2); !errors.As(err, &verr) {
+				t.Fatalf("version-2 blob decoded with err=%v, want *lp.BasisVersionError", err)
+			}
+			snap.BnB.Frontier[i].Basis = v2
+			rewritten++
+		}
+		if rewritten == 0 {
+			t.Fatalf("wave %d: warm-started frontier carries no bases", k)
+		}
+		res, err := Resume(m, snap.BnB, base)
+		if err != nil {
+			t.Fatalf("resume at wave %d: %v", k, err)
+		}
+		if res.Status != ref.Status || res.Objective != ref.Objective || res.Bound != ref.Bound ||
+			res.Nodes != ref.Nodes || res.LPSolves != ref.LPSolves {
+			t.Fatalf("resume at wave %d from version-2 bases diverged:\n got %v obj=%v bound=%v nodes=%d lp=%d\nwant %v obj=%v bound=%v nodes=%d lp=%d",
+				k, res.Status, res.Objective, res.Bound, res.Nodes, res.LPSolves,
+				ref.Status, ref.Objective, ref.Bound, ref.Nodes, ref.LPSolves)
+		}
+		for i, x := range ref.X {
+			if res.X[i] != x {
+				t.Fatalf("resume at wave %d: X[%d] = %v, want %v", k, i, res.X[i], x)
+			}
+		}
+	}
+}
+
+// TestSearchFingerprintMatchesSolve pins the exported fingerprint preview to
+// the one Solve actually stamps, across the option axes that must (Batch,
+// DepthFirst) and must not (Workers, WarmStart) move it.
+func TestSearchFingerprintMatchesSolve(t *testing.T) {
+	m := resumeModel(8, 3)
+	for _, opts := range []Options{
+		{},
+		{Batch: 4},
+		{Workers: 4},
+		{Batch: 4, DepthFirst: true},
+	} {
+		res := solve(t, m, opts)
+		if got := SearchFingerprint(m, opts); got != res.Fingerprint {
+			t.Fatalf("SearchFingerprint(%+v) = %#x, Solve stamped %#x", opts, got, res.Fingerprint)
+		}
+	}
+	base := SearchFingerprint(m, Options{Batch: 4})
+	for _, opts := range []Options{
+		{Batch: 4, Workers: 8},
+		{Batch: 4, WarmStart: true},
+	} {
+		if got := SearchFingerprint(m, opts); got != base {
+			t.Fatalf("answer-neutral options moved the fingerprint: %+v -> %#x, want %#x", opts, got, base)
+		}
+	}
+	if SearchFingerprint(m, Options{Batch: 8}) == base {
+		t.Fatal("batch change did not move the fingerprint")
+	}
+	if SearchFingerprint(m, Options{Batch: 4, DepthFirst: true}) == base {
+		t.Fatal("depth-first change did not move the fingerprint")
+	}
+	// The default-batch rule: Batch 0 resolves to 1 serially and 2*Workers
+	// in parallel, and the fingerprint follows the resolved value.
+	if SearchFingerprint(m, Options{}) != SearchFingerprint(m, Options{Batch: 1}) {
+		t.Fatal("serial default batch does not resolve to 1")
+	}
+	if SearchFingerprint(m, Options{Workers: 4}) != SearchFingerprint(m, Options{Batch: 8}) {
+		t.Fatal("parallel default batch does not resolve to 2*Workers")
+	}
+}

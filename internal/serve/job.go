@@ -11,7 +11,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/demand"
-	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
 	"repro/internal/obs"
@@ -46,12 +45,6 @@ type Spec struct {
 	// TargetGap, when > 0, stops at the first input with gap >= TargetGap —
 	// the "is there a gap above the threshold" query.
 	TargetGap float64 `json:"target_gap,omitempty"`
-	// Engine selects the LP simplex engine: auto, dense, sparse. "auto" is
-	// resolved to the process default at admission so the cache key is
-	// explicit about which engine priced the job.
-	Engine string `json:"engine,omitempty"`
-	// Pricing selects the sparse engine's pivot rule: auto, dantzig, devex.
-	Pricing string `json:"pricing,omitempty"`
 	// WarmStart warm-starts node relaxations from the parent basis.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Workers sets the solver's wave-pool size (default 1). Note the
@@ -60,29 +53,29 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// canonicalize fills defaults in place and validates every field, returning
-// the parsed engine/pricing. It is the single admission gate: a Spec that
-// canonicalizes once never fails to build later in a worker.
-func (s *Spec) canonicalize(defaultBudget, maxBudget time.Duration) (lp.Engine, lp.Pricing, error) {
+// canonicalize fills defaults in place and validates every field. It is the
+// single admission gate: a Spec that canonicalizes once never fails to build
+// later in a worker.
+func (s *Spec) canonicalize(defaultBudget, maxBudget time.Duration) error {
 	if _, err := topology.ByName(s.Topology); err != nil {
-		return 0, 0, err
+		return err
 	}
 	switch s.Heuristic {
 	case "dp", "pop":
 	default:
-		return 0, 0, fmt.Errorf("serve: unknown heuristic %q (want dp or pop)", s.Heuristic)
+		return fmt.Errorf("serve: unknown heuristic %q (want dp or pop)", s.Heuristic)
 	}
 	if s.Pairs == 0 {
 		s.Pairs = 12
 	}
 	if s.Pairs < -1 {
-		return 0, 0, fmt.Errorf("serve: pairs %d out of range", s.Pairs)
+		return fmt.Errorf("serve: pairs %d out of range", s.Pairs)
 	}
 	if s.Paths == 0 {
 		s.Paths = 2
 	}
 	if s.Paths < 1 {
-		return 0, 0, fmt.Errorf("serve: paths %d out of range", s.Paths)
+		return fmt.Errorf("serve: paths %d out of range", s.Paths)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -91,58 +84,45 @@ func (s *Spec) canonicalize(defaultBudget, maxBudget time.Duration) (lp.Engine, 
 		s.Threshold = 5
 	}
 	if s.Threshold < 0 {
-		return 0, 0, fmt.Errorf("serve: negative threshold %g", s.Threshold)
+		return fmt.Errorf("serve: negative threshold %g", s.Threshold)
 	}
 	if s.Partitions == 0 {
 		s.Partitions = 2
 	}
 	if s.Partitions < 1 {
-		return 0, 0, fmt.Errorf("serve: partitions %d out of range", s.Partitions)
+		return fmt.Errorf("serve: partitions %d out of range", s.Partitions)
 	}
 	if s.Instantiations == 0 {
 		s.Instantiations = 3
 	}
 	if s.Instantiations < 1 {
-		return 0, 0, fmt.Errorf("serve: instantiations %d out of range", s.Instantiations)
+		return fmt.Errorf("serve: instantiations %d out of range", s.Instantiations)
 	}
 	if s.MaxDemand == 0 {
 		s.MaxDemand = 100
 	}
 	if s.MaxDemand < 0 {
-		return 0, 0, fmt.Errorf("serve: negative max_demand %g", s.MaxDemand)
+		return fmt.Errorf("serve: negative max_demand %g", s.MaxDemand)
 	}
 	if s.BudgetSec == 0 {
 		s.BudgetSec = defaultBudget.Seconds()
 	}
 	if s.BudgetSec < 0 {
-		return 0, 0, fmt.Errorf("serve: negative budget_sec %g", s.BudgetSec)
+		return fmt.Errorf("serve: negative budget_sec %g", s.BudgetSec)
 	}
 	if max := maxBudget.Seconds(); s.BudgetSec > max {
 		s.BudgetSec = max
 	}
 	if s.TargetGap < 0 {
-		return 0, 0, fmt.Errorf("serve: negative target_gap %g", s.TargetGap)
+		return fmt.Errorf("serve: negative target_gap %g", s.TargetGap)
 	}
 	if s.Workers == 0 {
 		s.Workers = 1
 	}
 	if s.Workers < 1 || s.Workers > 64 {
-		return 0, 0, fmt.Errorf("serve: workers %d out of range", s.Workers)
+		return fmt.Errorf("serve: workers %d out of range", s.Workers)
 	}
-	eng, err := lp.ParseEngine(s.Engine)
-	if err != nil {
-		return 0, 0, err
-	}
-	if eng == lp.EngineAuto {
-		eng = lp.DefaultEngine()
-	}
-	s.Engine = eng.String()
-	pricing, err := lp.ParsePricing(s.Pricing)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.Pricing = pricing.String()
-	return eng, pricing, nil
+	return nil
 }
 
 // budget is the per-job solve budget.
@@ -195,8 +175,6 @@ func (s *Spec) problem() (gapProblem, error) {
 // whitebox settings (depth-first, stall rule at budget/3) so a job solved
 // through the daemon reports the same SUMMARY the CLI would.
 func (s *Spec) options(tracer *obs.Tracer) milp.Options {
-	eng, _ := lp.ParseEngine(s.Engine)
-	pricing, _ := lp.ParsePricing(s.Pricing)
 	budget := s.budget()
 	opts := milp.Options{
 		TimeLimit:    budget,
@@ -205,8 +183,6 @@ func (s *Spec) options(tracer *obs.Tracer) milp.Options {
 		StallImprove: 0.005,
 		Workers:      s.Workers,
 		WarmStart:    s.WarmStart,
-		Engine:       eng,
-		Pricing:      pricing,
 		Tracer:       tracer,
 	}
 	if s.TargetGap > 0 {
@@ -224,8 +200,8 @@ func (s *Spec) options(tracer *obs.Tracer) milp.Options {
 //     NOT sufficient: it hashes the model's shape, not its coefficients, so
 //     two seeds drawing different demand pairs of the same count would
 //     alias. The spec pins the exact instance — and carries the
-//     solve-determining options (engine, pricing, warm-start) the ledger
-//     key must distinguish because they change effort counters. The budget
+//     solve-determining options (warm-start, workers) the ledger key
+//     must distinguish because they change effort counters. The budget
 //     is excluded deliberately: it is a deadline, not a different search.
 //     The exclusion is sound because only budget-independent answers are
 //     ever stored (see cacheable) — a truncated solve leaves its

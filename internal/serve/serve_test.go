@@ -437,19 +437,15 @@ func TestDrainMidSolveResumesBitIdentical(t *testing.T) {
 
 func TestSpecCanonicalization(t *testing.T) {
 	s := &Spec{Topology: "b4", Heuristic: "dp"}
-	eng, pricing, err := s.canonicalize(30*time.Second, time.Minute)
-	if err != nil {
+	if err := s.canonicalize(30*time.Second, time.Minute); err != nil {
 		t.Fatalf("canonicalize: %v", err)
 	}
 	if s.Pairs != 12 || s.Paths != 2 || s.Seed != 1 || s.Threshold != 5 ||
 		s.MaxDemand != 100 || s.Workers != 1 || s.BudgetSec != 30 {
 		t.Fatalf("defaults not filled: %+v", s)
 	}
-	if s.Engine != eng.String() || s.Pricing != pricing.String() {
-		t.Fatalf("resolved names not recorded: %+v", s)
-	}
 	over := &Spec{Topology: "b4", Heuristic: "dp", BudgetSec: 3600}
-	if _, _, err := over.canonicalize(30*time.Second, time.Minute); err != nil {
+	if err := over.canonicalize(30*time.Second, time.Minute); err != nil {
 		t.Fatalf("canonicalize: %v", err)
 	}
 	if over.BudgetSec != 60 {
@@ -458,12 +454,10 @@ func TestSpecCanonicalization(t *testing.T) {
 	for _, bad := range []*Spec{
 		{Topology: "nope", Heuristic: "dp"},
 		{Topology: "b4", Heuristic: "greedy"},
-		{Topology: "b4", Heuristic: "dp", Engine: "spares"},
-		{Topology: "b4", Heuristic: "dp", Pricing: "steepest"},
 		{Topology: "b4", Heuristic: "dp", Workers: -1},
 		{Topology: "b4", Heuristic: "dp", BudgetSec: -5},
 	} {
-		if _, _, err := bad.canonicalize(30*time.Second, time.Minute); err == nil {
+		if err := bad.canonicalize(30*time.Second, time.Minute); err == nil {
 			t.Fatalf("bad spec accepted: %+v", bad)
 		}
 	}
@@ -473,7 +467,7 @@ func TestCacheKeyComposition(t *testing.T) {
 	mk := func(mut func(*Spec)) uint64 {
 		spec := figure1Spec()
 		mut(spec)
-		if _, _, err := spec.canonicalize(30*time.Second, time.Minute); err != nil {
+		if err := spec.canonicalize(30*time.Second, time.Minute); err != nil {
 			t.Fatalf("canonicalize: %v", err)
 		}
 		pr, err := spec.problem()
@@ -491,8 +485,6 @@ func TestCacheKeyComposition(t *testing.T) {
 		t.Fatal("cache key not deterministic")
 	}
 	for name, mut := range map[string]func(*Spec){
-		"engine":    func(s *Spec) { s.Engine = otherEngine(t) },
-		"pricing":   func(s *Spec) { s.Pricing = "devex" },
 		"warmstart": func(s *Spec) { s.WarmStart = true },
 		"workers":   func(s *Spec) { s.Workers = 4 }, // resolved batch moves the fingerprint
 		"topology":  func(s *Spec) { s.Topology = "b4"; s.Pairs = 4 },
@@ -600,7 +592,7 @@ func TestRestoreQueueBeyondDepth(t *testing.T) {
 	qs := &checkpoint.QueueState{NextSeq: 3}
 	for seed := int64(1); seed <= 3; seed++ {
 		spec := &Spec{Topology: "figure1", Heuristic: "dp", Pairs: 3, Seed: seed, BudgetSec: 30}
-		if _, _, err := spec.canonicalize(cfg.DefaultBudget, cfg.MaxBudget); err != nil {
+		if err := spec.canonicalize(cfg.DefaultBudget, cfg.MaxBudget); err != nil {
 			t.Fatalf("canonicalize: %v", err)
 		}
 		qs.Jobs = append(qs.Jobs, checkpoint.JobRecord{
@@ -795,16 +787,55 @@ func TestKillSkipsDrainPersistence(t *testing.T) {
 	}
 }
 
-// otherEngine names an engine different from the process default, so the
-// key-composition test moves the engine axis regardless of environment.
-func otherEngine(t *testing.T) string {
-	t.Helper()
-	spec := figure1Spec()
-	if _, _, err := spec.canonicalize(30*time.Second, time.Minute); err != nil {
-		t.Fatalf("canonicalize: %v", err)
+// TestSubmitRejectsRetiredEngineFields: the job body is decoded with
+// unknown fields disallowed, so a client still sending the retired
+// "engine" or "pricing" selectors gets a 400 instead of a silently
+// different solve.
+func TestSubmitRejectsRetiredEngineFields(t *testing.T) {
+	s := newServer(t, testConfig(t))
+	s.Start()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, body := range []string{
+		`{"topology":"figure1","heuristic":"dp","pairs":-1,"engine":"dense"}`,
+		`{"topology":"figure1","heuristic":"dp","pairs":-1,"pricing":"auto"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
-	if spec.Engine == "dense" {
-		return "sparse"
+}
+
+// TestRestoreQueueWithRetiredEngineFields: a queue ledger written by an
+// earlier daemon stores canonical specs that still name the LP engine and
+// pricing rule. Restore decodes them with the fields ignored, and the job
+// solves to the Figure-1 answer.
+func TestRestoreQueueWithRetiredEngineFields(t *testing.T) {
+	cfg := testConfig(t)
+	// figure1Spec in the earlier daemon's canonical form, byte for byte.
+	old := `{"topology":"figure1","heuristic":"dp","pairs":-1,"paths":2,"seed":1,"threshold":5,` +
+		`"partitions":2,"instantiations":3,"max_demand":100,"budget_sec":30,` +
+		`"engine":"dense","pricing":"auto","workers":1}`
+	qs := &checkpoint.QueueState{NextSeq: 1, Jobs: []checkpoint.JobRecord{{
+		ID: "j000001", Seq: 1, State: checkpoint.JobQueued, Key: 1,
+		Spec: old, EnqueuedUnixNano: time.Now().UnixNano(),
+	}}}
+	w := &checkpoint.Writer{Path: filepath.Join(cfg.StateDir, "queue.ckpt")}
+	if err := w.Save(&checkpoint.Snapshot{Queue: qs}); err != nil {
+		t.Fatalf("save ledger: %v", err)
 	}
-	return "dense"
+	s := newServer(t, cfg)
+	s.Start()
+	j := waitTerminal(t, s, "j000001", 60*time.Second)
+	if j.getState() != stateDone {
+		t.Fatalf("restored job: %s (%s)", j.getState(), j.errMsg)
+	}
+	if j.result == nil || j.result.Status != "optimal" || j.result.Gap != "10" {
+		t.Fatalf("restored job answer wrong: %+v", j.result)
+	}
 }

@@ -9,8 +9,8 @@
 //     checkpointing through internal/checkpoint on the configured cadence
 //     so a killed daemon resumes mid-search;
 //   - a durable results store keyed by the milp search fingerprint extended
-//     with the solve-determining options (engine, pricing, warm-start,
-//     presolve) — see cacheKey;
+//     with the solve-determining options (warm-start, workers, presolve) —
+//     see cacheKey;
 //   - a durable job queue (checkpoint.QueueState) persisted on every
 //     mutation, so queued and in-flight jobs survive a crash or drain and
 //     re-run to their bit-identical answers.
@@ -475,7 +475,7 @@ func (s *Server) retryAfterHint(queued int) time.Duration {
 // otherwise. Returns the job (terminal immediately on a cache hit).
 func (s *Server) submit(spec *Spec) (*job, error) {
 	s.met.jobsSubmitted.Inc()
-	_, _, err := spec.canonicalize(s.cfg.DefaultBudget, s.cfg.MaxBudget)
+	err := spec.canonicalize(s.cfg.DefaultBudget, s.cfg.MaxBudget)
 	if err != nil {
 		s.met.jobsRejected.Inc()
 		return nil, &submitError{code: 400, msg: err.Error()}
