@@ -108,6 +108,22 @@ func TestUnmarshalBasisLegacyFormat(t *testing.T) {
 	}
 }
 
+// TestUnmarshalBasisRejectsBadEngineTag: a version-2 blob carries an engine
+// byte ahead of its payload. Whatever that byte holds — a tag the old
+// codec wrote or a corrupt one — the blob must fail with the typed version
+// error rather than have the byte misread as the signature's first byte.
+func TestUnmarshalBasisRejectsBadEngineTag(t *testing.T) {
+	data := encodeOldBasis(basisFixture(t), 2)
+	for _, tag := range []byte{0, 1, 2, 0xEE} {
+		data[5] = tag
+		_, err := UnmarshalBasis(data)
+		var verr *BasisVersionError
+		if !errors.As(err, &verr) || verr.Version != 2 {
+			t.Fatalf("version-2 blob with engine tag %#x decoded with err=%v, want *BasisVersionError for version 2", tag, err)
+		}
+	}
+}
+
 // TestUnmarshalBasisVersionError checks that a blob from a future codec
 // version fails loudly with the typed error rather than being misparsed.
 func TestUnmarshalBasisVersionError(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 
 // Differential oracle: the fixture table below and seeded random LPs are
 // solved along more than one path (with and without basis capture,
-// presolved) and checked against each other and against the strong-duality
-// certificate. The table also feeds the bitwise golden corpus
-// (golden_test.go), which covers warm-started children.
+// presolved, warm-started children) and checked against each other and
+// against the strong-duality certificate. The table also feeds the bitwise
+// golden corpus (golden_test.go).
 
 // diffTol is the tolerance for two paths that share the canonical answer
 // extraction (finishSolution + tiebreak). Deliberately far tighter than the
@@ -220,9 +220,12 @@ func lpFixtures() map[string]func() *Problem {
 	}
 }
 
-// assertSolutionsIdentical compares status, objective, point, support and
-// duals at certificate precision.
-func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
+// assertPrimalIdentical compares status, objective, point and support at
+// certificate precision. Duals are checked separately: on primal-degenerate
+// problems several dual vectors certify the same canonical vertex, and which
+// one a solve reports depends on the terminal basis (warm vs cold may
+// legitimately differ) — but two solves on the SAME path must still match.
+func assertPrimalIdentical(t *testing.T, name string, ref, got *Solution) {
 	t.Helper()
 	if got.Status != ref.Status {
 		t.Fatalf("%s: status %v vs reference %v", name, got.Status, ref.Status)
@@ -246,6 +249,16 @@ func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
 			t.Fatalf("%s: X[%d] support differs: %.15g vs %.15g", name, j, got.X[j], ref.X[j])
 		}
 	}
+}
+
+// assertSolutionsIdentical is the full contract — primal identity plus an
+// identical dual vector.
+func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
+	t.Helper()
+	assertPrimalIdentical(t, name, ref, got)
+	if ref.Status != StatusOptimal {
+		return
+	}
 	if len(got.Dual) != len(ref.Dual) {
 		t.Fatalf("%s: |duals| %d vs %d", name, len(got.Dual), len(ref.Dual))
 	}
@@ -253,6 +266,85 @@ func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
 		if math.Abs(got.Dual[i]-ref.Dual[i]) > diffTol*(1+math.Abs(ref.Dual[i])) {
 			t.Fatalf("%s: dual[%d] = %.15g vs reference %.15g", name, i, got.Dual[i], ref.Dual[i])
 		}
+	}
+}
+
+// TestDifferentialWarmDenseVsSparse branches every optimal fixture the way
+// branch-and-bound does — fix one variable at the floor of its relaxation
+// value — and warm-starts the child from the parent's snapshot along each
+// route a snapshot travels: in memory, and through the wire codec as a
+// checkpoint carries it. Each warm child must match the cold child on
+// status, objective and canonical point, and the warm children must match
+// EACH OTHER exactly, duals and pivot count included: they start from the
+// same snapshot, so any spread between them is a codec or install bug, not
+// dual multiplicity. (The name dates from when a sparse revised simplex sat
+// beside the dense tableau and the snapshot also crossed engines.)
+func TestDifferentialWarmDenseVsSparse(t *testing.T) {
+	for name, build := range lpFixtures() {
+		probe, err := build().SolveWith(SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s probe: %v", name, err)
+		}
+		if probe.Status != StatusOptimal {
+			// A warm child needs an optimal parent to branch from.
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			// Branch on the first fractional-ish variable, else the first.
+			bv := VarID(0)
+			for j, v := range probe.X {
+				if math.Abs(v-math.Round(v)) > 1e-6 {
+					bv = VarID(j)
+					break
+				}
+			}
+			fix := math.Floor(probe.X[bv])
+			ov := map[VarID][2]float64{bv: {fix, fix}}
+			coldChild, err := build().SolveWith(SolveOptions{BoundOverride: ov})
+			if err != nil {
+				t.Fatalf("cold child: %v", err)
+			}
+			capt, err := build().SolveWith(SolveOptions{CaptureBasis: true})
+			if err != nil || capt.Basis == nil {
+				t.Fatalf("capture: %v", err)
+			}
+			blob, err := capt.Basis.MarshalBinary()
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			wire, err := UnmarshalBasis(blob)
+			if err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			var warmRef *Solution
+			for _, route := range []struct {
+				name  string
+				basis *Basis
+			}{{"memory", capt.Basis}, {"wire", wire}} {
+				warm, err := build().SolveWith(SolveOptions{BoundOverride: ov, WarmStart: route.basis})
+				if err != nil {
+					t.Fatalf("warm via %s: %v", route.name, err)
+				}
+				if warm.Status != coldChild.Status {
+					t.Fatalf("warm via %s: status %v vs cold %v", route.name, warm.Status, coldChild.Status)
+				}
+				if coldChild.Status != StatusOptimal {
+					continue
+				}
+				assertPrimalIdentical(t, name+" (warm via "+route.name+" vs cold)", coldChild, warm)
+				if warmRef == nil {
+					warmRef = warm
+					continue
+				}
+				assertSolutionsIdentical(t, name+" (warm spread)", warmRef, warm)
+				if warm.Iterations != warmRef.Iterations || warm.Warm != warmRef.Warm ||
+					warm.WarmFallback != warmRef.WarmFallback {
+					t.Fatalf("warm via %s: pivots %d warm=%t fallback=%t vs memory %d %t %t",
+						route.name, warm.Iterations, warm.Warm, warm.WarmFallback,
+						warmRef.Iterations, warmRef.Warm, warmRef.WarmFallback)
+				}
+			}
+		})
 	}
 }
 

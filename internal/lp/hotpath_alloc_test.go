@@ -2,12 +2,11 @@ package lp
 
 import "testing"
 
-// The //gapvet:hotpath annotations on the tableau kernels are a static
-// promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
-// kernels with the runtime's own counter: gauss (warm install and canonical
-// extraction) and pivot (every simplex step) keep their nonzero list in the
-// tableau's presized scratch, so neither may allocate per call.
-func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
+// kernelTableau returns a small tableau installed on its slack basis with
+// the phase-2 costs reset, so every kernel has real work to do. The caller
+// releases the standard form.
+func kernelTableau(t *testing.T) (*tableau, *stdForm) {
+	t.Helper()
 	p := NewProblem("kernels", Maximize)
 	x := p.AddVar("x", 0, 10)
 	y := p.AddVar("y", 0, Inf)
@@ -22,13 +21,50 @@ func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.release()
 	tab := newTableau(s, SolveOptions{})
 	for i := range tab.basis {
 		tab.basis[i] = s.rowUnit[i]
 		tab.inBasis[s.rowUnit[i]] = true
 	}
 	tab.resetCosts(s.c)
+	return tab, s
+}
+
+// TestHotpathSolveKernelsDoNotAllocate seals the two selection kernels the
+// simplex loop runs before every pivot: price (entering column, Dantzig
+// and Bland) and ratio (leaving row). They scan the tableau in place, so a
+// single heap allocation in either would multiply into millions per search.
+func TestHotpathSolveKernelsDoNotAllocate(t *testing.T) {
+	tab, s := kernelTableau(t)
+	defer s.release()
+	pc := tab.price(false)
+	if pc == -1 || tab.price(true) == -1 {
+		t.Fatal("slack basis priced optimal; the kernels would do no work")
+	}
+	if tab.ratio(pc) == -1 {
+		t.Fatal("entering column is unbounded; the ratio test would do no work")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tab.price(false)
+		tab.price(true)
+	}); allocs != 0 {
+		t.Errorf("price allocates %.0f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tab.ratio(pc)
+	}); allocs != 0 {
+		t.Errorf("ratio allocates %.0f times per run, want 0", allocs)
+	}
+}
+
+// The //gapvet:hotpath annotations on the tableau kernels are a static
+// promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
+// kernels with the runtime's own counter: gauss (warm install and canonical
+// extraction) and pivot (every simplex step) keep their nonzero list in the
+// tableau's presized scratch, so neither may allocate per call.
+func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
+	tab, s := kernelTableau(t)
+	defer s.release()
 
 	// Alternate between two pivot positions so every call does real
 	// scaling and elimination work.

@@ -8,11 +8,12 @@ import (
 // Presolve golden instances: each test hand-builds a problem whose reduction
 // is fully predictable, then checks the reduced dimensions (via the
 // PresolveRows/PresolveCols counters), the exact postsolved point, the exact
-// postsolved duals, and the strong-duality certificate.
+// postsolved duals, and the strong-duality certificate. Each case runs as
+// "<case>/dense": presolve hands the reduced problem to the dense tableau.
 
 func presolveCase(t *testing.T, name string, build func() *Problem, check func(t *testing.T, sol *Solution, p *Problem)) {
 	t.Helper()
-	t.Run(name, func(t *testing.T) {
+	t.Run(name+"/dense", func(t *testing.T) {
 		p := build()
 		sol, err := p.SolveWith(SolveOptions{Presolve: true})
 		if err != nil {

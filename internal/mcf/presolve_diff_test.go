@@ -177,8 +177,10 @@ func TestOneShotPresolveDifferential(t *testing.T) {
 
 	corpus = append(corpus, namedLP{name: "b4-dp-phase2", p: dpPhase2Problem(t, b4, 30)})
 
+	// Subtests are named "<lp>/dense" after the tableau engine both solves
+	// run on.
 	for _, tc := range corpus {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.name+"/dense", func(t *testing.T) {
 			ref, err := tc.p.SolveWith(lp.SolveOptions{})
 			if err != nil {
 				t.Fatal(err)

@@ -9,18 +9,29 @@ import (
 )
 
 // Engine differential: branch-and-bound explores a tree whose shape is
-// dictated entirely by node relaxation answers. The lp engines are built to
-// be observationally identical, so swapping Options.Engine must leave the
-// WHOLE search invariant — same incumbent, same bound, and the same node /
-// LP-solve / pivot counters — at any worker count. These tests pin that
-// contract over representative models and seeded random instances.
+// dictated entirely by node relaxation answers. The LP engine answers a
+// node either cold, from a fresh tableau, or warm, by dual-simplex repair of
+// the parent's terminal basis. The two paths are built to be
+// observationally identical, so switching Options.WarmStart must leave the
+// explored tree invariant — same incumbent, bound, point and node / LP-solve
+// counters — at any worker count; only the pivot counts may differ. These
+// tests pin that contract over representative models, each checked against
+// its known optimum, and over seeded random instances at the default Batch.
 
-// milpFixtures returns fresh builders for the differential corpus: binaries
-// with knapsack/cover rows, complementarity disjunctions, indicators, and an
-// infeasible instance, covering every branching rule the solver has.
-func milpFixtures() map[string]func() *Model {
-	return map[string]func() *Model{
-		"knapsack": func() *Model {
+// milpFixture is one model of the differential corpus with its known
+// answer: the optimal objective, or StatusInfeasible.
+type milpFixture struct {
+	build  func() *Model
+	status Status
+	want   float64
+}
+
+// milpFixtures returns the differential corpus: binaries with knapsack and
+// cover rows, complementarity disjunctions, indicators, and an infeasible
+// instance, covering every branching rule the solver has.
+func milpFixtures() map[string]milpFixture {
+	return map[string]milpFixture{
+		"knapsack": {status: StatusOptimal, want: 20, build: func() *Model {
 			p := lp.NewProblem("knapsack", lp.Maximize)
 			m := NewModel(p)
 			a := m.AddBinary("a")
@@ -31,8 +42,8 @@ func milpFixtures() map[string]func() *Model {
 			p.SetObj(c, 7)
 			p.AddConstraint("w", lp.NewExpr().Add(a, 3).Add(b, 4).Add(c, 2), lp.LE, 6)
 			return m
-		},
-		"cover-min": func() *Model {
+		}},
+		"cover-min": {status: StatusOptimal, want: 3, build: func() *Model {
 			p := lp.NewProblem("cover", lp.Minimize)
 			m := NewModel(p)
 			a := m.AddBinary("a")
@@ -44,8 +55,8 @@ func milpFixtures() map[string]func() *Model {
 			p.AddConstraint("c1", lp.NewExpr().Add(a, 1).Add(b, 1), lp.GE, 1)
 			p.AddConstraint("c2", lp.NewExpr().Add(b, 1).Add(c, 1), lp.GE, 1)
 			return m
-		},
-		"compl-chain": func() *Model {
+		}},
+		"compl-chain": {status: StatusOptimal, want: 8, build: func() *Model {
 			p := lp.NewProblem("chain", lp.Maximize)
 			m := NewModel(p)
 			u := p.AddVar("u", 0, 1)
@@ -57,8 +68,8 @@ func milpFixtures() map[string]func() *Model {
 			m.AddComplementarity(u, v, "uv")
 			m.AddComplementarity(v, w, "vw")
 			return m
-		},
-		"indicator": func() *Model {
+		}},
+		"indicator": {status: StatusOptimal, want: 8, build: func() *Model {
 			p := lp.NewProblem("indicator", lp.Maximize)
 			m := NewModel(p)
 			x := p.AddVar("x", 0, 10)
@@ -69,8 +80,8 @@ func milpFixtures() map[string]func() *Model {
 			m.AddIndicatorLE("x-small-if-y", y, lp.NewExpr().Add(x, 1), 2, 100)
 			p.AddConstraint("cap", lp.NewExpr().Add(x, 1), lp.LE, 8)
 			return m
-		},
-		"infeasible": func() *Model {
+		}},
+		"infeasible": {status: StatusInfeasible, build: func() *Model {
 			p := lp.NewProblem("infeasible", lp.Maximize)
 			m := NewModel(p)
 			a := m.AddBinary("a")
@@ -79,14 +90,14 @@ func milpFixtures() map[string]func() *Model {
 			p.AddConstraint("lo", lp.NewExpr().Add(a, 1).Add(b, 1), lp.GE, 2)
 			p.AddConstraint("hi", lp.NewExpr().Add(a, 1).Add(b, 1), lp.LE, 1)
 			return m
-		},
+		}},
 	}
 }
 
-// assertRunsIdentical requires two B&B runs to be indistinguishable:
-// status, incumbent, bound, explored tree size, and LP work, down to the
-// pivot count.
-func assertRunsIdentical(t *testing.T, name string, ref, got *Result) {
+// assertSameTree requires two B&B runs to have explored the same tree:
+// status, incumbent, bound, point, and node and LP-solve counts. With
+// pivots set, the LP work must match down to the pivot count too.
+func assertSameTree(t *testing.T, name string, ref, got *Result, pivots bool) {
 	t.Helper()
 	if got.Status != ref.Status {
 		t.Fatalf("%s: status %v vs %v", name, got.Status, ref.Status)
@@ -103,8 +114,11 @@ func assertRunsIdentical(t *testing.T, name string, ref, got *Result) {
 	if got.LPSolves != ref.LPSolves {
 		t.Fatalf("%s: lp solves %d vs %d", name, got.LPSolves, ref.LPSolves)
 	}
-	if got.LPIters != ref.LPIters {
+	if pivots && got.LPIters != ref.LPIters {
 		t.Fatalf("%s: lp pivots %d vs %d", name, got.LPIters, ref.LPIters)
+	}
+	if len(got.X) != len(ref.X) {
+		t.Fatalf("%s: |X| %d vs %d", name, len(got.X), len(ref.X))
 	}
 	for j := range ref.X {
 		if math.Abs(got.X[j]-ref.X[j]) > 1e-9*(1+math.Abs(ref.X[j])) {
@@ -113,50 +127,52 @@ func assertRunsIdentical(t *testing.T, name string, ref, got *Result) {
 	}
 }
 
-// TestEngineDifferentialFixtures: every fixture, both engines, workers 1
-// and 4, warm-start off and on — all eight sparse runs must replay the
-// corresponding dense run exactly.
+// TestEngineDifferentialFixtures: every fixture at workers 1 and 4 reaches
+// its known answer cold, and the warm run replays the cold run's tree.
 func TestEngineDifferentialFixtures(t *testing.T) {
-	for name, build := range milpFixtures() {
+	for name, fx := range milpFixtures() {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				for _, warm := range []bool{false, true} {
-					base := Options{Workers: workers, WarmStart: warm}
-					denseOpts := base
-					denseOpts.Engine = lp.EngineDense
-					sparseOpts := base
-					sparseOpts.Engine = lp.EngineSparse
-					dense, err := Solve(build(), denseOpts)
-					if err != nil {
-						t.Fatalf("dense workers=%d warm=%t: %v", workers, warm, err)
-					}
-					sparse, err := Solve(build(), sparseOpts)
-					if err != nil {
-						t.Fatalf("sparse workers=%d warm=%t: %v", workers, warm, err)
-					}
-					assertRunsIdentical(t, name, dense, sparse)
+				cold, err := Solve(fx.build(), Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("cold workers=%d: %v", workers, err)
 				}
+				if cold.Status != fx.status {
+					t.Fatalf("cold workers=%d: status %v, want %v", workers, cold.Status, fx.status)
+				}
+				if fx.status == StatusOptimal && math.Abs(cold.Objective-fx.want) > 1e-6 {
+					t.Fatalf("cold workers=%d: objective %v, want %v", workers, cold.Objective, fx.want)
+				}
+				warm, err := Solve(fx.build(), Options{Workers: workers, WarmStart: true})
+				if err != nil {
+					t.Fatalf("warm workers=%d: %v", workers, err)
+				}
+				assertSameTree(t, name, cold, warm, false)
 			}
 		})
 	}
 }
 
 // TestEngineDifferentialRandom sweeps the shared seeded instance generator
-// (the same one the fuzz harness uses) through both engines at 1 and 4
-// workers.
+// (the same one the fuzz harness uses) at 1 and 4 workers with the default
+// Batch: the warm run must explore the cold run's tree, and running the
+// same options again must replay it down to the pivot count.
 func TestEngineDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		m := randomModel(rand.New(rand.NewSource(seed)))
 		for _, workers := range []int{1, 4} {
-			dense, err := Solve(m, Options{Workers: workers, Engine: lp.EngineDense})
-			if err != nil {
-				t.Fatalf("seed %d dense: %v", seed, err)
+			var runs [2][2]*Result // [warm][replay]
+			for w, warm := range []bool{false, true} {
+				for r := range runs[w] {
+					res, err := Solve(m, Options{Workers: workers, WarmStart: warm})
+					if err != nil {
+						t.Fatalf("seed %d workers=%d warm=%t: %v", seed, workers, warm, err)
+					}
+					runs[w][r] = res
+				}
+				assertSameTree(t, "random replay", runs[w][0], runs[w][1], true)
 			}
-			sparse, err := Solve(m, Options{Workers: workers, Engine: lp.EngineSparse})
-			if err != nil {
-				t.Fatalf("seed %d sparse: %v", seed, err)
-			}
-			assertRunsIdentical(t, "random", dense, sparse)
+			assertSameTree(t, "random warm vs cold", runs[0][0], runs[1][0], false)
 		}
 	}
 }
