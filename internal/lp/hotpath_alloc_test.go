@@ -1,6 +1,9 @@
 package lp
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // kernelTableau returns a small tableau installed on its slack basis with
 // the phase-2 costs reset, so every kernel has real work to do. The caller
@@ -57,27 +60,120 @@ func TestHotpathSolveKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// formState is a copy of everything gauss, pivot and the installs write to
+// a form: the matrix, the right-hand side and the column index. restore puts it back
+// without allocating, so one prepared form can be installed over and over.
+type formState struct {
+	data, b               []float64
+	unit, colRows, colLen []int32
+}
+
+func saveForm(s *stdForm) formState {
+	return formState{
+		data:    slices.Clone(s.slab.data),
+		b:       slices.Clone(s.b),
+		unit:    slices.Clone(s.unit),
+		colRows: slices.Clone(s.colRows),
+		colLen:  slices.Clone(s.colLen),
+	}
+}
+
+func (st formState) restore(t *tableau) {
+	s := t.s
+	copy(s.slab.data, st.data)
+	copy(s.b, st.b)
+	copy(s.unit, st.unit)
+	copy(s.colRows, st.colRows)
+	copy(s.colLen, st.colLen)
+	s.indexStale = false
+	clear(t.inBasis)
+}
+
 // The //gapvet:hotpath annotations on the tableau kernels are a static
 // promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
 // kernels with the runtime's own counter: gauss (warm install and canonical
 // extraction) and pivot (every simplex step) keep their nonzero list in the
-// tableau's presized scratch, so neither may allocate per call.
+// tableau's presized scratch, and gauss's fill-in goes to the row lists in
+// the recycled slab, so neither may allocate per call.
 func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
+	pristine := saveForm(s)
 
 	// Alternate between two pivot positions so every call does real
-	// scaling and elimination work.
+	// scaling and elimination work, and fill-in through the index.
 	if allocs := testing.AllocsPerRun(100, func() {
 		tab.gauss(0, 0)
 		tab.gauss(0, 1)
 	}); allocs != 0 {
 		t.Errorf("gauss allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
+	checkIndex(t, s)
+
+	// Row 0's slack (column 3) is e_0 with its row list padded to m with
+	// duplicates. gauss(0, 0) fills it in on rows 2 and 3, where x is
+	// nonzero, so the first fill-in compacts the full list.
+	const slack0 = 3
+	compacting := func() {
+		pristine.restore(tab)
+		for k := 0; k < s.m; k++ {
+			s.colRows[slack0*s.m+k] = 0
+		}
+		s.colLen[slack0] = int32(s.m)
+		tab.gauss(0, 0)
+	}
+	compacting()
+	checkIndex(t, s)
+	if got := s.col(slack0); !slices.Equal(got, []int32{0, 2, 3}) {
+		t.Fatalf("slack row list after a compacting gauss = %v, want [0 2 3]", got)
+	}
+	if allocs := testing.AllocsPerRun(100, compacting); allocs != 0 {
+		t.Errorf("gauss with a compaction allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+
+	pristine.restore(tab)
 	if allocs := testing.AllocsPerRun(100, func() {
 		tab.pivot(2, 2)
 		tab.pivot(2, 0)
 	}); allocs != 0 {
 		t.Errorf("pivot allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+}
+
+// TestHotpathInstallsDoNotAllocate seals the warm install and the canonical
+// extraction's install on a prepared form: placing a column, through the
+// unit shortcut or a gauss step, reuses the tableau and the slab, and the
+// rows already assigned are read off the basis itself.
+func TestHotpathInstallsDoNotAllocate(t *testing.T) {
+	tab, s := kernelTableau(t)
+	defer s.release()
+	pristine := saveForm(s)
+
+	// x, y, z and the upper-bound row's slack: nonsingular, three gauss
+	// steps and one unit placement.
+	cols := []int32{0, 1, 2, 6}
+	install := func() {
+		pristine.restore(tab)
+		if !tab.install(cols) {
+			t.Fatal("install failed on a nonsingular column set")
+		}
+	}
+	install()
+	checkIndex(t, s)
+	if allocs := testing.AllocsPerRun(100, install); allocs != 0 {
+		t.Errorf("install allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+
+	support := []int{0, 2}
+	canonical := func() {
+		pristine.restore(tab)
+		if !tab.installCanonical(support) {
+			t.Fatal("installCanonical failed to complete a basis")
+		}
+	}
+	canonical()
+	checkIndex(t, s)
+	if allocs := testing.AllocsPerRun(100, canonical); allocs != 0 {
+		t.Errorf("installCanonical allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 }

@@ -41,6 +41,10 @@ var (
 	lpPhase1Seconds     = obs.Default.Histogram("lp_phase1_seconds")
 	lpPhase2Seconds     = obs.Default.Histogram("lp_phase2_seconds")
 	lpWarmRepairSeconds = obs.Default.Histogram("lp_warm_repair_seconds")
+	// lpExtractSeconds times finishSolution's canonical extraction: the
+	// pristine rebuild, the support install and its cost reset. On a warm
+	// solve the same span also lies inside lp_warm_repair_seconds.
+	lpExtractSeconds = obs.Default.Histogram("lp_extract_seconds")
 
 	lpPhase1Pivots     = obs.Default.Counter("lp_phase1_pivots_total")
 	lpPhase2Pivots     = obs.Default.Counter("lp_phase2_pivots_total")
@@ -112,6 +116,19 @@ type stdForm struct {
 	b    []float64   // m
 	c    []float64   // n, phase-2 costs (0 for slacks/artificials)
 
+	// Column index over a, kept in the slab and maintained by gauss, so a
+	// basis install touches only the rows a column actually has.
+	// unit[j] is the row r when column j is exactly e_r, else -1; it may
+	// miss a unit column but never names a non-unit one. colRows[j*m:
+	// j*m+colLen[j]] lists every row where column j is nonzero; the list may
+	// also hold zeros and duplicates, which compactCol drops once it is full.
+	// pivot updates unit (through scaleRow) but not the row lists, so it
+	// marks the index stale and gauss refuses to run afterwards.
+	unit       []int32
+	colRows    []int32
+	colLen     []int32
+	indexStale bool
+
 	nStruct int // columns 0..nStruct-1 are structural (user-derived)
 	artFrom int // columns >= artFrom are artificials
 
@@ -154,12 +171,17 @@ type stdVarMap struct {
 }
 
 // stdSlab is the recycled backing store of a standard form's constraint
-// matrix: one contiguous m*n slab and the m row headers into it. Every node
-// LP of a search builds one or more standard forms of the same shape, so
-// recycling the slab turns a fresh m*n allocation per build into a memclr.
+// matrix: one contiguous m*n slab and the m row headers into it, plus the
+// form's column index (unit, colRows, colLen). Every node LP of a search
+// builds one or more standard forms of the same shape, so recycling the
+// slab turns a fresh m*n allocation per build into a memclr.
 type stdSlab struct {
 	data []float64
 	rows [][]float64
+
+	unit    []int32 // n
+	colRows []int32 // m*n, stride m per column; never cleared, colLen bounds it
+	colLen  []int32 // n
 }
 
 // freeSlabs is the free list of released slabs, last in first out. Unlike
@@ -203,6 +225,18 @@ func getSlab(m, n int) *stdSlab {
 	for i := range sl.rows {
 		sl.rows[i] = sl.data[i*n : (i+1)*n : (i+1)*n]
 	}
+	if need := m * n; cap(sl.colRows) < need {
+		sl.colRows = make([]int32, need)
+	} else {
+		sl.colRows = sl.colRows[:need]
+	}
+	if cap(sl.colLen) < n {
+		sl.colLen = make([]int32, n)
+		sl.unit = make([]int32, n)
+	}
+	sl.colLen = sl.colLen[:n]
+	sl.unit = sl.unit[:n]
+	clear(sl.colLen)
 	return sl
 }
 
@@ -219,6 +253,48 @@ func (s *stdForm) release() {
 	}
 	freeSlabs.mu.Unlock()
 	s.slab, s.a = nil, nil
+	s.unit, s.colRows, s.colLen = nil, nil, nil
+}
+
+// col returns the row list of column j's nonzeros (see stdForm.colRows).
+func (s *stdForm) col(j int) []int32 {
+	at := j * s.m
+	return s.colRows[at : at+int(s.colLen[j])]
+}
+
+// addRow records that row i of column j is (or is about to become)
+// nonzero. A full list is compacted first; if it is still full, every row
+// is already listed.
+//
+//gapvet:hotpath gauss fill-in; the list lives in the recycled slab at a fixed stride
+func (s *stdForm) addRow(j, i int) {
+	if int(s.colLen[j]) == s.m {
+		s.compactCol(j)
+		if int(s.colLen[j]) == s.m {
+			return
+		}
+	}
+	s.colRows[j*s.m+int(s.colLen[j])] = int32(i)
+	s.colLen[j]++
+}
+
+// compactCol drops the zero entries and duplicate rows from column j's
+// list, in place. Row order is not part of the index: every consumer
+// reproduces the ascending row scan's choices without it.
+//
+//gapvet:hotpath runs when a row list fills up during gauss fill-in; sorts and filters in place
+func (s *stdForm) compactCol(j int) {
+	list := s.col(j)
+	slices.Sort(list)
+	k := 0
+	for n, i := range list {
+		if s.a[i][j] == 0 || n > 0 && i == list[n-1] {
+			continue
+		}
+		list[k] = i
+		k++
+	}
+	s.colLen[j] = int32(k)
 }
 
 // buildStandard converts p (with optional bound overrides) to standard form.
@@ -363,6 +439,7 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	s.m, s.n = m, total
 	s.slab = getSlab(m, total)
 	s.a = s.slab.rows
+	s.unit, s.colRows, s.colLen = s.slab.unit, s.slab.colRows, s.slab.colLen
 	s.b = rhs
 	for i, con := range p.cons {
 		row := s.a[i]
@@ -371,13 +448,17 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			if vm.negCol >= 0 {
 				row[vm.col] += t.Coef
 				row[vm.negCol] -= t.Coef
+				s.addRow(vm.col, i)
+				s.addRow(vm.negCol, i)
 				continue
 			}
 			row[vm.col] += t.Coef * vm.sign
+			s.addRow(vm.col, i)
 		}
 	}
 	for k, u := range uppers {
 		s.a[nUser+k][u.col] = 1
+		s.addRow(u.col, nUser+k)
 	}
 	for i := 0; i < m; i++ {
 		if s.rowFlip[i] < 0 {
@@ -390,11 +471,32 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	for k, e := range extras {
 		col := colOf[k]
 		s.a[e.row][col] = e.coef
+		s.addRow(col, e.row)
 		// Unit columns with +1 give the cleanest dual read-off; prefer the
 		// artificial when present (GE rows), else the slack.
 		if e.coef > 0 || s.rowUnit[e.row] == -1 {
 			s.rowUnit[e.row] = col
 			s.rowUnitSign[e.row] = e.coef
+		}
+	}
+
+	// A column is a unit vector when all its listed nonzeros sit in one row
+	// and that entry is exactly 1.
+	for j := 0; j < total; j++ {
+		s.unit[j] = -1
+		r := -1
+		for _, i := range s.col(j) {
+			if s.a[i][j] == 0 || int(i) == r {
+				continue
+			}
+			if r != -1 {
+				r = -1
+				break
+			}
+			r = int(i)
+		}
+		if r != -1 && s.a[r][j] == 1 {
+			s.unit[j] = int32(r)
 		}
 	}
 
@@ -754,6 +856,7 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 	}
 	sort.Ints(support)
 	basis, bval, obj := t.basis, s.b, t.obj
+	extractStart := time.Now() //gapvet:allow walltime extraction time attribution; observed into an obs histogram, never read by the solve
 	if s2, err := buildStandard(p, opts.BoundOverride); err == nil {
 		defer s2.release()
 		t2 := newTableau(s2, opts)
@@ -774,6 +877,7 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 		// On a (numerically) singular refactorization fall back to the
 		// terminal state itself — still correct, merely not canonical.
 	}
+	lpExtractSeconds.ObserveDuration(time.Since(extractStart)) //gapvet:allow walltime extraction time attribution; observed into an obs histogram, never read by the solve
 
 	// Recover the standard-form primal point.
 	xs := make([]float64, s.n)
@@ -825,7 +929,8 @@ func (t *tableau) resetCosts(c []float64) {
 
 // pivot2 normalizes row pr so that column pc becomes 1. Valid only when
 // column pc is zero outside row pr (crash pivots on singleton columns), so
-// no other row or the cost row needs updating.
+// no other row or the cost row needs updating. Scaling keeps every row list
+// of the column index valid; only unit needs updating.
 func (t *tableau) pivot2(pr, pc int) {
 	s := t.s
 	prow := s.a[pr]
@@ -835,9 +940,13 @@ func (t *tableau) pivot2(pr, pc int) {
 	}
 	inv := 1 / piv
 	for j := 0; j < s.n; j++ {
+		if prow[j] != 0 {
+			s.unit[j] = -1
+		}
 		prow[j] *= inv
 	}
 	prow[pc] = 1
+	s.unit[pc] = int32(pr)
 	s.b[pr] *= inv
 }
 
@@ -934,18 +1043,25 @@ func (t *tableau) ratio(pc int) int {
 // than multiplied, so a zero keeps its sign where a full-row loop would turn
 // it into -0 on a negative pivot; every nonzero is bitwise what a full-row
 // loop computes.
+//
+// Both callers go on to eliminate column pc everywhere else, so pc becomes
+// e_pr, and every other column nonzero in row pr stops being a unit column
+// (it was e_pr at best, and the elimination fills it in).
 func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
-	prow := t.s.a[pr]
+	s := t.s
+	prow := s.a[pr]
 	inv = 1 / prow[pc]
 	k := 0
 	for j, v := range prow {
 		if v != 0 {
 			prow[j] = v * inv
+			s.unit[j] = -1
 			t.nz[k] = j
 			k++
 		}
 	}
 	prow[pc] = 1
+	s.unit[pc] = int32(pr)
 	return t.nz[:k], inv
 }
 
@@ -956,6 +1072,7 @@ func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
 //gapvet:hotpath every simplex pivot; the nonzero list lives in presized tableau scratch
 func (t *tableau) pivot(pr, pc int) {
 	s := t.s
+	s.indexStale = true
 	nz, inv := t.scaleRow(pr, pc)
 	prow := s.a[pr]
 	s.b[pr] *= inv
@@ -1176,6 +1293,8 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
 // row with the largest magnitude, which both reconstructs a valid pairing
 // whenever one exists and keeps the elimination numerically sane. Returns
 // false when the set is singular (or numerically unusable) for this tableau.
+//
+//gapvet:hotpath one warm install per warm node LP; a row counts as assigned once it has a basic column
 func (t *tableau) install(cols []int32) bool {
 	s := t.s
 	if len(cols) != s.m {
@@ -1184,28 +1303,11 @@ func (t *tableau) install(cols []int32) bool {
 	for i := range t.basis {
 		t.basis[i] = -1
 	}
-	assigned := make([]bool, s.m)
 	for _, c32 := range cols {
 		j := int(c32)
-		if j < 0 || j >= s.n || t.inBasis[j] {
+		if j < 0 || j >= s.n || t.inBasis[j] || !t.place(j) {
 			return false
 		}
-		best, bestAbs := -1, pivotTol
-		for i := 0; i < s.m; i++ {
-			if assigned[i] {
-				continue
-			}
-			if ab := math.Abs(s.a[i][j]); ab > bestAbs {
-				best, bestAbs = i, ab
-			}
-		}
-		if best == -1 {
-			return false
-		}
-		t.gauss(best, j)
-		t.basis[best] = j
-		t.inBasis[j] = true
-		assigned[best] = true
 	}
 	return true
 }
@@ -1219,66 +1321,100 @@ func (t *tableau) install(cols []int32) bool {
 // extraction in finishSolution independent of pivot history. Returns false
 // when the support is not extendable to a basis (numerics); the caller then
 // falls back to the terminal tableau.
+//
+//gapvet:hotpath one canonical extraction per optimal solve; a row counts as assigned once it has a basic column
 func (t *tableau) installCanonical(support []int) bool {
 	s := t.s
 	for i := range t.basis {
 		t.basis[i] = -1
 	}
-	assigned := make([]bool, s.m)
 	placed := 0
-	place := func(j int) bool {
-		best, bestAbs := -1, pivotTol
-		for i := 0; i < s.m; i++ {
-			if assigned[i] {
-				continue
-			}
-			if ab := math.Abs(s.a[i][j]); ab > bestAbs {
-				best, bestAbs = i, ab
-			}
-		}
-		if best == -1 {
-			return false
-		}
-		t.gauss(best, j)
-		t.basis[best] = j
-		t.inBasis[j] = true
-		assigned[best] = true
-		placed++
-		return true
-	}
 	for _, j := range support {
-		if j < 0 || j >= s.n || t.inBasis[j] || !place(j) {
+		if j < 0 || j >= s.n || t.inBasis[j] || !t.place(j) {
 			return false
 		}
+		placed++
 	}
 	for j := 0; j < s.n && placed < s.m; j++ {
-		if t.inBasis[j] || t.blocked[j] {
-			continue
+		if !t.inBasis[j] && !t.blocked[j] && t.place(j) {
+			placed++
 		}
-		place(j)
 	}
 	for j := 0; j < s.n && placed < s.m; j++ {
-		if t.inBasis[j] {
-			continue
+		if !t.inBasis[j] && t.place(j) {
+			placed++
 		}
-		place(j)
 	}
 	return placed == s.m
+}
+
+// place makes column j basic in the unassigned row (basis entry -1) where
+// it is largest in magnitude, ties to the lower row, and reports false when
+// no unassigned row holds an entry above pivotTol. A unit column e_r is
+// placed in row r with no elimination: there a Gauss-Jordan step would
+// scale by 1 and find nothing to eliminate.
+//
+//gapvet:hotpath install and installCanonical place every basic column through it
+func (t *tableau) place(j int) bool {
+	pr := int(t.s.unit[j])
+	if pr >= 0 {
+		if t.basis[pr] != -1 {
+			return false
+		}
+	} else {
+		if pr = t.pivotRow(j); pr == -1 {
+			return false
+		}
+		t.gauss(pr, j)
+	}
+	t.basis[pr] = j
+	t.inBasis[j] = true
+	return true
+}
+
+// pivotRow chooses column j's pivot row over the rows its index lists:
+// the unassigned row with the largest |a[i][j]| above pivotTol, ties to the
+// lower row, or -1. That is exactly the choice of an ascending scan over all
+// rows that keeps the first strict maximum.
+//
+//gapvet:hotpath one call per non-unit column of every install
+func (t *tableau) pivotRow(j int) int {
+	s := t.s
+	best, bestAbs := -1, pivotTol
+	for _, i32 := range s.col(j) {
+		i := int(i32)
+		if t.basis[i] != -1 {
+			continue
+		}
+		ab := math.Abs(s.a[i][j])
+		//gapvet:allow floateq reproduces the ascending scan's strict-> rule: among equal magnitudes the lowest row wins
+		if ab > bestAbs || ab == bestAbs && best != -1 && i < best {
+			best, bestAbs = i, ab
+		}
+	}
+	return best
 }
 
 // gauss pivots on (pr, pc) updating only the matrix and right-hand side —
 // no reduced-cost or objective bookkeeping, which does not exist yet during
 // install. Negative b entries are expected output: they are exactly the
-// primal infeasibilities the dual phase repairs. Like pivot, it eliminates
-// over the pivot row's nonzeros only.
+// primal infeasibilities the dual phase repairs. It eliminates over the
+// pivot row's nonzeros and the rows column pc's index lists, and keeps the
+// index current: every zero the elimination fills in is listed, and column
+// pc's list becomes just pr. The index is exact only on a form that no
+// pivot has touched, so gauss on a pivoted form is a programming error.
 //
 //gapvet:hotpath m Gauss-Jordan steps per warm install and per canonical extraction; the nonzero list lives in presized tableau scratch
 func (t *tableau) gauss(pr, pc int) {
 	s := t.s
+	if s.indexStale {
+		panic("lp: gauss on a pivoted standard form; its column index is only kept by gauss on a freshly built form")
+	}
 	nz, inv := t.scaleRow(pr, pc)
 	prow := s.a[pr]
 	s.b[pr] *= inv
-	for i := 0; i < s.m; i++ {
+	for _, i32 := range s.col(pc) {
+		i := int(i32)
 		if i == pr {
 			continue
 		}
@@ -1288,11 +1424,16 @@ func (t *tableau) gauss(pr, pc int) {
 			continue
 		}
 		for _, j := range nz {
+			if row[j] == 0 {
+				s.addRow(j, i)
+			}
 			row[j] -= f * prow[j]
 		}
 		row[pc] = 0
 		s.b[i] -= f * s.b[pr]
 	}
+	s.colRows[pc*s.m] = int32(pr)
+	s.colLen[pc] = 1
 }
 
 // runDual repairs primal feasibility while maintaining dual feasibility — a
