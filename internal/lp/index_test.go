@@ -318,8 +318,8 @@ func FuzzIndexedInstall(f *testing.F) {
 	} {
 		f.Add(uint8(srcFuzzLP), int64(0), data)
 	}
-	// The byte-picked install of this LP fills one row list up to m with a
-	// row whose entry later cancelled, so gauss compacts it mid-install.
+	// On this LP both the byte-picked install and the canonical install
+	// fill a row list up to m, so gauss compacts it on fill-in.
 	f.Add(uint8(srcFuzzLP), int64(0), []byte{91, 183, 132, 148, 6, 177, 1, 21, 87})
 	for k := range len(lpFixtures()) {
 		f.Add(uint8(srcFixture), int64(k), []byte{byte(k), 3, 1, 4})
