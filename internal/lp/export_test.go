@@ -7,7 +7,22 @@ var (
 	RandomLP   = randomLP
 	FuzzLP     = fuzzLP
 	LPFixtures = lpFixtures
+
+	// FuzzCanonicalExtraction lives in lp_test, next to the B4 node model
+	// it is seeded from, and runs the package's extraction referee.
+	IndexProblem             = indexProblem
+	CheckCanonicalExtraction = checkCanonicalExtraction
 )
+
+// NumIndexSources is the number of problem sources IndexProblem decodes.
+const NumIndexSources = numSources
+
+// IndexSeeds hands each input of FuzzIndexedInstall's seed corpus to add.
+func IndexSeeds(add func(src uint8, seed int64, data []byte)) {
+	for _, sd := range indexSeeds() {
+		add(sd.src, sd.seed, sd.data)
+	}
+}
 
 // StdShape reports the row and column counts of p's standard form under the
 // given bound overrides.

@@ -140,10 +140,11 @@ func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHotpathInstallsDoNotAllocate seals the warm install and the canonical
-// extraction's install on a prepared form: placing a column, through the
-// unit shortcut or a gauss step, reuses the tableau and the slab, and the
-// rows already assigned are read off the basis itself.
+// TestHotpathInstallsDoNotAllocate seals the warm install on a prepared
+// form and the canonical extraction: placing a column, through the unit
+// shortcut or a gauss step, reuses the tableau and the slab, and the rows
+// already assigned are read off the basis itself; the extraction's work
+// column and eta file live in the slab too.
 func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
@@ -164,16 +165,41 @@ func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 		t.Errorf("install allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 
+	// The extraction reads only the form's pristine snapshot, so it runs
+	// as is on the installed form.
 	support := []int{0, 2}
-	canonical := func() {
-		pristine.restore(tab)
-		if !tab.installCanonical(support) {
-			t.Fatal("installCanonical failed to complete a basis")
+	extract := func() {
+		if _, _, _, ok := s.slab.ext.canonical(support, tab.blocked, s.c); !ok {
+			t.Fatal("canonical extraction failed to complete a basis")
 		}
 	}
-	canonical()
-	checkIndex(t, s)
-	if allocs := testing.AllocsPerRun(100, canonical); allocs != 0 {
-		t.Errorf("installCanonical allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	extract()
+	if allocs := testing.AllocsPerRun(100, extract); allocs != 0 {
+		t.Errorf("canonical extraction allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+}
+
+// TestHotpathCostKernelsDoNotAllocate seals the two O(m·n) cost-row
+// rebuilds every optimal solve runs: resetCosts (each phase start) and
+// tiebreak (the phase-3 walk, whose secondary reduced costs go to tableau
+// scratch). The tableau is driven to optimality first, so tiebreak does its
+// full set-up and scan on every call.
+func TestHotpathCostKernelsDoNotAllocate(t *testing.T) {
+	tab, s := kernelTableau(t)
+	defer s.release()
+	if st := tab.run(); st != StatusOptimal {
+		t.Fatalf("kernel LP: %v", st)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tab.resetCosts(s.c)
+	}); allocs != 0 {
+		t.Errorf("resetCosts allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if st := tab.tiebreak(); st != StatusOptimal {
+			t.Fatalf("tiebreak: %v", st)
+		}
+	}); allocs != 0 {
+		t.Errorf("tiebreak allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 }

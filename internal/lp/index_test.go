@@ -80,6 +80,40 @@ func refInstall(t *tableau, cols []int32) bool {
 	return true
 }
 
+// installCanonical is the canonical install that extraction.canonical
+// replays, over the indexed kernels: the support columns are placed first
+// (they are independent at a vertex), then the basis is completed by
+// scanning all columns in ascending index — unblocked columns first,
+// blocked/artificial filler only for rows nothing else can cover
+// (redundant rows). It returns false when the support is not extendable to
+// a basis. Until the eta-file extraction replaced it, finishSolution ran it
+// on a second, freshly built form; it stays as a test reference that keeps
+// the column index honest under exactly that placement order.
+func (t *tableau) installCanonical(support []int) bool {
+	s := t.s
+	for i := range t.basis {
+		t.basis[i] = -1
+	}
+	placed := 0
+	for _, j := range support {
+		if j < 0 || j >= s.n || t.inBasis[j] || !t.place(j) {
+			return false
+		}
+		placed++
+	}
+	for j := 0; j < s.n && placed < s.m; j++ {
+		if !t.inBasis[j] && !t.blocked[j] && t.place(j) {
+			placed++
+		}
+	}
+	for j := 0; j < s.n && placed < s.m; j++ {
+		if !t.inBasis[j] && t.place(j) {
+			placed++
+		}
+	}
+	return placed == s.m
+}
+
 // refInstallCanonical is installCanonical over the dense reference kernels.
 func refInstallCanonical(t *tableau, support []int) bool {
 	s := t.s
@@ -183,7 +217,8 @@ func formPair(t *testing.T, p *Problem, ov map[VarID][2]float64) (idx, ref *tabl
 // installDifferential installs cols with the indexed kernels on one fresh
 // form and with the reference kernels on another, then installs support
 // canonically the same two ways, and requires identical outcomes,
-// bitwise-identical tableaus and a valid index.
+// bitwise-identical tableaus and a valid index. Last, it extracts support
+// with extraction.canonical against the same dense reference.
 func installDifferential(t *testing.T, p *Problem, ov map[VarID][2]float64, cols []int32, support []int) {
 	t.Helper()
 	idx, ref, ok := formPair(t, p, ov)
@@ -211,6 +246,8 @@ func installDifferential(t *testing.T, p *Problem, ov map[VarID][2]float64, cols
 	checkIndex(t, idx.s)
 	idx.s.release()
 	ref.s.release()
+
+	extractDifferential(t, p, ov, cols, support)
 }
 
 // pickColumns derives an install column set and a canonical support from
@@ -301,6 +338,36 @@ func indexProblem(src uint8, seed int64, data []byte) (*Problem, bool) {
 	return p, ok
 }
 
+// indexSeed is one seed input of FuzzIndexedInstall (and of
+// FuzzCanonicalExtraction, which starts from the same corpus).
+type indexSeed struct {
+	src  uint8
+	seed int64
+	data []byte
+}
+
+// indexSeeds is FuzzIndexedInstall's seed corpus.
+func indexSeeds() []indexSeed {
+	var seeds []indexSeed
+	for _, data := range [][]byte{
+		{10, 20, 30, 40, 50, 60, 70, 80},
+		{0, 0, 0, 0},
+		{255, 1, 128, 7, 9, 200, 33, 21, 90, 3},
+	} {
+		seeds = append(seeds, indexSeed{srcFuzzLP, 0, data})
+	}
+	// On this LP both the byte-picked install and the canonical install
+	// fill a row list up to m, so gauss compacts it on fill-in.
+	seeds = append(seeds, indexSeed{srcFuzzLP, 0, []byte{91, 183, 132, 148, 6, 177, 1, 21, 87}})
+	for k := range len(lpFixtures()) {
+		seeds = append(seeds, indexSeed{srcFixture, int64(k), []byte{byte(k), 3, 1, 4}})
+	}
+	for k := range 24 {
+		seeds = append(seeds, indexSeed{srcRandomLP, int64(k), []byte{byte(k), 7, 2, 9, 5}})
+	}
+	return append(seeds, indexSeed{srcCompacting, 0, []byte{0, 1, 2, 3}})
+}
+
 // FuzzIndexedInstall is the kernel differential of the column index. For a
 // problem (decoded by fuzzLP, or a seed-selected lpFixtures or randomLP
 // case) it installs the same column set, and the same canonical support,
@@ -311,23 +378,9 @@ func indexProblem(src uint8, seed int64, data []byte) (*Problem, bool) {
 // included) and, when the problem solves, its captured basis installed on a
 // child that fixes one variable, as a warm solve installs it.
 func FuzzIndexedInstall(f *testing.F) {
-	for _, data := range [][]byte{
-		{10, 20, 30, 40, 50, 60, 70, 80},
-		{0, 0, 0, 0},
-		{255, 1, 128, 7, 9, 200, 33, 21, 90, 3},
-	} {
-		f.Add(uint8(srcFuzzLP), int64(0), data)
+	for _, sd := range indexSeeds() {
+		f.Add(sd.src, sd.seed, sd.data)
 	}
-	// On this LP both the byte-picked install and the canonical install
-	// fill a row list up to m, so gauss compacts it on fill-in.
-	f.Add(uint8(srcFuzzLP), int64(0), []byte{91, 183, 132, 148, 6, 177, 1, 21, 87})
-	for k := range len(lpFixtures()) {
-		f.Add(uint8(srcFixture), int64(k), []byte{byte(k), 3, 1, 4})
-	}
-	for k := range 24 {
-		f.Add(uint8(srcRandomLP), int64(k), []byte{byte(k), 7, 2, 9, 5})
-	}
-	f.Add(uint8(srcCompacting), int64(0), []byte{0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, src uint8, seed int64, data []byte) {
 		p, ok := indexProblem(src, seed, data)
 		if !ok {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,7 +41,8 @@ var (
 	lpPhase2Seconds     = obs.Default.Histogram("lp_phase2_seconds")
 	lpWarmRepairSeconds = obs.Default.Histogram("lp_warm_repair_seconds")
 	// lpExtractSeconds times finishSolution's canonical extraction: the
-	// pristine rebuild, the support install and its cost reset. On a warm
+	// support placement and basis completion replayed on the form's
+	// pristine snapshot through an eta file, and the objective. On a warm
 	// solve the same span also lies inside lp_warm_repair_seconds.
 	lpExtractSeconds = obs.Default.Histogram("lp_extract_seconds")
 
@@ -172,9 +172,10 @@ type stdVarMap struct {
 
 // stdSlab is the recycled backing store of a standard form's constraint
 // matrix: one contiguous m*n slab and the m row headers into it, plus the
-// form's column index (unit, colRows, colLen). Every node LP of a search
-// builds one or more standard forms of the same shape, so recycling the
-// slab turns a fresh m*n allocation per build into a memclr.
+// form's column index (unit, colRows, colLen) and the pristine snapshot and
+// workspace of its canonical extraction (extract.go). Every node LP of a
+// search builds one or more standard forms of the same shape, so recycling
+// the slab turns a fresh m*n allocation per build into a memclr.
 type stdSlab struct {
 	data []float64
 	rows [][]float64
@@ -182,14 +183,18 @@ type stdSlab struct {
 	unit    []int32 // n
 	colRows []int32 // m*n, stride m per column; never cleared, colLen bounds it
 	colLen  []int32 // n
+
+	ext extraction
 }
 
 // freeSlabs is the free list of released slabs, last in first out. Unlike
 // a sync.Pool it is not emptied by garbage collection, so a solve reuses a
 // slab whenever one is free and its cost and allocation do not depend on
-// when the collector last ran. One solve holds at most two slabs at once
-// (its form and finishTerm's extraction form); the list keeps enough for
-// that many per P and drops the rest to the collector.
+// when the collector last ran. One solve holds one slab at a time: its
+// form, which also carries the extraction (the warm path releases its form
+// before a fallback rebuild). The list keeps two per P, so solves on more
+// goroutines than Ps (parallel branch-and-bound waves, concurrent daemon
+// jobs) still mostly find one, and drops the rest to the collector.
 var freeSlabs struct {
 	mu   sync.Mutex
 	list []*stdSlab
@@ -499,6 +504,7 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			s.unit[j] = int32(r)
 		}
 	}
+	s.slab.ext.record(s)
 
 	// Objective over structural columns; slacks and artificials cost 0.
 	s.c = make([]float64, total)
@@ -555,7 +561,8 @@ type tableau struct {
 	s        *stdForm
 	basis    []int     // basic column per row
 	inBasis  []bool    // column -> basic?
-	r        []float64 // reduced costs for the current phase
+	r        []float64 // n, reduced costs for the current phase
+	rw       []float64 // n, scratch: tiebreak's secondary reduced costs
 	obj      float64   // current phase objective value
 	iters    int
 	phase1   int // pivots spent in phase 1
@@ -665,6 +672,8 @@ func newTableau(s *stdForm, opts SolveOptions) *tableau {
 	t.inBasis = make([]bool, s.n)
 	t.blocked = make([]bool, s.n)
 	t.nz = make([]int, s.n)
+	t.r = make([]float64, s.n)
+	t.rw = make([]float64, s.n)
 	for _, j := range s.fixed {
 		t.blocked[j] = true
 	}
@@ -801,11 +810,11 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 // Primal extraction is canonical: the tie-break phase (tableau.tiebreak) has
 // already driven the tableau to the unique secondary-weight-minimal vertex of
 // the optimal face, and the point and objective are then recomputed by
-// refactorizing the pristine standard form onto a deterministic completion of
-// that vertex's support. X and Objective are therefore a pure function of
-// (problem data, overrides) — never of the pivot history — which is what lets
-// branch and bound promise an identical explored tree with warm starting on
-// or off. Duals and the captured basis intentionally come from the terminal
+// refactorizing the form's pristine snapshot onto a deterministic completion
+// of that vertex's support (extraction.canonical). X and Objective are
+// therefore a pure function of (problem data, overrides) — never of the
+// pivot history — which is what lets branch and bound promise an identical
+// explored tree with warm starting on or off. Duals and the captured basis intentionally come from the terminal
 // state instead: its basis is dual feasible (a valid certificate and a
 // transplantable warm start), at the price of being path-dependent in the
 // last bits. Nothing that steers the search consumes them.
@@ -848,34 +857,22 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 	// positive values. Degenerate basic columns (value ~0) are excluded so
 	// the canonical completion below does not depend on which of a vertex's
 	// many bases the pivot path happened to stop at.
-	var support []int
+	ext := &s.slab.ext
+	support := ext.sup[:0]
 	for i, col := range t.basis {
 		if s.b[i] > feasTol {
 			support = append(support, col)
 		}
 	}
-	sort.Ints(support)
+	slices.Sort(support)
 	basis, bval, obj := t.basis, s.b, t.obj
 	extractStart := time.Now() //gapvet:allow walltime extraction time attribution; observed into an obs histogram, never read by the solve
-	if s2, err := buildStandard(p, opts.BoundOverride); err == nil {
-		defer s2.release()
-		t2 := newTableau(s2, opts)
-		for j := s2.artFrom; j < s2.n; j++ {
-			t2.blocked[j] = true
-		}
-		if t2.installCanonical(support) {
-			t2.resetCosts(s2.c)
-			// Refactorization dust: basic values that came out a hair negative
-			// are exactly zero at the vertex the search terminated on.
-			for i := range s2.b {
-				if s2.b[i] < 0 && s2.b[i] > -feasTol {
-					s2.b[i] = 0
-				}
-			}
-			basis, bval, obj, s = t2.basis, s2.b, t2.obj, s2
-		}
-		// On a (numerically) singular refactorization fall back to the
-		// terminal state itself — still correct, merely not canonical.
+	// The blocked set is the one a fresh tableau of this form gets once its
+	// artificials are barred: the fixed columns and the artificials. On a
+	// (numerically) singular refactorization fall back to the terminal
+	// state itself — still correct, merely not canonical.
+	if cb, cv, cobj, ok := ext.canonical(support, t.blocked, s.c); ok {
+		basis, bval, obj = cb, cv, cobj
 	}
 	lpExtractSeconds.ObserveDuration(time.Since(extractStart)) //gapvet:allow walltime extraction time attribution; observed into an obs histogram, never read by the solve
 
@@ -905,9 +902,10 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 
 // resetCosts installs a cost vector and recomputes reduced costs and the
 // objective for the current basis.
+//
+//gapvet:hotpath every phase start and every tiebreak; the reduced-cost row is presized tableau scratch
 func (t *tableau) resetCosts(c []float64) {
 	s := t.s
-	t.r = make([]float64, s.n)
 	copy(t.r, c)
 	t.obj = 0
 	for i, col := range t.basis {
@@ -1137,12 +1135,14 @@ func tiebreakWeight(j int) float64 {
 // refactorization deep), which keeps the primary objective optimal while the
 // secondary weights strictly improve. A weight-decreasing ray cannot exist
 // (the weights are positive over x >= 0), so the walk ends at a vertex.
+//
+//gapvet:hotpath once per optimal solve; the secondary reduced costs are presized tableau scratch
 func (t *tableau) tiebreak() Status {
 	s := t.s
 	// Refresh reduced costs from the current basis: the face test below
 	// compares r against optTol, so accumulated pivot dust must go.
 	t.resetCosts(s.c)
-	rw := make([]float64, s.n)
+	rw := t.rw
 	for j := range rw {
 		rw[j] = tiebreakWeight(j)
 	}
@@ -1312,49 +1312,13 @@ func (t *tableau) install(cols []int32) bool {
 	return true
 }
 
-// installCanonical refactorizes the tableau onto the canonical basis of a
-// vertex given its support: the support columns are pivoted in first (they
-// are independent at a vertex), then the basis is completed by scanning all
-// columns in ascending index — unblocked columns first, blocked/artificial
-// filler only for rows nothing else can cover (redundant rows). The result
-// is a pure function of (tableau data, support set), which is what makes the
-// extraction in finishSolution independent of pivot history. Returns false
-// when the support is not extendable to a basis (numerics); the caller then
-// falls back to the terminal tableau.
-//
-//gapvet:hotpath one canonical extraction per optimal solve; a row counts as assigned once it has a basic column
-func (t *tableau) installCanonical(support []int) bool {
-	s := t.s
-	for i := range t.basis {
-		t.basis[i] = -1
-	}
-	placed := 0
-	for _, j := range support {
-		if j < 0 || j >= s.n || t.inBasis[j] || !t.place(j) {
-			return false
-		}
-		placed++
-	}
-	for j := 0; j < s.n && placed < s.m; j++ {
-		if !t.inBasis[j] && !t.blocked[j] && t.place(j) {
-			placed++
-		}
-	}
-	for j := 0; j < s.n && placed < s.m; j++ {
-		if !t.inBasis[j] && t.place(j) {
-			placed++
-		}
-	}
-	return placed == s.m
-}
-
 // place makes column j basic in the unassigned row (basis entry -1) where
 // it is largest in magnitude, ties to the lower row, and reports false when
 // no unassigned row holds an entry above pivotTol. A unit column e_r is
 // placed in row r with no elimination: there a Gauss-Jordan step would
 // scale by 1 and find nothing to eliminate.
 //
-//gapvet:hotpath install and installCanonical place every basic column through it
+//gapvet:hotpath install places every basic column through it
 func (t *tableau) place(j int) bool {
 	pr := int(t.s.unit[j])
 	if pr >= 0 {
@@ -1404,7 +1368,7 @@ func (t *tableau) pivotRow(j int) int {
 // pc's list becomes just pr. The index is exact only on a form that no
 // pivot has touched, so gauss on a pivoted form is a programming error.
 //
-//gapvet:hotpath m Gauss-Jordan steps per warm install and per canonical extraction; the nonzero list lives in presized tableau scratch
+//gapvet:hotpath m Gauss-Jordan steps per warm install; the nonzero list lives in presized tableau scratch
 func (t *tableau) gauss(pr, pc int) {
 	s := t.s
 	if s.indexStale {
