@@ -68,6 +68,7 @@ func run() int {
 		Date:   time.Now().UTC().Format("2006-01-02"),
 		Seed:   *seed,
 		Note:   *note,
+		Host:   benchstore.CurrentHost(),
 	}
 	for _, b := range obs.HistogramBounds() {
 		file.HistBounds = append(file.HistBounds, benchstore.Float(b))
@@ -120,6 +121,10 @@ func run() int {
 	if baseline.Seed != *seed {
 		fmt.Fprintf(os.Stderr, "gapbench: warning: baseline seed %d != harness seed %d; fingerprint checks will catch tree changes\n",
 			baseline.Seed, *seed)
+	}
+	if !benchstore.SameHost(baseline, file) {
+		fmt.Printf("note: hosts differ (baseline %s; this run %s): soft metrics compare different machines\n",
+			baseline.Host, file.Host)
 	}
 	// A partial run (-fixtures) must not count unselected baseline fixtures
 	// as missing: restrict the baseline to what actually ran.

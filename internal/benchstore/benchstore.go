@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // SchemaVersion is the current BENCH file schema. Decode rejects files
@@ -93,11 +94,42 @@ type File struct {
 	Date   string `json:"date"` // YYYY-MM-DD, also embedded in the filename
 	Seed   int64  `json:"seed"` // harness seed the fixtures ran under
 	Note   string `json:"note,omitempty"`
+	// Host is the machine the ledger was measured on. Ledgers written
+	// before it was recorded have none, and re-encode without one.
+	Host *Host `json:"host,omitempty"`
 	// HistBounds are the obs histogram bucket upper bounds (seconds) the
 	// Histogram bucket vectors below are defined over; the final implicit
 	// bucket is +Inf.
 	HistBounds []Float   `json:"hist_bounds,omitempty"`
 	Fixtures   []Fixture `json:"fixtures"`
+}
+
+// Host describes the machine behind a ledger's wall-clock and allocation
+// figures: two ledgers' soft metrics only compare like for like when their
+// hosts match.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// CurrentHost describes the running process's host.
+func CurrentHost() *Host {
+	return &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
+// String renders h on one line; a nil host reads "unrecorded".
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("num_cpu=%d gomaxprocs=%d go=%s", h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+}
+
+// SameHost reports whether two ledgers were measured on like hosts. A
+// ledger without a host matches nothing.
+func SameHost(a, b *File) bool {
+	return a.Host != nil && b.Host != nil && *a.Host == *b.Host
 }
 
 // Fixture is one benchmark scenario's measured outcome.

@@ -3,6 +3,8 @@ package benchstore
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -96,6 +98,82 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 	if !math.IsInf(got["weird_inf"], 1) || !math.IsInf(got["weird_neg_inf"], -1) || !math.IsNaN(got["weird_nan"]) {
 		t.Fatalf("non-finite values lost: %+v", got)
+	}
+}
+
+// TestHostRoundTrip pins the optional host record: a ledger written before
+// it existed decodes and re-encodes byte for byte with no host key, and a
+// ledger with one keeps it through a round trip.
+func TestHostRoundTrip(t *testing.T) {
+	old, err := Encode(sampleFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(old, []byte(`"host"`)) {
+		t.Fatalf("a ledger without a host encodes a host key:\n%s", old)
+	}
+	f, err := Decode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Host != nil {
+		t.Fatalf("old-format ledger decoded with host %v", f.Host)
+	}
+	if again, err := Encode(f); err != nil || !bytes.Equal(again, old) {
+		t.Fatalf("old-format ledger did not re-encode byte-identically (err %v):\n%s", err, again)
+	}
+
+	withHost := sampleFile()
+	withHost.Host = &Host{NumCPU: 8, GOMAXPROCS: 4, GoVersion: "go1.24.0"}
+	b1, err := Encode(withHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b1, []byte(`"host": {
+    "num_cpu": 8,
+    "gomaxprocs": 4,
+    "go_version": "go1.24.0"
+  }`)) {
+		t.Fatalf("host not encoded as expected:\n%s", b1)
+	}
+	f2, err := Decode(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f2.Host == nil || *f2.Host != *withHost.Host {
+		t.Fatalf("host %v after round trip, want %v", f2.Host, withHost.Host)
+	}
+	if b2, err := Encode(f2); err != nil || !bytes.Equal(b1, b2) {
+		t.Fatalf("ledger with a host did not re-encode byte-identically (err %v)", err)
+	}
+	if SameHost(f2, withHost) != true || SameHost(f, withHost) || SameHost(f, f) {
+		t.Fatal("SameHost: want equal recorded hosts to match and an unrecorded host to match nothing")
+	}
+}
+
+// TestCommittedLedgersReencode decodes every ledger committed at the
+// repository root and requires Encode to reproduce it byte for byte, so
+// adding fields to File never rewrites history.
+func TestCommittedLedgersReencode(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Skip("no committed ledgers")
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if again, err := Encode(f); err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("%s does not re-encode byte-identically (err %v)", path, err)
+		}
 	}
 }
 
