@@ -243,15 +243,16 @@ func (e *extraction) transform(j int) {
 			if k > 0 {
 				from = e.etaEnd[k-1]
 			}
-			for q := from; q < e.etaEnd[k]; q++ {
-				i := e.mulRow[q]
-				if !e.listed[i] {
-					e.listed[i] = true
+			rows, vals := e.mulRow[from:e.etaEnd[k]], e.mulVal[from:e.etaEnd[k]]
+			x, listed, rowEta := e.x, e.listed, e.rowEta
+			for q, i := range rows {
+				if !listed[i] {
+					listed[i] = true
 					e.list[e.nList] = i
 					e.nList++
 				}
-				e.x[i] -= e.mulVal[q] * v
-				if k2 := e.rowEta[i]; int(k2) > k {
+				x[i] -= vals[q] * v
+				if k2 := rowEta[i]; int(k2) > k {
 					e.pend[k2>>6] |= 1 << (k2 & 63)
 				}
 			}
