@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// refExtract is the canonical extraction extraction.canonical replaces:
-// build a fresh standard form, bar its artificials, install the support
-// canonically with the dense reference kernels, reset the phase-2 costs for
-// the objective and clamp the refactorization dust. It returns copies.
+// refExtract is the dense reference for extraction.canonical: build a fresh
+// standard form, bar its artificials, install the support canonically with
+// the dense reference kernels, reset the phase-2 costs for the objective
+// and clamp the refactorization dust. It returns copies.
 func refExtract(t testing.TB, p *Problem, ov map[VarID][2]float64, support []int) (basis []int, b []float64, obj float64, ok bool) {
 	t.Helper()
 	s, err := buildStandard(p, ov)

@@ -86,9 +86,8 @@ func refInstall(t *tableau, cols []int32) bool {
 // scanning all columns in ascending index — unblocked columns first,
 // blocked/artificial filler only for rows nothing else can cover
 // (redundant rows). It returns false when the support is not extendable to
-// a basis. Until the eta-file extraction replaced it, finishSolution ran it
-// on a second, freshly built form; it stays as a test reference that keeps
-// the column index honest under exactly that placement order.
+// a basis. It is a test reference: installDifferential checks the column
+// index under exactly the placement order the extraction uses.
 func (t *tableau) installCanonical(support []int) bool {
 	s := t.s
 	for i := range t.basis {
