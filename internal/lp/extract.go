@@ -167,6 +167,8 @@ func (e *extraction) canonical(support []int, blocked []bool, c []float64) (basi
 		}
 		obj += cb * e.b[i]
 	}
+	// Refactorization dust: basic values that came out a hair negative are
+	// exactly zero at the vertex the search terminated on.
 	for i, v := range e.b {
 		if v < 0 && v > -feasTol {
 			e.b[i] = 0

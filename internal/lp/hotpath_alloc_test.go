@@ -91,8 +91,8 @@ func (st formState) restore(t *tableau) {
 
 // The //gapvet:hotpath annotations on the tableau kernels are a static
 // promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
-// kernels with the runtime's own counter: gauss (warm install and canonical
-// extraction) and pivot (every simplex step) keep their nonzero list in the
+// kernels with the runtime's own counter: gauss (warm install) and pivot
+// (every simplex step) keep their nonzero list in the
 // tableau's presized scratch, and gauss's fill-in goes to the row lists in
 // the recycled slab, so neither may allocate per call.
 func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {

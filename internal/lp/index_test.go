@@ -440,8 +440,8 @@ func solveProtocol(t *testing.T, p *Problem, pick int) {
 
 // TestSolvesNeverGaussOnStaleIndex runs every lpFixtures and randomLP case
 // through the full solve protocol and fails if any solve reaches gauss on a
-// standard form that pivot has already touched: warm installs and canonical
-// extractions must only ever run on freshly built forms.
+// standard form that pivot has already touched: warm installs must only
+// ever run on freshly built forms, and the extraction runs on its snapshot.
 func TestSolvesNeverGaussOnStaleIndex(t *testing.T) {
 	run := func(name string, p *Problem, pick int) {
 		t.Helper()

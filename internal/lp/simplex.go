@@ -814,10 +814,11 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 // of that vertex's support (extraction.canonical). X and Objective are
 // therefore a pure function of (problem data, overrides) — never of the
 // pivot history — which is what lets branch and bound promise an identical
-// explored tree with warm starting on or off. Duals and the captured basis intentionally come from the terminal
-// state instead: its basis is dual feasible (a valid certificate and a
-// transplantable warm start), at the price of being path-dependent in the
-// last bits. Nothing that steers the search consumes them.
+// explored tree with warm starting on or off. Duals and the captured basis
+// intentionally come from the terminal state instead: its basis is dual
+// feasible (a valid certificate and a transplantable warm start), at the
+// price of being path-dependent in the last bits. Nothing that steers the
+// search consumes them.
 func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solution {
 	sol := &Solution{
 		Status:           st,
