@@ -115,7 +115,7 @@ func (e *extraction) record(s *stdForm) {
 }
 
 // canonical places the canonical basis of the vertex with the given support
-// on the pristine form, in installCanonical's order: the support columns
+// on the pristine form, in the canonical placement order: the support columns
 // ascending, then every unblocked column by ascending index, then blocked
 // filler for the rows nothing else covers. Each column goes to the
 // unassigned row where it is largest in magnitude, ties to the lower row.
