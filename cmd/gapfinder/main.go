@@ -13,12 +13,13 @@
 // SIGINT/SIGTERM interrupt the search cooperatively: the best-so-far result
 // and its SUMMARY line are still printed, and the process exits with code 3
 // (a second signal kills immediately). With -checkpoint set, a killed run
-// can be resumed with -resume from the same flags; the resumed search
-// explores the exact tree the uninterrupted run would have.
+// can be resumed with -resume from the same flags, -workers included; the
+// resumed search explores the exact tree the uninterrupted run would have.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -82,7 +83,7 @@ func run() int {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. localhost:6060)")
 	ckptPath := flag.String("checkpoint", "", "write a crash-safe checkpoint to this file (atomic replace: whitebox wave state or blackbox restart ledger)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every N completed waves (whitebox) or restarts (blackbox); 0 = every one")
-	resumePath := flag.String("resume", "", "resume from this checkpoint file; rerun with the same model flags as the checkpointed run")
+	resumePath := flag.String("resume", "", "resume from this checkpoint file; rerun with the same model flags and -workers as the checkpointed run")
 	faultSpec := flag.String("faults", "", "deterministic fault-injection plan, e.g. lp-solve:3,ckpt-write:1,deadline:2 (crash-safety testing)")
 	restarts := flag.Int("restarts", 0, "blackbox restart cap (0 = restart until -budget expires; -checkpoint needs > 0)")
 	flag.Parse()
@@ -227,6 +228,10 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 			}
 		default:
 			log.Fatalf("unknown heuristic %q", heuristic)
+		}
+		var mismatch *checkpoint.MismatchError
+		if errors.As(err, &mismatch) {
+			log.Fatalf("%v\ngapfinder: -resume continues only the search that wrote the checkpoint: rerun with the same model flags and the same -workers (the wave size defaults to twice the worker count)", err)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -5,23 +5,30 @@ import (
 	"math/bits"
 )
 
-// extraction is finishSolution's canonical refactorization, kept in the
-// recycled slab next to the matrix it replays. buildStandard records the
-// pristine constraint matrix (column-compressed) and right-hand side here
-// before any pivot touches the form; canonical then places a basis on that
-// pristine data without a second m x n tableau.
+// extraction is the one refactorization kernel of the package, kept in the
+// recycled slab next to the matrix it refactorizes. buildStandard notes
+// where it writes the constraint matrix, and record turns those notes and
+// the right-hand side into a pristine column-compressed snapshot before any
+// pivot touches the form. Both basis placements run on that snapshot:
+// install (the warm start's basis, whose eta file tableau.install replays
+// on the dense form) and canonical (finishSolution's extraction, which
+// needs only b and one objective).
 //
 // Gauss-Jordan elimination is column-separable: a step on (pr, pc) scales
 // a column's pivot-row entry by the reciprocal pivot when that entry is
 // nonzero, and then subtracts multiplier times that entry from every row
 // where column pc is nonzero. What happens to one column depends only on
-// that column and on the step. So canonical records each step as an eta
-// (pivot row, reciprocal, the pivot column's nonzero multipliers) and
-// pushes a column through the eta file only when the placement scan
-// reaches it. b is eliminated as each eta is recorded, so it gets the
-// same float operations as in a full elimination.
+// that column and on the step. So a placement records each step as an eta
+// (pivot row and column, reciprocal, the pivot column's nonzero
+// multipliers) and pushes a column through the eta file only when the
+// placement scan reaches it. b is eliminated as each eta is recorded, so
+// it gets the same float operations as in a full elimination.
 type extraction struct {
 	m, n int
+
+	// notes lists the (row, column) positions buildStandard wrote, in fill
+	// order, possibly repeated; record compresses them by column.
+	notes []entry
 
 	// Pristine form: column j's nonzeros are rows pRow[pCol[j]:pCol[j+1]]
 	// with values pVal[...]; pB is the right-hand side as built.
@@ -38,11 +45,12 @@ type extraction struct {
 	list   []int32   // m
 	nList  int
 
-	// Eta file. Eta e pivots on row etaRow[e] with reciprocal etaInv[e];
-	// its multipliers are mulRow/mulVal[etaEnd[e-1]:etaEnd[e]]. rowEta[i]
-	// names the eta that pivots on row i, or -1. pend holds one bit per
-	// eta that the work column may still need, walked in ascending order.
+	// Eta file. Eta e pivots on row etaRow[e] and column etaCol[e] with
+	// reciprocal etaInv[e]; its multipliers are mults(e). rowEta[i] names
+	// the eta that pivots on row i, or -1. pend holds one bit per eta that
+	// the work column may still need, walked in ascending order.
 	etaRow []int32
+	etaCol []int32
 	etaInv []float64
 	etaEnd []int32
 	mulRow []int32
@@ -55,6 +63,9 @@ type extraction struct {
 	sup    []int     // m: finishSolution's support scratch
 }
 
+// entry is a (row, column) position of the constraint matrix.
+type entry struct{ row, col int32 }
+
 // resize returns s with length n, reusing its backing array when large
 // enough. The contents are not preserved.
 func resize[T any](s []T, n int) []T {
@@ -64,9 +75,15 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// note records that buildStandard wrote position (i, j) of the matrix.
+func (e *extraction) note(i, j int) {
+	e.notes = append(e.notes, entry{int32(i), int32(j)})
+}
+
 // record snapshots s's freshly built matrix and right-hand side into the
-// slab's extraction state and sizes its workspace. The row lists may hold
-// zeros and duplicates; the snapshot keeps each nonzero once.
+// slab's extraction state and sizes its workspace. A counting sort groups
+// the notes by column; the snapshot then keeps each nonzero once, whatever
+// order the notes came in.
 func (e *extraction) record(s *stdForm) {
 	m, n := s.m, s.n
 	e.m, e.n = m, n
@@ -83,35 +100,94 @@ func (e *extraction) record(s *stdForm) {
 	e.sup = resize(e.sup, m)
 	if cap(e.etaRow) < m {
 		e.etaRow = make([]int32, 0, m)
+		e.etaCol = make([]int32, 0, m)
 		e.etaInv = make([]float64, 0, m)
 		e.etaEnd = make([]int32, 0, m)
 	}
 
-	total := 0
-	for j := 0; j < n; j++ {
-		total += int(s.colLen[j])
-	}
+	// Counting sort: pCol[j+1] counts column j's notes, the prefix sums
+	// turn pCol[j] into the start of column j, and filling advances it to
+	// the column's end.
 	e.pCol = resize(e.pCol, n+1)
-	e.pRow = resize(e.pRow, total)
-	e.pVal = resize(e.pVal, total)
-	// rowEta doubles as the last column that listed each row, to drop the
-	// lists' duplicates; canonical resets it before use.
+	clear(e.pCol)
+	for _, nt := range e.notes {
+		e.pCol[nt.col+1]++
+	}
+	for j := 0; j < n; j++ {
+		e.pCol[j+1] += e.pCol[j]
+	}
+	e.pRow = resize(e.pRow, len(e.notes))
+	e.pVal = resize(e.pVal, len(e.notes))
+	for _, nt := range e.notes {
+		e.pRow[e.pCol[nt.col]] = nt.row
+		e.pCol[nt.col]++
+	}
+
+	// Compact in place, back to column starts: drop zeros and the repeats
+	// of a row within a column. rowEta doubles as the last column that
+	// kept each row; reset clears it before any placement.
 	seen := e.rowEta
 	for i := range seen {
 		seen[i] = -1
 	}
-	k := 0
+	k, from := int32(0), int32(0)
 	for j := 0; j < n; j++ {
-		e.pCol[j] = int32(k)
-		for _, i := range s.col(j) {
+		to := e.pCol[j]
+		e.pCol[j] = k
+		for _, i := range e.pRow[from:to] {
 			if v := s.a[i][j]; v != 0 && seen[i] != int32(j) {
 				seen[i] = int32(j)
 				e.pRow[k], e.pVal[k] = i, v
 				k++
 			}
 		}
+		from = to
 	}
-	e.pCol[n] = int32(k)
+	e.pCol[n] = k
+}
+
+// reset empties the eta file and the basis and reloads the pristine b.
+func (e *extraction) reset() {
+	clear(e.x)
+	clear(e.listed)
+	clear(e.pend)
+	clear(e.placed)
+	for i := range e.rowEta {
+		e.rowEta[i] = -1
+		e.basis[i] = -1
+	}
+	copy(e.b, e.pB)
+	e.etaRow, e.etaCol = e.etaRow[:0], e.etaCol[:0]
+	e.etaInv, e.etaEnd = e.etaInv[:0], e.etaEnd[:0]
+	e.mulRow, e.mulVal = e.mulRow[:0], e.mulVal[:0]
+}
+
+// mults returns the multiplier rows and values of eta k.
+func (e *extraction) mults(k int) ([]int32, []float64) {
+	from := int32(0)
+	if k > 0 {
+		from = e.etaEnd[k-1]
+	}
+	return e.mulRow[from:e.etaEnd[k]], e.mulVal[from:e.etaEnd[k]]
+}
+
+// install places cols on the pristine form in the order given, each in the
+// unassigned row where it is largest in magnitude, ties to the lower row,
+// and leaves the eta file of that Gauss-Jordan install behind for
+// tableau.install to replay. It reports false when a column is out of
+// range or repeated, or no unassigned row holds an entry of it above
+// pivotTol.
+//
+//gapvet:hotpath one warm install per warm node LP; the work column and the eta file live in the recycled slab
+func (e *extraction) install(cols []int32) bool {
+	e.reset()
+	for _, c := range cols {
+		j := int(c)
+		if j < 0 || j >= e.n || e.placed[j] || !e.place(j) {
+			return false
+		}
+	}
+	return true
 }
 
 // canonical places the canonical basis of the vertex with the given support
@@ -127,17 +203,7 @@ func (e *extraction) record(s *stdForm) {
 //
 //gapvet:hotpath one canonical extraction per optimal solve; the work column and the eta file live in the recycled slab
 func (e *extraction) canonical(support []int, blocked []bool, c []float64) (basis []int, b []float64, obj float64, ok bool) {
-	clear(e.x)
-	clear(e.listed)
-	clear(e.pend)
-	clear(e.placed)
-	for i := range e.rowEta {
-		e.rowEta[i] = -1
-		e.basis[i] = -1
-	}
-	copy(e.b, e.pB)
-	e.etaRow, e.etaInv, e.etaEnd = e.etaRow[:0], e.etaInv[:0], e.etaEnd[:0]
-	e.mulRow, e.mulVal = e.mulRow[:0], e.mulVal[:0]
+	e.reset()
 
 	placed := 0
 	for _, j := range support {
@@ -197,7 +263,7 @@ func (e *extraction) place(j int) bool {
 		}
 	}
 	if pr != -1 {
-		e.eliminate(pr)
+		e.eliminate(pr, j)
 		e.basis[pr] = j
 		e.placed[j] = true
 	}
@@ -241,11 +307,7 @@ func (e *extraction) transform(j int) {
 			}
 			v *= e.etaInv[k]
 			e.x[pr] = v
-			from := int32(0)
-			if k > 0 {
-				from = e.etaEnd[k-1]
-			}
-			rows, vals := e.mulRow[from:e.etaEnd[k]], e.mulVal[from:e.etaEnd[k]]
+			rows, vals := e.mults(k)
 			x, listed, rowEta := e.x, e.listed, e.rowEta
 			for q, i := range rows {
 				if !listed[i] {
@@ -262,14 +324,14 @@ func (e *extraction) transform(j int) {
 	}
 }
 
-// eliminate records the Gauss-Jordan step on the work column at row pr and
-// applies it to b: scale b[pr], then subtract multiplier times b[pr] from
-// every other row where the column is nonzero. A step that scales by 1
-// and eliminates nothing (a unit column) changes no bits anywhere, so it
-// is left out of the file.
+// eliminate records the Gauss-Jordan step that makes column j, now in the
+// work column, basic in row pr, and applies it to b: scale b[pr], then
+// subtract multiplier times b[pr] from every other row where the column is
+// nonzero. A step that scales by 1 and eliminates nothing (a unit column)
+// changes no bits anywhere, so it is left out of the file.
 //
 //gapvet:hotpath one call per placed column; the eta file's capacity is kept across solves by the slab
-func (e *extraction) eliminate(pr int) {
+func (e *extraction) eliminate(pr, j int) {
 	inv := 1 / e.x[pr]
 	e.b[pr] *= inv
 	from := len(e.mulRow)
@@ -287,6 +349,7 @@ func (e *extraction) eliminate(pr int) {
 	}
 	e.rowEta[pr] = int32(len(e.etaRow))
 	e.etaRow = append(e.etaRow, int32(pr))
+	e.etaCol = append(e.etaCol, int32(j))
 	e.etaInv = append(e.etaInv, inv)
 	e.etaEnd = append(e.etaEnd, int32(len(e.mulRow)))
 }

@@ -35,11 +35,11 @@ func refExtract(t testing.TB, p *Problem, ov map[VarID][2]float64, support []int
 }
 
 // extractDifferential runs extraction.canonical for support on a form of p
-// whose matrix and right-hand side an install of cols has already moved
-// off the pristine data, so the kernel can only be reading its snapshot,
-// and compares it with refExtract: the same success or failure and, on
-// success, bitwise-equal basis, b and objective. The kernel runs twice on
-// the same slab to check that it resets its workspace.
+// after an install of cols, which moves the matrix and right-hand side off
+// the pristine data when it succeeds and leaves its eta file in the slab
+// either way, and compares it with refExtract: the same success or failure
+// and, on success, bitwise-equal basis, b and objective. The kernel runs
+// twice on the same slab to check that it resets its workspace.
 func extractDifferential(t testing.TB, p *Problem, ov map[VarID][2]float64, cols []int32, support []int) {
 	t.Helper()
 	s, err := buildStandard(p, ov)

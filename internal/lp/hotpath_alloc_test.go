@@ -61,74 +61,65 @@ func TestHotpathSolveKernelsDoNotAllocate(t *testing.T) {
 }
 
 // formState is a copy of everything gauss, pivot and the installs write to
-// a form: the matrix, the right-hand side and the column index. restore puts it back
-// without allocating, so one prepared form can be installed over and over.
+// a form: the matrix and the right-hand side. restore puts it back without
+// allocating, so one prepared form can be installed over and over.
 type formState struct {
-	data, b               []float64
-	unit, colRows, colLen []int32
+	data, b []float64
 }
 
 func saveForm(s *stdForm) formState {
-	return formState{
-		data:    slices.Clone(s.slab.data),
-		b:       slices.Clone(s.b),
-		unit:    slices.Clone(s.unit),
-		colRows: slices.Clone(s.colRows),
-		colLen:  slices.Clone(s.colLen),
-	}
+	return formState{data: slices.Clone(s.slab.data), b: slices.Clone(s.b)}
 }
 
 func (st formState) restore(t *tableau) {
 	s := t.s
 	copy(s.slab.data, st.data)
 	copy(s.b, st.b)
-	copy(s.unit, st.unit)
-	copy(s.colRows, st.colRows)
-	copy(s.colLen, st.colLen)
-	s.indexStale = false
+	s.pivoted = false
 	clear(t.inBasis)
+}
+
+// otherRows lists the rows other than pr where column pc of s is nonzero:
+// the multiplier rows of a Gauss-Jordan step on (pr, pc).
+func otherRows(s *stdForm, pr, pc int) []int32 {
+	var rows []int32
+	for i := 0; i < s.m; i++ {
+		if i != pr && s.a[i][pc] != 0 {
+			rows = append(rows, int32(i))
+		}
+	}
+	return rows
 }
 
 // The //gapvet:hotpath annotations on the tableau kernels are a static
 // promise; TestHotpathDenseKernelsDoNotAllocate seals the two elimination
-// kernels with the runtime's own counter: gauss (warm install) and pivot
-// (every simplex step) keep their nonzero list in the
-// tableau's presized scratch, and gauss's fill-in goes to the row lists in
-// the recycled slab, so neither may allocate per call.
+// kernels with the runtime's own counter: gauss (one replayed step of a
+// warm install) and pivot (every simplex step) keep their nonzero list in
+// the tableau's presized scratch, so neither may allocate per call.
 func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
 	pristine := saveForm(s)
 
-	// Alternate between two pivot positions so every call does real
-	// scaling and elimination work, and fill-in through the index.
-	if allocs := testing.AllocsPerRun(100, func() {
-		tab.gauss(0, 0)
-		tab.gauss(0, 1)
-	}); allocs != 0 {
-		t.Errorf("gauss allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	// x is nonzero in rows 0, 2 and 3, so each step scales row 0 and
+	// eliminates from two more rows.
+	rows := otherRows(s, 0, 0)
+	if len(rows) != 2 {
+		t.Fatalf("column x is nonzero in rows %v besides row 0, want two", rows)
 	}
-	checkIndex(t, s)
-
-	// Row 0's slack (column 3) is e_0 with its row list padded to m with
-	// duplicates. gauss(0, 0) fills it in on rows 2 and 3, where x is
-	// nonzero, so the first fill-in compacts the full list.
-	const slack0 = 3
-	compacting := func() {
+	gauss := func() {
 		pristine.restore(tab)
-		for k := 0; k < s.m; k++ {
-			s.colRows[slack0*s.m+k] = 0
-		}
-		s.colLen[slack0] = int32(s.m)
-		tab.gauss(0, 0)
+		tab.gauss(0, 0, rows)
 	}
-	compacting()
-	checkIndex(t, s)
-	if got := s.col(slack0); !slices.Equal(got, []int32{0, 2, 3}) {
-		t.Fatalf("slack row list after a compacting gauss = %v, want [0 2 3]", got)
+	gauss()
+	ref := saveForm(s)
+	pristine.restore(tab)
+	refGauss(tab, 0, 0)
+	if !slices.Equal(s.slab.data, ref.data) || !slices.Equal(s.b, ref.b) {
+		t.Fatal("gauss over the column's other rows differs from the dense step")
 	}
-	if allocs := testing.AllocsPerRun(100, compacting); allocs != 0 {
-		t.Errorf("gauss with a compaction allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	if allocs := testing.AllocsPerRun(100, gauss); allocs != 0 {
+		t.Errorf("gauss allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 
 	pristine.restore(tab)
@@ -141,8 +132,8 @@ func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 }
 
 // TestHotpathInstallsDoNotAllocate seals the warm install on a prepared
-// form and the canonical extraction: placing a column, through the unit
-// shortcut or a gauss step, reuses the tableau and the slab, and the rows
+// form and the canonical extraction: placing the columns on the snapshot
+// and replaying the eta file reuse the tableau and the slab, and the rows
 // already assigned are read off the basis itself; the extraction's work
 // column and eta file live in the slab too.
 func TestHotpathInstallsDoNotAllocate(t *testing.T) {
@@ -150,7 +141,7 @@ func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 	defer s.release()
 	pristine := saveForm(s)
 
-	// x, y, z and the upper-bound row's slack: nonsingular, three gauss
+	// x, y, z and the upper-bound row's slack: nonsingular, three replayed
 	// steps and one unit placement.
 	cols := []int32{0, 1, 2, 6}
 	install := func() {
@@ -160,7 +151,9 @@ func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 		}
 	}
 	install()
-	checkIndex(t, s)
+	if got := len(s.slab.ext.etaRow); got != 3 {
+		t.Fatalf("install recorded %d etas, want 3", got)
+	}
 	if allocs := testing.AllocsPerRun(100, install); allocs != 0 {
 		t.Errorf("install allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// refPivotRow is the dense pivot-row choice the column index replaced: an
-// ascending scan over every row that keeps the first strict maximum of
-// |a[i][j]| above pivotTol among unassigned rows.
+// refPivotRow is the dense pivot-row choice that extraction.place makes
+// over a column's nonzeros: an ascending scan over every row that keeps the
+// first strict maximum of |a[i][j]| above pivotTol among unassigned rows.
 func refPivotRow(t *tableau, j int) int {
 	s := t.s
 	best, bestAbs := -1, pivotTol
@@ -26,8 +26,8 @@ func refPivotRow(t *tableau, j int) int {
 	return best
 }
 
-// refGauss is the dense Gauss-Jordan step the column index replaced: it
-// eliminates column pc from every row and ignores the index.
+// refGauss is the dense Gauss-Jordan step that the eta replay reproduces:
+// it eliminates column pc from every row.
 func refGauss(t *tableau, pr, pc int) {
 	s := t.s
 	nz, inv := t.scaleRow(pr, pc)
@@ -50,7 +50,7 @@ func refGauss(t *tableau, pr, pc int) {
 	}
 }
 
-// refPlace is place over the dense reference kernels: no unit shortcut.
+// refPlace makes column j basic with the dense reference kernels.
 func refPlace(t *tableau, j int) bool {
 	pr := refPivotRow(t, j)
 	if pr == -1 {
@@ -62,7 +62,8 @@ func refPlace(t *tableau, j int) bool {
 	return true
 }
 
-// refInstall is install over the dense reference kernels.
+// refInstall is install over the dense reference kernels: no snapshot, no
+// eta file.
 func refInstall(t *tableau, cols []int32) bool {
 	s := t.s
 	if len(cols) != s.m {
@@ -80,40 +81,13 @@ func refInstall(t *tableau, cols []int32) bool {
 	return true
 }
 
-// installCanonical is the canonical install that extraction.canonical
-// replays, over the indexed kernels: the support columns are placed first
-// (they are independent at a vertex), then the basis is completed by
+// refInstallCanonical is the canonical install that extraction.canonical
+// replays, over the dense reference kernels: the support columns are placed
+// first (they are independent at a vertex), then the basis is completed by
 // scanning all columns in ascending index — unblocked columns first,
 // blocked/artificial filler only for rows nothing else can cover
 // (redundant rows). It returns false when the support is not extendable to
-// a basis. It is a test reference: installDifferential checks the column
-// index under exactly the placement order the extraction uses.
-func (t *tableau) installCanonical(support []int) bool {
-	s := t.s
-	for i := range t.basis {
-		t.basis[i] = -1
-	}
-	placed := 0
-	for _, j := range support {
-		if j < 0 || j >= s.n || t.inBasis[j] || !t.place(j) {
-			return false
-		}
-		placed++
-	}
-	for j := 0; j < s.n && placed < s.m; j++ {
-		if !t.inBasis[j] && !t.blocked[j] && t.place(j) {
-			placed++
-		}
-	}
-	for j := 0; j < s.n && placed < s.m; j++ {
-		if !t.inBasis[j] && t.place(j) {
-			placed++
-		}
-	}
-	return placed == s.m
-}
-
-// refInstallCanonical is installCanonical over the dense reference kernels.
+// a basis.
 func refInstallCanonical(t *tableau, support []int) bool {
 	s := t.s
 	for i := range t.basis {
@@ -139,62 +113,23 @@ func refInstallCanonical(t *tableau, support []int) bool {
 	return placed == s.m
 }
 
-// checkIndex verifies the column index of s against its matrix: every
-// nonzero (i, j) is listed for column j, no list exceeds m, and unit[j] = r
-// only when column j is exactly e_r.
-func checkIndex(t *testing.T, s *stdForm) {
+// sameMatrix requires bitwise-equal a and b in two standard forms.
+func sameMatrix(t *testing.T, what string, got, want *stdForm) {
 	t.Helper()
-	listed := make([]bool, s.m)
-	for j := 0; j < s.n; j++ {
-		if l := int(s.colLen[j]); l < 0 || l > s.m {
-			t.Fatalf("column %d: list length %d outside [0, %d]", j, l, s.m)
+	for i := 0; i < want.m; i++ {
+		if math.Float64bits(got.b[i]) != math.Float64bits(want.b[i]) {
+			t.Fatalf("%s: b[%d] = %v, reference %v", what, i, got.b[i], want.b[i])
 		}
-		clear(listed)
-		for _, i := range s.col(j) {
-			listed[i] = true
-		}
-		for i := 0; i < s.m; i++ {
-			if s.a[i][j] != 0 && !listed[i] {
-				t.Fatalf("nonzero a[%d][%d] = %g missing from column %d's row list %v", i, j, s.a[i][j], j, s.col(j))
+		for j := 0; j < want.n; j++ {
+			if math.Float64bits(got.a[i][j]) != math.Float64bits(want.a[i][j]) {
+				t.Fatalf("%s: a[%d][%d] = %v, reference %v", what, i, j, got.a[i][j], want.a[i][j])
 			}
 		}
-		r := int(s.unit[j])
-		if r < 0 {
-			continue
-		}
-		for i := 0; i < s.m; i++ {
-			want := 0.0
-			if i == r {
-				want = 1
-			}
-			if s.a[i][j] != want {
-				t.Fatalf("unit[%d] = %d but a[%d][%d] = %g", j, r, i, j, s.a[i][j])
-			}
-		}
-	}
-}
-
-// sameForm requires bitwise-equal a, b and basis in two tableaus.
-func sameForm(t *testing.T, what string, got, want *tableau) {
-	t.Helper()
-	gs, ws := got.s, want.s
-	for i := 0; i < ws.m; i++ {
-		if math.Float64bits(gs.b[i]) != math.Float64bits(ws.b[i]) {
-			t.Fatalf("%s: b[%d] = %v, reference %v", what, i, gs.b[i], ws.b[i])
-		}
-		for j := 0; j < ws.n; j++ {
-			if math.Float64bits(gs.a[i][j]) != math.Float64bits(ws.a[i][j]) {
-				t.Fatalf("%s: a[%d][%d] = %v, reference %v", what, i, j, gs.a[i][j], ws.a[i][j])
-			}
-		}
-	}
-	if !slices.Equal(got.basis, want.basis) {
-		t.Fatalf("%s: basis %v, reference %v", what, got.basis, want.basis)
 	}
 }
 
 // formPair builds the standard form of p twice, each with an artificial-
-// blocked tableau, so the indexed and reference kernels start from equal
+// blocked tableau, so install and the reference kernels start from equal
 // data. The caller releases both forms.
 func formPair(t *testing.T, p *Problem, ov map[VarID][2]float64) (idx, ref *tableau, ok bool) {
 	t.Helper()
@@ -213,39 +148,38 @@ func formPair(t *testing.T, p *Problem, ov map[VarID][2]float64) (idx, ref *tabl
 	return idx, ref, true
 }
 
-// installDifferential installs cols with the indexed kernels on one fresh
-// form and with the reference kernels on another, then installs support
-// canonically the same two ways, and requires identical outcomes,
-// bitwise-identical tableaus and a valid index. Last, it extracts support
-// with extraction.canonical against the same dense reference.
+// installDifferential installs cols with install on one fresh form and
+// with the dense reference kernels on another, and requires the same
+// success or failure. On success a, b and the basis must be bitwise those
+// of the reference; a rejected install must leave a and b bitwise as built.
+// Last, it extracts support with extraction.canonical against the dense
+// reference.
 func installDifferential(t *testing.T, p *Problem, ov map[VarID][2]float64, cols []int32, support []int) {
 	t.Helper()
 	idx, ref, ok := formPair(t, p, ov)
 	if !ok {
 		return
 	}
-	checkIndex(t, idx.s)
+	defer idx.s.release()
+	defer ref.s.release()
+	what := fmt.Sprintf("install(%v)", cols)
 	gotOK, wantOK := idx.install(cols), refInstall(ref, cols)
 	if gotOK != wantOK {
-		t.Fatalf("install(%v) = %v, reference %v", cols, gotOK, wantOK)
+		t.Fatalf("%s = %v, reference %v", what, gotOK, wantOK)
 	}
-	sameForm(t, fmt.Sprintf("install(%v)", cols), idx, ref)
-	checkIndex(t, idx.s)
-	idx.s.release()
-	ref.s.release()
-
-	if idx, ref, ok = formPair(t, p, ov); !ok {
-		return
+	if gotOK {
+		sameMatrix(t, what, idx.s, ref.s)
+		if !slices.Equal(idx.basis, ref.basis) {
+			t.Fatalf("%s: basis %v, reference %v", what, idx.basis, ref.basis)
+		}
+	} else {
+		fresh, err := buildStandard(p, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatrix(t, what+" rejected", idx.s, fresh)
+		fresh.release()
 	}
-	gotOK, wantOK = idx.installCanonical(support), refInstallCanonical(ref, support)
-	if gotOK != wantOK {
-		t.Fatalf("installCanonical(%v) = %v, reference %v", support, gotOK, wantOK)
-	}
-	sameForm(t, fmt.Sprintf("installCanonical(%v)", support), idx, ref)
-	checkIndex(t, idx.s)
-	idx.s.release()
-	ref.s.release()
-
 	extractDifferential(t, p, ov, cols, support)
 }
 
@@ -268,9 +202,9 @@ func pickColumns(data []byte, m, n int) (cols []int32, support []int) {
 	return cols, slices.Compact(support)
 }
 
-// compactingLP lists one variable in every row twice over, so its row list
-// fills with duplicates while the form is built and must be compacted
-// before the later rows fit.
+// compactingLP lists one variable twice in every row, the second time
+// after another variable's term, so the build notes each of its entries
+// twice and not back to back.
 func compactingLP() *Problem {
 	p := NewProblem("compacting", Maximize)
 	x := p.AddVar("x", 0, Inf)
@@ -279,25 +213,42 @@ func compactingLP() *Problem {
 	p.SetObj(y, 2)
 	for i := 0; i < 4; i++ {
 		c := float64(i + 1)
-		p.AddConstraint("d", NewExpr().Add(x, c).Add(x, 1).Add(y, 1), LE, 10*c)
+		p.AddConstraint("d", NewExpr().Add(x, c).Add(y, 1).Add(x, 1), LE, 10*c)
 	}
 	return p
 }
 
-// TestBuildCompactsFullRowList pins the compaction path of the index: the
-// duplicate terms of compactingLP overflow x's row list during the build,
-// and the compacted list must hold each row exactly once.
+// TestBuildCompactsFullRowList pins the compaction of the build's notes
+// into the pristine snapshot: compactingLP's duplicate terms must give
+// column x one entry per row, holding the summed coefficient, and every
+// column must list each of its nonzeros once with its built value.
 func TestBuildCompactsFullRowList(t *testing.T) {
 	s, err := buildStandard(compactingLP(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.release()
-	checkIndex(t, s)
-	got := slices.Clone(s.col(0))
-	slices.Sort(got)
-	if !slices.Equal(got, []int32{0, 1, 2, 3}) {
-		t.Fatalf("column x lists rows %v after compaction, want each of 0..3 once", got)
+	e := &s.slab.ext
+	x := e.pCol[0]
+	rows, vals := e.pRow[x:e.pCol[1]], e.pVal[x:e.pCol[1]]
+	if !slices.Equal(rows, []int32{0, 1, 2, 3}) || !slices.Equal(vals, []float64{2, 3, 4, 5}) {
+		t.Fatalf("column x snapshot rows %v values %v, want rows 0..3 once with values 2..5", rows, vals)
+	}
+	for j := 0; j < s.n; j++ {
+		for i := 0; i < s.m; i++ {
+			var got float64
+			for p := e.pCol[j]; p < e.pCol[j+1]; p++ {
+				if int(e.pRow[p]) == i {
+					if got != 0 {
+						t.Fatalf("column %d lists row %d twice", j, i)
+					}
+					got = e.pVal[p]
+				}
+			}
+			if got != s.a[i][j] {
+				t.Fatalf("snapshot a[%d][%d] = %v, built %v", i, j, got, s.a[i][j])
+			}
+		}
 	}
 }
 
@@ -355,8 +306,8 @@ func indexSeeds() []indexSeed {
 	} {
 		seeds = append(seeds, indexSeed{srcFuzzLP, 0, data})
 	}
-	// On this LP both the byte-picked install and the canonical install
-	// fill a row list up to m, so gauss compacts it on fill-in.
+	// A fuzz-found LP on which both the byte-picked install and the
+	// canonical placement fill in heavily.
 	seeds = append(seeds, indexSeed{srcFuzzLP, 0, []byte{91, 183, 132, 148, 6, 177, 1, 21, 87}})
 	for k := range len(lpFixtures()) {
 		seeds = append(seeds, indexSeed{srcFixture, int64(k), []byte{byte(k), 3, 1, 4}})
@@ -367,15 +318,16 @@ func indexSeeds() []indexSeed {
 	return append(seeds, indexSeed{srcCompacting, 0, []byte{0, 1, 2, 3}})
 }
 
-// FuzzIndexedInstall is the kernel differential of the column index. For a
+// FuzzIndexedInstall is the kernel differential of the warm install. For a
 // problem (decoded by fuzzLP, or a seed-selected lpFixtures or randomLP
-// case) it installs the same column set, and the same canonical support,
-// once with the indexed kernels and once with the dense reference scan. It
-// requires the same success or failure, bitwise-equal a, b and basis, and an
-// index that still lists every nonzero and names only true unit columns.
-// The column sets are a byte-derived pick (singular and invalid sets
-// included) and, when the problem solves, its captured basis installed on a
-// child that fixes one variable, as a warm solve installs it.
+// case) it installs the same column set once by replaying the snapshot's
+// eta file and once with the dense reference kernels. It requires the same
+// success or failure, bitwise-equal a, b and basis on success, and a form
+// left exactly as built on failure; then it checks the canonical extraction
+// of a support against its dense reference. The column sets are a
+// byte-derived pick (singular and invalid sets included) and, when the
+// problem solves, its captured basis installed on a child that fixes one
+// variable, as a warm solve installs it.
 func FuzzIndexedInstall(f *testing.F) {
 	for _, sd := range indexSeeds() {
 		f.Add(sd.src, sd.seed, sd.data)
@@ -440,8 +392,9 @@ func solveProtocol(t *testing.T, p *Problem, pick int) {
 
 // TestSolvesNeverGaussOnStaleIndex runs every lpFixtures and randomLP case
 // through the full solve protocol and fails if any solve reaches gauss on a
-// standard form that pivot has already touched: warm installs must only
-// ever run on freshly built forms, and the extraction runs on its snapshot.
+// standard form that a pivot has already touched: the eta file a warm
+// install replays is recorded from the form as built, so installs must only
+// ever run on freshly built forms.
 func TestSolvesNeverGaussOnStaleIndex(t *testing.T) {
 	run := func(name string, p *Problem, pick int) {
 		t.Helper()
@@ -462,12 +415,13 @@ func TestSolvesNeverGaussOnStaleIndex(t *testing.T) {
 	}
 }
 
-// TestGaussAfterPivotPanics pins the stale-index guard: pivot does not keep
-// the row lists, so a gauss step on a pivoted form would eliminate over an
-// incomplete row set, and it must panic instead.
+// TestGaussAfterPivotPanics pins the replay's guard: the eta file describes
+// the form as built, so replaying a step on a pivoted form would eliminate
+// over the wrong rows, and gauss must panic instead.
 func TestGaussAfterPivotPanics(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
+	rows := otherRows(s, 1, 1)
 	tab.pivot(0, 0)
 	defer func() {
 		r := recover()
@@ -478,5 +432,5 @@ func TestGaussAfterPivotPanics(t *testing.T) {
 			t.Fatalf("panic %q does not name the invariant", msg)
 		}
 	}()
-	tab.gauss(1, 1)
+	tab.gauss(1, 1, rows)
 }

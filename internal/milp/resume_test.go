@@ -137,6 +137,30 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestResumeAcrossDefaultBatchesMismatches pins the limit of that contract:
+// with Batch unset, the wave size defaults to 2*Workers, so a snapshot taken
+// at 4 workers names a batch of 8 and a resume at 1 worker (batch 1) is a
+// different search, which must be refused rather than continued.
+func TestResumeAcrossDefaultBatchesMismatches(t *testing.T) {
+	m := resumeModel(10, 7)
+	path := filepath.Join(t.TempDir(), "bnb.ckpt")
+	plan, _ := faultinject.Parse("deadline:2", 0)
+	if _, err := Solve(m, Options{Workers: 4, Checkpoint: path, Faults: plan}); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	snap, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var mm *checkpoint.MismatchError
+	if _, err := Resume(m, snap.BnB, Options{Workers: 1}); !errors.As(err, &mm) {
+		t.Fatalf("resume at 1 worker of a 4-worker default-batch snapshot: %v, want a MismatchError", err)
+	}
+	if _, err := Resume(m, snap.BnB, Options{Workers: 4}); err != nil {
+		t.Fatalf("resume at the same worker count: %v", err)
+	}
+}
+
 func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	m := resumeModel(8, 3)
 	path := filepath.Join(t.TempDir(), "bnb.ckpt")
