@@ -196,3 +196,36 @@ func TestHotpathCostKernelsDoNotAllocate(t *testing.T) {
 		t.Errorf("tiebreak allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 }
+
+// TestHotpathCertificateDoesNotAllocate seals the re-check of the dual
+// repair's infeasibility certificate: y goes to tableau scratch and the
+// pristine columns are read in place. The form is min u s.t. u - w >= 2
+// with u fixed at zero and installed basic, the "up" case, so the re-check
+// runs its full column scan and accepts.
+func TestHotpathCertificateDoesNotAllocate(t *testing.T) {
+	p := NewProblem("up", Minimize)
+	u := p.AddVar("u", 0, Inf)
+	w := p.AddVar("w", 0, Inf)
+	p.SetObj(u, 1)
+	p.AddConstraint("floor", NewExpr().Add(u, 1).Add(w, -1), GE, 2)
+	s, err := buildStandard(p, map[VarID][2]float64{u: {0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.release()
+	tab := newTableau(s, SolveOptions{})
+	for j := s.artFrom; j < s.n; j++ {
+		tab.blocked[j] = true
+	}
+	if !tab.install([]int32{int32(s.varMap[u].col)}) {
+		t.Fatal("install refused u")
+	}
+	if !tab.certifies(0, true) {
+		t.Fatal("re-check refused the up-case certificate; it would not scan every column")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tab.certifies(0, true)
+	}); allocs != 0 {
+		t.Errorf("certifies allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+}

@@ -27,6 +27,9 @@ var (
 	// that did not converge). lp_solves_total covers both kinds.
 	lpWarmSolves    = obs.Default.Counter("lp_warm_solves_total")
 	lpWarmFallbacks = obs.Default.Counter("lp_warm_fallbacks_total")
+	// lp_warm_infeasible_total counts the warm solves that ended at the dual
+	// repair's infeasibility certificate (a subset of lp_warm_solves_total).
+	lpWarmInfeasible = obs.Default.Counter("lp_warm_infeasible_total")
 )
 
 // Per-phase attribution: where simplex time and pivots go, not just how
@@ -525,6 +528,10 @@ func (p *Problem) SolveWith(opts SolveOptions) (*Solution, error) {
 		lpDegenerate.Add(int64(sol.DegeneratePivots))
 		mode := ""
 		switch {
+		case sol.Warm && sol.Status == StatusInfeasible:
+			lpWarmSolves.Inc()
+			lpWarmInfeasible.Inc()
+			mode = "warm-infeasible"
 		case sol.Warm:
 			lpWarmSolves.Inc()
 			mode = "warm"
@@ -1166,12 +1173,14 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
 	}
 	switch st := t.runDual(); st {
 	case statusWarmAbort, StatusIterLimit:
-		// Abort covers both dual cycling and a row with no entering column.
-		// The latter is a primal-infeasibility certificate, but the cold
-		// phase-1 stays the canonical feasibility oracle; an iteration cap
-		// must likewise produce exactly the cold solver's capped outcome.
+		// Abort covers dual cycling and a certificate the pristine re-check
+		// refused; an iteration cap must produce exactly the cold solver's
+		// capped outcome. The cold path answers all three.
 		return nil
-	case StatusDeadline, StatusInterrupted:
+	case StatusInfeasible, StatusDeadline, StatusInterrupted:
+		// An infeasible node is observed through its status alone (X and
+		// Dual are nil), and the certificate was re-checked on the form as
+		// built, so the cold phase 1 would only repeat the verdict.
 		sol := t.solution(st)
 		sol.Warm = true
 		return sol
@@ -1319,7 +1328,10 @@ func (t *tableau) runDual() Status {
 		}
 		if pc == -1 {
 			// No column can repair the violated row: a primal-infeasibility
-			// certificate. Let the cold phase 1 pronounce it.
+			// certificate, as far as the drifted tableau can tell.
+			if t.certifies(pr, up) {
+				return StatusInfeasible
+			}
 			return statusWarmAbort
 		}
 		before := t.obj
@@ -1335,6 +1347,44 @@ func (t *tableau) runDual() Status {
 			return statusWarmAbort
 		}
 	}
+}
+
+// certifies re-checks the dual repair's certificate on the form as built:
+// y, row pr of B⁻¹ read off the row-unit columns and negated in the "up"
+// case, proves the form infeasible when yᵀb₀ < -feasTol and yᵀA₀ⱼ >=
+// -pivotTol for every unblocked column j, since every feasible x >= 0 that
+// keeps the blocked columns at zero has yᵀb₀ = Σ yᵀA₀ⱼ·xⱼ. The tableau's
+// row has drifted with every pivot since the install; the pristine snapshot
+// has not, so only a certificate that holds there ends the solve.
+//
+//gapvet:hotpath once per dual repair that finds a row no column repairs; y lives in presized tableau scratch
+func (t *tableau) certifies(pr int, up bool) bool {
+	s, ext := t.s, &t.s.slab.ext
+	sign := 1.0
+	if up {
+		sign = -1
+	}
+	y, yb := t.rw[:s.m], 0.0
+	for i := range y {
+		y[i] = sign * s.a[pr][s.rowUnit[i]] * s.rowUnitSign[i]
+		yb += y[i] * ext.pB[i]
+	}
+	if yb >= -feasTol {
+		return false
+	}
+	for j := 0; j < s.n; j++ {
+		if t.blocked[j] {
+			continue
+		}
+		d := 0.0
+		for p := ext.pCol[j]; p < ext.pCol[j+1]; p++ {
+			d += y[ext.pRow[p]] * ext.pVal[p]
+		}
+		if d < -pivotTol {
+			return false
+		}
+	}
+	return true
 }
 
 // evictBlocked pivots blocked columns that remain basic (at ~zero after the

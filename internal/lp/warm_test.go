@@ -344,3 +344,51 @@ func TestRowUnitDualsRandomEQGE(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCertificateRejectedFallsBack drifts a warm-started form away from
+// its pristine snapshot: the dense right-hand side of the cap row reads -1,
+// the snapshot still reads 8. By the tableau's tolerances the row is an
+// infeasibility certificate (b < -feasTol, no negative entry to pivot on);
+// on the form as built it is not (yᵀb₀ = 8). The re-check must refuse it,
+// and the warm attempt must hand the solve back to the cold path (nil).
+func TestWarmCertificateRejectedFallsBack(t *testing.T) {
+	p := NewProblem("drift", Maximize)
+	x := p.AddVar("x", 0, Inf)
+	y := p.AddVar("y", 0, Inf)
+	p.SetObj(x, 2)
+	p.SetObj(y, 1)
+	p.AddConstraint("cap", NewExpr().Add(x, 1).Add(y, 1), LE, 8)
+	parent, err := p.SolveWith(SolveOptions{CaptureBasis: true})
+	if err != nil || parent.Status != StatusOptimal {
+		t.Fatalf("parent: %v %v", err, parent)
+	}
+	opts := SolveOptions{WarmStart: parent.Basis}
+
+	s, err := buildStandard(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.release()
+	tab := newTableau(s, opts)
+	if !tab.install(parent.Basis.cols) {
+		t.Fatal("install refused the parent basis")
+	}
+	tab.resetCosts(s.c)
+	s.b[0] = -1
+	if st := tab.runDual(); st != statusWarmAbort {
+		t.Fatalf("dual repair on the drifted row: %v, want the warm abort", st)
+	}
+	if tab.certifies(0, false) {
+		t.Fatal("re-check accepted a certificate that fails on the pristine snapshot")
+	}
+
+	s2, err := buildStandard(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.release()
+	s2.b[0] = -1
+	if sol := p.solveWarm(s2, opts); sol != nil {
+		t.Fatalf("drifted warm solve answered %v (warm=%v); want it handed to the cold path", sol.Status, sol.Warm)
+	}
+}

@@ -559,6 +559,9 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 				res.LPIters += sol.Iterations
 				mode := ""
 				switch {
+				case sol.Warm && sol.Status == lp.StatusInfeasible:
+					res.WarmLPSolves++
+					mode = "warm-infeasible"
 				case sol.Warm:
 					res.WarmLPSolves++
 					mode = "warm"

@@ -206,7 +206,9 @@ type Options struct {
 	// WarmStart makes every non-root node warm-start its LP relaxation from
 	// its parent's terminal basis (dual-simplex repair of the one or two
 	// branched bounds) instead of solving cold from scratch. The lp package
-	// falls back to the cold path whenever a snapshot is unusable, so the
+	// falls back to the cold path whenever a snapshot is unusable, and it
+	// reports an infeasible child straight from the repair's certificate
+	// only once that certificate holds on the child's data as built, so the
 	// explored tree, incumbent, bound, and node counters are bit-identical
 	// with the flag on or off, for any Workers/Batch setting — only the
 	// pivot counts (Result.LPIters, lp_iterations_total) change. See
@@ -310,9 +312,10 @@ type Result struct {
 	Nodes     int
 	LPSolves  int
 	LPIters   int // total simplex pivots across all node LP solves
-	// WarmLPSolves counts node relaxations completed by the warm-start path;
-	// WarmLPFallbacks counts nodes where a warm start was attempted but the
-	// cold solver produced the answer. Both are zero unless Options.WarmStart.
+	// WarmLPSolves counts node relaxations completed by the warm-start path,
+	// infeasibility certificates included; WarmLPFallbacks counts nodes
+	// where a warm start was attempted but the cold solver produced the
+	// answer. Both are zero unless Options.WarmStart.
 	WarmLPSolves    int
 	WarmLPFallbacks int
 	Elapsed         time.Duration

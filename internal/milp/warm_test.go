@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -51,6 +52,64 @@ func TestWarmVsColdIdenticalTree(t *testing.T) {
 		t.Fatalf("warm path never completed a node relaxation across the sweep")
 	}
 	t.Logf("warm path completed %d node relaxations", warmTotal)
+}
+
+// TestWarmTraceDetailsMatchCounters checks that the lp_solve_end details
+// of a warm search account for its warm counters: "warm" and
+// "warm-infeasible" events together make WarmLPSolves, "warm-fallback"
+// events make WarmLPFallbacks, and a "warm-infeasible" event always carries
+// an infeasible status. Random models exercise the first two; a fixed
+// model whose children the dual repair proves infeasible makes sure
+// certificate verdicts show up at all.
+func TestWarmTraceDetailsMatchCounters(t *testing.T) {
+	search := func(name string, m *Model) (*Result, map[string]int) {
+		t.Helper()
+		col := &obs.Collector{}
+		res, err := Solve(m, Options{Workers: 1, Batch: 4, WarmStart: true, Tracer: obs.NewTracer(col)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		details := map[string]int{}
+		for _, e := range col.Events() {
+			if e.Kind != obs.KindLPSolveEnd {
+				continue
+			}
+			details[e.Detail]++
+			if e.Detail == "warm-infeasible" && e.Status != lp.StatusInfeasible.String() {
+				t.Fatalf("%s: warm-infeasible event with status %q", name, e.Status)
+			}
+		}
+		if got := details["warm"] + details["warm-infeasible"]; got != res.WarmLPSolves {
+			t.Fatalf("%s: %d warm and warm-infeasible events, WarmLPSolves %d", name, got, res.WarmLPSolves)
+		}
+		if details["warm-fallback"] != res.WarmLPFallbacks {
+			t.Fatalf("%s: %d warm-fallback events, WarmLPFallbacks %d",
+				name, details["warm-fallback"], res.WarmLPFallbacks)
+		}
+		return res, details
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		search(fmt.Sprintf("seed %d", seed), randomModel(rand.New(rand.NewSource(seed))))
+	}
+
+	// min u + v s.t. u - w >= 2, v - w >= 2, u*v = 0: the root has u = v = 2
+	// basic, and each child fixes one of them at zero while its row cannot
+	// bring it down, so both children end at the repair's certificate.
+	p := lp.NewProblem("certificates", lp.Minimize)
+	m := NewModel(p)
+	u := p.AddVar("u", 0, lp.Inf)
+	v := p.AddVar("v", 0, lp.Inf)
+	w := p.AddVar("w", 0, lp.Inf)
+	p.SetObj(u, 1)
+	p.SetObj(v, 1)
+	p.AddConstraint("u.floor", lp.NewExpr().Add(u, 1).Add(w, -1), lp.GE, 2)
+	p.AddConstraint("v.floor", lp.NewExpr().Add(v, 1).Add(w, -1), lp.GE, 2)
+	m.AddComplementarity(u, v, "uv")
+	res, details := search("certificates", m)
+	if res.Status != StatusInfeasible || details["warm-infeasible"] != 2 {
+		t.Fatalf("certificate model: status %v, %d warm-infeasible events (details %v), want infeasible and 2",
+			res.Status, details["warm-infeasible"], details)
+	}
 }
 
 // iterLimitModel builds the fixed instance behind the negative-gap regression:
