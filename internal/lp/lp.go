@@ -303,6 +303,20 @@ func (s *Solution) String() string {
 	return b.String()
 }
 
+// WarmMode names how a warm start ended, for LP solve end events: "warm",
+// "warm-infeasible" (at the repair's certificate), "warm-fallback" or "".
+func (s *Solution) WarmMode() string {
+	switch {
+	case s.Warm && s.Status == StatusInfeasible:
+		return "warm-infeasible"
+	case s.Warm:
+		return "warm"
+	case s.WarmFallback:
+		return "warm-fallback"
+	}
+	return ""
+}
+
 // SolveOptions tunes the simplex solver. The zero value selects defaults.
 type SolveOptions struct {
 	// MaxIters caps the total simplex pivots across both phases.

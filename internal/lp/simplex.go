@@ -25,10 +25,10 @@ var (
 	// solves where a warm start was requested but the cold two-phase method
 	// produced the answer (structure mismatch, singular basis, or a repair
 	// that did not converge). lp_solves_total covers both kinds.
-	lpWarmSolves    = obs.Default.Counter("lp_warm_solves_total")
-	lpWarmFallbacks = obs.Default.Counter("lp_warm_fallbacks_total")
-	// lp_warm_infeasible_total counts the warm solves that ended at the dual
-	// repair's infeasibility certificate (a subset of lp_warm_solves_total).
+	// lp_warm_infeasible_total counts the warm solves ended at the repair's
+	// infeasibility certificate.
+	lpWarmSolves     = obs.Default.Counter("lp_warm_solves_total")
+	lpWarmFallbacks  = obs.Default.Counter("lp_warm_fallbacks_total")
 	lpWarmInfeasible = obs.Default.Counter("lp_warm_infeasible_total")
 )
 
@@ -526,18 +526,15 @@ func (p *Problem) SolveWith(opts SolveOptions) (*Solution, error) {
 		lpSolves.Inc()
 		lpIters.Add(int64(sol.Iterations))
 		lpDegenerate.Add(int64(sol.DegeneratePivots))
-		mode := ""
-		switch {
-		case sol.Warm && sol.Status == StatusInfeasible:
-			lpWarmSolves.Inc()
+		mode := sol.WarmMode()
+		switch mode {
+		case "warm-infeasible":
 			lpWarmInfeasible.Inc()
-			mode = "warm-infeasible"
-		case sol.Warm:
+			fallthrough
+		case "warm":
 			lpWarmSolves.Inc()
-			mode = "warm"
-		case sol.WarmFallback:
+		case "warm-fallback":
 			lpWarmFallbacks.Inc()
-			mode = "warm-fallback"
 		}
 		opts.Tracer.Emit(obs.Event{Kind: obs.KindLPSolveEnd, Iters: sol.Iterations,
 			Degenerate: sol.DegeneratePivots, Status: sol.Status.String(), Detail: mode})
@@ -1173,14 +1170,12 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
 	}
 	switch st := t.runDual(); st {
 	case statusWarmAbort, StatusIterLimit:
-		// Abort covers dual cycling and a certificate the pristine re-check
-		// refused; an iteration cap must produce exactly the cold solver's
-		// capped outcome. The cold path answers all three.
+		// Dual cycling, a refused certificate or the iteration cap: the cold
+		// path answers, capped exactly as the cold solver would be.
 		return nil
 	case StatusInfeasible, StatusDeadline, StatusInterrupted:
-		// An infeasible node is observed through its status alone (X and
-		// Dual are nil), and the certificate was re-checked on the form as
-		// built, so the cold phase 1 would only repeat the verdict.
+		// An infeasible node is observed through its status alone (nil X and
+		// Dual), and certifies made its verdict the cold phase 1's.
 		sol := t.solution(st)
 		sol.Warm = true
 		return sol
@@ -1349,13 +1344,13 @@ func (t *tableau) runDual() Status {
 	}
 }
 
-// certifies re-checks the dual repair's certificate on the form as built:
-// y, row pr of B⁻¹ read off the row-unit columns and negated in the "up"
-// case, proves the form infeasible when yᵀb₀ < -feasTol and yᵀA₀ⱼ >=
-// -pivotTol for every unblocked column j, since every feasible x >= 0 that
-// keeps the blocked columns at zero has yᵀb₀ = Σ yᵀA₀ⱼ·xⱼ. The tableau's
-// row has drifted with every pivot since the install; the pristine snapshot
-// has not, so only a certificate that holds there ends the solve.
+// certifies re-checks the dual repair's certificate on the pristine form,
+// never trusting the drifted tableau row: y, row pr of B⁻¹ read off the
+// row-unit columns (negated in the "up" case), proves infeasibility when
+// yᵀA₀ⱼ >= -pivotTol on every unblocked column j and yᵀb₀ < -feasTol·
+// max(1, maxᵢ|yᵢ|), as every feasible x >= 0 has yᵀb₀ = Σ yᵀA₀ⱼ·xⱼ. Scaled
+// into |yᵢ| <= 1, y is a dual of the cold phase 1 that bounds its residual
+// above feasTol, so both paths agree even when B⁻¹ has large entries.
 //
 //gapvet:hotpath once per dual repair that finds a row no column repairs; y lives in presized tableau scratch
 func (t *tableau) certifies(pr int, up bool) bool {
@@ -1364,12 +1359,13 @@ func (t *tableau) certifies(pr int, up bool) bool {
 	if up {
 		sign = -1
 	}
-	y, yb := t.rw[:s.m], 0.0
+	y, yb, ymax := t.rw[:s.m], 0.0, 1.0
 	for i := range y {
 		y[i] = sign * s.a[pr][s.rowUnit[i]] * s.rowUnitSign[i]
 		yb += y[i] * ext.pB[i]
+		ymax = math.Max(ymax, math.Abs(y[i]))
 	}
-	if yb >= -feasTol {
+	if yb >= -feasTol*ymax {
 		return false
 	}
 	for j := 0; j < s.n; j++ {

@@ -56,10 +56,23 @@ func upCertificateLP() (*lp.Problem, lp.VarID) {
 	return p, u
 }
 
+// scaledFloorLP is min x s.t. 1e-4·x >= 1e-4 over x in [0, 10]. Its
+// optimal basis has B⁻¹ entries of 1e4, so a child that caps x a hair
+// below 1 leaves a row whose raw yᵀb₀ (-1e-5) is past -feasTol while the
+// cold phase 1 ends with an artificial residual of only 1e-9: feasible.
+func scaledFloorLP() (*lp.Problem, lp.VarID) {
+	p := lp.NewProblem("scaled-floor", lp.Minimize)
+	x := p.AddVar("x", 0, 10)
+	p.SetObj(x, 1)
+	p.AddConstraint("floor", lp.NewExpr().Add(x, 1e-4), lp.GE, 1e-4)
+	return p, x
+}
+
 // TestWarmInfeasibleMatchesCold requires warm-started children that the
 // dual repair proves infeasible to report exactly the cold solve's status,
 // on random LPs with variables pushed to their upper bounds, on the "up"
-// certificate LP, and on both children at every depth of the B4 smoke
+// certificate LP, on a badly scaled LP whose child is feasible within
+// tolerance, and on both children at every depth of the B4 smoke
 // model's dive. It counts the certificate verdicts so it cannot pass
 // vacuously.
 func TestWarmInfeasibleMatchesCold(t *testing.T) {
@@ -74,6 +87,13 @@ func TestWarmInfeasibleMatchesCold(t *testing.T) {
 		t.Fatal("up-certificate child fell back to cold; want the negated row accepted as a certificate")
 	}
 	verdicts++
+
+	p, x := scaledFloorLP()
+	parent, err = p.SolveWith(lp.SolveOptions{CaptureBasis: true})
+	if err != nil || parent.Status != lp.StatusOptimal {
+		t.Fatalf("scaled-floor parent: %v %v", err, parent)
+	}
+	warmVerdict(t, p, parent.Basis, map[lp.VarID][2]float64{x: {0, 1 - 1e-5}})
 
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))

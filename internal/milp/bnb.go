@@ -557,23 +557,17 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 			sol := wr.sol
 			if sol != nil {
 				res.LPIters += sol.Iterations
-				mode := ""
 				switch {
-				case sol.Warm && sol.Status == lp.StatusInfeasible:
-					res.WarmLPSolves++
-					mode = "warm-infeasible"
 				case sol.Warm:
 					res.WarmLPSolves++
-					mode = "warm"
 				case sol.WarmFallback:
 					res.WarmLPFallbacks++
-					mode = "warm-fallback"
 					tr.Emit(obs.Event{Kind: obs.KindWarmFallback, Nodes: res.Nodes,
 						Iters: sol.Iterations})
 				}
 				tr.Emit(obs.Event{Kind: obs.KindLPSolveEnd, Nodes: res.Nodes,
 					Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
-					Status: sol.Status.String(), Detail: mode})
+					Status: sol.Status.String(), Detail: sol.WarmMode()})
 			}
 			if latePruned {
 				tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: res.Nodes,

@@ -208,10 +208,11 @@ type Options struct {
 	// branched bounds) instead of solving cold from scratch. The lp package
 	// falls back to the cold path whenever a snapshot is unusable, and it
 	// reports an infeasible child straight from the repair's certificate
-	// only once that certificate holds on the child's data as built, so the
-	// explored tree, incumbent, bound, and node counters are bit-identical
-	// with the flag on or off, for any Workers/Batch setting — only the
-	// pivot counts (Result.LPIters, lp_iterations_total) change. See
+	// only once that certificate, scaled as a dual of the cold phase 1,
+	// holds on the child's data as built, so the explored tree, incumbent,
+	// bound, and node counters are bit-identical with the flag on or off,
+	// for any Workers/Batch setting — only the pivot counts
+	// (Result.LPIters, lp_iterations_total) change. See
 	// DESIGN.md, "Warm-started re-solves". (lp's Presolve knob is
 	// intentionally NOT exposed here: a presolved relaxation may report a
 	// different vertex of a degenerate optimal face, which would steer
