@@ -3,10 +3,13 @@
 // worker pool, streams solver progress, and answers repeat submissions from
 // a fingerprint-keyed results store.
 //
-// Durability: every queue mutation is persisted to <state>/queue.ckpt and
-// in-flight jobs checkpoint their branch-and-bound frontier on a configurable
-// wave cadence, so a SIGKILL mid-search loses at most one cadence of work —
-// a restarted daemon re-admits the queue and resumes each job from its last
+// Durability: every job state change is persisted to the job queue
+// (<state>/queue.ckpt) and every cacheable answer to the results store
+// (<state>/results.json), both checksummed record files in the format of
+// checkpoint.Table; in-flight jobs checkpoint their branch-and-bound
+// frontier to <state>/ckpt-<key>.ckpt on a configurable wave cadence. A
+// SIGKILL mid-search therefore loses at most one cadence of work: a
+// restarted daemon re-admits the queue and resumes each job from its last
 // checkpoint to the bit-identical answer. SIGTERM/SIGINT drain gracefully:
 // in-flight jobs checkpoint and re-queue, then the process exits 0.
 //

@@ -3,13 +3,17 @@
 // uninterrupted. It knows nothing about LPs or branching: it stores the two
 // state shapes the solvers export — a branch-and-bound wave snapshot and a
 // black-box restart ledger — in a versioned, checksummed binary encoding
-// (JSON is ruled out by the ±Inf sentinels that are legitimate solver state),
-// and writes them atomically via temp-file + rename so a crash mid-write can
-// never tear the previous good snapshot.
+// (JSON is ruled out by the ±Inf sentinels that are legitimate solver state).
 //
-// The filesystem is injected through the FS interface, which is also the
-// seam the deterministic fault injector (internal/faultinject) wraps to
-// exercise checkpoint-write failures.
+// Beside the snapshots it holds the one keyed-record format (Table) that
+// the daemon's results store and job queue and the sweep ledger share: a
+// checksummed header line over records as indented JSON, sorted by key.
+//
+// Both are written atomically via temp-file + rename (writeAtomic), so a
+// crash mid-write can never tear the previous good file. The filesystem is
+// injected through the FS interface, which is also the seam the
+// deterministic fault injector (internal/faultinject) wraps to exercise
+// write failures.
 package checkpoint
 
 import (
@@ -24,11 +28,6 @@ import (
 type Snapshot struct {
 	BnB      *BnBState
 	Blackbox *BlackboxState
-	// Queue is the gap-search daemon's job queue (cmd/gapserved): the
-	// admission ledger that survives restarts so queued and in-flight jobs
-	// are re-run (and resumed from their own BnB snapshots) after a crash
-	// or drain.
-	Queue *QueueState
 }
 
 // Override is one branch-and-bound bound fixing, keyed by the LP variable
@@ -119,45 +118,6 @@ type BlackboxState struct {
 	Completed    []RestartState
 }
 
-// JobState enumerates a queued job's lifecycle in the persisted queue.
-// Running jobs are persisted as JobQueued: after a crash or drain they are
-// re-admitted and resume from their own checkpoint file, which is exactly
-// the semantics of a job that never started.
-type JobState uint8
-
-const (
-	// JobQueued means the job is waiting for (or, in the live daemon,
-	// currently occupying) a worker; it re-runs after a restart.
-	JobQueued JobState = iota
-	// JobDone means a result was persisted to the results store; kept in
-	// the ledger so restarts preserve job IDs and their terminal status.
-	JobDone
-	// JobFailed means the job errored terminally (bad spec survived
-	// admission, or the solver returned an error); it does not re-run.
-	JobFailed
-)
-
-// JobRecord is one job in the daemon's persisted queue. Spec is the job's
-// canonical JSON (opaque to this package), Key the solve cache key its
-// results store entry is filed under, Seq the admission order (restart
-// re-enqueues in Seq order so the replayed schedule matches the original),
-// and EnqueuedUnixNano the wall-clock admission time (informational only).
-type JobRecord struct {
-	ID               string
-	Seq              uint64
-	State            JobState
-	Key              uint64
-	Spec             string
-	EnqueuedUnixNano int64
-}
-
-// QueueState is the daemon's durable job ledger: the admission sequence
-// counter and every job it has accepted, in admission order.
-type QueueState struct {
-	NextSeq uint64
-	Jobs    []JobRecord
-}
-
 // MismatchError reports a checkpoint that structurally cannot resume the
 // search it was handed to (different model, batch, or search options).
 type MismatchError struct {
@@ -170,7 +130,7 @@ func (e *MismatchError) Error() string {
 	return fmt.Sprintf("checkpoint: %s mismatch: snapshot %#x, search %#x", e.What, e.Want, e.Got)
 }
 
-// FS abstracts the two filesystem operations the atomic writer needs. The
+// FS abstracts the filesystem operations the atomic writes need. The
 // default implementation is the OS; internal/faultinject wraps it to inject
 // deterministic write failures.
 type FS interface {
@@ -219,10 +179,6 @@ type Writer struct {
 
 // Save atomically persists s to w.Path.
 func (w *Writer) Save(s *Snapshot) error {
-	fs := w.FS
-	if fs == nil {
-		fs = osFS{}
-	}
 	data, err := Encode(s)
 	if err != nil {
 		return err
@@ -240,16 +196,26 @@ func (w *Writer) Save(s *Snapshot) error {
 	if !bytes.Equal(data, data2) {
 		return fmt.Errorf("checkpoint: self-check round trip diverged (%d vs %d bytes)", len(data), len(data2))
 	}
-	tmp, err := fs.WriteTemp(filepath.Dir(w.Path), ".ckpt-*", data)
+	return writeAtomic(w.FS, w.Path, data)
+}
+
+// writeAtomic replaces path with data: a temp file beside it, written and
+// synced through fs (nil selects the OS), then renamed over it. A failure at
+// any point leaves the previous file whole and removes the temp file.
+func writeAtomic(fs FS, path string, data []byte) error {
+	if fs == nil {
+		fs = osFS{}
+	}
+	tmp, err := fs.WriteTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*", data)
 	if err != nil {
 		if tmp != "" {
 			fs.Remove(tmp)
 		}
-		return fmt.Errorf("checkpoint: write: %w", err)
+		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	if err := fs.Rename(tmp, w.Path); err != nil {
+	if err := fs.Rename(tmp, path); err != nil {
 		fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return fmt.Errorf("checkpoint: rename %s: %w", path, err)
 	}
 	return nil
 }

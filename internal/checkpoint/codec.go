@@ -23,16 +23,15 @@ const (
 
 	kindBnB      = 1
 	kindBlackbox = 2
-	kindQueue    = 3
 
 	// maxLen bounds every decoded length prefix, so a corrupted count cannot
 	// drive a huge allocation before the checksum is even reachable.
 	maxLen = 1 << 28
 )
 
-// ErrCorrupt is wrapped by every decode failure caused by malformed bytes
-// (as opposed to an unsupported version).
-var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
+// ErrCorrupt is wrapped by every snapshot or record-file decode failure
+// caused by malformed bytes (as opposed to an unsupported version).
+var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -224,8 +223,7 @@ func decodeTrace(d *decoder) []TracePoint {
 	return tr
 }
 
-// Encode serializes s. Exactly one of s.BnB / s.Blackbox / s.Queue must be
-// set.
+// Encode serializes s. Exactly one of s.BnB / s.Blackbox must be set.
 func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
@@ -234,57 +232,19 @@ func Encode(s *Snapshot) ([]byte, error) {
 	e.buf = append(e.buf, magic...)
 	e.u8(version)
 	switch {
-	case s.BnB != nil && s.Blackbox == nil && s.Queue == nil:
+	case s.BnB != nil && s.Blackbox == nil:
 		e.u8(kindBnB)
 		encodeBnB(e, s.BnB)
-	case s.Blackbox != nil && s.BnB == nil && s.Queue == nil:
+	case s.Blackbox != nil && s.BnB == nil:
 		e.u8(kindBlackbox)
 		encodeBlackbox(e, s.Blackbox)
-	case s.Queue != nil && s.BnB == nil && s.Blackbox == nil:
-		e.u8(kindQueue)
-		encodeQueue(e, s.Queue)
 	default:
-		return nil, errors.New("checkpoint: snapshot must hold exactly one of BnB / Blackbox / Queue")
+		return nil, errors.New("checkpoint: snapshot must hold exactly one of BnB / Blackbox")
 	}
 	h := fnv.New64a()
 	h.Write(e.buf)
 	e.u64(h.Sum64())
 	return e.buf, nil
-}
-
-func encodeQueue(e *encoder, st *QueueState) {
-	e.uv(st.NextSeq)
-	e.uv(uint64(len(st.Jobs)))
-	for _, j := range st.Jobs {
-		e.str(j.ID)
-		e.uv(j.Seq)
-		e.u8(byte(j.State))
-		e.u64(j.Key)
-		e.str(j.Spec)
-		e.iv(j.EnqueuedUnixNano)
-	}
-}
-
-func decodeQueue(d *decoder) *QueueState {
-	st := &QueueState{NextSeq: d.uv()}
-	n := d.length(4)
-	if n > 0 && d.err == nil {
-		st.Jobs = make([]JobRecord, n)
-		for i := range st.Jobs {
-			st.Jobs[i] = JobRecord{
-				ID:               d.str(),
-				Seq:              d.uv(),
-				State:            JobState(d.u8()),
-				Key:              d.u64(),
-				Spec:             d.str(),
-				EnqueuedUnixNano: d.iv(),
-			}
-			if d.err != nil {
-				return st
-			}
-		}
-	}
-	return st
 }
 
 func encodeBnB(e *encoder, st *BnBState) {
@@ -434,8 +394,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		s.BnB = decodeBnB(d)
 	case kindBlackbox:
 		s.Blackbox = decodeBlackbox(d)
-	case kindQueue:
-		s.Queue = decodeQueue(d)
 	default:
 		return nil, corrupt("unknown kind %d", kind)
 	}

@@ -29,8 +29,8 @@ func (s *Server) viewOf(j *job) JobView {
 	return JobView{
 		ID:       j.id,
 		State:    j.state,
-		Key:      fmt.Sprintf("%016x", j.key),
-		Spec:     json.RawMessage(j.spec.canonicalJSON()),
+		Key:      hexKey(j.key),
+		Spec:     j.specJSON,
 		Enqueued: j.enqueued.UTC().Format(time.RFC3339Nano),
 		Error:    j.errMsg,
 		Result:   j.result,
@@ -188,7 +188,7 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "serve: bad result key (want 16 hex digits)")
 		return
 	}
-	sr := s.store.get(key)
+	sr := s.result(key)
 	if sr == nil {
 		writeError(w, http.StatusNotFound, "serve: no result for key")
 		return

@@ -221,7 +221,7 @@ func cacheKey(spec *Spec, fp uint64) uint64 {
 	h.Write(buf[:])
 	keyed := *spec
 	keyed.BudgetSec = 0
-	h.Write([]byte(keyed.canonicalJSON()))
+	h.Write(keyed.canonicalJSON())
 	const presolveOneShots = 1 // internal/mcf oneShotOpts: always on
 	h.Write([]byte{presolveOneShots})
 	return h.Sum64()
@@ -230,11 +230,11 @@ func cacheKey(spec *Spec, fp uint64) uint64 {
 // canonicalJSON is the spec's canonical wire form — fields in struct order,
 // defaults filled — used both for queue persistence and for echoing the job
 // back to clients.
-func (s *Spec) canonicalJSON() string {
+func (s *Spec) canonicalJSON() json.RawMessage {
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A Spec is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("serve: marshal spec: %v", err))
 	}
-	return string(b)
+	return b
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -50,6 +51,42 @@ func newServer(t *testing.T, cfg Config) *Server {
 		s.Shutdown(ctx)
 	})
 	return s
+}
+
+// saveQueue writes a queue ledger holding recs into dir.
+func saveQueue(t *testing.T, dir string, recs ...*jobRecord) {
+	t.Helper()
+	q, err := checkpoint.OpenTable[*jobRecord](filepath.Join(dir, "queue.ckpt"), queueMagic, nil)
+	if err != nil {
+		t.Fatalf("open queue ledger: %v", err)
+	}
+	if err := q.Put(recs...); err != nil {
+		t.Fatalf("save queue ledger: %v", err)
+	}
+}
+
+// loadQueue reads the queue ledger in dir.
+func loadQueue(t *testing.T, dir string) []*jobRecord {
+	t.Helper()
+	q, err := checkpoint.OpenTable[*jobRecord](filepath.Join(dir, "queue.ckpt"), queueMagic, nil)
+	if err != nil {
+		t.Fatalf("load queue ledger: %v", err)
+	}
+	return q.Records()
+}
+
+// failResultWrites reopens s's results store on a filesystem that fails
+// writes as the faultinject plan says.
+func failResultWrites(t *testing.T, s *Server, plan string) {
+	t.Helper()
+	p, err := faultinject.Parse(plan, 0)
+	if err != nil {
+		t.Fatalf("parse plan: %v", err)
+	}
+	s.results, err = checkpoint.OpenTable[*StoredResult](filepath.Join(s.cfg.StateDir, "results.json"), resultsMagic, faultinject.WrapFS(nil, p))
+	if err != nil {
+		t.Fatalf("reopen results store: %v", err)
+	}
 }
 
 // waitTerminal polls until the job leaves queued/running or the deadline
@@ -232,8 +269,8 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	if runs := s.met.solverRuns.Value(); runs != uniques {
 		t.Fatalf("%d solver runs for %d unique keys", runs, uniques)
 	}
-	if s.store.len() != uniques {
-		t.Fatalf("store holds %d results, want %d", s.store.len(), uniques)
+	if s.results.Len() != uniques {
+		t.Fatalf("store holds %d results, want %d", s.results.Len(), uniques)
 	}
 	if hits := s.met.cacheHits.Value(); hits != uniques*(dups-1) {
 		t.Fatalf("%d cache hits, want %d", hits, uniques*(dups-1))
@@ -325,16 +362,13 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	snap, err := checkpoint.Load(filepath.Join(cfg.StateDir, "queue.ckpt"))
-	if err != nil {
-		t.Fatalf("load ledger: %v", err)
+	recs := loadQueue(t, cfg.StateDir)
+	if len(recs) != 2 {
+		t.Fatalf("ledger holds %d jobs, want 2", len(recs))
 	}
-	if snap.Queue == nil || len(snap.Queue.Jobs) != 2 {
-		t.Fatalf("ledger wrong: %+v", snap.Queue)
-	}
-	for _, rec := range snap.Queue.Jobs {
-		if rec.State != checkpoint.JobQueued {
-			t.Fatalf("job %s persisted as %d, want queued", rec.ID, rec.State)
+	for _, rec := range recs {
+		if rec.State != stateQueued {
+			t.Fatalf("job %s persisted as %s, want queued", rec.ID, rec.State)
 		}
 	}
 
@@ -351,8 +385,8 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 			t.Fatalf("restored job %s: %s (%s)", id, j.getState(), j.errMsg)
 		}
 	}
-	if s2.store.len() != 2 {
-		t.Fatalf("store holds %d results after restart, want 2", s2.store.len())
+	if s2.results.Len() != 2 {
+		t.Fatalf("store holds %d results after restart, want 2", s2.results.Len())
 	}
 }
 
@@ -527,7 +561,7 @@ func TestTruncatedResultNotCached(t *testing.T) {
 	if j1.result.Status == "optimal" {
 		t.Fatal("b4/12-pair job proved optimality in 0.25s — budget did not bind")
 	}
-	if s.store.len() != 0 {
+	if s.results.Len() != 0 {
 		t.Fatalf("budget-truncated %s result was stored", j1.result.Status)
 	}
 	// A bigger-budget resubmission of the same key is not answered from the
@@ -558,10 +592,10 @@ func TestTruncatedResultNotCached(t *testing.T) {
 func TestSingleflightLeaderFailure(t *testing.T) {
 	cfg := testConfig(t)
 	s := newServer(t, cfg)
-	// Break result persistence: the store's flush renames onto a directory
-	// and fails, so every leader solves and then fails, forcing followers
-	// through the leader-failed path.
-	s.store.path = cfg.StateDir
+	// Break result persistence: every results-store write fails, so every
+	// leader solves and then fails, forcing followers through the
+	// leader-failed path.
+	failResultWrites(t, s, "ckpt-write:%1")
 	s.Start()
 	var jobs []*job
 	for i := 0; i < 3; i++ {
@@ -589,21 +623,18 @@ func TestSingleflightLeaderFailure(t *testing.T) {
 func TestRestoreQueueBeyondDepth(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.QueueDepth = 2
-	qs := &checkpoint.QueueState{NextSeq: 3}
+	var recs []*jobRecord
 	for seed := int64(1); seed <= 3; seed++ {
 		spec := &Spec{Topology: "figure1", Heuristic: "dp", Pairs: 3, Seed: seed, BudgetSec: 30}
 		if err := spec.canonicalize(cfg.DefaultBudget, cfg.MaxBudget); err != nil {
 			t.Fatalf("canonicalize: %v", err)
 		}
-		qs.Jobs = append(qs.Jobs, checkpoint.JobRecord{
-			ID: fmt.Sprintf("j%06d", seed), Seq: uint64(seed), State: checkpoint.JobQueued,
-			Key: uint64(seed), Spec: spec.canonicalJSON(), EnqueuedUnixNano: time.Now().UnixNano(),
+		recs = append(recs, &jobRecord{
+			ID: fmt.Sprintf("j%06d", seed), Seq: uint64(seed), State: stateQueued, Key: hexKey(uint64(seed)),
+			Spec: spec.canonicalJSON(), Enqueued: time.Now().UnixNano(),
 		})
 	}
-	w := &checkpoint.Writer{Path: filepath.Join(cfg.StateDir, "queue.ckpt")}
-	if err := w.Save(&checkpoint.Snapshot{Queue: qs}); err != nil {
-		t.Fatalf("save ledger: %v", err)
-	}
+	saveQueue(t, cfg.StateDir, recs...)
 	s := newServer(t, cfg)
 	if got := len(s.queue); got != 3 {
 		t.Fatalf("restored queue holds %d jobs, want 3", got)
@@ -772,12 +803,12 @@ func TestKillSkipsDrainPersistence(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s.Kill() // pool never started; the job is still queued in the ledger
-	snap, err := checkpoint.Load(filepath.Join(cfg.StateDir, "queue.ckpt"))
-	if err != nil || snap.Queue == nil || len(snap.Queue.Jobs) != 1 {
-		t.Fatalf("ledger after Kill: %+v, %v", snap, err)
+	recs := loadQueue(t, cfg.StateDir)
+	if len(recs) != 1 {
+		t.Fatalf("ledger after Kill holds %d jobs, want 1", len(recs))
 	}
-	if snap.Queue.Jobs[0].State != checkpoint.JobQueued {
-		t.Fatalf("job persisted as %d, want queued", snap.Queue.Jobs[0].State)
+	if recs[0].State != stateQueued {
+		t.Fatalf("job persisted as %s, want queued", recs[0].State)
 	}
 	s2 := newServer(t, cfg)
 	s2.Start()
@@ -821,14 +852,10 @@ func TestRestoreQueueWithRetiredEngineFields(t *testing.T) {
 	old := `{"topology":"figure1","heuristic":"dp","pairs":-1,"paths":2,"seed":1,"threshold":5,` +
 		`"partitions":2,"instantiations":3,"max_demand":100,"budget_sec":30,` +
 		`"engine":"dense","pricing":"auto","workers":1}`
-	qs := &checkpoint.QueueState{NextSeq: 1, Jobs: []checkpoint.JobRecord{{
-		ID: "j000001", Seq: 1, State: checkpoint.JobQueued, Key: 1,
-		Spec: old, EnqueuedUnixNano: time.Now().UnixNano(),
-	}}}
-	w := &checkpoint.Writer{Path: filepath.Join(cfg.StateDir, "queue.ckpt")}
-	if err := w.Save(&checkpoint.Snapshot{Queue: qs}); err != nil {
-		t.Fatalf("save ledger: %v", err)
-	}
+	saveQueue(t, cfg.StateDir, &jobRecord{
+		ID: "j000001", Seq: 1, State: stateQueued, Key: hexKey(1),
+		Spec: json.RawMessage(old), Enqueued: time.Now().UnixNano(),
+	})
 	s := newServer(t, cfg)
 	s.Start()
 	j := waitTerminal(t, s, "j000001", 60*time.Second)

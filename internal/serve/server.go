@@ -11,9 +11,13 @@
 //   - a durable results store keyed by the milp search fingerprint extended
 //     with the solve-determining options (warm-start, workers, presolve) —
 //     see cacheKey;
-//   - a durable job queue (checkpoint.QueueState) persisted on every
-//     mutation, so queued and in-flight jobs survive a crash or drain and
-//     re-run to their bit-identical answers.
+//   - a durable job queue (queue.ckpt) persisted on every job state change,
+//     so queued and in-flight jobs survive a crash or drain and re-run to
+//     their bit-identical answers.
+//
+// The results store (results.json) and the job queue are keyed-record files
+// in the one format of checkpoint.Table; in-flight searches checkpoint to
+// GAPCKP snapshots (ckpt-<key>.ckpt).
 //
 // Every decision is surfaced through an obs.Registry (cache hits/misses,
 // queue depth, worker utilization, per-phase timings) and each job's solver
@@ -27,6 +31,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,13 +113,19 @@ const (
 
 // job is one admitted gap search.
 type job struct {
-	id   string
-	seq  uint64
-	spec *Spec
-	key  uint64 // cache key (fingerprint + solve options)
-	fp   uint64 // milp search fingerprint
+	id       string
+	seq      uint64
+	spec     *Spec           // nil for a job restored terminal: it never runs again
+	specJSON json.RawMessage // spec's canonical JSON, as the ledger files it
+	key      uint64          // cache key (fingerprint + solve options)
+	fp       uint64          // milp search fingerprint
 
 	events *eventBuffer
+
+	// putMu orders this job's queue-ledger puts, so the later put carries
+	// the later state. It is held across the write; mu is not, so readers
+	// of the job's state never wait on a disk write.
+	putMu sync.Mutex
 
 	mu       sync.Mutex
 	state    string
@@ -159,18 +171,38 @@ func (j *job) fail(msg string) {
 	j.mu.Unlock()
 }
 
-// ledgerState projects the live state onto the persisted JobState: running
-// jobs persist as queued (they re-run — resuming from their checkpoint —
-// after a restart).
-func (j *job) ledgerState() checkpoint.JobState {
-	switch j.getState() {
-	case stateDone:
-		return checkpoint.JobDone
-	case stateFailed:
-		return checkpoint.JobFailed
-	default:
-		return checkpoint.JobQueued
+// queueMagic tags the job queue's record file (<state>/queue.ckpt).
+const queueMagic = "GAPQUEUE1"
+
+// jobRecord is one admitted job in the durable queue, filed under its ID.
+// State is queued, done or failed: a running job persists as queued, so
+// after a crash or drain it re-runs, resuming from its own checkpoint. Seq
+// is the admission order a restart re-enqueues in; Enqueued (wall-clock
+// admission time) is informational only.
+type jobRecord struct {
+	ID       string          `json:"id"`
+	Seq      uint64          `json:"seq"`
+	State    string          `json:"state"`
+	Key      string          `json:"key"` // %016x cache key
+	Spec     json.RawMessage `json:"spec"`
+	Enqueued int64           `json:"enqueued_unix_nano"`
+}
+
+// RecordKey files the job in the queue under its ID.
+func (r *jobRecord) RecordKey() string {
+	if r == nil {
+		return ""
 	}
+	return r.ID
+}
+
+// recordLocked projects the job onto its queue record. j.mu must be held.
+func (j *job) recordLocked() *jobRecord {
+	st := j.state
+	if st == stateRunning {
+		st = stateQueued
+	}
+	return &jobRecord{ID: j.id, Seq: j.seq, State: st, Key: hexKey(j.key), Spec: j.specJSON, Enqueued: j.enqueued.UnixNano()}
 }
 
 // eventBuffer is a Sink that retains each job's solver events as JSONL
@@ -228,10 +260,8 @@ type Server struct {
 	cfg Config
 	met *metrics
 
-	store *store
-	qw    *checkpoint.Writer
-	// persistMu serializes ledger snapshot+write pairs; see persistQueue.
-	persistMu sync.Mutex
+	results *checkpoint.Table[*StoredResult]
+	ledger  *checkpoint.Table[*jobRecord] // the job queue
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -270,16 +300,32 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, err
 	}
-	st, err := openStore(filepath.Join(cfg.StateDir, "results.json"))
+	// Decoding and checksumming the two files is most of start-up, and
+	// they are independent, so the results store opens alongside the
+	// queue.
+	type openedStore struct {
+		t   *checkpoint.Table[*StoredResult]
+		err error
+	}
+	storeCh := make(chan openedStore, 1)
+	go func() {
+		t, err := checkpoint.OpenTable[*StoredResult](filepath.Join(cfg.StateDir, "results.json"), resultsMagic, nil)
+		storeCh <- openedStore{t, err}
+	}()
+	ledger, err := checkpoint.OpenTable[*jobRecord](filepath.Join(cfg.StateDir, "queue.ckpt"), queueMagic, nil)
+	st := <-storeCh
+	if st.err != nil {
+		return nil, fmt.Errorf("serve: results store: %w", st.err)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: queue ledger: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		met:        newMetrics(cfg.Registry),
-		store:      st,
-		qw:         &checkpoint.Writer{Path: filepath.Join(cfg.StateDir, "queue.ckpt")},
+		results:    st.t,
+		ledger:     ledger,
 		jobs:       make(map[string]*job),
 		queue:      make(chan *job, cfg.QueueDepth),
 		inflight:   make(map[uint64]*job),
@@ -298,67 +344,66 @@ func New(cfg Config) (*Server, error) {
 // restoreQueue reloads the persisted ledger: terminal jobs reappear with
 // their stored results, queued ones go back on the queue in Seq order.
 func (s *Server) restoreQueue() error {
-	snap, err := checkpoint.Load(s.qw.Path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("serve: queue ledger: %w", err)
-	}
-	if snap.Queue == nil {
-		return fmt.Errorf("serve: %s does not hold a queue snapshot", s.qw.Path)
-	}
-	s.nextSeq = snap.Queue.NextSeq
-	// Running jobs persist as JobQueued, so a daemon killed under full load
+	recs := s.ledger.Records()
+	// The ledger is keyed by ID, and IDs sort as admission order only up to
+	// j999999.
+	sort.Slice(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
+	// Running jobs persist as queued, so a daemon killed under full load
 	// leaves up to QueueDepth+Workers queued records. Grow the channel to
 	// re-admit all of them — refusing to start would strand the ledger —
 	// while submit keeps capping NEW admissions at cfg.QueueDepth.
 	queued := 0
-	for _, rec := range snap.Queue.Jobs {
-		if rec.State != checkpoint.JobDone && rec.State != checkpoint.JobFailed {
+	for _, rec := range recs {
+		if rec.State == stateQueued {
 			queued++
 		}
 	}
 	if queued > cap(s.queue) {
 		s.queue = make(chan *job, queued)
 	}
-	for _, rec := range snap.Queue.Jobs {
-		var spec Spec
-		if err := json.Unmarshal([]byte(rec.Spec), &spec); err != nil {
-			return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
+	for _, rec := range recs {
+		key, err := strconv.ParseUint(rec.Key, 16, 64)
+		if err != nil {
+			return fmt.Errorf("serve: queue ledger job %s: bad key %q", rec.ID, rec.Key)
 		}
+		s.nextSeq = max(s.nextSeq, rec.Seq)
 		j := &job{
-			id: rec.ID, seq: rec.Seq, spec: &spec, key: rec.Key,
+			id: rec.ID, seq: rec.Seq, specJSON: rec.Spec, key: key,
 			events: &eventBuffer{}, done: make(chan struct{}),
-			enqueued: time.Unix(0, rec.EnqueuedUnixNano),
-		}
-		if rec.State == checkpoint.JobQueued {
-			// Recompute the milp fingerprint the worker will validate its
-			// checkpoint against: the spec is canonical, so the rebuilt
-			// model is the one the pre-restart daemon was solving.
-			pr, err := spec.problem()
-			if err != nil {
-				return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
-			}
-			if j.fp, err = pr.Fingerprint(spec.options(nil)); err != nil {
-				return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
-			}
+			enqueued: time.Unix(0, rec.Enqueued),
 		}
 		switch rec.State {
-		case checkpoint.JobDone:
+		case stateDone:
 			j.state = stateDone
 			// Nil for a job that finished budget-truncated: such results
 			// are deliberately never stored (see cacheable), so after a
 			// restart the job reads done with no result attached.
-			j.result = s.store.get(rec.Key)
+			j.result = s.results.Get(rec.Key)
 			close(j.done)
-		case checkpoint.JobFailed:
+		case stateFailed:
 			j.state = stateFailed
 			j.errMsg = "failed before restart"
 			close(j.done)
-		default:
+		case stateQueued:
+			// Only a job that will run needs its spec decoded. Recompute
+			// the milp fingerprint the worker will validate its checkpoint
+			// against: the spec is canonical, so the rebuilt model is the
+			// one the pre-restart daemon was solving.
+			j.spec = new(Spec)
+			if err := json.Unmarshal(rec.Spec, j.spec); err != nil {
+				return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
+			}
+			pr, err := j.spec.problem()
+			if err != nil {
+				return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
+			}
+			if j.fp, err = pr.Fingerprint(j.spec.options(nil)); err != nil {
+				return fmt.Errorf("serve: queue ledger job %s: %w", rec.ID, err)
+			}
 			j.state = stateQueued
 			s.queue <- j // cannot block: the channel was sized to the queued count above
+		default:
+			return fmt.Errorf("serve: queue ledger job %s: unknown state %q", rec.ID, rec.State)
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j)
@@ -366,6 +411,9 @@ func (s *Server) restoreQueue() error {
 	s.met.queueDepth.Set(float64(len(s.queue)))
 	return nil
 }
+
+// result returns the stored result for a cache key, or nil.
+func (s *Server) result(key uint64) *StoredResult { return s.results.Get(hexKey(key)) }
 
 // Start launches the worker pool. Safe to call once.
 func (s *Server) Start() {
@@ -407,7 +455,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	if perr := s.persistQueue(); perr != nil && err == nil {
+	// Every state change was already persisted; this rewrite repairs any
+	// earlier persist that failed. A job still running after ctx expired
+	// may race it, which at worst re-runs that job after a restart, where
+	// a stored result answers it.
+	s.mu.Lock()
+	recs := make([]*jobRecord, len(s.order))
+	for i, j := range s.order {
+		j.mu.Lock()
+		recs[i] = j.recordLocked()
+		j.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if perr := s.ledger.Put(recs...); perr != nil && err == nil {
 		err = perr
 	}
 	return err
@@ -415,7 +475,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Kill stops the server abruptly, WITHOUT the drain-time queue persistence —
 // the in-process approximation of SIGKILL for crash tests. The durable state
-// is whatever the last mutation-time persist and wave-cadence checkpoints
+// is whatever the last state-change persist and wave-cadence checkpoints
 // already wrote, which is exactly the guarantee a real kill -9 leaves behind:
 // a New on the same StateDir re-admits the queue and resumes the searches.
 func (s *Server) Kill() {
@@ -424,24 +484,16 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 }
 
-// persistQueue writes the job ledger (every admitted job, in admission
-// order) through the atomic checkpoint writer. persistMu spans the snapshot
-// AND the write: checkpoint.Writer has no internal lock, so two concurrent
-// persists could otherwise rename out of order and leave the older snapshot
-// on disk, dropping the most recent state transition.
-func (s *Server) persistQueue() error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	s.mu.Lock()
-	qs := &checkpoint.QueueState{NextSeq: s.nextSeq, Jobs: make([]checkpoint.JobRecord, 0, len(s.order))}
-	for _, j := range s.order {
-		qs.Jobs = append(qs.Jobs, checkpoint.JobRecord{
-			ID: j.id, Seq: j.seq, State: j.ledgerState(), Key: j.key,
-			Spec: j.spec.canonicalJSON(), EnqueuedUnixNano: j.enqueued.UnixNano(),
-		})
+// persist files j's current state in the queue ledger.
+func (s *Server) persist(j *job) {
+	j.putMu.Lock()
+	defer j.putMu.Unlock()
+	j.mu.Lock()
+	rec := j.recordLocked()
+	j.mu.Unlock()
+	if err := s.ledger.Put(rec); err != nil {
+		s.cfg.logf("job %s: persist queue: %v", j.id, err)
 	}
-	s.mu.Unlock()
-	return s.qw.Save(&checkpoint.Snapshot{Queue: qs})
 }
 
 // submitError is an admission failure with its HTTP status. retryAfter,
@@ -503,11 +555,11 @@ func (s *Server) submit(spec *Spec) (*job, error) {
 	}
 	s.nextSeq++
 	j := &job{
-		id: fmt.Sprintf("j%06d", s.nextSeq), seq: s.nextSeq, spec: spec,
+		id: fmt.Sprintf("j%06d", s.nextSeq), seq: s.nextSeq, spec: spec, specJSON: spec.canonicalJSON(),
 		key: key, fp: fp, events: &eventBuffer{}, done: make(chan struct{}),
 		enqueued: time.Now(), state: stateQueued,
 	}
-	if sr := s.store.get(key); sr != nil {
+	if sr := s.result(key); sr != nil {
 		// Cache hit at admission: the job is born terminal, no worker runs.
 		j.state = stateDone
 		j.result = sr
@@ -517,9 +569,7 @@ func (s *Server) submit(spec *Spec) (*job, error) {
 		s.mu.Unlock()
 		s.met.cacheHits.Inc()
 		s.cfg.logf("job %s: cache hit (key %016x)", j.id, key)
-		if err := s.persistQueue(); err != nil {
-			s.cfg.logf("job %s: persist queue: %v", j.id, err)
-		}
+		s.persist(j)
 		return j, nil
 	}
 	// The admission cap is cfg.QueueDepth even when restoreQueue grew the
@@ -542,9 +592,7 @@ func (s *Server) submit(spec *Spec) (*job, error) {
 	s.mu.Unlock()
 	s.met.queueDepth.Set(float64(len(s.queue)))
 	s.cfg.logf("job %s: queued (key %016x, budget %s)", j.id, key, spec.budget())
-	if err := s.persistQueue(); err != nil {
-		s.cfg.logf("job %s: persist queue: %v", j.id, err)
-	}
+	s.persist(j)
 	return j, nil
 }
 
@@ -554,6 +602,12 @@ func (s *Server) workerLoop() {
 		case <-s.baseCtx.Done():
 			return
 		case j := <-s.queue:
+			// select picks at random when both cases are ready, so a
+			// cancelled daemon can still draw a job here. It stays queued
+			// in the ledger, and the restarted daemon re-admits it.
+			if s.baseCtx.Err() != nil {
+				return
+			}
 			s.met.queueDepth.Set(float64(len(s.queue)))
 			s.met.workersBusy.Set(float64(s.busy.Add(1)))
 			s.runJob(j)
@@ -572,10 +626,9 @@ func (s *Server) ckptPath(key uint64) string {
 func (s *Server) runJob(j *job) {
 	// Cache fast path: a duplicate submitted while this job sat in the
 	// queue may already have a stored answer.
-	if sr := s.store.get(j.key); sr != nil {
+	if sr := s.result(j.key); sr != nil {
 		s.met.cacheHits.Inc()
-		j.finish(sr)
-		s.notifyDone(j, sr)
+		s.complete(j, sr)
 		return
 	}
 	// Singleflight: while the same key is solving on another worker, wait
@@ -598,10 +651,9 @@ func (s *Server) runJob(j *job) {
 			j.requeued() // drained while waiting; the ledger re-admits it
 			return
 		}
-		if sr := s.store.get(j.key); sr != nil {
+		if sr := s.result(j.key); sr != nil {
 			s.met.cacheHits.Inc()
-			j.finish(sr)
-			s.notifyDone(j, sr)
+			s.complete(j, sr)
 			return
 		}
 		s.mu.Lock()
@@ -633,9 +685,7 @@ func (s *Server) runJob(j *job) {
 		clearInflight()
 		j.fail(err.Error())
 		s.cfg.logf("job %s: failed: %v", j.id, err)
-		if perr := s.persistQueue(); perr != nil {
-			s.cfg.logf("job %s: persist queue: %v", j.id, perr)
-		}
+		s.persist(j)
 		return
 	}
 	if res.Solver.Status == milp.StatusInterrupted && s.baseCtx.Err() != nil {
@@ -645,12 +695,13 @@ func (s *Server) runJob(j *job) {
 		s.cfg.logf("job %s: drained at %d nodes; checkpoint retained", j.id, res.Solver.Nodes)
 		return
 	}
-	sr := newStoredResult(j.key, j.fp, j.spec, res)
+	sr := newStoredResult(j.key, j.fp, j.specJSON, res)
 	if cacheable(j.spec, res) {
-		if err := s.store.put(j.key, sr); err != nil {
+		if err := s.results.Put(sr); err != nil {
 			s.met.jobsFailed.Inc()
 			clearInflight()
 			j.fail(fmt.Sprintf("serve: persist result: %v", err))
+			s.persist(j)
 			return
 		}
 		os.Remove(s.ckptPath(j.key)) // the stored result supersedes the snapshot
@@ -668,12 +719,8 @@ func (s *Server) runJob(j *job) {
 	s.met.solveSeconds.ObserveDuration(res.Timings.Solve)
 	s.met.verifySeconds.ObserveDuration(res.Timings.Verify)
 	clearInflight()
-	j.finish(sr)
 	s.cfg.logf("job %s: %s gap=%s nodes=%d in %s", j.id, sr.Status, sr.Gap, sr.Nodes, time.Since(start).Round(time.Millisecond))
-	if err := s.persistQueue(); err != nil {
-		s.cfg.logf("job %s: persist queue: %v", j.id, err)
-	}
-	s.notifyDone(j, sr)
+	s.complete(j, sr)
 }
 
 // cacheable reports whether res is a budget-independent answer that may be
@@ -696,7 +743,11 @@ func cacheable(spec *Spec, res *core.Result) bool {
 	}
 }
 
-func (s *Server) notifyDone(j *job, sr *StoredResult) {
+// complete marks j done with sr, files it in the queue ledger and reports
+// it to OnJobDone.
+func (s *Server) complete(j *job, sr *StoredResult) {
+	j.finish(sr)
+	s.persist(j)
 	if s.OnJobDone != nil {
 		s.OnJobDone(j.id, sr)
 	}
@@ -747,6 +798,6 @@ func (s *Server) stats() Stats {
 		st.Jobs[j.getState()]++
 	}
 	s.mu.Unlock()
-	st.Results = s.store.len()
+	st.Results = s.results.Len()
 	return st
 }

@@ -3,11 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -42,10 +38,10 @@ func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // WallSec is the solver's own elapsed time (deterministic inputs produce
 // nondeterministic wall times; everything else in the record is a pure
 // function of the cache key).
-func newStoredResult(key, fp uint64, spec *Spec, res *core.Result) *StoredResult {
+func newStoredResult(key, fp uint64, spec json.RawMessage, res *core.Result) *StoredResult {
 	sr := &StoredResult{
-		Key:         fmt.Sprintf("%016x", key),
-		Fingerprint: fmt.Sprintf("%016x", fp),
+		Key:         hexKey(key),
+		Fingerprint: hexKey(fp),
 		Status:      res.Solver.Status.String(),
 		Gap:         ff(res.Gap),
 		Normalized:  ff(res.NormalizedGap),
@@ -58,7 +54,7 @@ func newStoredResult(key, fp uint64, spec *Spec, res *core.Result) *StoredResult
 		WarmSolves:  int64(res.Solver.WarmLPSolves),
 		WarmFallbks: int64(res.Solver.WarmLPFallbacks),
 		WallSec:     ff(res.Solver.Elapsed.Seconds()),
-		Spec:        json.RawMessage(spec.canonicalJSON()),
+		Spec:        spec,
 	}
 	if res.Demands != nil {
 		sr.Demands = make([]string, len(res.Demands))
@@ -69,109 +65,17 @@ func newStoredResult(key, fp uint64, spec *Spec, res *core.Result) *StoredResult
 	return sr
 }
 
-// store is the durable results ledger: an in-memory map mirrored to one JSON
-// file (sorted by key, rewritten atomically via temp + rename) on every
-// insert. Reads after a daemon restart hit the reloaded map, which is what
-// turns a repeat sweep into cache hits across process lifetimes.
-type store struct {
-	mu      sync.Mutex
-	path    string
-	results map[uint64]*StoredResult
+// resultsMagic tags the results store's record file (<state>/results.json,
+// a checkpoint.Table): the stored results, filed under their cache keys.
+const resultsMagic = "GAPRESULTS1"
+
+// RecordKey files the result in the results store under its cache key.
+func (sr *StoredResult) RecordKey() string {
+	if sr == nil {
+		return ""
+	}
+	return sr.Key
 }
 
-func openStore(path string) (*store, error) {
-	st := &store{path: path, results: make(map[uint64]*StoredResult)}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var list []*StoredResult
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, fmt.Errorf("serve: results store %s: %w", path, err)
-	}
-	for _, sr := range list {
-		k, err := strconv.ParseUint(sr.Key, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("serve: results store %s: bad key %q", path, sr.Key)
-		}
-		st.results[k] = sr
-	}
-	return st, nil
-}
-
-// get returns the stored result for key, or nil.
-func (s *store) get(key uint64) *StoredResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.results[key]
-}
-
-// put inserts (or overwrites) the result and rewrites the ledger file. A
-// failed flush rolls the in-memory insert back: otherwise the unflushed
-// result would be served as a cache hit while the job that produced it
-// reports a persistence failure.
-func (s *store) put(key uint64, sr *StoredResult) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.results[key]
-	s.results[key] = sr
-	if err := s.flushLocked(); err != nil {
-		if had {
-			s.results[key] = prev
-		} else {
-			delete(s.results, key)
-		}
-		return err
-	}
-	return nil
-}
-
-func (s *store) flushLocked() error {
-	keys := make([]uint64, 0, len(s.results))
-	for k := range s.results {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	list := make([]*StoredResult, len(keys))
-	for i, k := range keys {
-		list[i] = s.results[k]
-	}
-	data, err := json.MarshalIndent(list, "", "  ")
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(s.path), ".results-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// len reports how many results are stored.
-func (s *store) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.results)
-}
+// hexKey is a cache key as the results store and the queue ledger file it.
+func hexKey(key uint64) string { return fmt.Sprintf("%016x", key) }

@@ -1,36 +1,18 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/serve"
 )
 
-// Ledger wire format:
-//
-//	GAPSWEEP1 <16-hex fnv64a of payload>\n
-//	<payload: JSON array of CellRecord, sorted by key>
-//
-// The header line makes a torn or bit-flipped ledger fail loudly
-// (ErrLedgerCorrupt) instead of silently resuming a wrong sweep — the same
-// contract the GAPCKP and benchstore codecs enforce for their files. Writes
-// go through checkpoint.FS (temp + fsync + rename), so a crash mid-write
-// leaves either the old complete ledger or the new complete ledger, never a
-// prefix.
+// ledgerMagic tags the sweep ledger's record file (checkpoint.Table): a
+// GAPSWEEP1 header line with the payload's FNV-64a checksum, then the cells
+// as indented JSON sorted by key. Writes go through checkpoint.FS (temp +
+// fsync + rename), so a crash mid-write leaves either the old complete
+// ledger or the new one, never a prefix.
 const ledgerMagic = "GAPSWEEP1"
-
-// ErrLedgerCorrupt is wrapped by every decode failure caused by malformed
-// bytes (bad magic, checksum mismatch, truncated payload, invalid JSON).
-var ErrLedgerCorrupt = errors.New("sweep: corrupt ledger")
 
 // Cell statuses recorded in the ledger. done and truncated are terminal and
 // skipped on resume; retrying and exhausted are re-attempted by the next
@@ -57,138 +39,23 @@ type CellRecord struct {
 	Result   *serve.StoredResult `json:"result,omitempty"`
 }
 
-// EncodeLedger serializes records in canonical form: sorted by key, one
-// checksummed header line, then the JSON payload.
-func EncodeLedger(recs []*CellRecord) ([]byte, error) {
-	sorted := append([]*CellRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	payload, err := json.MarshalIndent(sorted, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("sweep: encode ledger: %w", err)
+// RecordKey files the cell in the ledger under its cell key.
+func (r *CellRecord) RecordKey() string {
+	if r == nil {
+		return ""
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	header := fmt.Sprintf("%s %016x\n", ledgerMagic, h.Sum64())
-	return append([]byte(header), payload...), nil
+	return r.Key
 }
 
-// DecodeLedger parses and verifies a ledger file's bytes.
-func DecodeLedger(data []byte) ([]*CellRecord, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: missing header line", ErrLedgerCorrupt)
-	}
-	header, payload := string(data[:nl]), data[nl+1:]
-	var gotSum string
-	if _, err := fmt.Sscanf(header, ledgerMagic+" %16s", &gotSum); err != nil || len(header) != len(ledgerMagic)+17 {
-		return nil, fmt.Errorf("%w: bad header %q", ErrLedgerCorrupt, header)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if want := fmt.Sprintf("%016x", h.Sum64()); gotSum != want {
-		return nil, fmt.Errorf("%w: checksum %s, want %s", ErrLedgerCorrupt, gotSum, want)
-	}
-	var recs []*CellRecord
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLedgerCorrupt, err)
-	}
-	for _, r := range recs {
-		if r == nil || r.Key == "" {
-			return nil, fmt.Errorf("%w: record missing key", ErrLedgerCorrupt)
-		}
-	}
-	return recs, nil
-}
-
-// Ledger is the durable sweep state: an in-memory map mirrored to one
-// checksummed file on every update.
-type Ledger struct {
-	mu    sync.Mutex
-	path  string
-	fs    checkpoint.FS
-	cells map[string]*CellRecord
-}
+// Ledger is the durable sweep state: the cells held in memory and mirrored
+// to one checksummed file on every Put, which rolls back when the write
+// fails.
+type Ledger = checkpoint.Table[*CellRecord]
 
 // OpenLedger loads the ledger at path, or starts empty if the file does not
 // exist. A corrupt ledger is an error, not an empty ledger: silently
 // restarting would resubmit the whole grid, exactly the failure mode the
 // ledger exists to prevent. fs may be nil (the real filesystem).
 func OpenLedger(path string, fs checkpoint.FS) (*Ledger, error) {
-	if fs == nil {
-		fs = checkpoint.OSFS()
-	}
-	l := &Ledger{path: path, fs: fs, cells: make(map[string]*CellRecord)}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return l, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: open ledger: %w", err)
-	}
-	recs, err := DecodeLedger(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	for _, r := range recs {
-		l.cells[r.Key] = r
-	}
-	return l, nil
-}
-
-// Get returns the record for a cell key, or nil.
-func (l *Ledger) Get(key string) *CellRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cells[key]
-}
-
-// Len reports the number of recorded cells.
-func (l *Ledger) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.cells)
-}
-
-// Put upserts a record and rewrites the ledger file atomically. A failed
-// flush rolls the in-memory update back so memory never claims durability
-// the disk does not have.
-func (l *Ledger) Put(rec *CellRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prev, had := l.cells[rec.Key]
-	l.cells[rec.Key] = rec
-	if err := l.flushLocked(); err != nil {
-		if had {
-			l.cells[rec.Key] = prev
-		} else {
-			delete(l.cells, rec.Key)
-		}
-		return err
-	}
-	return nil
-}
-
-func (l *Ledger) flushLocked() error {
-	keys := make([]string, 0, len(l.cells))
-	for k := range l.cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recs := make([]*CellRecord, 0, len(keys))
-	for _, k := range keys {
-		recs = append(recs, l.cells[k])
-	}
-	data, err := EncodeLedger(recs)
-	if err != nil {
-		return err
-	}
-	tmp, err := l.fs.WriteTemp(filepath.Dir(l.path), ".sweep-*", data)
-	if err != nil {
-		return fmt.Errorf("sweep: write ledger: %w", err)
-	}
-	if err := l.fs.Rename(tmp, l.path); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("sweep: commit ledger: %w", err)
-	}
-	return nil
+	return checkpoint.OpenTable[*CellRecord](path, ledgerMagic, fs)
 }

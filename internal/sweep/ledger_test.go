@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,9 +10,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
 )
+
+func encodeLedger(recs []*CellRecord) ([]byte, error) {
+	return checkpoint.EncodeRecords(ledgerMagic, recs)
+}
+
+func decodeLedger(data []byte) ([]*CellRecord, error) {
+	return checkpoint.DecodeRecords[*CellRecord](ledgerMagic, data)
+}
 
 func sampleRecords() []*CellRecord {
 	return []*CellRecord{
@@ -30,11 +40,11 @@ func sampleRecords() []*CellRecord {
 
 func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	data, err := EncodeLedger(recs)
+	data, err := encodeLedger(recs)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeLedger(data)
+	got, err := decodeLedger(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -47,7 +57,7 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed records:\n%s\nvs\n%s", a, b)
 	}
 	// Canonical: re-encoding the decoded records reproduces the bytes.
-	again, err := EncodeLedger(got)
+	again, err := encodeLedger(got)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
@@ -57,7 +67,7 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestLedgerDecodeRejectsCorruption(t *testing.T) {
-	good, err := EncodeLedger(sampleRecords())
+	good, err := encodeLedger(sampleRecords())
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -73,14 +83,14 @@ func TestLedgerDecodeRejectsCorruption(t *testing.T) {
 		"payload not json": []byte(fmt.Sprintf("GAPSWEEP1 %016x\nnot json", h.Sum64())),
 	}
 	for name, data := range cases {
-		if _, err := DecodeLedger(data); !errors.Is(err, ErrLedgerCorrupt) {
-			t.Errorf("%s: err = %v, want ErrLedgerCorrupt", name, err)
+		if _, err := decodeLedger(data); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 	// A record with no key is structurally corrupt even if the checksum holds.
-	noKey, _ := EncodeLedger([]*CellRecord{{Name: "x", Status: StatusDone}})
-	if _, err := DecodeLedger(noKey); !errors.Is(err, ErrLedgerCorrupt) {
-		t.Errorf("keyless record: err = %v, want ErrLedgerCorrupt", err)
+	noKey, _ := encodeLedger([]*CellRecord{{Name: "x", Status: StatusDone}})
+	if _, err := decodeLedger(noKey); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Errorf("keyless record: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -122,8 +132,8 @@ func TestLedgerOpenRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("GAPSWEEP1 0123456789abcdef\n[]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLedger(path, nil); !errors.Is(err, ErrLedgerCorrupt) {
-		t.Fatalf("open corrupt ledger: err = %v, want ErrLedgerCorrupt", err)
+	if _, err := OpenLedger(path, nil); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("open corrupt ledger: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -156,5 +166,30 @@ func TestLedgerPutRollsBackOnWriteFailure(t *testing.T) {
 	}
 	if l2.Len() != 1 || l2.Get(recs[0].Key) == nil {
 		t.Fatalf("on-disk ledger inconsistent after fault: %d cells", l2.Len())
+	}
+}
+
+// TestLedgerOpensParentFile: a GAPSWEEP1 ledger written by gapsweep before
+// the ledger moved onto checkpoint.Table (a figure1 grid plus one
+// budget-truncated B4 cell) opens, and re-encodes to the same bytes.
+func TestLedgerOpensParentFile(t *testing.T) {
+	path := filepath.Join("testdata", "gapsweep1.ledger")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLedger(path, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if l.Len() != 7 {
+		t.Fatalf("opened %d cells, want 7", l.Len())
+	}
+	got, err := encodeLedger(l.Records())
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded ledger differs from the file: %d vs %d bytes", len(got), len(want))
 	}
 }
