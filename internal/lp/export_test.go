@@ -12,6 +12,10 @@ var (
 	// it is seeded from, and runs the package's extraction referee.
 	IndexProblem             = indexProblem
 	CheckCanonicalExtraction = checkCanonicalExtraction
+
+	// CheckFreeSlabs requires the occupancy invariant of every released
+	// slab, over the layout of the form that released it.
+	CheckFreeSlabs = checkFreeSlabs
 )
 
 // NumIndexSources is the number of problem sources IndexProblem decodes.

@@ -53,6 +53,7 @@ func extractDifferential(t testing.TB, p *Problem, ov map[VarID][2]float64, cols
 		tab.blocked[j] = true
 	}
 	tab.install(cols)
+	checkLayout(t, fmt.Sprintf("install(%v)", cols), s.slab)
 	for round := 0; round < 2; round++ {
 		what := fmt.Sprintf("canonical(%v), round %d", support, round)
 		basis, b, obj, ok := s.slab.ext.canonical(support, tab.blocked, s.c)
@@ -104,7 +105,8 @@ func vertexSupport(p *Problem, ov map[VarID][2]float64, cols []int32) []int {
 // repeated and out-of-range columns included) and, when the problem solves,
 // the support of its optimal basis and of that basis on a child that fixes
 // one variable, each compared with the dense reference by
-// extractDifferential.
+// extractDifferential. The forms installed on and the slabs the solve
+// released must keep the occupancy invariant.
 func checkCanonicalExtraction(t testing.TB, p *Problem, ov map[VarID][2]float64, data []byte) {
 	t.Helper()
 	m, n, err := StdShape(p, ov)
@@ -118,6 +120,7 @@ func checkCanonicalExtraction(t testing.TB, p *Problem, ov map[VarID][2]float64,
 	}
 	extractDifferential(t, p, ov, cols, support)
 	sol, err := p.SolveWith(SolveOptions{BoundOverride: ov, CaptureBasis: true})
+	checkFreeSlabs(t, "solve")
 	if err != nil || sol.Status != StatusOptimal {
 		return
 	}

@@ -27,11 +27,22 @@ func refPivotRow(t *tableau, j int) int {
 }
 
 // refGauss is the dense Gauss-Jordan step that the eta replay reproduces:
-// it eliminates column pc from every row.
+// it scales row pr by a full scan, skipping zeros, and eliminates column pc
+// from every row. It shares no code with the kernels it referees, and it
+// marks the rows it eliminates dense, so the form keeps its occupancy and
+// the slab goes back to the free list clean.
 func refGauss(t *tableau, pr, pc int) {
 	s := t.s
-	nz, inv := t.scaleRow(pr, pc)
 	prow := s.a[pr]
+	inv := 1 / prow[pc]
+	var nz []int
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
+	}
+	prow[pc] = 1
 	s.b[pr] *= inv
 	for i := 0; i < s.m; i++ {
 		if i == pr {
@@ -47,6 +58,7 @@ func refGauss(t *tableau, pr, pc int) {
 		}
 		row[pc] = 0
 		s.b[i] -= f * s.b[pr]
+		s.slab.dense[i] = true
 	}
 }
 
@@ -152,6 +164,7 @@ func formPair(t *testing.T, p *Problem, ov map[VarID][2]float64) (idx, ref *tabl
 // with the dense reference kernels on another, and requires the same
 // success or failure. On success a, b and the basis must be bitwise those
 // of the reference; a rejected install must leave a and b bitwise as built.
+// Either way every nonzero must sit on a set bit or a dense row.
 // Last, it extracts support with extraction.canonical against the dense
 // reference.
 func installDifferential(t *testing.T, p *Problem, ov map[VarID][2]float64, cols []int32, support []int) {
@@ -167,6 +180,8 @@ func installDifferential(t *testing.T, p *Problem, ov map[VarID][2]float64, cols
 	if gotOK != wantOK {
 		t.Fatalf("%s = %v, reference %v", what, gotOK, wantOK)
 	}
+	checkLayout(t, what, idx.s.slab)
+	checkLayout(t, what+" reference", ref.s.slab)
 	if gotOK {
 		sameMatrix(t, what, idx.s, ref.s)
 		if !slices.Equal(idx.basis, ref.basis) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -48,6 +49,10 @@ var (
 	// pristine snapshot through an eta file, and the objective. On a warm
 	// solve the same span also lies inside lp_warm_repair_seconds.
 	lpExtractSeconds = obs.Default.Histogram("lp_extract_seconds")
+	// lpTiebreakSeconds times the phase-3 tiebreak, set-up sweep included,
+	// which lies inside lp_phase2_seconds on a cold solve and inside
+	// lp_warm_repair_seconds on a warm one.
+	lpTiebreakSeconds = obs.Default.Histogram("lp_tiebreak_seconds")
 
 	lpPhase1Pivots     = obs.Default.Counter("lp_phase1_pivots_total")
 	lpPhase2Pivots     = obs.Default.Counter("lp_phase2_pivots_total")
@@ -171,10 +176,24 @@ type stdVarMap struct {
 // (extract.go) that both the warm install and the canonical extraction run
 // on. Every node LP of a search builds one or more standard forms of the
 // same shape, so recycling the slab turns a fresh m*n allocation per build
-// into a memclr.
+// into an erase of the previous form's nonzeros.
+//
+// The slab tracks which entries may be nonzero (DESIGN.md, "Row
+// occupancy"): occ holds one bit per entry, w words per row, and dense
+// flags the rows that fill-in made cheaper to scan in full. On a row that
+// is not dense a clear bit means a zero entry, so the row scans walk a
+// sparse row's bits and getSlab erases only what the previous form
+// occupied. m, n and w are that form's layout.
 type stdSlab struct {
 	data []float64
 	rows [][]float64
+
+	m, n, w int
+	occ     []uint64 // m*w
+	dense   []bool   // m
+	cols    []int    // n, scratch: the list occupied returns for a sparse row
+	all     []int    // 0, 1, 2, ...: the list occupied returns for a dense row
+	elim    []int32  // m, scratch: the rows a pivot eliminates
 
 	ext extraction
 }
@@ -210,11 +229,23 @@ func getSlab(m, n int) *stdSlab {
 	if sl == nil {
 		sl = new(stdSlab)
 	}
+	sl.erase()
+	sl.m, sl.n, sl.w = m, n, (n+63)/64
 	if need := m * n; cap(sl.data) < need {
 		sl.data = make([]float64, need)
 	} else {
 		sl.data = sl.data[:need]
-		clear(sl.data)
+	}
+	// erase left the words and flags zero up to their capacity.
+	sl.occ = resize(sl.occ, m*sl.w)
+	sl.dense = resize(sl.dense, m)
+	sl.cols = resize(sl.cols, n)
+	sl.elim = resize(sl.elim, m)
+	if len(sl.all) < n {
+		sl.all = make([]int, n)
+		for j := range sl.all {
+			sl.all[j] = j
+		}
 	}
 	if cap(sl.rows) < m {
 		sl.rows = make([][]float64, m)
@@ -224,6 +255,78 @@ func getSlab(m, n int) *stdSlab {
 		sl.rows[i] = sl.data[i*n : (i+1)*n : (i+1)*n]
 	}
 	return sl
+}
+
+// erase zeroes what the slab's last form occupied: the set bits of its
+// sparse rows and the whole of its dense ones, then the bits and flags
+// themselves. The backing arrays are then zero throughout, as make left
+// them, since every form erases its own footprint.
+//
+//gapvet:hotpath once per standard-form build; it touches the previous form's nonzeros, not m·n
+func (sl *stdSlab) erase() {
+	for i := 0; i < sl.m; i++ {
+		row := sl.data[i*sl.n : (i+1)*sl.n]
+		if sl.dense[i] {
+			clear(row)
+			continue
+		}
+		for _, j := range sl.occupied(i) {
+			row[j] = 0
+		}
+	}
+	clear(sl.occ[:sl.m*sl.w])
+	clear(sl.dense[:sl.m])
+}
+
+// note records that buildStandard wrote entry (i, j): a bit of row i's
+// occupancy and a note for the pristine snapshot.
+func (sl *stdSlab) note(i, j int) {
+	sl.occ[i*sl.w+j>>6] |= 1 << (j & 63)
+	sl.ext.note(i, j)
+}
+
+// occupied returns, ascending, the columns where row i may be nonzero: the
+// set bits of a sparse row, every column of a dense one. Every scan of a row
+// goes through it, so a sparse row costs its nonzeros plus n/64 words. The
+// list aliases the slab and is valid until the next call.
+//
+//gapvet:hotpath every row scan of a solve; the column list is presized slab scratch
+func (sl *stdSlab) occupied(i int) []int {
+	if sl.dense[i] {
+		return sl.all[:sl.n]
+	}
+	cols, k := sl.cols, 0
+	for wi, word := range sl.occ[i*sl.w : (i+1)*sl.w] {
+		for ; word != 0; word &= word - 1 {
+			cols[k] = wi<<6 | bits.TrailingZeros64(word)
+			k++
+		}
+	}
+	return cols[:k]
+}
+
+// spread records the fill-in of an elimination on (pr, pc), whose pivot
+// row's nonzeros are nz, in the rows it eliminated. They take on pr's bits
+// and drop bit pc, which the elimination zeroed, unless pr is dense or over
+// an eighth full: past that a linear scan of the row is cheaper than walking
+// its bits, and one flag is cheaper than w words.
+//
+//gapvet:hotpath once per pivot and per replayed eta; it writes bits and flags in place
+func (sl *stdSlab) spread(pr, pc int, nz []int, rows []int32) {
+	if sl.dense[pr] || 8*len(nz) > sl.n {
+		for _, i := range rows {
+			sl.dense[i] = true
+		}
+		return
+	}
+	from := sl.occ[pr*sl.w : (pr+1)*sl.w]
+	for _, i := range rows {
+		to := sl.occ[int(i)*sl.w : (int(i)+1)*sl.w]
+		for k, word := range from {
+			to[k] |= word
+		}
+		to[pc>>6] &^= 1 << (pc & 63)
+	}
 }
 
 // release hands the constraint matrix back to the free list. The form must
@@ -384,45 +487,38 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	}
 
 	// Fill the matrix in place: structural coefficients (negated on flipped
-	// rows), upper-bound rows, then the slack/artificial unit entries. Every
-	// written position is noted for the pristine snapshot.
+	// rows, term by term, which rounds exactly as negating the sum would),
+	// upper-bound rows, then the slack/artificial unit entries. Every written
+	// position is noted for the pristine snapshot and the occupancy.
 	s.m, s.n = m, total
 	s.slab = getSlab(m, total)
 	s.a = s.slab.rows
 	s.b = rhs
-	ext := &s.slab.ext
+	sl, ext := s.slab, &s.slab.ext
 	ext.notes = resize(ext.notes, nnz+len(uppers)+len(extras))[:0]
 	for i, con := range p.cons {
-		row := s.a[i]
+		row, flip := s.a[i], s.rowFlip[i]
 		for _, t := range con.expr.Terms {
-			vm := s.varMap[t.Var]
+			vm, coef := s.varMap[t.Var], flip*t.Coef
 			if vm.negCol >= 0 {
-				row[vm.col] += t.Coef
-				row[vm.negCol] -= t.Coef
-				ext.note(i, vm.col)
-				ext.note(i, vm.negCol)
+				row[vm.col] += coef
+				row[vm.negCol] -= coef
+				sl.note(i, vm.col)
+				sl.note(i, vm.negCol)
 				continue
 			}
-			row[vm.col] += t.Coef * vm.sign
-			ext.note(i, vm.col)
+			row[vm.col] += coef * vm.sign
+			sl.note(i, vm.col)
 		}
 	}
 	for k, u := range uppers {
 		s.a[nUser+k][u.col] = 1
-		ext.note(nUser+k, u.col)
-	}
-	for i := 0; i < m; i++ {
-		if s.rowFlip[i] < 0 {
-			row := s.a[i][:ncols]
-			for j := range row {
-				row[j] = -row[j]
-			}
-		}
+		sl.note(nUser+k, u.col)
 	}
 	for k, e := range extras {
 		col := colOf[k]
 		s.a[e.row][col] = e.coef
-		ext.note(e.row, col)
+		sl.note(e.row, col)
 		// Unit columns with +1 give the cleanest dual read-off; prefer the
 		// artificial when present (GE rows), else the slack.
 		if e.coef > 0 || s.rowUnit[e.row] == -1 {
@@ -623,8 +719,8 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 	needCrash := false
 	for i := 0; i < s.m; i++ {
 		t.basis[i] = -1
-		for j := s.nStruct; j < s.artFrom; j++ {
-			if s.a[i][j] == 1 && !t.inBasis[j] {
+		for _, j := range s.slab.occupied(i) {
+			if j >= s.nStruct && j < s.artFrom && s.a[i][j] == 1 && !t.inBasis[j] {
 				t.basis[i] = j
 				t.inBasis[j] = true
 				break
@@ -640,8 +736,8 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 		count := make([]int, s.nStruct)
 		for i := 0; i < s.m; i++ {
 			row := s.a[i]
-			for j := 0; j < s.nStruct; j++ {
-				if row[j] != 0 {
+			for _, j := range s.slab.occupied(i) {
+				if j < s.nStruct && row[j] != 0 {
 					count[j]++
 					rowOf[j] = i
 				}
@@ -652,9 +748,11 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 			if count[j] != 1 || t.basis[i] != -1 || s.a[i][j] <= pivotTol || t.blocked[j] {
 				continue
 			}
-			// The column is zero outside row i, so this pivot only rescales
-			// row i: O(n) rather than O(m*n).
-			t.pivot2(i, j)
+			// The column is zero outside row i, so pivoting on it only
+			// rescales row i.
+			s.pivoted = true
+			_, inv := t.scaleRow(i, j)
+			s.b[i] *= inv
 			t.basis[i] = j
 			t.inBasis[j] = true
 		}
@@ -665,8 +763,8 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 			continue
 		}
 		col := -1
-		for j := s.artFrom; j < s.n; j++ {
-			if s.a[i][j] == 1 && !t.inBasis[j] {
+		for _, j := range s.slab.occupied(i) {
+			if j >= s.artFrom && s.a[i][j] == 1 && !t.inBasis[j] {
 				col = j
 				break
 			}
@@ -721,10 +819,7 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 	// Phase 2: the real objective, then the canonical-vertex tie-break.
 	t.resetCosts(s.c)
 	p2Start := time.Now() //gapvet:allow walltime phase-2 time attribution; observed into an obs histogram, never read by the solve
-	st := t.run()
-	if st == StatusOptimal {
-		st = t.tiebreak()
-	}
+	st := t.optimum()
 	lpPhase2Seconds.ObserveDuration(time.Since(p2Start)) //gapvet:allow walltime phase-2 time attribution; observed into an obs histogram, never read by the solve
 	lpPhase2Pivots.Add(int64(t.iters - t.phase1))
 	return finishSolution(p, t, st, opts), nil
@@ -843,7 +938,7 @@ func (t *tableau) resetCosts(c []float64) {
 		}
 		t.obj += cb * s.b[i]
 		row := s.a[i]
-		for j := 0; j < s.n; j++ {
+		for _, j := range s.slab.occupied(i) {
 			t.r[j] -= cb * row[j]
 		}
 	}
@@ -851,25 +946,6 @@ func (t *tableau) resetCosts(c []float64) {
 	for _, col := range t.basis {
 		t.r[col] = 0
 	}
-}
-
-// pivot2 normalizes row pr so that column pc becomes 1. Valid only when
-// column pc is zero outside row pr (crash pivots on singleton columns), so
-// no other row or the cost row needs updating.
-func (t *tableau) pivot2(pr, pc int) {
-	s := t.s
-	prow := s.a[pr]
-	piv := prow[pc]
-	if piv == 1 {
-		return
-	}
-	s.pivoted = true
-	inv := 1 / piv
-	for j := 0; j < s.n; j++ {
-		prow[j] *= inv
-	}
-	prow[pc] = 1
-	s.b[pr] *= inv
 }
 
 // run iterates pivots until optimality, unboundedness, or the iteration cap.
@@ -964,16 +1040,19 @@ func (t *tableau) ratio(pc int) int {
 // tableau's scratch, valid until the next call. Zeros are left alone rather
 // than multiplied, so a zero keeps its sign where a full-row loop would turn
 // it into -0 on a negative pivot; every nonzero is bitwise what a full-row
-// loop computes.
+// loop computes. Scaling makes no fill-in, and the bits of entries that
+// cancelled to zero are dropped, so the row spreads only its nonzeros.
 func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
-	prow := t.s.a[pr]
+	prow, sl := t.s.a[pr], t.s.slab
 	inv = 1 / prow[pc]
-	k := 0
-	for j, v := range prow {
-		if v != 0 {
+	k, sparse := 0, !sl.dense[pr]
+	for _, j := range sl.occupied(pr) {
+		if v := prow[j]; v != 0 {
 			prow[j] = v * inv
 			t.nz[k] = j
 			k++
+		} else if sparse {
+			sl.occ[pr*sl.w+j>>6] &^= 1 << (j & 63)
 		}
 	}
 	prow[pc] = 1
@@ -982,14 +1061,17 @@ func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
 
 // pivot performs a pivot on (pr, pc), updating rows, rhs, reduced costs,
 // objective, and the basis. Elimination runs over the pivot row's nonzeros
-// only: O(nnz(pivot row) x nnz(pivot column)) plus an O(m) column scan.
+// only: O(nnz(pivot row) x nnz(pivot column)) plus an O(m) column scan. It
+// returns the pivot row's nonzero columns, as scaleRow does. The loop only
+// lists the rows it eliminates; spread updates their occupancy afterwards,
+// so the elimination itself carries no occupancy state.
 //
 //gapvet:hotpath every simplex pivot; the nonzero list lives in presized tableau scratch
-func (t *tableau) pivot(pr, pc int) {
+func (t *tableau) pivot(pr, pc int) []int {
 	s := t.s
 	s.pivoted = true
 	nz, inv := t.scaleRow(pr, pc)
-	prow := s.a[pr]
+	prow, elim, k := s.a[pr], s.slab.elim, 0
 	s.b[pr] *= inv
 	if s.b[pr] < 0 && s.b[pr] > -feasTol {
 		s.b[pr] = 0
@@ -1007,11 +1089,14 @@ func (t *tableau) pivot(pr, pc int) {
 			row[j] -= f * prow[j]
 		}
 		row[pc] = 0
+		elim[k] = int32(i)
+		k++
 		s.b[i] -= f * s.b[pr]
 		if s.b[i] < 0 && s.b[i] > -feasTol {
 			s.b[i] = 0
 		}
 	}
+	s.slab.spread(pr, pc, nz, elim[:k])
 	if f := t.r[pc]; f != 0 {
 		for _, j := range nz {
 			t.r[j] -= f * prow[j]
@@ -1024,6 +1109,19 @@ func (t *tableau) pivot(pr, pc int) {
 	t.inBasis[t.basis[pr]] = false
 	t.basis[pr] = pc
 	t.inBasis[pc] = true
+	return nz
+}
+
+// optimum runs the primal simplex and, at optimality, the tiebreak, which
+// it times into lp_tiebreak_seconds.
+func (t *tableau) optimum() Status {
+	if st := t.run(); st != StatusOptimal {
+		return st
+	}
+	start := time.Now() //gapvet:allow walltime tiebreak time attribution; observed into an obs histogram, never read by the solve
+	st := t.tiebreak()
+	lpTiebreakSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime tiebreak time attribution; observed into an obs histogram, never read by the solve
+	return st
 }
 
 // tiebreakWeight returns the fixed secondary weight of column j: a generic
@@ -1066,7 +1164,7 @@ func (t *tableau) tiebreak() Status {
 	for i, col := range t.basis {
 		wb := tiebreakWeight(col)
 		row := s.a[i]
-		for j := 0; j < s.n; j++ {
+		for _, j := range s.slab.occupied(i) {
 			rw[j] -= wb * row[j]
 		}
 	}
@@ -1108,10 +1206,10 @@ func (t *tableau) tiebreak() Status {
 			return StatusOptimal
 		}
 		f := rw[pc]
-		t.pivot(pr, pc)
+		nz := t.pivot(pr, pc)
 		t.iters++
 		prow := s.a[pr]
-		for j := 0; j < s.n; j++ {
+		for _, j := range nz {
 			rw[j] -= f * prow[j]
 		}
 		rw[pc] = 0
@@ -1186,10 +1284,7 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
 	// the refactorization (usually zero pivots), then walk to the canonical
 	// vertex exactly as the cold path does.
 	lpWarmEvictPivots.Add(int64(t.evictBlocked()))
-	st := t.run()
-	if st == StatusOptimal {
-		st = t.tiebreak()
-	}
+	st := t.optimum()
 	switch st {
 	case StatusDeadline, StatusInterrupted:
 		sol := t.solution(st)
@@ -1235,9 +1330,10 @@ func (t *tableau) install(cols []int32) bool {
 // install. Negative b entries are expected output: they are exactly the
 // primal infeasibilities the dual phase repairs. It eliminates over the
 // pivot row's nonzeros and the given rows, which must be exactly the other
-// rows where column pc is nonzero: an eta's multiplier rows. The eta file
-// describes the pristine form, so gauss on a pivoted form is a programming
-// error.
+// rows where column pc is nonzero: an eta's multiplier rows. Each of them
+// takes on the pivot row's occupancy, so an install keeps its rows sparse.
+// The eta file describes the pristine form, so gauss on a pivoted form is a
+// programming error.
 //
 //gapvet:hotpath one replayed eta per non-unit column of a warm install; the nonzero list lives in presized tableau scratch
 func (t *tableau) gauss(pr, pc int, rows []int32) {
@@ -1257,6 +1353,7 @@ func (t *tableau) gauss(pr, pc int, rows []int32) {
 		row[pc] = 0
 		s.b[i] -= f * s.b[pr]
 	}
+	s.slab.spread(pr, pc, nz, rows)
 }
 
 // runDual repairs primal feasibility while maintaining dual feasibility — a
@@ -1309,7 +1406,7 @@ func (t *tableau) runDual() Status {
 		}
 		row := s.a[pr]
 		pc, bestRatio := -1, math.Inf(1)
-		for j := 0; j < s.n; j++ {
+		for _, j := range s.slab.occupied(pr) {
 			if t.inBasis[j] || t.blocked[j] {
 				continue
 			}

@@ -10,9 +10,11 @@ import (
 )
 
 // warmVerdict solves p under ov cold and warm-started from parent and
-// requires the same status. It reports whether the warm solve ended at the
-// dual repair's infeasibility certificate, which must then be a warm solve
-// with no fallback and no point or duals, traced as "warm-infeasible".
+// requires the same status, and both forms' slabs to come back to the free
+// list with every nonzero on a set bit or a dense row. It reports whether
+// the warm solve ended at the dual repair's infeasibility certificate, which
+// must then be a warm solve with no fallback and no point or duals, traced
+// as "warm-infeasible".
 func warmVerdict(t *testing.T, p *lp.Problem, parent *lp.Basis, ov map[lp.VarID][2]float64) bool {
 	t.Helper()
 	cold, err := p.SolveWith(lp.SolveOptions{BoundOverride: ov})
@@ -24,6 +26,7 @@ func warmVerdict(t *testing.T, p *lp.Problem, parent *lp.Basis, ov map[lp.VarID]
 	if err != nil {
 		t.Fatalf("warm child: %v", err)
 	}
+	lp.CheckFreeSlabs(t, "warm child")
 	events := col.Events()
 	detail := events[len(events)-1].Detail
 	if warm.Status != cold.Status {
