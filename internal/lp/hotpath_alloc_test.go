@@ -67,20 +67,17 @@ func TestHotpathSolveKernelsDoNotAllocate(t *testing.T) {
 type formState struct {
 	data, b []float64
 	occ     []uint64
-	dense   []bool
 }
 
 func saveForm(s *stdForm) formState {
 	sl := s.slab
-	return formState{data: slices.Clone(sl.data), b: slices.Clone(s.b),
-		occ: slices.Clone(sl.occ), dense: slices.Clone(sl.dense)}
+	return formState{data: slices.Clone(sl.data), b: slices.Clone(s.b), occ: slices.Clone(sl.occ)}
 }
 
 func (st formState) restore(t *tableau) {
 	s := t.s
 	copy(s.slab.data, st.data)
 	copy(s.slab.occ, st.occ)
-	copy(s.slab.dense, st.dense)
 	copy(s.b, st.b)
 	s.pivoted = false
 	clear(t.inBasis)
@@ -103,8 +100,8 @@ func otherRows(s *stdForm, pr, pc int) []int32 {
 // kernels with the runtime's own counter: gauss (one replayed step of a
 // warm install) and pivot (every simplex step) keep their nonzero list in
 // the tableau's presized scratch, so neither may allocate per call. The
-// same holds for the occupancy walk over a sparse and a dense row and for
-// spread, both ways: bits into sparse rows, flags from a dense pivot row.
+// same holds for the occupancy walk and for spread, which ORs a pivot row's
+// bits into the rows it eliminated.
 func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
@@ -141,16 +138,12 @@ func TestHotpathDenseKernelsDoNotAllocate(t *testing.T) {
 
 	pristine.restore(tab)
 	sl := s.slab
-	sl.dense[1] = true
-	if len(sl.occupied(0)) == s.n || len(sl.occupied(1)) != s.n {
-		t.Fatal("row 0 should walk its bits and row 1 every column")
+	if got := len(sl.occupied(0)); got == 0 || got == s.n {
+		t.Fatalf("row 0 walks %d of %d columns, want its few nonzeros", got, s.n)
 	}
-	nz := sl.occupied(0)[:2]
 	if allocs := testing.AllocsPerRun(100, func() {
 		sl.occupied(0)
-		sl.occupied(1)
-		sl.spread(0, 0, nz, rows)
-		sl.spread(1, 0, nz, rows)
+		sl.spread(0, 0, rows)
 	}); allocs != 0 {
 		t.Errorf("the occupancy walk and spread allocate %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
@@ -183,22 +176,6 @@ func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 		t.Errorf("install allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 
-	// The selective erase: hand the installed form's slab back and take it
-	// again, which erases the install's footprint. ownSlabs makes the slab
-	// taken the slab given back, and the pristine state is restored into it.
-	ownSlabs(t)
-	recycle := func() {
-		install()
-		s.release()
-		s.slab = getSlab(s.m, s.n)
-		s.a = s.slab.rows
-		pristine.restore(tab)
-	}
-	recycle()
-	if allocs := testing.AllocsPerRun(100, recycle); allocs != 0 {
-		t.Errorf("install, release and the erase in getSlab allocate %.0f times per run, want 0", allocs)
-	}
-
 	// The extraction reads only the form's pristine snapshot, so it runs
 	// as is on the installed form.
 	support := []int{0, 2}
@@ -217,23 +194,12 @@ func TestHotpathInstallsDoNotAllocate(t *testing.T) {
 // optimal solve runs: resetCosts (each phase start) and tiebreak (the
 // phase-3 walk, whose secondary reduced costs go to tableau scratch). The
 // tableau is driven to optimality first, so tiebreak does its full set-up
-// and scan on every call, and its rows are a mix of sparse ones, walked by
-// their bits, and dense ones, scanned in full.
+// and scan on every call, each row walked by its occupancy bits.
 func TestHotpathCostKernelsDoNotAllocate(t *testing.T) {
 	tab, s := kernelTableau(t)
 	defer s.release()
 	if st := tab.run(); st != StatusOptimal {
 		t.Fatalf("kernel LP: %v", st)
-	}
-	// The kernel LP's pivot rows are wide enough that every row it
-	// eliminates turns dense; give row 0 back its bits, every column set.
-	sl := s.slab
-	sl.dense[0] = false
-	for j := 0; j < s.n; j++ {
-		sl.occ[j>>6] |= 1 << (j & 63)
-	}
-	if !slices.Contains(sl.dense[:s.m], true) {
-		t.Fatalf("dense rows %v: the sweeps should walk dense rows too", sl.dense[:s.m])
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		tab.resetCosts(s.c)

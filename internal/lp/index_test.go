@@ -29,8 +29,8 @@ func refPivotRow(t *tableau, j int) int {
 // refGauss is the dense Gauss-Jordan step that the eta replay reproduces:
 // it scales row pr by a full scan, skipping zeros, and eliminates column pc
 // from every row. It shares no code with the kernels it referees, and it
-// marks the rows it eliminates dense, so the form keeps its occupancy and
-// the slab goes back to the free list clean.
+// sets the bits of every nonzero it leaves in the rows it eliminates, so
+// the form keeps its occupancy invariant.
 func refGauss(t *tableau, pr, pc int) {
 	s := t.s
 	prow := s.a[pr]
@@ -58,7 +58,11 @@ func refGauss(t *tableau, pr, pc int) {
 		}
 		row[pc] = 0
 		s.b[i] -= f * s.b[pr]
-		s.slab.dense[i] = true
+		for j, v := range row {
+			if v != 0 {
+				s.slab.occ[i*s.slab.w+j>>6] |= 1 << (j & 63)
+			}
+		}
 	}
 }
 

@@ -176,23 +176,19 @@ type stdVarMap struct {
 // (extract.go) that both the warm install and the canonical extraction run
 // on. Every node LP of a search builds one or more standard forms of the
 // same shape, so recycling the slab turns a fresh m*n allocation per build
-// into an erase of the previous form's nonzeros.
+// into a memclr.
 //
 // The slab tracks which entries may be nonzero (DESIGN.md, "Row
-// occupancy"): occ holds one bit per entry, w words per row, and dense
-// flags the rows that fill-in made cheaper to scan in full. On a row that
-// is not dense a clear bit means a zero entry, so the row scans walk a
-// sparse row's bits and getSlab erases only what the previous form
-// occupied. m, n and w are that form's layout.
+// occupancy"): occ holds one bit per entry, w words per row, and a clear
+// bit means a zero entry, so the row scans walk a row's set bits. m, n and
+// w are the current form's layout.
 type stdSlab struct {
 	data []float64
 	rows [][]float64
 
 	m, n, w int
 	occ     []uint64 // m*w
-	dense   []bool   // m
-	cols    []int    // n, scratch: the list occupied returns for a sparse row
-	all     []int    // 0, 1, 2, ...: the list occupied returns for a dense row
+	cols    []int    // n, scratch: the list occupied returns
 	elim    []int32  // m, scratch: the rows a pivot eliminates
 
 	ext extraction
@@ -229,24 +225,17 @@ func getSlab(m, n int) *stdSlab {
 	if sl == nil {
 		sl = new(stdSlab)
 	}
-	sl.erase()
 	sl.m, sl.n, sl.w = m, n, (n+63)/64
 	if need := m * n; cap(sl.data) < need {
 		sl.data = make([]float64, need)
 	} else {
 		sl.data = sl.data[:need]
+		clear(sl.data)
 	}
-	// erase left the words and flags zero up to their capacity.
 	sl.occ = resize(sl.occ, m*sl.w)
-	sl.dense = resize(sl.dense, m)
+	clear(sl.occ)
 	sl.cols = resize(sl.cols, n)
 	sl.elim = resize(sl.elim, m)
-	if len(sl.all) < n {
-		sl.all = make([]int, n)
-		for j := range sl.all {
-			sl.all[j] = j
-		}
-	}
 	if cap(sl.rows) < m {
 		sl.rows = make([][]float64, m)
 	}
@@ -257,27 +246,6 @@ func getSlab(m, n int) *stdSlab {
 	return sl
 }
 
-// erase zeroes what the slab's last form occupied: the set bits of its
-// sparse rows and the whole of its dense ones, then the bits and flags
-// themselves. The backing arrays are then zero throughout, as make left
-// them, since every form erases its own footprint.
-//
-//gapvet:hotpath once per standard-form build; it touches the previous form's nonzeros, not m·n
-func (sl *stdSlab) erase() {
-	for i := 0; i < sl.m; i++ {
-		row := sl.data[i*sl.n : (i+1)*sl.n]
-		if sl.dense[i] {
-			clear(row)
-			continue
-		}
-		for _, j := range sl.occupied(i) {
-			row[j] = 0
-		}
-	}
-	clear(sl.occ[:sl.m*sl.w])
-	clear(sl.dense[:sl.m])
-}
-
 // note records that buildStandard wrote entry (i, j): a bit of row i's
 // occupancy and a note for the pristine snapshot.
 func (sl *stdSlab) note(i, j int) {
@@ -286,15 +254,12 @@ func (sl *stdSlab) note(i, j int) {
 }
 
 // occupied returns, ascending, the columns where row i may be nonzero: the
-// set bits of a sparse row, every column of a dense one. Every scan of a row
-// goes through it, so a sparse row costs its nonzeros plus n/64 words. The
-// list aliases the slab and is valid until the next call.
+// set bits of its occupancy. Every scan of a row goes through it, so a row
+// costs its set bits plus n/64 words. The list aliases the slab and is
+// valid until the next call.
 //
 //gapvet:hotpath every row scan of a solve; the column list is presized slab scratch
 func (sl *stdSlab) occupied(i int) []int {
-	if sl.dense[i] {
-		return sl.all[:sl.n]
-	}
 	cols, k := sl.cols, 0
 	for wi, word := range sl.occ[i*sl.w : (i+1)*sl.w] {
 		for ; word != 0; word &= word - 1 {
@@ -305,20 +270,12 @@ func (sl *stdSlab) occupied(i int) []int {
 	return cols[:k]
 }
 
-// spread records the fill-in of an elimination on (pr, pc), whose pivot
-// row's nonzeros are nz, in the rows it eliminated. They take on pr's bits
-// and drop bit pc, which the elimination zeroed, unless pr is dense or over
-// an eighth full: past that a linear scan of the row is cheaper than walking
-// its bits, and one flag is cheaper than w words.
+// spread records the fill-in of an elimination on (pr, pc) in the rows it
+// eliminated: they take on pr's bits and drop bit pc, which the elimination
+// zeroed.
 //
-//gapvet:hotpath once per pivot and per replayed eta; it writes bits and flags in place
-func (sl *stdSlab) spread(pr, pc int, nz []int, rows []int32) {
-	if sl.dense[pr] || 8*len(nz) > sl.n {
-		for _, i := range rows {
-			sl.dense[i] = true
-		}
-		return
-	}
+//gapvet:hotpath once per pivot and per replayed eta; it ORs words in place
+func (sl *stdSlab) spread(pr, pc int, rows []int32) {
 	from := sl.occ[pr*sl.w : (pr+1)*sl.w]
 	for _, i := range rows {
 		to := sl.occ[int(i)*sl.w : (int(i)+1)*sl.w]
@@ -1045,13 +1002,13 @@ func (t *tableau) ratio(pc int) int {
 func (t *tableau) scaleRow(pr, pc int) (nz []int, inv float64) {
 	prow, sl := t.s.a[pr], t.s.slab
 	inv = 1 / prow[pc]
-	k, sparse := 0, !sl.dense[pr]
+	k := 0
 	for _, j := range sl.occupied(pr) {
 		if v := prow[j]; v != 0 {
 			prow[j] = v * inv
 			t.nz[k] = j
 			k++
-		} else if sparse {
+		} else {
 			sl.occ[pr*sl.w+j>>6] &^= 1 << (j & 63)
 		}
 	}
@@ -1096,7 +1053,7 @@ func (t *tableau) pivot(pr, pc int) []int {
 			s.b[i] = 0
 		}
 	}
-	s.slab.spread(pr, pc, nz, elim[:k])
+	s.slab.spread(pr, pc, elim[:k])
 	if f := t.r[pc]; f != 0 {
 		for _, j := range nz {
 			t.r[j] -= f * prow[j]
@@ -1353,7 +1310,7 @@ func (t *tableau) gauss(pr, pc int, rows []int32) {
 		row[pc] = 0
 		s.b[i] -= f * s.b[pr]
 	}
-	s.slab.spread(pr, pc, nz, rows)
+	s.slab.spread(pr, pc, rows)
 }
 
 // runDual repairs primal feasibility while maintaining dual feasibility — a
