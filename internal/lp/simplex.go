@@ -182,6 +182,10 @@ type stdVarMap struct {
 // occupancy"): occ holds one bit per entry, w words per row, and a clear
 // bit means a zero entry, so the row scans walk a row's set bits. m, n and
 // w are the current form's layout.
+//
+// The slab also owns the form and tableau built on it and every per-solve
+// slice they use, each resized in place, so a solve allocates only what it
+// returns: the Solution, X, Dual and Basis.
 type stdSlab struct {
 	data []float64
 	rows [][]float64
@@ -191,7 +195,34 @@ type stdSlab struct {
 	cols    []int    // n, scratch: the list occupied returns
 	elim    []int32  // m, scratch: the rows a pivot eliminates
 
+	form stdForm
+	tab  tableau
+
+	// buildStandard's scratch, and the solve's: rhs is the right-hand side
+	// as built (a dive's pristine b), xs finishSolution's standard-form
+	// point, and crash solveCold's singleton search.
+	rels   []Rel
+	uppers []upperRow
+	extras []extra
+	colOf  []int
+	rhs    []float64
+	xs     []float64
+	crash  []int
+
 	ext extraction
+}
+
+// upperRow is the upper-bound row buildStandard adds for a column.
+type upperRow struct {
+	col int
+	rhs float64
+}
+
+// extra is a slack, surplus or artificial column of row row.
+type extra struct {
+	row  int
+	coef float64
+	art  bool
 }
 
 // freeSlabs is the free list of released slabs, last in first out. Unlike
@@ -211,9 +242,8 @@ var freeSlabs struct {
 // maxFreeSlabs bounds freeSlabs: two slabs per P.
 var maxFreeSlabs = 2 * runtime.GOMAXPROCS(0)
 
-// getSlab returns an all-zero m x n matrix backed by a recycled slab when
-// one is free.
-func getSlab(m, n int) *stdSlab {
+// getSlab returns a recycled slab when one is free, else a new one.
+func getSlab() *stdSlab {
 	var sl *stdSlab
 	freeSlabs.mu.Lock()
 	if k := len(freeSlabs.list); k > 0 {
@@ -225,6 +255,11 @@ func getSlab(m, n int) *stdSlab {
 	if sl == nil {
 		sl = new(stdSlab)
 	}
+	return sl
+}
+
+// size lays an all-zero m x n matrix out on the slab.
+func (sl *stdSlab) size(m, n int) {
 	sl.m, sl.n, sl.w = m, n, (n+63)/64
 	if need := m * n; cap(sl.data) < need {
 		sl.data = make([]float64, need)
@@ -243,7 +278,6 @@ func getSlab(m, n int) *stdSlab {
 	for i := range sl.rows {
 		sl.rows[i] = sl.data[i*n : (i+1)*n : (i+1)*n]
 	}
-	return sl
 }
 
 // note records that buildStandard wrote entry (i, j): a bit of row i's
@@ -293,20 +327,45 @@ func (s *stdForm) release() {
 	if s.slab == nil {
 		return
 	}
+	// The form lives on its slab, so it is emptied before the slab is
+	// listed: from then on the next solve may own it.
+	sl := s.slab
+	s.slab, s.a = nil, nil
 	freeSlabs.mu.Lock()
 	if len(freeSlabs.list) < maxFreeSlabs {
-		freeSlabs.list = append(freeSlabs.list, s.slab)
+		freeSlabs.list = append(freeSlabs.list, sl)
 	}
 	freeSlabs.mu.Unlock()
-	s.slab, s.a = nil, nil
 }
 
-// buildStandard converts p (with optional bound overrides) to standard form.
-// The constraint matrix comes from the slab free list; the caller releases it
-// when the solve is done with the form.
+// buildStandard converts p (with optional bound overrides) to standard form
+// on a slab from the free list; the caller releases it when the solve is
+// done with the form.
 func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) {
-	s := &stdForm{negate: p.sense == Maximize}
-	s.varMap = make([]stdVarMap, len(p.vars))
+	sl := getSlab()
+	s := &sl.form
+	s.slab = sl
+	nnz, err := s.layout(p, override)
+	if err != nil {
+		s.release()
+		return nil, err
+	}
+	s.b, sl.rhs = sl.rhs, s.b
+	s.fill(p, nnz)
+	s.c = resize(s.c, s.n)
+	s.objConst = s.costs(p, s.c)
+	return s, nil
+}
+
+// layout computes everything of the standard form but its matrix and
+// costs: the column layout, the right-hand side as built (into the slab's
+// rhs), the row flips, the unit columns and the signature. It returns the
+// number of structural entries fill writes.
+func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error) {
+	sl := s.slab
+	s.negate = p.sense == Maximize
+	s.varMap = resize(s.varMap, len(p.vars))
+	s.fixed = s.fixed[:0]
 
 	bounds := func(v int) (float64, float64) {
 		if override != nil {
@@ -318,16 +377,12 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	}
 
 	// Assign structural columns.
-	type upperRow struct {
-		col int
-		rhs float64
-	}
-	var uppers []upperRow
+	uppers := sl.uppers[:0]
 	ncols := 0
 	for j := range p.vars {
 		lo, hi := bounds(j)
 		if lo > hi {
-			return nil, fmt.Errorf("lp: variable %q has lo %g > hi %g", p.vars[j].name, lo, hi)
+			return 0, fmt.Errorf("lp: variable %q has lo %g > hi %g", p.vars[j].name, lo, hi)
 		}
 		vm := stdVarMap{col: ncols, negCol: -1, sign: 1}
 		switch {
@@ -358,20 +413,16 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 		}
 		s.varMap[j] = vm
 	}
+	sl.uppers = uppers
 	s.nStruct = ncols
-
-	objSign := 1.0
-	if s.negate {
-		objSign = -1
-	}
 
 	// Right-hand sides and relations first: a row's sign decides its
 	// slack/artificial columns, and so the width of the matrix.
-	// nnz counts the structural entries the fill below writes.
+	// nnz counts the structural entries the fill writes.
 	nUser := len(p.cons)
 	m := nUser + len(uppers)
-	rhs := make([]float64, m)
-	rels := make([]Rel, m)
+	sl.rhs, sl.rels = resize(sl.rhs, m), resize(sl.rels, m)
+	rhs, rels := sl.rhs, sl.rels
 	nnz := 0
 	for i, con := range p.cons {
 		r := con.rhs
@@ -390,19 +441,12 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	}
 
 	// Normalize b >= 0, then lay out slack/surplus and artificial columns.
-	s.rowFlip = make([]float64, m)
-	s.rowUnit = make([]int, m)
-	for i := range s.rowUnit {
-		s.rowUnit[i] = -1 // -1 = no unit column yet; 0 is a real column index
-	}
-	s.rowUnitSign = make([]float64, m)
-	type extra struct {
-		row  int
-		coef float64
-		art  bool
-	}
-	var extras []extra
+	s.rowFlip = resize(s.rowFlip, m)
+	s.rowUnit = resize(s.rowUnit, m)
+	s.rowUnitSign = resize(s.rowUnitSign, m)
+	extras := sl.extras[:0]
 	for i := 0; i < m; i++ {
+		s.rowUnit[i] = -1 // -1 = no unit column yet; 0 is a real column index
 		s.rowFlip[i] = 1
 		if rhs[i] < 0 {
 			s.rowFlip[i] = -1
@@ -424,10 +468,11 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			extras = append(extras, extra{row: i, coef: 1, art: true})
 		}
 	}
-	total := ncols + len(extras)
+	sl.extras = extras
 	// Place non-artificial slacks first, then artificials, so that
 	// "column >= artFrom" identifies artificials.
-	colOf := make([]int, len(extras))
+	sl.colOf = resize(sl.colOf, len(extras))
+	colOf := sl.colOf
 	next := ncols
 	for k, e := range extras {
 		if !e.art {
@@ -442,65 +487,15 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 			next++
 		}
 	}
-
-	// Fill the matrix in place: structural coefficients (negated on flipped
-	// rows, term by term, which rounds exactly as negating the sum would),
-	// upper-bound rows, then the slack/artificial unit entries. Every written
-	// position is noted for the pristine snapshot and the occupancy.
-	s.m, s.n = m, total
-	s.slab = getSlab(m, total)
-	s.a = s.slab.rows
-	s.b = rhs
-	sl, ext := s.slab, &s.slab.ext
-	ext.notes = resize(ext.notes, nnz+len(uppers)+len(extras))[:0]
-	for i, con := range p.cons {
-		row, flip := s.a[i], s.rowFlip[i]
-		for _, t := range con.expr.Terms {
-			vm, coef := s.varMap[t.Var], flip*t.Coef
-			if vm.negCol >= 0 {
-				row[vm.col] += coef
-				row[vm.negCol] -= coef
-				sl.note(i, vm.col)
-				sl.note(i, vm.negCol)
-				continue
-			}
-			row[vm.col] += coef * vm.sign
-			sl.note(i, vm.col)
-		}
-	}
-	for k, u := range uppers {
-		s.a[nUser+k][u.col] = 1
-		sl.note(nUser+k, u.col)
-	}
 	for k, e := range extras {
-		col := colOf[k]
-		s.a[e.row][col] = e.coef
-		sl.note(e.row, col)
 		// Unit columns with +1 give the cleanest dual read-off; prefer the
 		// artificial when present (GE rows), else the slack.
 		if e.coef > 0 || s.rowUnit[e.row] == -1 {
-			s.rowUnit[e.row] = col
+			s.rowUnit[e.row] = colOf[k]
 			s.rowUnitSign[e.row] = e.coef
 		}
 	}
-	ext.record(s)
-
-	// Objective over structural columns; slacks and artificials cost 0.
-	s.c = make([]float64, total)
-	for j := range p.vars {
-		cj := p.vars[j].obj * objSign
-		if cj == 0 {
-			continue
-		}
-		vm := s.varMap[j]
-		if vm.negCol >= 0 {
-			s.c[vm.col] += cj
-			s.c[vm.negCol] -= cj
-			continue
-		}
-		s.c[vm.col] += cj * vm.sign
-		s.objConst += cj * vm.shift
-	}
+	s.m, s.n = m, next
 
 	// Structure signature: everything that fixes the shape and column layout
 	// of the standard form (never numeric values, never the fixed set — a
@@ -532,7 +527,70 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 		mix(math.Float64bits(s.rowFlip[i]))
 	}
 	s.sig = h
-	return s, nil
+	return nnz, nil
+}
+
+// fill lays the matrix out on the slab and writes it: structural
+// coefficients (negated on flipped rows, term by term, which rounds exactly
+// as negating the sum would), upper-bound rows, then the slack/artificial
+// unit entries. Every written position is noted for the pristine snapshot
+// and the occupancy, and the snapshot is recorded.
+func (s *stdForm) fill(p *Problem, nnz int) {
+	sl, ext := s.slab, &s.slab.ext
+	sl.size(s.m, s.n)
+	s.a, s.pivoted = sl.rows, false
+	nUser := len(p.cons)
+	ext.notes = resize(ext.notes, nnz+len(sl.uppers)+len(sl.extras))[:0]
+	for i, con := range p.cons {
+		row, flip := s.a[i], s.rowFlip[i]
+		for _, t := range con.expr.Terms {
+			vm, coef := s.varMap[t.Var], flip*t.Coef
+			if vm.negCol >= 0 {
+				row[vm.col] += coef
+				row[vm.negCol] -= coef
+				sl.note(i, vm.col)
+				sl.note(i, vm.negCol)
+				continue
+			}
+			row[vm.col] += coef * vm.sign
+			sl.note(i, vm.col)
+		}
+	}
+	for k, u := range sl.uppers {
+		s.a[nUser+k][u.col] = 1
+		sl.note(nUser+k, u.col)
+	}
+	for k, e := range sl.extras {
+		s.a[e.row][sl.colOf[k]] = e.coef
+		sl.note(e.row, sl.colOf[k])
+	}
+	ext.record(s)
+}
+
+// costs writes the phase-2 costs into c, structural columns only (slacks
+// and artificials cost 0), and returns the constant the shifts fold out of
+// the objective.
+func (s *stdForm) costs(p *Problem, c []float64) (objConst float64) {
+	objSign := 1.0
+	if s.negate {
+		objSign = -1
+	}
+	clear(c)
+	for j := range p.vars {
+		cj := p.vars[j].obj * objSign
+		if cj == 0 {
+			continue
+		}
+		vm := s.varMap[j]
+		if vm.negCol >= 0 {
+			c[vm.col] += cj
+			c[vm.negCol] -= cj
+			continue
+		}
+		c[vm.col] += cj * vm.sign
+		objConst += cj * vm.shift
+	}
+	return objConst
 }
 
 // tableau carries the mutable simplex state.
@@ -639,21 +697,21 @@ func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 	return p.solveCold(s, opts)
 }
 
-// newTableau prepares the mutable solver state for a standard form: iteration
-// budget, deadline, the blocked set (columns pinned by fixing overrides may
-// never enter a basis), and the pivot-row scratch.
+// newTableau prepares the mutable solver state for a standard form on its
+// slab: iteration budget, deadline, no basic column, the blocked set
+// (columns pinned by fixing overrides may never enter a basis), and the
+// pivot-row scratch. The basis keeps the slab's previous contents, which
+// only a dive reads.
 func newTableau(s *stdForm, opts SolveOptions) *tableau {
-	t := &tableau{s: s, deadline: opts.Deadline, ctx: opts.Ctx}
-	t.max = opts.MaxIters
+	t := &s.slab.tab
+	*t = tableau{s: s, deadline: opts.Deadline, ctx: opts.Ctx, max: opts.MaxIters,
+		basis: resize(t.basis, s.m), inBasis: resize(t.inBasis, s.n), blocked: resize(t.blocked, s.n),
+		nz: resize(t.nz, s.n), r: resize(t.r, s.n), rw: resize(t.rw, s.n)}
 	if t.max <= 0 {
 		t.max = 2000 + 60*(s.m+s.n)
 	}
-	t.basis = make([]int, s.m)
-	t.inBasis = make([]bool, s.n)
-	t.blocked = make([]bool, s.n)
-	t.nz = make([]int, s.n)
-	t.r = make([]float64, s.n)
-	t.rw = make([]float64, s.n)
+	clear(t.inBasis)
+	clear(t.blocked)
 	for _, j := range s.fixed {
 		t.blocked[j] = true
 	}
@@ -688,21 +746,28 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 		}
 	}
 	if needCrash {
-		// Count structural nonzeros per column to find singletons.
-		rowOf := make([]int, s.nStruct)
-		count := make([]int, s.nStruct)
+		// Find the singleton structural columns: rowOf[j] is the row of
+		// column j's one nonzero, -1 while none is seen, -2 after a second.
+		s.slab.crash = resize(s.slab.crash, s.nStruct)
+		rowOf := s.slab.crash
+		for j := range rowOf {
+			rowOf[j] = -1
+		}
 		for i := 0; i < s.m; i++ {
 			row := s.a[i]
 			for _, j := range s.slab.occupied(i) {
-				if j < s.nStruct && row[j] != 0 {
-					count[j]++
+				if j >= s.nStruct || row[j] == 0 {
+					continue
+				}
+				if rowOf[j] == -1 {
 					rowOf[j] = i
+				} else {
+					rowOf[j] = -2
 				}
 			}
 		}
-		for j := 0; j < s.nStruct; j++ {
-			i := rowOf[j]
-			if count[j] != 1 || t.basis[i] != -1 || s.a[i][j] <= pivotTol || t.blocked[j] {
+		for j, i := range rowOf {
+			if i < 0 || t.basis[i] != -1 || s.a[i][j] <= pivotTol || t.blocked[j] {
 				continue
 			}
 			// The column is zero outside row i, so pivoting on it only
@@ -736,7 +801,8 @@ func (p *Problem) solveCold(s *stdForm, opts SolveOptions) (*Solution, error) {
 
 	// Phase 1: minimize the sum of artificial variables.
 	if hasArt {
-		phase1 := make([]float64, s.n)
+		phase1 := t.rw // scratch until the tiebreak
+		clear(phase1[:s.artFrom])
 		for j := s.artFrom; j < s.n; j++ {
 			phase1[j] = 1
 		}
@@ -857,7 +923,9 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 	lpExtractSeconds.ObserveDuration(time.Since(extractStart)) //gapvet:allow walltime extraction time attribution; observed into an obs histogram, never read by the solve
 
 	// Recover the standard-form primal point.
-	xs := make([]float64, s.n)
+	s.slab.xs = resize(s.slab.xs, s.n)
+	xs := s.slab.xs
+	clear(xs)
 	for i, col := range basis {
 		xs[col] = bval[i]
 	}
