@@ -45,6 +45,7 @@ vuln:
 BASELINE = $(shell ls BENCH_*.json 2>/dev/null | sort | tail -n 1)
 
 # bench runs the full canonical fixture suite and writes BENCH_<today>.json
+# (the first free BENCH_<today>rN.json when that date already has a ledger)
 # in the repo root. Commit the file to bless it as the new baseline (see
 # EXPERIMENTS.md "The benchmark ledger").
 bench:

@@ -244,7 +244,8 @@ func metaFixture(workers int, warm bool) func(int64, *obs.Tracer) (*runOutcome, 
 // runSmoke is the CI gate fixture: the same search the workflow's smoke job
 // drives through cmd/gapfinder (B4, dp, 4 pairs, demand seed = harness seed
 // + 4 → 5 by default, threshold 5), run to proven optimality with warm
-// starts on. Nodes and lp_iters from this fixture are the regression gate.
+// starts on. Nodes and lp_iters from this fixture are the regression gate;
+// dives counts the node LPs that started from their parent's tableau.
 func runSmoke(seed int64, tr *obs.Tracer) (*runOutcome, error) {
 	g := topology.B4()
 	set := demand.RandomPairs(g, 4, rand.New(rand.NewSource(seed+4)))
@@ -264,5 +265,6 @@ func runSmoke(seed int64, tr *obs.Tracer) (*runOutcome, error) {
 	if res.Solver.Status != milp.StatusOptimal {
 		return nil, fmt.Errorf("smoke: status %v, want optimal", res.Solver.Status)
 	}
-	return &runOutcome{fingerprint: res.Solver.Fingerprint, hard: solverCounters(res)}, nil
+	hard := append(solverCounters(res), benchstore.Counter{Name: "dives", Value: int64(res.Solver.Dives)})
+	return &runOutcome{fingerprint: res.Solver.Fingerprint, hard: hard}, nil
 }

@@ -1,5 +1,7 @@
 // Command gapbench runs the canonical benchmark fixtures under a seeded
-// deterministic harness and writes a BENCH_<date>.json ledger (the
+// deterministic harness and writes a BENCH_<date>.json ledger, or
+// BENCH_<date>rN.json with the first N from 2 that no file takes yet, so a
+// run never replaces a committed ledger (the
 // internal/benchstore schema): per-fixture wall-clock and allocation
 // metrics, deterministic effort counters, and the per-phase obs histogram
 // deltas (lp_phase1/lp_phase2/lp_warm_repair/bnb_wave seconds) that say
@@ -13,16 +15,19 @@
 //
 // Usage:
 //
-//	gapbench                                  # run everything, write BENCH_<today>.json
+//	gapbench                                  # run everything, write the next free BENCH_<today>[rN].json
 //	gapbench -against BENCH_2026-08-08.json   # ...and gate against a baseline
 //	gapbench -fixtures smoke_b4_dp -reps 1 -hard-only -against BENCH_2026-08-08.json  # the CI gate
 //	gapbench -list                            # show the fixture suite
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -36,7 +41,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		out       = flag.String("out", "", "output ledger path (default BENCH_<today>.json)")
+		out       = flag.String("out", "", "output ledger path (default the first free BENCH_<today>.json, BENCH_<today>r2.json, ...)")
 		against   = flag.String("against", "", "baseline BENCH_*.json to compare and gate against")
 		filter    = flag.String("fixtures", "", "comma-separated fixture names (or substrings) to run; default all")
 		reps      = flag.Int("reps", 3, "measurement repetitions per fixture (soft metrics use the best rep)")
@@ -63,9 +68,15 @@ func run() int {
 		return 2
 	}
 
+	date := time.Now().UTC().Format("2006-01-02")
+	outPath, err := ledgerPath(".", date, *out, *against)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gapbench: %v\n", err)
+		return 2
+	}
 	file := &benchstore.File{
 		Schema: benchstore.SchemaVersion,
-		Date:   time.Now().UTC().Format("2006-01-02"),
+		Date:   date,
 		Seed:   *seed,
 		Note:   *note,
 		Host:   benchstore.CurrentHost(),
@@ -88,10 +99,6 @@ func run() int {
 		}
 	}
 
-	outPath := *out
-	if outPath == "" {
-		outPath = "BENCH_" + file.Date + ".json"
-	}
 	enc, err := benchstore.Encode(file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gapbench: encode: %v\n", err)
@@ -159,6 +166,35 @@ func run() int {
 	}
 	fmt.Println("\ngate clean")
 	return 0
+}
+
+// ledgerPath names the ledger a run writes: out when given, else the first
+// of BENCH_<date>.json, BENCH_<date>r2.json, BENCH_<date>r3.json, ... that
+// does not exist in dir. It refuses an out that is the against baseline,
+// which the run would overwrite and then compare with itself.
+func ledgerPath(dir, date, out, against string) (string, error) {
+	for n := 1; out == ""; n++ {
+		name := "BENCH_" + date + ".json"
+		if n > 1 {
+			name = fmt.Sprintf("BENCH_%sr%d.json", date, n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, name)); errors.Is(err, fs.ErrNotExist) {
+			out = filepath.Join(dir, name)
+		}
+	}
+	if against != "" {
+		a, errA := filepath.Abs(against)
+		o, errO := filepath.Abs(out)
+		if errA != nil || errO != nil {
+			return "", errors.Join(errA, errO)
+		}
+		oi, errO := os.Stat(o)
+		ai, errA := os.Stat(a)
+		if a == o || errO == nil && errA == nil && os.SameFile(oi, ai) {
+			return "", fmt.Errorf("-out %s is the -against baseline; the run would compare the ledger with itself", out)
+		}
+	}
+	return out, nil
 }
 
 func selectFixtures(suite []fixture, filter string) []fixture {

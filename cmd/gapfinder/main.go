@@ -267,10 +267,10 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 // New fields are only ever appended at the end so downstream greps keep
 // working; CI's warm-start smoke test parses this line.
 func printSummary(res *metaopt.GapResult) {
-	fmt.Printf("SUMMARY status=%s gap=%.4f bound=%.4f nodes=%d lp_solves=%d lp_iters=%d wall=%.3fs warm_solves=%d warm_fallbacks=%d\n",
+	fmt.Printf("SUMMARY status=%s gap=%.4f bound=%.4f nodes=%d lp_solves=%d lp_iters=%d wall=%.3fs warm_solves=%d warm_fallbacks=%d dives=%d\n",
 		res.Solver.Status, res.Gap, res.Solver.Bound, res.Solver.Nodes,
 		res.Solver.LPSolves, res.Solver.LPIters, res.Solver.Elapsed.Seconds(),
-		res.Solver.WarmLPSolves, res.Solver.WarmLPFallbacks)
+		res.Solver.WarmLPSolves, res.Solver.WarmLPFallbacks, res.Solver.Dives)
 }
 
 func runBlackbox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic, method string,

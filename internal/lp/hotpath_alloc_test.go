@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -245,5 +246,58 @@ func TestHotpathCertificateDoesNotAllocate(t *testing.T) {
 		tab.certifies(0, true)
 	}); allocs != 0 {
 		t.Errorf("certifies allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
+	}
+}
+
+// TestWarmNodeSolveAllocatesOnlyItsAnswer seals the slab-owned per-solve
+// state: a warm node LP, installed or dived, allocates the Solution, X,
+// Dual and the captured Basis and its columns, five objects however large
+// the form. The LPs grow from a handful of rows and columns to about a
+// hundred of each; the dived runs solve the parent into the handle too, so
+// they count two solves.
+func TestWarmNodeSolveAllocatesOnlyItsAnswer(t *testing.T) {
+	const answer = 5 // Solution, X, Dual, Basis, Basis.cols
+	for _, size := range [][2]int{{6, 4}, {40, 30}, {120, 90}} {
+		p, _ := randomLP(rand.New(rand.NewSource(4)), size[0], size[1])
+		parent, err := p.SolveWith(SolveOptions{CaptureBasis: true})
+		if err != nil || parent.Status != StatusOptimal {
+			t.Fatalf("%v: parent %v %v", size, err, parent)
+		}
+		child := map[VarID][2]float64{0: {parent.X[0], parent.X[0]}}
+		installed := SolveOptions{BoundOverride: child, WarmStart: parent.Basis, CaptureBasis: true}
+		if sol, _ := p.SolveWith(installed); !sol.Warm || sol.Status != StatusOptimal {
+			t.Fatalf("%v: the installed child is not a warm optimum", size)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.SolveWith(installed) }); allocs != answer {
+			t.Errorf("%v: an installed warm solve allocates %.0f objects, want %d", size, allocs, answer)
+		}
+		d := new(Dive)
+		dived := func() *Solution {
+			root, _ := p.SolveWith(SolveOptions{CaptureBasis: true, Dive: d})
+			sol, _ := p.SolveWith(SolveOptions{BoundOverride: child, WarmStart: root.Basis,
+				Dive: d, CaptureBasis: true})
+			return sol
+		}
+		if sol := dived(); !sol.Dived || sol.Status != StatusOptimal {
+			t.Fatalf("%v: the child did not dive to an optimum", size)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { dived() }); allocs != 2*answer {
+			t.Errorf("%v: a root and a dived child allocate %.0f objects, want %d", size, allocs, 2*answer)
+		}
+		d.Release()
+	}
+}
+
+// TestHotpathMoveBDoesNotAllocate seals a dive's move of the right-hand
+// side: it reads the row-unit columns of the tableau in place.
+func TestHotpathMoveBDoesNotAllocate(t *testing.T) {
+	_, s := kernelTableau(t)
+	defer s.release()
+	rhs := slices.Clone(s.slab.ext.pB)
+	if allocs := testing.AllocsPerRun(100, func() {
+		rhs[0]++
+		s.moveB(rhs)
+	}); allocs != 0 {
+		t.Errorf("moveB allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 }

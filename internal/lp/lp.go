@@ -288,6 +288,9 @@ type Solution struct {
 	// singular basis, lost dual feasibility, or a repair that failed to
 	// converge). The result is then exactly the cold solve's.
 	WarmFallback bool
+	// Dived reports that a warm solve started from SolveOptions.Dive's
+	// tableau instead of rebuilding the form and installing the basis.
+	Dived bool
 	// PresolveRows and PresolveCols count the constraint rows and variable
 	// columns eliminated by the presolve pass (zero when SolveOptions.
 	// Presolve was off or nothing reduced). X and Dual are always reported
@@ -353,6 +356,9 @@ type SolveOptions struct {
 	// here: node relaxations run on concurrent workers, so milp emits its
 	// LP events on the coordinator in deterministic apply order instead.
 	Tracer *obs.Tracer
+	// Dive, when non-nil, lets the solve start from the previous solve's
+	// terminal tableau when WarmStart is the Basis captured with it.
+	Dive *Dive
 	// Presolve runs the Andersen-style reduction pass (empty/singleton row
 	// elimination, fixed and empty column removal, redundant-row removal,
 	// singleton-row bound tightening) before the simplex and maps the

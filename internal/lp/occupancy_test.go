@@ -66,10 +66,11 @@ func sparseLP(rng *rand.Rand, nVars, nCons int) *Problem {
 // TestEverySolveOutcomeKeepsOccupancy is the referee of the occupancy
 // invariant. It drives a solve to every outcome — cold, warm,
 // warm-infeasible, a warm fallback after an install, the iteration cap, the
-// deadline and an interrupt — and after each requires the released slab to
-// have a set bit under every nonzero, as the solve's row scans assumed. The
-// problems run from a one-word row to wide random LPs whose rows span
-// several occupancy words.
+// deadline and an interrupt, each also on a dived form — and after each
+// requires the released slab to have a set bit under every nonzero, as the
+// solve's row scans assumed; so too the slab a Dive handle holds, and the
+// one it hands back on Release. The problems run from a one-word row to
+// wide random LPs whose rows span several occupancy words.
 func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 	seen := map[string]int{}
 	solve := func(what string, p *Problem, opts SolveOptions) *Solution {
@@ -78,8 +79,30 @@ func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		seen[fmt.Sprintf("%s/%v", sol.WarmMode(), sol.Status)]++
+		key := fmt.Sprintf("%s/%v", sol.WarmMode(), sol.Status)
+		if sol.Dived {
+			key = "dive:" + key
+		}
+		seen[key]++
 		checkFreeSlabs(t, what)
+		if d := opts.Dive; d != nil && d.s != nil {
+			checkLayout(t, what+": held slab", d.s.slab)
+		}
+		return sol
+	}
+	// dive solves p's root into a Dive handle, then the child under opts on
+	// the root's tableau, and releases the handle.
+	dive := func(what string, p *Problem, opts SolveOptions) *Solution {
+		t.Helper()
+		d := new(Dive)
+		root := solve(what+" root", p, SolveOptions{CaptureBasis: true, Dive: d})
+		opts.WarmStart, opts.Dive, opts.CaptureBasis = root.Basis, d, true
+		sol := solve(what, p, opts)
+		d.Release()
+		if d.s != nil {
+			t.Fatalf("%s: the handle still holds a form after Release", what)
+		}
+		checkFreeSlabs(t, what+" released")
 		return sol
 	}
 
@@ -103,12 +126,16 @@ func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	ov := map[VarID][2]float64{0: {1, 1}}
 	for _, ws := range []*Basis{nil, parent.Basis} {
-		ov := map[VarID][2]float64{0: {1, 1}}
 		solve("production cap", prod, SolveOptions{WarmStart: ws, BoundOverride: ov, MaxIters: 1})
 		solve("production deadline", prod, SolveOptions{WarmStart: ws, BoundOverride: ov, Deadline: time.Unix(1, 0)})
 		solve("production interrupt", prod, SolveOptions{WarmStart: ws, BoundOverride: ov, Ctx: ctx})
 	}
+	dive("production dive", prod, SolveOptions{BoundOverride: ov})
+	dive("production dive cap", prod, SolveOptions{BoundOverride: ov, MaxIters: 1})
+	dive("production dive deadline", prod, SolveOptions{BoundOverride: ov, Deadline: time.Unix(1, 0)})
+	dive("production dive interrupt", prod, SolveOptions{BoundOverride: ov, Ctx: ctx})
 
 	// min u s.t. u - w >= 2, then u fixed at zero: the "up" certificate.
 	up := NewProblem("up", Minimize)
@@ -118,6 +145,7 @@ func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 	up.AddConstraint("floor", NewExpr().Add(u, 1).Add(w, -1), GE, 2)
 	upParent := solve("up", up, SolveOptions{CaptureBasis: true})
 	solve("up child", up, SolveOptions{WarmStart: upParent.Basis, BoundOverride: map[VarID][2]float64{u: {0, 0}}})
+	dive("up dive", up, SolveOptions{BoundOverride: map[VarID][2]float64{u: {0, 0}}})
 
 	rng := rand.New(rand.NewSource(3))
 	for k := 0; k < 40; k++ {
@@ -138,14 +166,16 @@ func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 			} else if rng.Intn(2) == 0 {
 				fix = lo
 			}
-			solve(fmt.Sprintf("%s child %d", what, v), p, SolveOptions{WarmStart: par.Basis,
-				BoundOverride: map[VarID][2]float64{VarID(v): {fix, fix}}})
+			child := map[VarID][2]float64{VarID(v): {fix, fix}}
+			solve(fmt.Sprintf("%s child %d", what, v), p, SolveOptions{WarmStart: par.Basis, BoundOverride: child})
+			dive(fmt.Sprintf("%s dive %d", what, v), p, SolveOptions{BoundOverride: child})
 		}
 	}
 	for _, want := range []string{
 		"/optimal", "warm/optimal", "warm-infeasible/infeasible", "warm-fallback/optimal",
 		"/iteration-limit", "/deadline", "/interrupted",
 		"warm/deadline", "warm/interrupted",
+		"dive:warm/optimal", "dive:warm-infeasible/infeasible", "dive:warm/deadline", "dive:warm/interrupted",
 	} {
 		if seen[want] == 0 {
 			t.Errorf("no solve ended %q; outcomes seen: %v", want, seen)

@@ -31,6 +31,7 @@ var (
 	lpWarmSolves     = obs.Default.Counter("lp_warm_solves_total")
 	lpWarmFallbacks  = obs.Default.Counter("lp_warm_fallbacks_total")
 	lpWarmInfeasible = obs.Default.Counter("lp_warm_infeasible_total")
+	lpDives          = obs.Default.Counter("lp_dives_total") // the warm solves that dived
 )
 
 // Per-phase attribution: where simplex time and pivots go, not just how
@@ -53,6 +54,11 @@ var (
 	// which lies inside lp_phase2_seconds on a cold solve and inside
 	// lp_warm_repair_seconds on a warm one.
 	lpTiebreakSeconds = obs.Default.Histogram("lp_tiebreak_seconds")
+	// lpBuildSeconds times buildStandard, or a dive's right-hand-side-only
+	// rebuild. lpInstallSeconds times a warm install, the placement and its
+	// replay, inside lp_warm_repair_seconds.
+	lpBuildSeconds   = obs.Default.Histogram("lp_build_seconds")
+	lpInstallSeconds = obs.Default.Histogram("lp_install_seconds")
 
 	lpPhase1Pivots     = obs.Default.Counter("lp_phase1_pivots_total")
 	lpPhase2Pivots     = obs.Default.Counter("lp_phase2_pivots_total")
@@ -158,6 +164,9 @@ type stdForm struct {
 	// same Problem have identical column meanings, so a basis from one is
 	// well-defined in the other.
 	sig uint64
+	// shape hashes what sig does, but strongly enough for a dive, which
+	// keeps the matrix when it matches (DESIGN.md, "Live-tableau dives").
+	shape uint64
 
 	objConst float64 // constant folded out of the objective by shifts
 	negate   bool    // true when the user problem was Maximize
@@ -198,9 +207,8 @@ type stdSlab struct {
 	form stdForm
 	tab  tableau
 
-	// buildStandard's scratch, and the solve's: rhs is the right-hand side
-	// as built (a dive's pristine b), xs finishSolution's standard-form
-	// point, and crash solveCold's singleton search.
+	// Scratch: rhs is the right-hand side as built (a dive's pristine b),
+	// xs the standard-form point, crash solveCold's singleton search.
 	rels   []Rel
 	uppers []upperRow
 	extras []extra
@@ -212,25 +220,28 @@ type stdSlab struct {
 	ext extraction
 }
 
-// upperRow is the upper-bound row buildStandard adds for a column.
-type upperRow struct {
-	col int
-	rhs float64
-}
-
-// extra is a slack, surplus or artificial column of row row.
-type extra struct {
-	row  int
-	coef float64
-	art  bool
-}
+// upperRow is the upper-bound row buildStandard adds for a column, and
+// extra a slack, surplus or artificial column of row row.
+type (
+	upperRow struct {
+		col int
+		rhs float64
+	}
+	extra struct {
+		row  int
+		coef float64
+		art  bool
+	}
+)
 
 // freeSlabs is the free list of released slabs, last in first out. Unlike
 // a sync.Pool it is not emptied by garbage collection, so a solve reuses a
 // slab whenever one is free and its cost and allocation do not depend on
 // when the collector last ran. One solve holds one slab at a time: its
 // form, whose slab also carries the refactorization kernel (the warm path
-// releases its form before a fallback rebuild). The list keeps two per P,
+// releases its form before a fallback rebuild). A Dive handle keeps one
+// more between solves, the last terminal form, and a solve that does not
+// dive releases it before building its own. The list keeps two per P,
 // so solves on more goroutines than Ps (parallel branch-and-bound waves,
 // concurrent daemon jobs) still mostly find one, and drops the rest to the
 // collector.
@@ -322,9 +333,10 @@ func (sl *stdSlab) spread(pr, pc int, rows []int32) {
 
 // release hands the constraint matrix back to the free list. The form must
 // not be pivoted or read through a afterwards; nothing a solve returns (X,
-// Dual, Basis) aliases the matrix. Releasing twice is a no-op.
+// Dual, Basis) aliases the matrix. Releasing twice, or a nil form, is a
+// no-op.
 func (s *stdForm) release() {
-	if s.slab == nil {
+	if s == nil || s.slab == nil {
 		return
 	}
 	// The form lives on its slab, so it is emptied before the slab is
@@ -342,6 +354,7 @@ func (s *stdForm) release() {
 // on a slab from the free list; the caller releases it when the solve is
 // done with the form.
 func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) {
+	start := time.Now() //gapvet:allow walltime build time attribution; observed into an obs histogram, never read by the solve
 	sl := getSlab()
 	s := &sl.form
 	s.slab = sl
@@ -354,6 +367,7 @@ func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) 
 	s.fill(p, nnz)
 	s.c = resize(s.c, s.n)
 	s.objConst = s.costs(p, s.c)
+	lpBuildSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime build time attribution; observed into an obs histogram, never read by the solve
 	return s, nil
 }
 
@@ -367,20 +381,11 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 	s.varMap = resize(s.varMap, len(p.vars))
 	s.fixed = s.fixed[:0]
 
-	bounds := func(v int) (float64, float64) {
-		if override != nil {
-			if b, ok := override[VarID(v)]; ok {
-				return b[0], b[1]
-			}
-		}
-		return p.vars[v].lo, p.vars[v].hi
-	}
-
 	// Assign structural columns.
-	uppers := sl.uppers[:0]
+	sl.uppers = sl.uppers[:0]
 	ncols := 0
 	for j := range p.vars {
-		lo, hi := bounds(j)
+		lo, hi := p.bounds(override, j)
 		if lo > hi {
 			return 0, fmt.Errorf("lp: variable %q has lo %g > hi %g", p.vars[j].name, lo, hi)
 		}
@@ -408,12 +413,12 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 				// warm-start transplant depends on that.
 				s.fixed = append(s.fixed, vm.col)
 			case !math.IsInf(hi, 1):
-				uppers = append(uppers, upperRow{col: vm.col, rhs: hi - lo})
+				s.slab.uppers = append(s.slab.uppers, upperRow{col: vm.col, rhs: hi - lo})
 			}
 		}
 		s.varMap[j] = vm
 	}
-	sl.uppers = uppers
+	uppers := sl.uppers
 	s.nStruct = ncols
 
 	// Right-hand sides and relations first: a row's sign decides its
@@ -444,7 +449,7 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 	s.rowFlip = resize(s.rowFlip, m)
 	s.rowUnit = resize(s.rowUnit, m)
 	s.rowUnitSign = resize(s.rowUnitSign, m)
-	extras := sl.extras[:0]
+	sl.extras = sl.extras[:0]
 	for i := 0; i < m; i++ {
 		s.rowUnit[i] = -1 // -1 = no unit column yet; 0 is a real column index
 		s.rowFlip[i] = 1
@@ -460,15 +465,14 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 		}
 		switch rels[i] {
 		case LE:
-			extras = append(extras, extra{row: i, coef: 1})
+			s.slab.extras = append(s.slab.extras, extra{row: i, coef: 1})
 		case GE:
-			extras = append(extras, extra{row: i, coef: -1})
-			extras = append(extras, extra{row: i, coef: 1, art: true})
+			s.slab.extras = append(s.slab.extras, extra{row: i, coef: -1}, extra{row: i, coef: 1, art: true})
 		case EQ:
-			extras = append(extras, extra{row: i, coef: 1, art: true})
+			s.slab.extras = append(s.slab.extras, extra{row: i, coef: 1, art: true})
 		}
 	}
-	sl.extras = extras
+	extras := sl.extras
 	// Place non-artificial slacks first, then artificials, so that
 	// "column >= artFrom" identifies artificials.
 	sl.colOf = resize(sl.colOf, len(extras))
@@ -499,16 +503,17 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 
 	// Structure signature: everything that fixes the shape and column layout
 	// of the standard form (never numeric values, never the fixed set — a
-	// child that pins one more column must still match its parent). FNV-1a
-	// over the layout-determining integers.
+	// child that pins one more column must still match its parent). sig is
+	// FNV-1a over the layout-determining integers, shape the same integers
+	// through the splitmix64 finalizer.
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
-	h := uint64(fnvOffset)
+	h, k := uint64(fnvOffset), uint64(0)
 	mix := func(v uint64) {
-		h ^= v
-		h *= fnvPrime
+		h = (h ^ v) * fnvPrime
+		k = splitmix64(k ^ v)
 	}
 	mix(uint64(s.m))
 	mix(uint64(s.n))
@@ -526,8 +531,16 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 	for i := 0; i < m; i++ {
 		mix(math.Float64bits(s.rowFlip[i]))
 	}
-	s.sig = h
+	s.sig, s.shape = h, k
 	return nnz, nil
+}
+
+// bounds returns the bounds of variable v under override.
+func (p *Problem) bounds(override map[VarID][2]float64, v int) (lo, hi float64) {
+	if b, ok := override[VarID(v)]; ok {
+		return b[0], b[1]
+	}
+	return p.vars[v].lo, p.vars[v].hi
 }
 
 // fill lays the matrix out on the slab and writes it: structural
@@ -644,6 +657,9 @@ func (p *Problem) SolveWith(opts SolveOptions) (*Solution, error) {
 			fallthrough
 		case "warm":
 			lpWarmSolves.Inc()
+			if sol.Dived {
+				lpDives.Inc()
+			}
 		case "warm-fallback":
 			lpWarmFallbacks.Inc()
 		}
@@ -665,19 +681,29 @@ func (p *Problem) solveWith(opts SolveOptions) (*Solution, error) {
 	return p.solveDense(opts)
 }
 
-// solveDense is the dense tableau path: build the standard form, try the
-// warm transplant when a compatible snapshot is offered, and fall back to
-// the canonical cold two-phase method. The form's matrix goes back to the
-// slab free list on return.
-func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
-	s, err := buildStandard(p, opts.BoundOverride)
-	if err != nil {
-		return nil, err
+// solveDense is the dense tableau path: dive or build the standard form,
+// try the warm transplant when a compatible snapshot is offered, and fall
+// back to the canonical cold two-phase method. On return the form goes to
+// the Dive handle when the solve captured its basis, else to the free list.
+func (p *Problem) solveDense(opts SolveOptions) (sol *Solution, err error) {
+	s := opts.Dive.take(p, opts)
+	dived := s != nil
+	if !dived {
+		if s, err = buildStandard(p, opts.BoundOverride); err != nil {
+			return nil, err
+		}
 	}
-	defer func() { s.release() }()
+	defer func() {
+		if d := opts.Dive; d != nil && sol != nil && sol.Basis != nil {
+			d.p, d.s, d.basis = p, s, sol.Basis
+			return
+		}
+		s.release()
+	}()
 	if ws := opts.WarmStart; ws != nil {
-		if ws.sig == s.sig && len(ws.cols) == s.m {
-			if sol := p.solveWarm(s, opts); sol != nil {
+		if dived || ws.sig == s.sig && len(ws.cols) == s.m {
+			if sol = p.solveWarm(s, opts, dived); sol != nil {
+				sol.Dived = dived
 				return sol, nil
 			}
 			// The warm attempt pivots the standard form in place; rebuild it
@@ -688,8 +714,7 @@ func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 				return nil, err
 			}
 		}
-		sol, err := p.solveCold(s, opts)
-		if sol != nil {
+		if sol, err = p.solveCold(s, opts); sol != nil {
 			sol.WarmFallback = true
 		}
 		return sol, err
@@ -697,11 +722,96 @@ func (p *Problem) solveDense(opts SolveOptions) (*Solution, error) {
 	return p.solveCold(s, opts)
 }
 
+// Dive carries a serial search's last terminal tableau to its next solve
+// (DESIGN.md, "Live-tableau dives"). A solve given the handle dives when it
+// solves the same Problem, its WarmStart is the Basis captured with the
+// held tableau and its bounds keep the form's shape: it moves the tableau
+// onto the new bounds in place, skipping the rebuild and the install.
+// Otherwise it releases the held form and solves as without the handle.
+// Either way an optimal solve that captures its basis leaves its terminal
+// form in the handle. Between solves through one handle only bounds may
+// change. A Dive is not safe for concurrent use; it holds one slab until
+// Release.
+type Dive struct {
+	p     *Problem
+	s     *stdForm
+	basis *Basis
+}
+
+// Release hands the held form back to the slab free list. The handle
+// stays usable; releasing an empty or nil handle is a no-op.
+func (d *Dive) Release() {
+	if d != nil {
+		d.s.release()
+		d.p, d.s, d.basis = nil, nil, nil
+	}
+}
+
+// take empties the handle and returns its form moved onto the bounds of
+// opts when the solve of p can dive on it, else releases the form and
+// returns nil.
+func (d *Dive) take(p *Problem, opts SolveOptions) *stdForm {
+	if d == nil || d.s == nil {
+		return nil
+	}
+	s, ok := d.s, d.p == p && d.basis == opts.WarmStart
+	d.p, d.s, d.basis = nil, nil, nil
+	if ok {
+		start := time.Now() //gapvet:allow walltime build time attribution; observed into an obs histogram, never read by the solve
+		ok = s.rebound(p, opts.BoundOverride)
+		lpBuildSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime build time attribution; observed into an obs histogram, never read by the solve
+	}
+	if !ok {
+		s.release()
+		return nil
+	}
+	return s
+}
+
+// rebound moves a terminal tableau of p onto the bounds of override. layout
+// recomputes the pristine right-hand side, shifts and shape with
+// buildStandard's code, and costs the objective constant. The matrix, its
+// snapshot and the costs stay, as a form of the same shape shares them, and
+// moveB carries the tableau's b along. It reports false, leaving the form
+// fit only for release, when the shape or the costs differ.
+func (s *stdForm) rebound(p *Problem, override map[VarID][2]float64) bool {
+	sl, shape := s.slab, s.shape
+	if _, err := s.layout(p, override); err != nil || s.shape != shape {
+		return false
+	}
+	sl.xs = resize(sl.xs, s.n)
+	if s.objConst = s.costs(p, sl.xs); !slices.Equal(sl.xs, s.c) {
+		return false
+	}
+	s.moveB(sl.rhs)
+	return true
+}
+
+// moveB moves the tableau's right-hand side onto the pristine one rhs: b
+// gains B⁻¹Δb, Δb = rhs - pB, read off the row-unit columns, each ±B⁻¹eᵢ as
+// certifies reads them, and pB becomes rhs.
+//
+//gapvet:hotpath once per dive; it walks one tableau column per changed row
+func (s *stdForm) moveB(rhs []float64) {
+	pB := s.slab.ext.pB
+	for i, v := range rhs {
+		if v == pB[i] { //gapvet:allow floateq an unchanged right-hand side moves nothing
+			continue
+		}
+		u, f := s.rowUnit[i], (v-pB[i])*s.rowUnitSign[i]
+		for k, row := range s.a {
+			if a := row[u]; a != 0 {
+				s.b[k] += f * a
+			}
+		}
+	}
+	copy(pB, rhs)
+}
+
 // newTableau prepares the mutable solver state for a standard form on its
-// slab: iteration budget, deadline, no basic column, the blocked set
-// (columns pinned by fixing overrides may never enter a basis), and the
-// pivot-row scratch. The basis keeps the slab's previous contents, which
-// only a dive reads.
+// slab: iteration budget, deadline, the blocked set (columns pinned by
+// fixing overrides may never enter a basis), and the pivot-row scratch. No
+// column is marked basic; the basis keeps what a dive reads.
 func newTableau(s *stdForm, opts SolveOptions) *tableau {
 	t := &s.slab.tab
 	*t = tableau{s: s, deadline: opts.Deadline, ctx: opts.Ctx, max: opts.MaxIters,
@@ -1155,13 +1265,17 @@ func (t *tableau) optimum() Status {
 // genericity is what makes the weight-minimal vertex of an optimal face
 // unique in practice.
 func tiebreakWeight(j int) float64 {
-	z := (uint64(j) + 1) * 0x9E3779B97F4A7C15
+	return 1 + float64(splitmix64((uint64(j)+1)*0x9E3779B97F4A7C15)>>11)/(1<<53)
+}
+
+// splitmix64 is the splitmix64 finalizer, a bijection of 64-bit words in
+// which every input bit moves every output bit.
+func splitmix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return 1 + float64(z>>11)/(1<<53)
+	return z ^ z>>31
 }
 
 // tiebreak drives an optimal tableau to a canonical vertex of its optimal
@@ -1258,7 +1372,7 @@ func (t *tableau) tiebreak() Status {
 // for them implicitly by keeping its tableau up to date across phase 1, so
 // they are deliberately not counted in Iterations. Only dual-repair, blocked-
 // eviction and primal-cleanup pivots count.
-func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
+func (p *Problem) solveWarm(s *stdForm, opts SolveOptions, dived bool) *Solution {
 	t := newTableau(s, opts)
 	// Attribute the whole warm attempt — reinstall, dual-feasibility check,
 	// dual repair, eviction, cleanup — to lp_warm_repair_seconds, including
@@ -1275,8 +1389,18 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions) *Solution {
 	for j := s.artFrom; j < s.n; j++ {
 		t.blocked[j] = true
 	}
-	if !t.install(opts.WarmStart.cols) {
-		return nil
+	if dived {
+		// The held tableau is already factorized on this basis.
+		for _, j := range t.basis {
+			t.inBasis[j] = true
+		}
+	} else {
+		start := time.Now() //gapvet:allow walltime install time attribution; observed into an obs histogram, never read by the solve
+		ok := t.install(opts.WarmStart.cols)
+		lpInstallSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime install time attribution; observed into an obs histogram, never read by the solve
+		if !ok {
+			return nil
+		}
 	}
 	t.resetCosts(s.c)
 	// The parent's terminal reduced costs remain valid for the child: A and c

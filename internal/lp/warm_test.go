@@ -388,7 +388,61 @@ func TestWarmCertificateRejectedFallsBack(t *testing.T) {
 	}
 	defer s2.release()
 	s2.b[0] = -1
-	if sol := p.solveWarm(s2, opts); sol != nil {
+	if sol := p.solveWarm(s2, opts, false); sol != nil {
 		t.Fatalf("drifted warm solve answered %v (warm=%v); want it handed to the cold path", sol.Status, sol.Warm)
+	}
+}
+
+// TestDiveRefusesSwappedFlips pins why a dive checks the form's shape and
+// not its sig: raising x's lower bound to 9 unflips row lo (-x <= -3) and
+// flips row hi (x - y <= 8), so the two rows trade their ±1 flips, which
+// sig's xor-multiply step cannot always tell apart. Padding variables walk
+// the hash state until sig collides; the dive must then refuse the parent's
+// matrix, and the child must still get the cold answer.
+func TestDiveRefusesSwappedFlips(t *testing.T) {
+	collided := 0
+	for pad := 0; pad < 32; pad++ {
+		p := NewProblem("flips", Maximize)
+		for k := 0; k < pad; k++ {
+			p.AddVar("pad", 0, 1)
+		}
+		x, y := p.AddVar("x", 0, 10), p.AddVar("y", 0, 10)
+		p.SetObj(x, 1)
+		p.SetObj(y, 1)
+		p.AddConstraint("lo", NewExpr().Add(x, -1), LE, -3)
+		p.AddConstraint("hi", NewExpr().Add(x, 1).Add(y, -1), LE, 8)
+		child := map[VarID][2]float64{x: {9, 10}}
+		a, errA := buildStandard(p, nil)
+		b, errB := buildStandard(p, child)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		sameSig, sameShape := a.sig == b.sig, a.shape == b.shape
+		a.release()
+		b.release()
+		if sameShape {
+			t.Fatalf("pad %d: the flipped rows left the shape unchanged", pad)
+		}
+		if !sameSig {
+			continue
+		}
+		collided++
+		d := new(Dive)
+		parent, err := p.SolveWith(SolveOptions{CaptureBasis: true, Dive: d})
+		if err != nil || parent.Status != StatusOptimal {
+			t.Fatalf("pad %d parent: %v %v", pad, err, parent)
+		}
+		cold, _ := p.SolveWith(SolveOptions{BoundOverride: child})
+		sol, err := p.SolveWith(SolveOptions{BoundOverride: child, WarmStart: parent.Basis, Dive: d})
+		d.Release()
+		if err != nil || sol.Dived {
+			t.Fatalf("pad %d: err=%v dived=%v, want the dive refused", pad, err, sol != nil && sol.Dived)
+		}
+		if sol.Status != cold.Status || sol.Objective != cold.Objective {
+			t.Fatalf("pad %d: %v, want the cold answer %v", pad, sol, cold)
+		}
+	}
+	if collided == 0 {
+		t.Fatal("no padding made sig collide; the test no longer covers the collision")
 	}
 }

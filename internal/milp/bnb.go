@@ -199,11 +199,20 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 		heap.Push(h, &node{bound: math.Inf(1)}) // root: id 0
 	}
 
+	// A serial warm search solves its nodes one after another on this
+	// goroutine, so a child popped right after its parent can dive on the
+	// parent's terminal tableau; the handle finds that out by itself.
+	var dive *lp.Dive
+	if opts.WarmStart && workers == 1 && resume == nil {
+		dive = new(lp.Dive)
+	}
+
 	// relax is the worker-side work for one node: the LP relaxation plus a
 	// speculative polish. It is a pure function of (nd, waveIncumbent) — it
 	// reads only immutable state — so results are identical no matter which
 	// worker runs it. Each call builds its own simplex tableau (lp.SolveWith
-	// shares no scratch memory between calls).
+	// shares no scratch memory between calls) or, in a serial warm search,
+	// may dive on the one the previous call left.
 	relax := func(nd *node, waveIncumbent float64) nodeResult {
 		var r nodeResult
 		r.sol, r.err = m.P.SolveWith(lp.SolveOptions{
@@ -216,6 +225,7 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 			// any doubt), so the explored tree stays bit-identical.
 			CaptureBasis: opts.WarmStart,
 			WarmStart:    nd.basis, // nil for the root or under a cold run
+			Dive:         dive,
 		})
 		if r.err != nil || r.sol == nil || r.sol.Status != lp.StatusOptimal {
 			return r
@@ -263,6 +273,7 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 	}
 
 	finish := func(status Status) *Result {
+		dive.Release()
 		res.Elapsed = elapsed()
 		res.Status = status
 		if incumbentX != nil {
@@ -560,6 +571,9 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 				switch {
 				case sol.Warm:
 					res.WarmLPSolves++
+					if sol.Dived {
+						res.Dives++
+					}
 				case sol.WarmFallback:
 					res.WarmLPFallbacks++
 					tr.Emit(obs.Event{Kind: obs.KindWarmFallback, Nodes: res.Nodes,

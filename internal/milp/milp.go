@@ -319,7 +319,11 @@ type Result struct {
 	// answer. Both are zero unless Options.WarmStart.
 	WarmLPSolves    int
 	WarmLPFallbacks int
-	Elapsed         time.Duration
+	// Dives counts the warm node relaxations that started from the
+	// previous node's terminal tableau (lp.Dive): a serial warm search's
+	// child solved right after its parent. A resumed search does not dive.
+	Dives   int
+	Elapsed time.Duration
 	// Fingerprint is the search fingerprint: an FNV-1a hash of everything
 	// the explored tree depends on — model shape plus the tree-determining
 	// options (resolved Batch, node order); Workers is deliberately

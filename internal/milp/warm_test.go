@@ -14,9 +14,11 @@ import (
 // Options.WarmStart on, the explored tree — objective, bound, node count, LP
 // solve count, status — is bit-identical to the cold run for every worker
 // count; only pivot counts (LPIters) may differ. The sweep must also actually
-// exercise the warm path, otherwise the assertion is vacuous.
+// exercise the warm path, otherwise the assertion is vacuous, and at one
+// worker it must dive: a child solved right after its parent starts from the
+// parent's terminal tableau. Parallel waves never dive.
 func TestWarmVsColdIdenticalTree(t *testing.T) {
-	warmTotal := 0
+	warmTotal, dives := 0, 0
 	for _, depthFirst := range []bool{false, true} {
 		for seed := int64(0); seed < 30; seed++ {
 			m := randomModel(rand.New(rand.NewSource(seed)))
@@ -41,6 +43,14 @@ func TestWarmVsColdIdenticalTree(t *testing.T) {
 						warm.WarmLPSolves, warm.WarmLPFallbacks)
 				}
 				warmTotal += warm.WarmLPSolves
+				if workers == 1 {
+					dives += warm.Dives
+				} else if warm.Dives != 0 {
+					t.Fatalf("seed %d: %d dives at %d workers", seed, warm.Dives, workers)
+				}
+				if warm.Dives > warm.WarmLPSolves {
+					t.Fatalf("seed %d: %d dives exceed %d warm solves", seed, warm.Dives, warm.WarmLPSolves)
+				}
 				if cold.WarmLPSolves != 0 || cold.WarmLPFallbacks != 0 {
 					t.Fatalf("seed %d: cold run reports warm counters %d/%d",
 						seed, cold.WarmLPSolves, cold.WarmLPFallbacks)
@@ -51,7 +61,10 @@ func TestWarmVsColdIdenticalTree(t *testing.T) {
 	if warmTotal == 0 {
 		t.Fatalf("warm path never completed a node relaxation across the sweep")
 	}
-	t.Logf("warm path completed %d node relaxations", warmTotal)
+	if dives == 0 {
+		t.Fatalf("no node relaxation dived at one worker")
+	}
+	t.Logf("warm path completed %d node relaxations, %d of them dives", warmTotal, dives)
 }
 
 // TestWarmTraceDetailsMatchCounters checks that the lp_solve_end details
