@@ -14,7 +14,9 @@ package main
 // seed 5 (matching the CI smoke run of cmd/gapfinder).
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -113,6 +115,11 @@ func fixtures() []fixture {
 			// regardless of worker schedule, so even the raw LP-call
 			// counters reproduce bit-for-bit at w=4.
 			run: metaFixture(4, false),
+		},
+		{
+			name: "oneshot_dp_b4",
+			desc: "240 DP gap evaluations (DP phase 2 then OPT, cold one-shot LPs with presolve) on the 12-pair B4 instance",
+			run:  runOneShotDP,
 		},
 		{
 			name: "smoke_b4_dp",
@@ -267,4 +274,60 @@ func runSmoke(seed int64, tr *obs.Tracer) (*runOutcome, error) {
 	}
 	hard := append(solverCounters(res), benchstore.Counter{Name: "dives", Value: int64(res.Solver.Dives)})
 	return &runOutcome{fingerprint: res.Solver.Fingerprint, hard: hard}, nil
+}
+
+// oneShotEvals is the number of gap evaluations one oneshot_dp_b4 run prices.
+const oneShotEvals = 240
+
+// runOneShotDP times the black-box searches' unit of work, which no other
+// fixture runs: DP gap evaluations, each a DP phase-2 LP and an OPT LP
+// solved cold with presolve, priced the way blackbox.DPGap prices them.
+// The instance is metaProblem's (B4, 12 pairs, demand seed = harness seed
+// + 6, threshold 5); the volumes come from harness seed + 8, each uniform
+// in [0, 100], or in [0, 5] one time in four so that DP pins some demands.
+// The fingerprint is an FNV-64a hash of the bits of every DP and OPT total,
+// so a change in the last bit of any one-shot LP's answer shows.
+func runOneShotDP(seed int64, tr *obs.Tracer) (*runOutcome, error) {
+	const threshold = 5
+	g := topology.B4()
+	set := demand.RandomPairs(g, 12, rand.New(rand.NewSource(seed+6)))
+	inst, err := mcf.NewInstance(g, set, 2)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed + 8))
+	solves, iters := obs.Default.Counter("lp_solves_total"), obs.Default.Counter("lp_iterations_total")
+	solves0, iters0 := solves.Value(), iters.Value()
+	pc := mcf.NewPricer(inst)
+	h := fnv.New64a()
+	var buf [8]byte
+	mix := func(x float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	vols := make([]float64, set.Len())
+	for i := 0; i < oneShotEvals; i++ {
+		for k := range vols {
+			if rng.Intn(4) == 0 {
+				vols[k] = threshold * rng.Float64()
+			} else {
+				vols[k] = 100 * rng.Float64()
+			}
+		}
+		dp, err := pc.DemandPinning(vols, threshold)
+		if err != nil {
+			return nil, fmt.Errorf("oneshot: DP at evaluation %d: %w", i, err)
+		}
+		opt, err := pc.MaxFlow(vols)
+		if err != nil {
+			return nil, fmt.Errorf("oneshot: OPT at evaluation %d: %w", i, err)
+		}
+		mix(dp.Total)
+		mix(opt.Total)
+	}
+	return &runOutcome{fingerprint: h.Sum64(), hard: []benchstore.Counter{
+		{Name: "evals", Value: oneShotEvals},
+		{Name: "lp_solves", Value: solves.Value() - solves0},
+		{Name: "lp_iters", Value: iters.Value() - iters0},
+	}}, nil
 }

@@ -25,18 +25,20 @@ import (
 // oversubscribe a link), which local search treats as "never move there".
 type GapFunc func(demands []float64) (float64, error)
 
-// DPGap returns the gap function OPT - DemandPinning on the instance.
+// DPGap returns the gap function OPT - DemandPinning on the instance. The
+// function prices through one mcf.Pricer, built on its first call, and is
+// safe for concurrent use.
 func DPGap(inst *mcf.Instance, threshold float64) GapFunc {
+	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
-		at := inst.WithVolumes(d)
-		dp, err := mcf.SolveDemandPinning(at, threshold)
+		dp, err := pc.DemandPinning(d, threshold)
 		if errors.Is(err, mcf.ErrInfeasible) {
 			return math.Inf(-1), nil
 		}
 		if err != nil {
 			return 0, err
 		}
-		opt, err := mcf.SolveMaxFlow(at)
+		opt, err := pc.MaxFlow(d)
 		if err != nil {
 			return 0, err
 		}
@@ -70,9 +72,10 @@ func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
 // partition assignments — the same descriptor the white-box search
 // optimizes, so the two methods compete on equal footing.
 func POPGap(inst *mcf.Instance, assignments [][]int, partitions int) GapFunc {
+	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
 		at := inst.WithVolumes(d)
-		opt, err := mcf.SolveMaxFlow(at)
+		opt, err := pc.MaxFlow(d)
 		if err != nil {
 			return 0, err
 		}

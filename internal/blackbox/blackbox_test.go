@@ -222,3 +222,31 @@ func TestConcurrentDPGapFunc(t *testing.T) {
 		t.Fatalf("no positive concurrent gap found: %v", res.Gap)
 	}
 }
+
+// TestDPGapEvalAllocations seals the allocation count of one DP gap
+// evaluation on the 12-pair B4 instance the hill-climbing benchmark
+// searches: the pricer builds the OPT LP, the phase-2 incidence and the
+// names once, so an evaluation allocates only its two LPs, their presolve
+// state and answers: 149 allocations, where rebuilding both models per call
+// and merging presolve rows through two maps each took 1020. The bound is
+// the measured count, so any new allocation per evaluation shows here.
+func TestDPGapEvalAllocations(t *testing.T) {
+	g := topology.B4()
+	set := demand.RandomPairs(g, 12, rand.New(rand.NewSource(7)))
+	inst, err := mcf.NewInstance(g, set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := make([]float64, set.Len())
+	for k := range d {
+		d[k] = float64(37*k%101) + 0.25 // demands 0 and 11 are pinned
+	}
+	gap := DPGap(inst, 5)
+	if v, err := gap(d); err != nil || math.IsInf(v, 0) {
+		t.Fatalf("gap %v, %v; want a finite gap", v, err)
+	}
+	const maxAllocs = 149
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = gap(d) }); allocs > maxAllocs {
+		t.Errorf("one DPGap evaluation allocates %.0f times, want at most %d", allocs, maxAllocs)
+	}
+}

@@ -389,13 +389,13 @@ func (pr *DPGapProblem) greedyPinSeed() []float64 {
 // genuinely achievable gap, so branch and bound can use it as an incumbent.
 func (pr *DPGapProblem) polisher(b *dpBuild) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
+	pc := mcf.NewPricer(pr.Inst)
 	price := func(d []float64) (float64, bool) {
-		at := pr.Inst.WithVolumes(d)
-		dp, err := mcf.SolveDemandPinning(at, pr.Threshold)
+		dp, err := pc.DemandPinning(d, pr.Threshold)
 		if err != nil {
 			return 0, false // infeasible pinning or solver trouble: skip
 		}
-		opt, err := mcf.SolveMaxFlow(at)
+		opt, err := pc.MaxFlow(d)
 		if err != nil {
 			return 0, false
 		}

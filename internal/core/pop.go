@@ -292,9 +292,10 @@ func (pr *POPGapProblem) run(opts milp.Options, st *checkpoint.BnBState) (*Resul
 // same fixed assignments and descriptor.
 func (pr *POPGapProblem) polisher(b *popBuild) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
+	pc := mcf.NewPricer(pr.Inst)
 	price := func(d []float64) (float64, bool) {
 		at := pr.Inst.WithVolumes(d)
-		opt, err := mcf.SolveMaxFlow(at)
+		opt, err := pc.MaxFlow(d)
 		if err != nil {
 			return 0, false
 		}

@@ -361,9 +361,9 @@ func (pr *POPSplitGapProblem) evalSplitPOP(d []float64, plan slotPlan) (float64,
 
 func (pr *POPSplitGapProblem) polisher(b *popSplitBuild) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
+	pc := mcf.NewPricer(pr.Inst)
 	price := func(d []float64) (float64, bool) {
-		at := pr.Inst.WithVolumes(d)
-		opt, err := mcf.SolveMaxFlow(at)
+		opt, err := pc.MaxFlow(d)
 		if err != nil {
 			return 0, false
 		}

@@ -107,27 +107,28 @@ func AllPairs(g *topology.Graph) *Set {
 
 // ReachablePairs returns the ordered node pairs of g that have at least one
 // path — on directed topologies a strict subset of AllPairs.
-func ReachablePairs(g *topology.Graph) *Set {
+func ReachablePairs(g *topology.Graph) *Set { return NewSet(reachablePairs(g)) }
+
+// reachablePairs lists ReachablePairs' pairs in source-major order.
+func reachablePairs(g *topology.Graph) []Pair {
 	var pairs []Pair
 	n := g.NumNodes()
 	for s := 0; s < n; s++ {
+		reach := g.Reachable(topology.Node(s))
 		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			if _, ok := g.ShortestPath(topology.Node(s), topology.Node(d)); ok {
+			if reach[d] {
 				pairs = append(pairs, Pair{topology.Node(s), topology.Node(d)})
 			}
 		}
 	}
-	return NewSet(pairs)
+	return pairs
 }
 
 // RandomPairs returns a set of k distinct ordered *reachable* pairs drawn
 // uniformly without replacement — the demand-support restriction used to
 // scale the meta optimization down to sizes our solver handles.
 func RandomPairs(g *topology.Graph, k int, rng *rand.Rand) *Set {
-	all := ReachablePairs(g).pairs
+	all := reachablePairs(g)
 	if k > len(all) {
 		k = len(all)
 	}
@@ -159,13 +160,21 @@ func (s *Set) CopyVolumes() []float64 { return append([]float64(nil), s.volumes.
 // or negative volumes panic with a *VolumeError (use NewSetWithVolumes or
 // ValidateVolumes for an error-returning path).
 func (s *Set) SetVolumes(v []float64) {
+	s.CheckVolumes(v)
+	copy(s.volumes, v)
+}
+
+// CheckVolumes panics exactly as SetVolumes and WithVolumes do when v
+// cannot be this set's volume vector, without copying anything: for a
+// wrong length, and with a *VolumeError for a NaN, infinite or negative
+// volume.
+func (s *Set) CheckVolumes(v []float64) {
 	if len(v) != len(s.pairs) {
 		panic(fmt.Sprintf("demand: %d volumes for %d pairs", len(v), len(s.pairs)))
 	}
 	if err := ValidateVolumes(v); err != nil {
 		panic(err)
 	}
-	copy(s.volumes, v)
 }
 
 // SetVolume sets a single demand's volume. NaN, infinite or negative

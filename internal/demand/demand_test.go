@@ -1,6 +1,7 @@
 package demand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,5 +160,73 @@ func TestReachablePairsDirected(t *testing.T) {
 	rp := RandomPairs(g, 10, rng)
 	if rp.Len() != 3 {
 		t.Fatalf("RandomPairs sampled unreachable pairs: %v", rp.Pairs())
+	}
+}
+
+// dijkstraPairs is ReachablePairs' definition: every ordered pair s != d
+// for which ShortestPath(s, d) finds a path, in source-major order.
+func dijkstraPairs(g *topology.Graph) []Pair {
+	var pairs []Pair
+	for s := 0; s < g.NumNodes(); s++ {
+		for d := 0; d < g.NumNodes(); d++ {
+			if _, ok := g.ShortestPath(topology.Node(s), topology.Node(d)); s != d && ok {
+				pairs = append(pairs, Pair{topology.Node(s), topology.Node(d)})
+			}
+		}
+	}
+	return pairs
+}
+
+// TestReachablePairsMatchesDijkstra: the breadth-first ReachablePairs
+// returns the Dijkstra definition's pairs in the same order — on B4, on
+// Figure 1 and on sparse random directed graphs with unreachable nodes,
+// isolated ones and edges of infinite or NaN weight — so RandomPairs draws
+// the same picks from the same rng.
+func TestReachablePairsMatchesDijkstra(t *testing.T) {
+	graphs := []*topology.Graph{topology.B4(), topology.Figure1()}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 40; i++ {
+		n := 2 + rng.Intn(9)
+		g := topology.New("random", n)
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			w := 0.5 + rng.Float64()
+			if rng.Intn(8) == 0 { // an edge ShortestPath cannot use, or one it can
+				w = []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[rng.Intn(3)]
+			}
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				g.AddEdgeW(topology.Node(a), topology.Node(b), 10, w)
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	unreachable := 0
+	for i, g := range graphs {
+		want := dijkstraPairs(g)
+		got := ReachablePairs(g).Pairs()
+		if len(got) != len(want) {
+			t.Fatalf("graph %d: %d pairs, Dijkstra %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("graph %d: pair %d is %v, Dijkstra %v", i, k, got[k], want[k])
+			}
+		}
+		unreachable += g.NumNodes()*(g.NumNodes()-1) - len(want)
+		if len(want) == 0 {
+			continue
+		}
+		k := 1 + rng.Intn(len(want))
+		seed := rng.Int63()
+		picked := RandomPairs(g, k, rand.New(rand.NewSource(seed))).Pairs()
+		ref := rand.New(rand.NewSource(seed))
+		ref.Shuffle(len(want), func(a, b int) { want[a], want[b] = want[b], want[a] })
+		for n := range picked {
+			if picked[n] != want[n] {
+				t.Fatalf("graph %d: RandomPairs pick %d is %v, the Dijkstra list's shuffle gives %v", i, n, picked[n], want[n])
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no graph had an unreachable pair; the random graphs show nothing")
 	}
 }

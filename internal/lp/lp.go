@@ -208,6 +208,24 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
+// WithRHS returns a copy of the problem whose constraints carry the given
+// right-hand sides, one per constraint. Unlike Clone it shares the
+// constraints' term slices with p, so it costs two headers per row and
+// column rather than a copy of the matrix; neither problem may change a
+// constraint expression in place afterwards. It panics if len(rhs) is not
+// NumConstraints.
+func (p *Problem) WithRHS(rhs []float64) *Problem {
+	if len(rhs) != len(p.cons) {
+		panic(fmt.Sprintf("lp: %d right-hand sides for %d constraints of %q", len(rhs), len(p.cons), p.Name))
+	}
+	q := &Problem{Name: p.Name, sense: p.sense, vars: append([]varInfo(nil), p.vars...)}
+	q.cons = append([]conInfo(nil), p.cons...)
+	for i := range q.cons {
+		q.cons[i].rhs = rhs[i]
+	}
+	return q
+}
+
 // Status reports the outcome of a solve.
 type Status int
 

@@ -73,23 +73,37 @@ func newPresolveState(p *Problem) *presolveState {
 	ps.rhs = make([]float64, m)
 	ps.rel = make([]Rel, m)
 	ps.rowAlive = make([]bool, m)
+	nnz := 0
+	for _, con := range p.cons {
+		nnz += len(con.expr.Terms)
+	}
+	// Merge each row's duplicate terms on a dense scratch: sum[j] adds up
+	// column j's coefficients in term order from zero, stamp[j] == i+1 marks
+	// j as seen in row i, and order keeps the row's columns in
+	// first-appearance order (never map order), so the reduced constraint
+	// matrix is a pure function of the input problem. Every row's merged
+	// terms live in one backing slice.
+	sum := make([]float64, n)
+	stamp := make([]int, n)
+	var order []VarID
+	merged := make([]Term, 0, nnz)
 	for i, con := range p.cons {
-		sum := make(map[VarID]float64, len(con.expr.Terms))
+		order = order[:0]
 		for _, t := range con.expr.Terms {
+			if stamp[t.Var] != i+1 {
+				stamp[t.Var] = i + 1
+				sum[t.Var] = 0
+				order = append(order, t.Var)
+			}
 			sum[t.Var] += t.Coef
 		}
-		// Rebuild in first-appearance order (never map order) so the reduced
-		// constraint matrix is a pure function of the input problem.
-		seen := make(map[VarID]bool, len(sum))
-		for _, t := range con.expr.Terms {
-			if seen[t.Var] {
-				continue
-			}
-			seen[t.Var] = true
-			if c := sum[t.Var]; c != 0 {
-				ps.terms[i] = append(ps.terms[i], Term{Var: t.Var, Coef: c})
+		start := len(merged)
+		for _, v := range order {
+			if c := sum[v]; c != 0 {
+				merged = append(merged, Term{Var: v, Coef: c})
 			}
 		}
+		ps.terms[i] = merged[start:len(merged):len(merged)]
 		ps.rhs[i] = con.rhs
 		ps.rel[i] = con.rel
 		ps.rowAlive[i] = true
@@ -168,15 +182,20 @@ func (ps *presolveState) reduce() {
 	}
 }
 
-// liveTerms returns the alive terms of row i.
-func (ps *presolveState) liveTerms(i int) []Term {
-	out := ps.terms[i][:0:0]
+// liveTerms counts the alive terms of row i, stopping at two, and returns
+// the first of them.
+func (ps *presolveState) liveTerms(i int) (n int, first Term) {
 	for _, t := range ps.terms[i] {
 		if ps.colAlive[int(t.Var)] {
-			out = append(out, t)
+			if n == 0 {
+				first = t
+			}
+			if n++; n == 2 {
+				break
+			}
 		}
 	}
-	return out
+	return n, first
 }
 
 func (ps *presolveState) reduceRows() bool {
@@ -185,8 +204,8 @@ func (ps *presolveState) reduceRows() bool {
 		if !ps.rowAlive[i] || ps.infeasible {
 			continue
 		}
-		live := ps.liveTerms(i)
-		switch len(live) {
+		n, t := ps.liveTerms(i)
+		switch n {
 		case 0:
 			// Empty row: 0 rel rhs must hold on its own.
 			ok := true
@@ -206,7 +225,6 @@ func (ps *presolveState) reduceRows() bool {
 			ps.journal = append(ps.journal, psEntry{kind: psEmptyRow, row: i})
 			changed = true
 		case 1:
-			t := live[0]
 			j := int(t.Var)
 			v := ps.rhs[i] / t.Coef
 			switch {
@@ -368,17 +386,24 @@ func (ps *presolveState) buildReduced() (q *Problem, colMap []int, rowMap []int)
 		q.SetObj(id, v.obj)
 		colMap[j] = int(id)
 	}
+	nnz := 0
+	for i, alive := range ps.rowAlive {
+		if alive {
+			nnz += len(ps.terms[i])
+		}
+	}
+	terms := make([]Term, 0, nnz) // one backing slice for every reduced row's terms
 	for i, con := range p.cons {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		var e Expr
+		start := len(terms)
 		for _, t := range ps.terms[i] {
 			if cj := colMap[int(t.Var)]; cj >= 0 {
-				e = e.Add(VarID(cj), t.Coef)
+				terms = append(terms, Term{Var: VarID(cj), Coef: t.Coef})
 			}
 		}
-		q.AddConstraint(con.name, e, ps.rel[i], ps.rhs[i])
+		q.AddConstraint(con.name, Expr{Terms: terms[start:len(terms):len(terms)]}, ps.rel[i], ps.rhs[i])
 		rowMap = append(rowMap, i)
 	}
 	return q, colMap, rowMap

@@ -1,7 +1,9 @@
 package lp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -295,4 +297,77 @@ func TestPresolveSkippedUnderWarmStart(t *testing.T) {
 		t.Fatalf("warm path skipped: warm=%t status=%v", warm.Warm, warm.Status)
 	}
 	wantFloat(t, "objective", warm.Objective, 12)
+}
+
+// mapMergedTerms is the duplicate-term merge presolve ran before its dense
+// scratch: per row, a map sums each variable's coefficients in term order
+// and a second map rebuilds the nonzero sums in first-appearance order.
+func mapMergedTerms(p *Problem) [][]Term {
+	out := make([][]Term, len(p.cons))
+	for i, con := range p.cons {
+		sum := make(map[VarID]float64, len(con.expr.Terms))
+		for _, t := range con.expr.Terms {
+			sum[t.Var] += t.Coef
+		}
+		seen := make(map[VarID]bool, len(sum))
+		for _, t := range con.expr.Terms {
+			if seen[t.Var] {
+				continue
+			}
+			seen[t.Var] = true
+			if c := sum[t.Var]; c != 0 {
+				out[i] = append(out[i], Term{Var: t.Var, Coef: c})
+			}
+		}
+	}
+	return out
+}
+
+// TestPresolveMergeMatchesMapReference: the dense stamped merge must give
+// every row bitwise the terms the map-based merge gave — repeated
+// variables summed in term order (so 1e16 + 1 - 1e16 rounds the same),
+// sums that cancel to zero and signed zeros dropped, and first-appearance
+// order kept — on hand-made rows and on random rows drawn from few
+// variables so that repeats are common.
+func TestPresolveMergeMatchesMapReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	p := NewProblem("merge", Minimize)
+	for j := 0; j < 6; j++ {
+		p.AddVar(fmt.Sprintf("x%d", j), 0, Inf)
+	}
+	rows := [][]Term{
+		{{3, 1}, {1, 2}, {3, 4}, {0, 1}, {1, -2}},          // x1 cancels; x3 first
+		{{2, 1e16}, {4, 1}, {2, 1}, {2, -1e16}, {4, 0.5}},  // order-sensitive sum
+		{{5, negZero}, {0, negZero}, {0, negZero}, {1, 0}}, // signed zeros only
+		{{5, negZero}, {5, 3}, {0, 0}, {0, -7}},            // -0 then a value
+		{},
+		{{4, 2}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		row := make([]Term, rng.Intn(9))
+		for n := range row {
+			c := []float64{1, -1, 0.1, 0.2, 0.3, negZero, 0, 1e16, -1e16, rng.NormFloat64()}[rng.Intn(10)]
+			row[n] = Term{Var: VarID(rng.Intn(6)), Coef: c}
+		}
+		rows = append(rows, row)
+	}
+	for i, r := range rows {
+		p.AddConstraint(fmt.Sprintf("r%d", i), NewExpr(r...), LE, 1)
+	}
+	want := mapMergedTerms(p)
+	got := newPresolveState(p).terms
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("row %d %v: merged %v, reference %v", i, rows[i], got[i], want[i])
+		}
+		for n := range want[i] {
+			if got[i][n].Var != want[i][n].Var || math.Float64bits(got[i][n].Coef) != math.Float64bits(want[i][n].Coef) {
+				t.Fatalf("row %d %v: merged %v, reference %v", i, rows[i], got[i], want[i])
+			}
+		}
+	}
+	if len(got[0]) != 2 || got[0][0].Var != 3 || len(got[2]) != 0 || len(got[3]) != 2 {
+		t.Fatalf("hand-made rows merged to %v %v %v, want x3,x0 / none / x5,x0", got[0], got[2], got[3])
+	}
 }

@@ -87,7 +87,7 @@ func SolveMaxConcurrent(inst *Instance) (*Flow, float64, error) {
 // maximize the common fraction lambda on the residual capacities. Returns
 // ErrInfeasible when the pinned flows oversubscribe a link.
 func SolveDemandPinningConcurrent(inst *Instance, threshold float64) (*Flow, float64, error) {
-	residual, ok := residualAfterPinning(inst, threshold)
+	residual, ok := residualAfterPinning(inst, inst.Demands.Volumes(), threshold)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
 	}

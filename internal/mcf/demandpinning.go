@@ -1,11 +1,5 @@
 package mcf
 
-import (
-	"fmt"
-
-	"repro/internal/lp"
-)
-
 // Pinned reports which demands Demand Pinning routes on their shortest path:
 // those with volume at or below the threshold (the paper pins "demands at or
 // below a configuration threshold T_d").
@@ -21,19 +15,19 @@ func Pinned(inst *Instance, threshold float64) []bool {
 // pinned demands, forced onto their shortest paths, must not oversubscribe
 // any link. The paper's Section 5 notes DP has genuinely infeasible inputs.
 func DemandPinningFeasible(inst *Instance, threshold float64) bool {
-	_, ok := residualAfterPinning(inst, threshold)
+	_, ok := residualAfterPinning(inst, inst.Demands.Volumes(), threshold)
 	return ok
 }
 
-// residualAfterPinning subtracts pinned flows from edge capacities.
-func residualAfterPinning(inst *Instance, threshold float64) ([]float64, bool) {
+// residualAfterPinning subtracts the flows pinned at volumes vols from
+// edge capacities.
+func residualAfterPinning(inst *Instance, vols []float64, threshold float64) ([]float64, bool) {
 	residual := make([]float64, inst.G.NumEdges())
 	for e := range residual {
 		residual[e] = inst.G.Edge(e).Capacity
 	}
 	const tol = 1e-9
-	for k := 0; k < inst.Demands.Len(); k++ {
-		v := inst.Demands.Volume(k)
+	for k, v := range vols {
 		if v > threshold {
 			continue
 		}
@@ -54,80 +48,7 @@ func residualAfterPinning(inst *Instance, threshold float64) ([]float64, bool) {
 // threshold are fixed to their shortest path; the remaining demands are
 // routed jointly optimally over the residual capacities. Returns
 // ErrInfeasible when the pinned flows alone exceed some link capacity.
+// Callers that price many volume vectors on one instance hold a Pricer.
 func SolveDemandPinning(inst *Instance, threshold float64) (*Flow, error) {
-	residual, ok := residualAfterPinning(inst, threshold)
-	if !ok {
-		return nil, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
-	}
-	out := newFlow(inst)
-	vols := inst.Demands.Volumes()
-	pinned := Pinned(inst, threshold)
-	for k, isPinned := range pinned {
-		if isPinned {
-			out.add(k, 0, vols[k])
-		}
-	}
-
-	// Phase 2: joint optimization of the unpinned demands — the speedup the
-	// heuristic exists for, since this LP has far fewer demand variables.
-	anyFree := false
-	for k := range pinned {
-		if !pinned[k] {
-			anyFree = true
-			break
-		}
-	}
-	if !anyFree {
-		return out, nil
-	}
-	p := lp.NewProblem("dp-phase2", lp.Maximize)
-	varOf := make(map[[2]int]lp.VarID)
-	for k, ps := range inst.Paths {
-		if pinned[k] {
-			continue
-		}
-		e := lp.NewExpr()
-		for pi := range ps {
-			v := p.AddVar(fmt.Sprintf("f%d.%d", k, pi), 0, lp.Inf)
-			p.SetObj(v, 1)
-			varOf[[2]int{k, pi}] = v
-			e = e.Add(v, 1)
-		}
-		p.AddConstraint(fmt.Sprintf("dem%d", k), e, lp.LE, vols[k])
-	}
-	for e := 0; e < inst.G.NumEdges(); e++ {
-		expr := lp.NewExpr()
-		for k, ps := range inst.Paths {
-			if pinned[k] {
-				continue
-			}
-			for pi, path := range ps {
-				if path.Contains(e) {
-					expr = expr.Add(varOf[[2]int{k, pi}], 1)
-				}
-			}
-		}
-		if len(expr.Terms) > 0 {
-			p.AddConstraint(fmt.Sprintf("cap%d", e), expr, lp.LE, residual[e])
-		}
-	}
-	sol, err := p.SolveWith(oneShotOpts())
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
-	}
-	// Extract in demand/path order: map iteration order would perturb the
-	// floating-point summation of Total between runs, which breaks the
-	// determinism the seeded black-box searches rely on.
-	for k, ps := range inst.Paths {
-		if pinned[k] {
-			continue
-		}
-		for pi := range ps {
-			out.add(k, pi, sol.X[varOf[[2]int{k, pi}]])
-		}
-	}
-	return out, nil
+	return NewPricer(inst).DemandPinning(inst.Demands.Volumes(), threshold)
 }

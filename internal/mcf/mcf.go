@@ -378,24 +378,8 @@ func WarmStartSelfCheck(inst *Instance) (*WarmStartReport, error) {
 	}, nil
 }
 
-// SolveMaxFlow solves OptMaxFlow (3): the optimal total flow.
+// SolveMaxFlow solves OptMaxFlow (3): the optimal total flow. Callers that
+// price many volume vectors on one instance hold a Pricer.
 func SolveMaxFlow(inst *Instance) (*Flow, error) {
-	vols := inst.Demands.Volumes()
-	fl := BuildInnerMaxFlow("opt", inst, func(k int) kkt.AffineRHS {
-		return kkt.Constant(vols[k])
-	}, 1, nil, 0)
-	sol, xs, err := solveInner(fl.LP)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("mcf: max-flow LP %v", sol.Status)
-	}
-	out := newFlow(inst)
-	for k, ps := range inst.Paths {
-		for p := range ps {
-			out.add(k, p, sol.X[xs[fl.Index[k][p]]])
-		}
-	}
-	return out, nil
+	return NewPricer(inst).MaxFlow(inst.Demands.Volumes())
 }

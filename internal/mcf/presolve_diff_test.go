@@ -79,7 +79,7 @@ func randomInstance(t *testing.T, g *topology.Graph, pairs int, paths int, seed 
 // without exporting the builder.
 func dpPhase2Problem(t *testing.T, inst *Instance, threshold float64) *lp.Problem {
 	t.Helper()
-	residual, ok := residualAfterPinning(inst, threshold)
+	residual, ok := residualAfterPinning(inst, inst.Demands.Volumes(), threshold)
 	if !ok {
 		t.Fatalf("pinning infeasible at threshold %g", threshold)
 	}

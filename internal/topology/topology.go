@@ -267,6 +267,27 @@ func (g *Graph) shortestPathAvoiding(s, t Node, bannedEdges map[int]bool, banned
 	return Path{Edges: edges}, true
 }
 
+// Reachable reports which nodes ShortestPath(s, ·) finds a path to, by one
+// breadth-first search over the out-edges instead of a Dijkstra run per
+// target. Like ShortestPath it ignores edges of NaN or +Inf weight, and
+// reach[s] is false: a node is never its own target.
+func (g *Graph) Reachable(s Node) []bool {
+	reach := make([]bool, g.n)
+	queue := []Node{s}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, id := range g.out[u] {
+			e := g.edges[id]
+			if v := e.To; !reach[v] && v != s && e.Weight < math.Inf(1) {
+				reach[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return reach
+}
+
 // KShortestPaths returns up to k loopless minimum-weight paths from s to t in
 // nondecreasing weight order (Yen's algorithm). The first entry, when
 // present, is the shortest path that DemandPinning pins to.
