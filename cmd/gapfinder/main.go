@@ -194,9 +194,9 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 		opts.Target = &target
 	}
 	if !quiet {
-		opts.Log = func(format string, args ...any) {
+		opts.Tracer = tracer.With(obs.LogfSink{Logf: func(format string, args ...any) {
 			fmt.Printf("  "+format+"\n", args...)
-		}
+		}})
 	}
 	var resume *checkpoint.BnBState
 	if rb.snap != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
-	"repro/internal/obs"
 )
 
 // CapacityGapProblem is the Section-5 extension: instead of adversarial
@@ -137,60 +136,27 @@ func (pr *CapacityGapProblem) build() (*capBuild, error) {
 }
 
 // Stats reports the meta model's size without solving.
-func (pr *CapacityGapProblem) Stats() (ModelStats, error) {
-	b, err := pr.build()
-	if err != nil {
-		return ModelStats{}, err
-	}
-	return statsOf(b.model), nil
-}
+func (pr *CapacityGapProblem) Stats() (ModelStats, error) { return searchStats(pr.search(false)) }
 
 // Solve runs the search and verifies the found capacities with the direct
 // solvers. Result.Demands carries the adversarial *capacities* here.
 func (pr *CapacityGapProblem) Solve(opts milp.Options) (*Result, error) {
-	var tm PhaseTimings
-	var b *capBuild
-	var err error
-	tm.Build, err = obs.TimePhase(opts.Tracer, "build", func() error {
-		var berr error
-		b, berr = pr.build()
-		if berr != nil {
-			return berr
-		}
-		if opts.Polish == nil {
-			opts.Polish = pr.polisher(b)
-		}
-		return nil
-	})
+	return runGap(opts, nil, pr.search)
+}
+
+// search builds the meta model plus runGap's capacity pieces; there are
+// no seeds.
+func (pr *CapacityGapProblem) search(polish bool) (*gapSearch, error) {
+	b, err := pr.build()
 	if err != nil {
 		return nil, err
 	}
-	var res *milp.Result
-	tm.Solve, err = obs.TimePhase(opts.Tracer, "solve", func() error {
-		var serr error
-		res, serr = milp.Solve(b.model, opts)
-		return serr
-	})
-	if err != nil {
-		return nil, err
+	g := &gapSearch{model: b.model, verify: pr.verify,
+		read: func(x []float64) []float64 { return pr.clampCaps(b, x) }}
+	if polish {
+		g.polish = pr.polisher(b)
 	}
-	out := &Result{Stats: statsOf(b.model), Timings: tm, Solver: res}
-	if res.X == nil {
-		return out, nil
-	}
-	caps := make([]float64, len(b.caps))
-	for e, cv := range b.caps {
-		caps[e] = math.Max(pr.CapLo[e], math.Min(pr.CapHi[e], res.X[cv]))
-	}
-	out.Demands = caps
-	out.ModelGap = res.Objective
-	out.Timings.Verify, err = obs.TimePhase(opts.Tracer, "verify", func() error {
-		return pr.verify(out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return g, nil
 }
 
 // priceCaps evaluates the true gap at a capacity assignment, or ok=false
@@ -209,6 +175,16 @@ func (pr *CapacityGapProblem) priceCaps(caps []float64) (gap, opt, dp float64, o
 	return optFlow.Total - dpFlow.Total, optFlow.Total, dpFlow.Total, true
 }
 
+// clampCaps reads the capacity assignment off a model point, clamped to
+// each edge's bounds.
+func (pr *CapacityGapProblem) clampCaps(b *capBuild, x []float64) []float64 {
+	caps := make([]float64, len(b.caps))
+	for e, cv := range b.caps {
+		caps[e] = math.Max(pr.CapLo[e], math.Min(pr.CapHi[e], x[cv]))
+	}
+	return caps
+}
+
 func (pr *CapacityGapProblem) polisher(b *capBuild) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
 	price := func(caps []float64) (float64, bool) {
@@ -216,19 +192,7 @@ func (pr *CapacityGapProblem) polisher(b *capBuild) func(x []float64) (float64, 
 		return gap, ok
 	}
 	return func(x []float64) (float64, []float64, bool) {
-		caps := make([]float64, len(b.caps))
-		for e, cv := range b.caps {
-			caps[e] = math.Max(pr.CapLo[e], math.Min(pr.CapHi[e], x[cv]))
-		}
-		gap, ok := cache.price(caps, price)
-		if !ok {
-			return 0, nil, false
-		}
-		sol := append([]float64(nil), x...)
-		for e, cv := range b.caps {
-			sol[cv] = caps[e]
-		}
-		return gap, sol, true
+		return cache.polishBest(nil, price, x, b.caps, pr.clampCaps(b, x))
 	}
 }
 

@@ -20,9 +20,11 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/demand"
 	"repro/internal/lp"
 	"repro/internal/milp"
+	"repro/internal/obs"
 )
 
 // InputConstraints is the paper's ConstrainedSet: the region of inputs the
@@ -80,7 +82,25 @@ type Goalpost struct {
 	MaxRelDev float64
 }
 
-func (ic *InputConstraints) validate(n int) error {
+// dev is the band half-width the goalpost allows around reference ref.
+func (gp Goalpost) dev(ref float64) float64 {
+	dev := math.Inf(1)
+	if gp.MaxAbsDev > 0 {
+		dev = gp.MaxAbsDev
+	}
+	if gp.MaxRelDev > 0 {
+		dev = math.Min(dev, gp.MaxRelDev*ref)
+	}
+	return dev
+}
+
+// validate checks the constraints against the instance's demand set,
+// first copying its pair list into a hose constraint that left it nil.
+func (ic *InputConstraints) validate(set *demand.Set) error {
+	if ic.Hose != nil && ic.Hose.Pairs == nil {
+		ic.Hose.Pairs = set.Pairs()
+	}
+	n := set.Len()
 	if ic.MaxDemand <= 0 {
 		return fmt.Errorf("core: MaxDemand must be > 0")
 	}
@@ -124,14 +144,6 @@ func (ic *InputConstraints) validate(n int) error {
 	return nil
 }
 
-// fillHosePairs copies the instance's pair list into the hose constraint
-// when the caller left it nil.
-func (ic *InputConstraints) fillHosePairs(set *demand.Set) {
-	if ic.Hose != nil && ic.Hose.Pairs == nil {
-		ic.Hose.Pairs = set.Pairs()
-	}
-}
-
 // addDemandVars creates the outer demand variables and applies every input
 // constraint to the meta model.
 func (ic *InputConstraints) addDemandVars(m *milp.Model, n int) []lp.VarID {
@@ -146,13 +158,7 @@ func (ic *InputConstraints) addDemandVars(m *milp.Model, n int) []lp.VarID {
 			if math.IsNaN(ref) {
 				continue
 			}
-			dev := math.Inf(1)
-			if gp.MaxAbsDev > 0 {
-				dev = gp.MaxAbsDev
-			}
-			if gp.MaxRelDev > 0 {
-				dev = math.Min(dev, gp.MaxRelDev*ref)
-			}
+			dev := gp.dev(ref)
 			p.AddConstraint(fmt.Sprintf("gp%d.hi%d", gi, k),
 				lp.NewExpr().Add(dvars[k], 1), lp.LE, ref+dev)
 			p.AddConstraint(fmt.Sprintf("gp%d.lo%d", gi, k),
@@ -248,13 +254,7 @@ func (ic *InputConstraints) sanitize(d []float64) ([]float64, bool) {
 			if math.IsNaN(ref) {
 				continue
 			}
-			dev := math.Inf(1)
-			if gp.MaxAbsDev > 0 {
-				dev = gp.MaxAbsDev
-			}
-			if gp.MaxRelDev > 0 {
-				dev = math.Min(dev, gp.MaxRelDev*ref)
-			}
+			dev := gp.dev(ref)
 			out[k] = math.Max(ref-dev, math.Min(ref+dev, out[k]))
 		}
 	}
@@ -288,14 +288,7 @@ func (ic *InputConstraints) satisfied(d []float64) bool {
 			if math.IsNaN(ref) {
 				continue
 			}
-			dev := math.Inf(1)
-			if gp.MaxAbsDev > 0 {
-				dev = gp.MaxAbsDev
-			}
-			if gp.MaxRelDev > 0 {
-				dev = math.Min(dev, gp.MaxRelDev*ref)
-			}
-			if math.Abs(d[k]-ref) > dev+tol {
+			if math.Abs(d[k]-ref) > gp.dev(ref)+tol {
 				return false
 			}
 		}
@@ -340,7 +333,6 @@ func (ic *InputConstraints) satisfied(d []float64) bool {
 	return true
 }
 
-// constantVector returns a length-n vector filled with v.
 // sortedKeys returns m's keys in increasing order, for deterministic
 // iteration over node-indexed maps.
 func sortedKeys(m map[int]lp.Expr) []int {
@@ -352,6 +344,7 @@ func sortedKeys(m map[int]lp.Expr) []int {
 	return keys
 }
 
+// constantVector returns a length-n vector filled with v.
 func constantVector(n int, v float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -393,6 +386,13 @@ type Result struct {
 	Solver *milp.Result
 }
 
+// priced records the inner values the direct solvers verified at the found
+// input, with the gap normalized by the topology's total capacity.
+func (r *Result) priced(opt, heur, totalCapacity float64) {
+	r.OptValue, r.HeurValue, r.Gap = opt, heur, opt-heur
+	r.NormalizedGap = r.Gap / totalCapacity
+}
+
 // PhaseTimings is the wall time spent in each phase of a gap search. When a
 // Tracer is set on the search Options, the same phases are also emitted as
 // phase_start/phase_end events (and land in the metrics registry as
@@ -415,4 +415,84 @@ func statsOf(m *milp.Model) ModelStats {
 		SOSPairs:   m.NumComplementarities(),
 		Binaries:   m.NumBinaries(),
 	}
+}
+
+// searchStats reports the size of a built meta model, for the problems'
+// Stats methods.
+func searchStats(g *gapSearch, err error) (ModelStats, error) {
+	if err != nil {
+		return ModelStats{}, err
+	}
+	return statsOf(g.model), nil
+}
+
+// gapSearch is one gap problem's meta model plus the problem-specific
+// pieces runGap needs.
+type gapSearch struct {
+	model *milp.Model
+	// polish is the direct-solver primal heuristic, nil when polishing is
+	// off; seeds are model points priced through it, in order, and handed
+	// to the solver as seed incumbents.
+	polish func(x []float64) (float64, []float64, bool)
+	seeds  [][]float64
+	// read turns the solver's incumbent into the reported input, clamped to
+	// its box (and snapped where the encoding calls for it).
+	read func(x []float64) []float64
+	// verify re-prices the reported input with the direct solvers.
+	verify func(out *Result) error
+}
+
+// runGap runs the search behind every gap problem: build the meta
+// model and price its seeds, run branch and bound (a fresh Solve, or a
+// Resume when st is non-nil), and verify the found input — each phase timed
+// through obs.TimePhase. build is told whether runGap wants a polisher:
+// not when the caller already supplied opts.Polish.
+func runGap(opts milp.Options, st *checkpoint.BnBState, build func(polish bool) (*gapSearch, error)) (*Result, error) {
+	var tm PhaseTimings
+	var g *gapSearch
+	var err error
+	tm.Build, err = obs.TimePhase(opts.Tracer, "build", func() (berr error) {
+		if g, berr = build(opts.Polish == nil); berr != nil {
+			return berr
+		}
+		if g.polish != nil {
+			opts.Polish = g.polish
+			// Priced up front so even a search whose node LPs exceed the
+			// budget returns a genuine adversarial input.
+			for _, x := range g.seeds {
+				if obj, sol, ok := g.polish(x); ok {
+					opts.Seeds = append(opts.Seeds, milp.Seed{Objective: obj, X: sol})
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var res *milp.Result
+	tm.Solve, err = obs.TimePhase(opts.Tracer, "solve", func() (serr error) {
+		if st != nil {
+			res, serr = milp.Resume(g.model, st, opts)
+		} else {
+			res, serr = milp.Solve(g.model, opts)
+		}
+		return serr
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Stats: statsOf(g.model), Timings: tm, Solver: res}
+	if res.X == nil {
+		return out, nil
+	}
+	out.ModelGap = res.Objective
+	out.Demands = g.read(res.X)
+	out.Timings.Verify, err = obs.TimePhase(opts.Tracer, "verify", func() error {
+		return g.verify(out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
-	"repro/internal/obs"
 )
 
 // DPGapProblem searches for demands maximizing OPT - DemandPinning on an
@@ -49,7 +48,6 @@ type dpBuild struct {
 	model   *milp.Model
 	demands []lp.VarID
 	pinned  []lp.VarID // z_k indicator: demand k is pinned
-	optObj  lp.Expr
 	heurObj lp.Expr
 }
 
@@ -58,8 +56,7 @@ type dpBuild struct {
 // ModelStats so Figure 6 can report sizes without solving.
 func (pr *DPGapProblem) build() (*dpBuild, error) {
 	n := pr.Inst.Demands.Len()
-	pr.Input.fillHosePairs(pr.Inst.Demands)
-	if err := pr.Input.validate(n); err != nil {
+	if err := pr.Input.validate(pr.Inst.Demands); err != nil {
 		return nil, err
 	}
 	p := lp.NewProblem("dp-gap", lp.Maximize)
@@ -75,7 +72,6 @@ func (pr *DPGapProblem) build() (*dpBuild, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.optObj = optRes.Obj
 
 	// Heuristic side. Pinning indicators z_k (z_k = 1 iff d_k <= T) are
 	// shared by both encodings.
@@ -110,7 +106,7 @@ func (pr *DPGapProblem) build() (*dpBuild, error) {
 	}
 
 	// Objective (1): maximize OPT value minus heuristic value.
-	for _, t := range b.optObj.Terms {
+	for _, t := range optRes.Obj.Terms {
 		p.SetObj(t.Var, t.Coef)
 	}
 	for _, t := range b.heurObj.Terms {
@@ -221,13 +217,7 @@ func (pr *DPGapProblem) buildPhase2Heuristic(b *dpBuild) error {
 
 // Stats builds the meta model and reports its size without solving —
 // the Figure 6 measurements.
-func (pr *DPGapProblem) Stats() (ModelStats, error) {
-	b, err := pr.build()
-	if err != nil {
-		return ModelStats{}, err
-	}
-	return statsOf(b.model), nil
-}
+func (pr *DPGapProblem) Stats() (ModelStats, error) { return searchStats(pr.search(false)) }
 
 // Fingerprint builds the meta model and reports the search fingerprint
 // Solve(opts) would stamp on its milp result — the identity cmd/gapserved
@@ -243,7 +233,7 @@ func (pr *DPGapProblem) Fingerprint(opts milp.Options) (uint64, error) {
 // Solve runs the white-box search and verifies the found input against the
 // direct OPT and DP solvers.
 func (pr *DPGapProblem) Solve(opts milp.Options) (*Result, error) {
-	return pr.run(opts, nil)
+	return runGap(opts, nil, pr.search)
 }
 
 // Resume continues a white-box search from a branch-and-bound checkpoint
@@ -256,85 +246,49 @@ func (pr *DPGapProblem) Resume(st *checkpoint.BnBState, opts milp.Options) (*Res
 	if st == nil {
 		return nil, fmt.Errorf("core: nil checkpoint state")
 	}
-	return pr.run(opts, st)
+	return runGap(opts, st, pr.search)
 }
 
-func (pr *DPGapProblem) run(opts milp.Options, st *checkpoint.BnBState) (*Result, error) {
-	var tm PhaseTimings
-	var b *dpBuild
-	var err error
-	tm.Build, err = obs.TimePhase(opts.Tracer, "build", func() error {
-		var berr error
-		b, berr = pr.build()
-		if berr != nil {
-			return berr
+// search builds the meta model plus runGap's DP-specific pieces. The
+// seeds are the structured candidates: every demand at the maximum, every
+// demand at the threshold, and the greedy pinning.
+func (pr *DPGapProblem) search(polish bool) (*gapSearch, error) {
+	b, err := pr.build()
+	if err != nil {
+		return nil, err
+	}
+	g := &gapSearch{model: b.model, verify: pr.verify, read: func(x []float64) []float64 {
+		out := make([]float64, len(b.demands))
+		for k, dv := range b.demands {
+			// Clean numerical dust so verification uses a legal input.
+			d := math.Min(math.Max(x[dv], pr.Input.MinDemand), pr.Input.MaxDemand)
+			// Snap demands the model pinned to the threshold boundary.
+			if x[b.pinned[k]] > 0.5 && d > pr.Threshold && d-pr.Threshold < 1e-6 {
+				d = pr.Threshold
+			}
+			out[k] = d
 		}
-		if opts.Polish == nil && !pr.DisablePolish {
-			polish := pr.polisher(b)
-			opts.Polish = polish
-			// Price the structured candidates up front and hand them to the
-			// solver as seed incumbents, so even a search whose node LPs exceed
-			// the budget returns a genuine adversarial input.
-			nv := b.model.P.NumVars()
-			for _, cand := range [][]float64{
-				constantVector(len(b.demands), pr.Input.MaxDemand),
-				constantVector(len(b.demands), pr.Threshold),
-				pr.greedyPinSeed(),
-			} {
-				x := make([]float64, nv)
-				for k, dv := range b.demands {
-					x[dv] = cand[k]
-					if cand[k] <= pr.Threshold {
-						x[b.pinned[k]] = 1
-					}
-				}
-				if obj, sol, ok := polish(x); ok {
-					opts.Seeds = append(opts.Seeds, milp.Seed{Objective: obj, X: sol})
-				}
+		return out
+	}}
+	if !polish || pr.DisablePolish {
+		return g, nil
+	}
+	g.polish = pr.polisher(b)
+	for _, cand := range [][]float64{
+		constantVector(len(b.demands), pr.Input.MaxDemand),
+		constantVector(len(b.demands), pr.Threshold),
+		pr.greedyPinSeed(),
+	} {
+		x := make([]float64, b.model.P.NumVars())
+		for k, dv := range b.demands {
+			x[dv] = cand[k]
+			if cand[k] <= pr.Threshold {
+				x[b.pinned[k]] = 1
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		g.seeds = append(g.seeds, x)
 	}
-	var res *milp.Result
-	tm.Solve, err = obs.TimePhase(opts.Tracer, "solve", func() error {
-		var serr error
-		if st != nil {
-			res, serr = milp.Resume(b.model, st, opts)
-		} else {
-			res, serr = milp.Solve(b.model, opts)
-		}
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Stats: statsOf(b.model), Timings: tm, Solver: res}
-	if res.X == nil {
-		return out, nil
-	}
-	out.ModelGap = res.Objective
-	out.Demands = make([]float64, len(b.demands))
-	for k, dv := range b.demands {
-		d := res.X[dv]
-		// Clean numerical dust so verification uses a legal input.
-		d = math.Max(d, pr.Input.MinDemand)
-		d = math.Min(d, pr.Input.MaxDemand)
-		// Snap demands the model pinned to the threshold boundary.
-		if res.X[b.pinned[k]] > 0.5 && d > pr.Threshold && d-pr.Threshold < 1e-6 {
-			d = pr.Threshold
-		}
-		out.Demands[k] = d
-	}
-	out.Timings.Verify, err = obs.TimePhase(opts.Tracer, "verify", func() error {
-		return pr.verify(out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return g, nil
 }
 
 // greedyPinSeed builds a structured candidate input: demands are pinned at
@@ -438,25 +392,7 @@ func (pr *DPGapProblem) polisher(b *dpBuild) func(x []float64) (float64, []float
 			}
 			candidates = append(candidates, pin, bang)
 		}
-		bestGap, ok := 0.0, false
-		var bestD []float64
-		for _, cand := range candidates {
-			d, valid := pr.Input.sanitize(cand)
-			if !valid {
-				continue
-			}
-			if gap, priced := cache.price(d, price); priced && (!ok || gap > bestGap) {
-				bestGap, bestD, ok = gap, d, true
-			}
-		}
-		if !ok {
-			return 0, nil, false
-		}
-		sol := append([]float64(nil), x...)
-		for k, dv := range b.demands {
-			sol[dv] = bestD[k]
-		}
-		return bestGap, sol, true
+		return cache.polishBest(&pr.Input, price, x, b.demands, candidates...)
 	}
 }
 
@@ -551,6 +487,36 @@ func (c *priceCache) price(d []float64, f func([]float64) (float64, bool)) (floa
 	}
 }
 
+// polishBest is the shared tail of the polishers: it repairs each
+// candidate input into the constrained set ic (nil: taken as is), prices
+// the valid ones through the cache, and returns the best gap with x's input
+// variables vars set to the winning input.
+func (c *priceCache) polishBest(ic *InputConstraints, price func([]float64) (float64, bool),
+	x []float64, vars []lp.VarID, cands ...[]float64) (float64, []float64, bool) {
+	bestGap, ok := 0.0, false
+	var bestD []float64
+	for _, cand := range cands {
+		d, valid := cand, true
+		if ic != nil {
+			d, valid = ic.sanitize(cand)
+		}
+		if !valid {
+			continue
+		}
+		if gap, priced := c.price(d, price); priced && (!ok || gap > bestGap) {
+			bestGap, bestD, ok = gap, d, true
+		}
+	}
+	if !ok {
+		return 0, nil, false
+	}
+	sol := append([]float64(nil), x...)
+	for k, dv := range vars {
+		sol[dv] = bestD[k]
+	}
+	return bestGap, sol, true
+}
+
 // verify recomputes OPT and DP at the found demands with the direct solvers.
 func (pr *DPGapProblem) verify(out *Result) error {
 	inst := pr.Inst.WithVolumes(out.Demands)
@@ -562,9 +528,6 @@ func (pr *DPGapProblem) verify(out *Result) error {
 	if err != nil {
 		return fmt.Errorf("core: verifying DP: %w", err)
 	}
-	out.OptValue = opt.Total
-	out.HeurValue = dp.Total
-	out.Gap = opt.Total - dp.Total
-	out.NormalizedGap = out.Gap / pr.Inst.G.TotalCapacity()
+	out.priced(opt.Total, dp.Total, pr.Inst.G.TotalCapacity())
 	return nil
 }

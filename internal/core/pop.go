@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/kkt"
 	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
-	"repro/internal/obs"
 	"repro/internal/sortnet"
 )
 
@@ -47,16 +47,12 @@ type POPGapProblem struct {
 type popBuild struct {
 	model       *milp.Model
 	demands     []lp.VarID
-	optObj      lp.Expr
-	instObjs    []lp.Expr // heuristic total per instantiation
 	assignments [][]int
-	heurTerm    lp.Expr // the descriptor subtracted in the objective
 }
 
 func (pr *POPGapProblem) build() (*popBuild, error) {
 	n := pr.Inst.Demands.Len()
-	pr.Input.fillHosePairs(pr.Inst.Demands)
-	if err := pr.Input.validate(n); err != nil {
+	if err := pr.Input.validate(pr.Inst.Demands); err != nil {
 		return nil, err
 	}
 	if pr.Partitions < 1 {
@@ -98,58 +94,51 @@ func (pr *POPGapProblem) build() (*popBuild, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.optObj = optRes.Obj
 
 	// Heuristic side: per instantiation, per partition, a certified inner
 	// max-flow over that partition's demands with capacities divided by the
 	// partition count — formulation (6).
 	capFrac := 1 / float64(pr.Partitions)
+	var instObjs []lp.Expr // heuristic total per instantiation
 	for ri, assign := range assignments {
 		var instObj lp.Expr
 		for c := 0; c < pr.Partitions; c++ {
-			cc := c
-			include := func(k int) bool { return assign[k] == cc }
-			any := false
-			for k := 0; k < n; k++ {
-				if include(k) {
-					any = true
-					break
-				}
-			}
-			if !any {
+			if !slices.Contains(assign, c) {
 				continue
 			}
 			fl := mcf.BuildInnerMaxFlow(fmt.Sprintf("pop%d.%d", ri, c), pr.Inst,
 				func(k int) kkt.AffineRHS { return kkt.Var(b.demands[k], 1, 0) },
-				capFrac, include, pr.Input.MaxDemand)
+				capFrac, func(k int) bool { return assign[k] == c }, pr.Input.MaxDemand)
 			res, err := kkt.Emit(m, fl.LP, true)
 			if err != nil {
 				return nil, err
 			}
 			instObj = instObj.AddExpr(res.Obj, 1)
 		}
-		b.instObjs = append(b.instObjs, instObj)
+		instObjs = append(instObjs, instObj)
 	}
 
-	// Descriptor: expectation or sorted percentile.
+	// Descriptor (the term subtracted in the objective): expectation or
+	// sorted percentile.
+	var heurTerm lp.Expr
 	if pr.TailPercentile == nil {
 		inv := 1 / float64(r)
-		for _, io := range b.instObjs {
-			b.heurTerm = b.heurTerm.AddExpr(io, inv)
+		for _, io := range instObjs {
+			heurTerm = heurTerm.AddExpr(io, inv)
 		}
 	} else {
 		// Sorting network over the instantiation totals; every total lies in
 		// [0, n*MaxDemand].
 		bigM := float64(n) * pr.Input.MaxDemand
-		outs := sortnet.Emit(m, "tail", b.instObjs, bigM)
+		outs := sortnet.Emit(m, "tail", instObjs, bigM)
 		idx := sortnet.PercentileIndex(*pr.TailPercentile, len(outs))
-		b.heurTerm = lp.NewExpr().Add(outs[idx], 1)
+		heurTerm = lp.NewExpr().Add(outs[idx], 1)
 	}
 
-	for _, t := range b.optObj.Terms {
+	for _, t := range optRes.Obj.Terms {
 		p.SetObj(t.Var, t.Coef)
 	}
-	for _, t := range b.heurTerm.Terms {
+	for _, t := range heurTerm.Terms {
 		p.SetObj(t.Var, p.Obj(t.Var)-t.Coef)
 	}
 	if pr.BigMComplementarity > 0 {
@@ -159,13 +148,7 @@ func (pr *POPGapProblem) build() (*popBuild, error) {
 }
 
 // Stats builds the meta model and reports its size without solving.
-func (pr *POPGapProblem) Stats() (ModelStats, error) {
-	b, err := pr.build()
-	if err != nil {
-		return ModelStats{}, err
-	}
-	return statsOf(b.model), nil
-}
+func (pr *POPGapProblem) Stats() (ModelStats, error) { return searchStats(pr.search(false)) }
 
 // Fingerprint builds the meta model and reports the search fingerprint
 // Solve(opts) would stamp on its milp result — the identity cmd/gapserved
@@ -184,7 +167,7 @@ func (pr *POPGapProblem) Fingerprint(opts milp.Options) (uint64, error) {
 // Solve runs the white-box search and verifies the result against direct
 // POP solves on the same fixed assignments.
 func (pr *POPGapProblem) Solve(opts milp.Options) (*Result, error) {
-	return pr.run(opts, nil)
+	return runGap(opts, nil, pr.search)
 }
 
 // Resume continues a white-box search from a branch-and-bound checkpoint
@@ -197,94 +180,60 @@ func (pr *POPGapProblem) Resume(st *checkpoint.BnBState, opts milp.Options) (*Re
 	if st == nil {
 		return nil, fmt.Errorf("core: nil checkpoint state")
 	}
-	return pr.run(opts, st)
+	return runGap(opts, st, pr.search)
 }
 
-func (pr *POPGapProblem) run(opts milp.Options, st *checkpoint.BnBState) (*Result, error) {
-	var tm PhaseTimings
-	var b *popBuild
-	var err error
-	tm.Build, err = obs.TimePhase(opts.Tracer, "build", func() error {
-		var berr error
-		b, berr = pr.build()
-		if berr != nil {
-			return berr
-		}
-		if opts.Polish == nil && !pr.DisablePolish {
-			polish := pr.polisher(b)
-			opts.Polish = polish
-			// Seed candidates, priced against the problem's own descriptor:
-			// the all-max input (POP's generic weakness, capacity
-			// fragmentation), and per-instantiation "concentrated" inputs that
-			// load a single partition's demands while the others idle — the
-			// structure behind the paper's observation that "unused capacity in
-			// a partition can be used to carry demands of another partition".
-			// Against one instantiation these overfit (Figure 5a); against the
-			// R-average only robustly bad ones survive the pricing.
-			nv := b.model.P.NumVars()
-			seed := func(d []float64) {
-				x := make([]float64, nv)
-				for k, dv := range b.demands {
-					x[dv] = d[k]
+// search builds the meta model plus runGap's POP-specific pieces. The
+// seeds are priced against the problem's own descriptor: the all-max input
+// (POP's generic weakness, capacity fragmentation), and per-instantiation
+// "concentrated" inputs that load a single partition's demands while the
+// others idle — the structure behind the paper's observation that "unused
+// capacity in a partition can be used to carry demands of another
+// partition". Against one instantiation these overfit (Figure 5a); against
+// the R-average only robustly bad ones survive the pricing.
+func (pr *POPGapProblem) search(polish bool) (*gapSearch, error) {
+	b, err := pr.build()
+	if err != nil {
+		return nil, err
+	}
+	g := &gapSearch{model: b.model,
+		verify: func(out *Result) error { return pr.verify(out, b.assignments) },
+		read: func(x []float64) []float64 {
+			out := make([]float64, len(b.demands))
+			for k, dv := range b.demands {
+				d := x[dv]
+				if d < pr.Input.MinDemand {
+					d = pr.Input.MinDemand
 				}
-				if obj, sol, ok := polish(x); ok {
-					opts.Seeds = append(opts.Seeds, milp.Seed{Objective: obj, X: sol})
+				if d > pr.Input.MaxDemand {
+					d = pr.Input.MaxDemand
+				}
+				out[k] = d
+			}
+			return out
+		}}
+	if !polish || pr.DisablePolish {
+		return g, nil
+	}
+	g.polish = pr.polisher(b)
+	nv := b.model.P.NumVars()
+	x := make([]float64, nv)
+	for _, dv := range b.demands {
+		x[dv] = pr.Input.MaxDemand
+	}
+	g.seeds = append(g.seeds, x)
+	for _, assign := range b.assignments {
+		for c := 0; c < pr.Partitions; c++ {
+			x := make([]float64, nv)
+			for k, part := range assign {
+				if part == c {
+					x[b.demands[k]] = pr.Input.MaxDemand
 				}
 			}
-			seed(constantVector(len(b.demands), pr.Input.MaxDemand))
-			for _, assign := range b.assignments {
-				for c := 0; c < pr.Partitions; c++ {
-					d := make([]float64, len(b.demands))
-					for k, part := range assign {
-						if part == c {
-							d[k] = pr.Input.MaxDemand
-						}
-					}
-					seed(d)
-				}
-			}
+			g.seeds = append(g.seeds, x)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	var res *milp.Result
-	tm.Solve, err = obs.TimePhase(opts.Tracer, "solve", func() error {
-		var serr error
-		if st != nil {
-			res, serr = milp.Resume(b.model, st, opts)
-		} else {
-			res, serr = milp.Solve(b.model, opts)
-		}
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Stats: statsOf(b.model), Timings: tm, Solver: res}
-	if res.X == nil {
-		return out, nil
-	}
-	out.ModelGap = res.Objective
-	out.Demands = make([]float64, len(b.demands))
-	for k, dv := range b.demands {
-		d := res.X[dv]
-		if d < pr.Input.MinDemand {
-			d = pr.Input.MinDemand
-		}
-		if d > pr.Input.MaxDemand {
-			d = pr.Input.MaxDemand
-		}
-		out.Demands[k] = d
-	}
-	out.Timings.Verify, err = obs.TimePhase(opts.Tracer, "verify", func() error {
-		return pr.verify(out, b.assignments)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return g, nil
 }
 
 // polisher returns the primal heuristic for the POP gap search: price the
@@ -303,17 +252,7 @@ func (pr *POPGapProblem) polisher(b *popBuild) func(x []float64) (float64, []flo
 		if err != nil {
 			return 0, false
 		}
-		var heur float64
-		if pr.TailPercentile == nil {
-			for _, v := range totals {
-				heur += v
-			}
-			heur /= float64(len(totals))
-		} else {
-			sorted := sortnet.Sort(totals)
-			heur = sorted[sortnet.PercentileIndex(*pr.TailPercentile, len(sorted))]
-		}
-		return opt.Total - heur, true
+		return opt.Total - pr.descriptor(totals), true
 	}
 	return func(x []float64) (float64, []float64, bool) {
 		raw := make([]float64, len(b.demands))
@@ -322,27 +261,9 @@ func (pr *POPGapProblem) polisher(b *popBuild) func(x []float64) (float64, []flo
 			raw[k] = x[dv]
 			maxed[k] = pr.Input.MaxDemand
 		}
-		bestGap, ok := 0.0, false
-		var bestD []float64
 		// Price the relaxation's vector and the all-max rounding (POP's
 		// fragmentation hurts most when demands saturate the box).
-		for _, cand := range [][]float64{raw, maxed} {
-			d, valid := pr.Input.sanitize(cand)
-			if !valid {
-				continue
-			}
-			if gap, priced := cache.price(d, price); priced && (!ok || gap > bestGap) {
-				bestGap, bestD, ok = gap, d, true
-			}
-		}
-		if !ok {
-			return 0, nil, false
-		}
-		sol := append([]float64(nil), x...)
-		for k, dv := range b.demands {
-			sol[dv] = bestD[k]
-		}
-		return bestGap, sol, true
+		return cache.polishBest(&pr.Input, price, x, b.demands, raw, maxed)
 	}
 }
 
@@ -357,21 +278,22 @@ func (pr *POPGapProblem) verify(out *Result, assignments [][]int) error {
 	if err != nil {
 		return err
 	}
-	var heur float64
-	if pr.TailPercentile == nil {
-		for _, v := range totals {
-			heur += v
-		}
-		heur /= float64(len(totals))
-	} else {
-		sorted := sortnet.Sort(totals)
-		heur = sorted[sortnet.PercentileIndex(*pr.TailPercentile, len(sorted))]
-	}
-	out.OptValue = opt.Total
-	out.HeurValue = heur
-	out.Gap = opt.Total - heur
-	out.NormalizedGap = out.Gap / pr.Inst.G.TotalCapacity()
+	out.priced(opt.Total, pr.descriptor(totals), pr.Inst.G.TotalCapacity())
 	return nil
+}
+
+// descriptor reduces the per-instantiation POP totals to the value the
+// search targets: their mean, or the TailPercentile order statistic.
+func (pr *POPGapProblem) descriptor(totals []float64) float64 {
+	if pr.TailPercentile != nil {
+		sorted := sortnet.Sort(totals)
+		return sorted[sortnet.PercentileIndex(*pr.TailPercentile, len(sorted))]
+	}
+	var heur float64
+	for _, v := range totals {
+		heur += v
+	}
+	return heur / float64(len(totals))
 }
 
 // EvaluatePOPOnAssignments solves POP directly under each fixed assignment

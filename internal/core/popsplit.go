@@ -9,7 +9,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/milp"
-	"repro/internal/obs"
 )
 
 // POPSplitGapProblem searches for adversarial demands against POP *with
@@ -84,8 +83,6 @@ type popSplitBuild struct {
 	model   *milp.Model
 	demands []lp.VarID
 	levels  [][]lp.VarID // levels[k][s]: one-hot split-level selector
-	optObj  lp.Expr
-	heur    lp.Expr
 	plan    slotPlan
 }
 
@@ -107,8 +104,7 @@ func (pr *POPSplitGapProblem) validate() error {
 
 func (pr *POPSplitGapProblem) build() (*popSplitBuild, error) {
 	n := pr.Inst.Demands.Len()
-	pr.Input.fillHosePairs(pr.Inst.Demands)
-	if err := pr.Input.validate(n); err != nil {
+	if err := pr.Input.validate(pr.Inst.Demands); err != nil {
 		return nil, err
 	}
 	if err := pr.validate(); err != nil {
@@ -132,7 +128,6 @@ func (pr *POPSplitGapProblem) build() (*popSplitBuild, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.optObj = optRes.Obj
 
 	// One-hot split-level selectors linked to the demand volume.
 	maxD := pr.Input.MaxDemand
@@ -160,6 +155,7 @@ func (pr *POPSplitGapProblem) build() (*popSplitBuild, error) {
 	// whose virtual demands are the (demand, level) slot aggregates.
 	capFrac := 1 / float64(pr.Partitions)
 	inv := 1 / float64(r)
+	var heur lp.Expr
 	for ri := 0; ri < r; ri++ {
 		for c := 0; c < pr.Partitions; c++ {
 			in, obj, err := pr.buildPartitionLP(b, ri, c, capFrac)
@@ -175,15 +171,15 @@ func (pr *POPSplitGapProblem) build() (*popSplitBuild, error) {
 			}
 			// Translate the local objective expression onto emitted vars.
 			for _, t := range obj.Terms {
-				b.heur = b.heur.Add(res.X[t.Var], t.Coef*inv)
+				heur = heur.Add(res.X[t.Var], t.Coef*inv)
 			}
 		}
 	}
 
-	for _, t := range b.optObj.Terms {
+	for _, t := range optRes.Obj.Terms {
 		p.SetObj(t.Var, p.Obj(t.Var)+t.Coef)
 	}
-	for _, t := range b.heur.Terms {
+	for _, t := range heur.Terms {
 		p.SetObj(t.Var, p.Obj(t.Var)-t.Coef)
 	}
 	return b, nil
@@ -270,67 +266,39 @@ func (pr *POPSplitGapProblem) buildPartitionLP(b *popSplitBuild, ri, c int, capF
 }
 
 // Stats reports the meta model's size without solving.
-func (pr *POPSplitGapProblem) Stats() (ModelStats, error) {
-	b, err := pr.build()
-	if err != nil {
-		return ModelStats{}, err
-	}
-	return statsOf(b.model), nil
-}
+func (pr *POPSplitGapProblem) Stats() (ModelStats, error) { return searchStats(pr.search(false)) }
 
 // Solve runs the white-box search and verifies against a direct evaluation
 // of split POP on the same slot plan.
 func (pr *POPSplitGapProblem) Solve(opts milp.Options) (*Result, error) {
-	var tm PhaseTimings
-	var b *popSplitBuild
-	var err error
-	tm.Build, err = obs.TimePhase(opts.Tracer, "build", func() error {
-		var berr error
-		b, berr = pr.build()
-		if berr != nil {
-			return berr
-		}
-		if opts.Polish == nil {
-			polish := pr.polisher(b)
-			opts.Polish = polish
-			x := make([]float64, b.model.P.NumVars())
-			for _, dv := range b.demands {
-				x[dv] = pr.Input.MaxDemand
+	return runGap(opts, nil, pr.search)
+}
+
+// search builds the meta model plus runGap's split-POP pieces; the one
+// seed is the all-max input.
+func (pr *POPSplitGapProblem) search(polish bool) (*gapSearch, error) {
+	b, err := pr.build()
+	if err != nil {
+		return nil, err
+	}
+	g := &gapSearch{model: b.model,
+		verify: func(out *Result) error { return pr.verify(out, b.plan) },
+		read: func(x []float64) []float64 {
+			out := make([]float64, len(b.demands))
+			for k, dv := range b.demands {
+				out[k] = math.Max(pr.Input.MinDemand, math.Min(pr.Input.MaxDemand, x[dv]))
 			}
-			if obj, sol, ok := polish(x); ok {
-				opts.Seeds = append(opts.Seeds, milp.Seed{Objective: obj, X: sol})
-			}
+			return out
+		}}
+	if polish {
+		g.polish = pr.polisher(b)
+		x := make([]float64, b.model.P.NumVars())
+		for _, dv := range b.demands {
+			x[dv] = pr.Input.MaxDemand
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		g.seeds = [][]float64{x}
 	}
-	var res *milp.Result
-	tm.Solve, err = obs.TimePhase(opts.Tracer, "solve", func() error {
-		var serr error
-		res, serr = milp.Solve(b.model, opts)
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Stats: statsOf(b.model), Timings: tm, Solver: res}
-	if res.X == nil {
-		return out, nil
-	}
-	out.ModelGap = res.Objective
-	out.Demands = make([]float64, len(b.demands))
-	for k, dv := range b.demands {
-		out.Demands[k] = math.Max(pr.Input.MinDemand, math.Min(pr.Input.MaxDemand, res.X[dv]))
-	}
-	out.Timings.Verify, err = obs.TimePhase(opts.Tracer, "verify", func() error {
-		return pr.verify(out, b.plan)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return g, nil
 }
 
 // evalSplitPOP prices split POP exactly under the fixed slot plan and
@@ -344,8 +312,7 @@ func (pr *POPSplitGapProblem) evalSplitPOP(d []float64, plan slotPlan) (float64,
 		for k, v := range d {
 			s := levelOf(v, pr.SplitThreshold, pr.MaxSplits)
 			vol := v / float64(int(1)<<s)
-			for i, part := range instPlan[k][s] {
-				_ = i
+			for _, part := range instPlan[k][s] {
 				clients = append(clients, mcf.Client{Demand: k, Volume: vol})
 				assign = append(assign, part)
 			}
@@ -378,19 +345,7 @@ func (pr *POPSplitGapProblem) polisher(b *popSplitBuild) func(x []float64) (floa
 		for k, dv := range b.demands {
 			raw[k] = x[dv]
 		}
-		d, ok := pr.Input.sanitize(raw)
-		if !ok {
-			return 0, nil, false
-		}
-		gap, priced := cache.price(d, price)
-		if !priced {
-			return 0, nil, false
-		}
-		sol := append([]float64(nil), x...)
-		for k, dv := range b.demands {
-			sol[dv] = d[k]
-		}
-		return gap, sol, true
+		return cache.polishBest(&pr.Input, price, x, b.demands, raw)
 	}
 }
 
@@ -404,9 +359,6 @@ func (pr *POPSplitGapProblem) verify(out *Result, plan slotPlan) error {
 	if err != nil {
 		return fmt.Errorf("core: verifying split POP: %w", err)
 	}
-	out.OptValue = opt.Total
-	out.HeurValue = heur
-	out.Gap = opt.Total - heur
-	out.NormalizedGap = out.Gap / pr.Inst.G.TotalCapacity()
+	out.priced(opt.Total, heur, pr.Inst.G.TotalCapacity())
 	return nil
 }

@@ -46,7 +46,7 @@ func (pr *DPGapProblem) BinarySweepGap(lo, hi float64, iters int, perQuery time.
 	bestFound, upper = lo, hi
 	for i := 0; i < iters && upper-bestFound > 1e-6; i++ {
 		mid := (bestFound + upper) / 2
-		found, proved, r, err := pr.GapAtLeast(mid, perQuery)
+		found, _, r, err := pr.GapAtLeast(mid, perQuery)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -55,11 +55,9 @@ func (pr *DPGapProblem) BinarySweepGap(lo, hi float64, iters int, perQuery time.
 			// The witness may overshoot the midpoint; use its actual gap.
 			bestFound = r.Gap
 			witness = r
-		case proved:
-			upper = mid
 		default:
-			// Timeout: per the paper's protocol, treat as "no" but do not
-			// tighten the proved upper bound.
+			// Proved "no", or timed out: per the paper's protocol a timeout
+			// counts as "no" too.
 			upper = mid
 		}
 	}

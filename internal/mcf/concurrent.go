@@ -2,6 +2,7 @@ package mcf
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/lp"
 )
@@ -21,64 +22,11 @@ import (
 // SolveMaxConcurrent maximizes lambda subject to each demand k receiving
 // flow >= lambda * d_k within capacities. Demands with zero volume are
 // ignored. Returns the flow at the optimal lambda and lambda itself;
-// lambda is capped at 1 (serving more than the demand has no value).
+// lambda is capped at 1 (serving more than the demand has no value). It is
+// Demand Pinning with a threshold nothing falls below: no demand is pinned
+// and the residual capacities are the capacities themselves.
 func SolveMaxConcurrent(inst *Instance) (*Flow, float64, error) {
-	p := lp.NewProblem("concurrent", lp.Maximize)
-	lam := p.AddVar("lambda", 0, 1)
-	p.SetObj(lam, 1)
-	varOf := make(map[[2]int]lp.VarID)
-	vols := inst.Demands.Volumes()
-	for k, ps := range inst.Paths {
-		if vols[k] == 0 {
-			continue
-		}
-		e := lp.NewExpr().Add(lam, -vols[k])
-		for pi := range ps {
-			v := p.AddVar(fmt.Sprintf("f%d.%d", k, pi), 0, lp.Inf)
-			varOf[[2]int{k, pi}] = v
-			e = e.Add(v, 1)
-		}
-		p.AddConstraint(fmt.Sprintf("dem%d", k), e, lp.GE, 0)
-		// Do not overserve: flow <= volume.
-		cap := lp.NewExpr()
-		for pi := range ps {
-			cap = cap.Add(varOf[[2]int{k, pi}], 1)
-		}
-		p.AddConstraint(fmt.Sprintf("vol%d", k), cap, lp.LE, vols[k])
-	}
-	for e := 0; e < inst.G.NumEdges(); e++ {
-		expr := lp.NewExpr()
-		for k, ps := range inst.Paths {
-			if vols[k] == 0 {
-				continue
-			}
-			for pi, path := range ps {
-				if path.Contains(e) {
-					expr = expr.Add(varOf[[2]int{k, pi}], 1)
-				}
-			}
-		}
-		if len(expr.Terms) > 0 {
-			p.AddConstraint(fmt.Sprintf("cap%d", e), expr, lp.LE, inst.G.Edge(e).Capacity)
-		}
-	}
-	sol, err := p.SolveWith(oneShotOpts())
-	if err != nil {
-		return nil, 0, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
-	}
-	out := newFlow(inst)
-	for k, ps := range inst.Paths {
-		if vols[k] == 0 {
-			continue
-		}
-		for pi := range ps {
-			out.add(k, pi, sol.X[varOf[[2]int{k, pi}]])
-		}
-	}
-	return out, sol.X[lam], nil
+	return SolveDemandPinningConcurrent(inst, math.Inf(-1))
 }
 
 // SolveDemandPinningConcurrent runs DP with the concurrent objective:
@@ -106,7 +54,7 @@ func SolveDemandPinningConcurrent(inst *Instance, threshold float64) (*Flow, flo
 		return out, 1, nil
 	}
 
-	p := lp.NewProblem("dp-concurrent", lp.Maximize)
+	p := lp.NewProblem("concurrent", lp.Maximize)
 	lam := p.AddVar("lambda", 0, 1)
 	p.SetObj(lam, 1)
 	varOf := make(map[[2]int]lp.VarID)
@@ -146,7 +94,7 @@ func SolveDemandPinningConcurrent(inst *Instance, threshold float64) (*Flow, flo
 		return nil, 0, err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, 0, fmt.Errorf("mcf: DP concurrent LP %v", sol.Status)
+		return nil, 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
 	}
 	for k, ps := range inst.Paths {
 		if pinned[k] || vols[k] == 0 {

@@ -24,6 +24,8 @@ const (
 	intTol   = 1e-6 // integrality tolerance for binaries
 	complTol = 1e-6 // complementarity violation tolerance: min(u,v) below this is satisfied
 	boundTol = 1e-7 // pruning slack
+	// absGapTol closes the search once bound - incumbent falls to it.
+	absGapTol = 1e-6
 )
 
 // Wave-level time attribution: one bnb_wave_seconds observation per solved
@@ -97,10 +99,59 @@ type nodeResult struct {
 	err error
 	// Speculative polish outcome, computed on the worker whenever the node
 	// could still improve on the wave-start incumbent.
-	polishTried bool
-	polishObj   float64
-	polishSol   []float64
-	polishOK    bool
+	polishObj float64
+	polishSol []float64
+	polishOK  bool
+}
+
+// search is one branch-and-bound run: the model and options it started
+// with plus the coordinator state every wave boundary settles. Solve and
+// Resume build it through one constructor; run then drives it through the
+// named steps stop, popWave, solveWave (relax on every node), apply (count,
+// prune, polish, branch), writeCheckpoint and finish.
+type search struct {
+	m              *Model
+	opts           Options
+	tr             *obs.Tracer
+	dir            float64 // +1 for Maximize, -1 for Minimize: score = dir * objective
+	workers, batch int
+
+	// The fingerprint pins everything the explored tree depends on; a
+	// checkpoint from a different model or batch must fail loudly instead of
+	// resuming a structurally different search.
+	fp        uint64
+	ckpt      *checkpoint.Writer
+	ckptEvery uint64
+
+	start time.Time
+	// elapsed0 is the wall clock the checkpointed run had already consumed;
+	// it offsets elapsed-time reporting and counts against TimeLimit, so a
+	// killed-and-resumed run gets the same total budget as an uninterrupted
+	// one.
+	elapsed0 time.Duration
+	deadline time.Time // zero when no time limit is set
+	// Stall rule state (paper Section 3.3: stop when incremental progress in
+	// a window is below 0.5%).
+	windowStart     time.Time
+	windowIncumbent float64
+
+	res              *Result
+	incumbent        float64 // in score space (dir * objective)
+	incumbentX       []float64
+	bestBound        float64
+	infeasibleProven bool // becomes false the moment the search stops early
+	interrupted      bool
+
+	h      *nodeHeap
+	nextID uint64
+	waves  uint64
+	// A serial warm search solves its nodes one after another on this
+	// goroutine, so a child popped right after its parent can dive on the
+	// parent's terminal tableau; the handle finds that out by itself.
+	dive *lp.Dive
+
+	wave    []*node
+	results []nodeResult
 }
 
 // Solve runs branch and bound on the model. The LP's own sense is honored:
@@ -127,629 +178,583 @@ func Solve(m *Model, opts Options) (*Result, error) { return runSearch(m, opts, 
 // runSearch is the engine behind Solve and Resume: a fresh search when resume
 // is nil, otherwise the reconstruction of a checkpointed one.
 func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, error) {
+	s, err := newSearch(m, opts, resume)
+	if err != nil {
+		return nil, err
+	}
+	if resume == nil && s.seed() {
+		return s.finish(StatusFeasible), nil
+	}
+	return s.run()
+}
+
+// newSearch builds the state of a fresh search (resume nil: the root node
+// alone on the frontier) or reconstructs a checkpointed one verbatim.
+func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, error) {
 	start := time.Now() //gapvet:allow walltime anchors TimeLimit and elapsed-time reporting; never shapes the tree
-
-	dir := 1.0
+	s := &search{m: m, opts: opts, tr: opts.Tracer, dir: 1,
+		workers: max(opts.Workers, 1), batch: resolveBatch(opts), ckptEvery: 1,
+		start: start, windowStart: start,
+		incumbent: math.Inf(-1), bestBound: math.Inf(1), infeasibleProven: true,
+		h: &nodeHeap{depthFirst: opts.DepthFirst}, nextID: 1}
 	if m.P.Sense() == lp.Minimize {
-		dir = -1
+		s.dir = -1
 	}
-	if opts.AbsGapTol == 0 {
-		opts.AbsGapTol = 1e-6
+	s.fp = fingerprint(m, s.batch, opts.DepthFirst)
+	if resume != nil && resume.Fingerprint != s.fp {
+		return nil, &checkpoint.MismatchError{What: "search fingerprint", Want: resume.Fingerprint, Got: s.fp}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	batch := resolveBatch(opts)
-	// The legacy Log callback becomes one more sink on the tracer, so both
-	// render the same event stream. A nil tracer with a nil Log stays nil,
-	// and every Emit below is then a single branch with no allocation.
-	tr := opts.Tracer
-	if opts.Log != nil {
-		tr = tr.With(obs.LogfSink{Logf: opts.Log})
-	}
-
-	// The fingerprint pins everything the explored tree depends on; a
-	// checkpoint from a different model or batch must fail loudly instead of
-	// resuming a structurally different search.
-	fp := fingerprint(m, batch, opts.DepthFirst)
-	if resume != nil && resume.Fingerprint != fp {
-		return nil, &checkpoint.MismatchError{What: "search fingerprint", Want: resume.Fingerprint, Got: fp}
-	}
-	var ckpt *checkpoint.Writer
-	ckptEvery := uint64(1)
 	if opts.Checkpoint != "" {
-		ckpt = &checkpoint.Writer{Path: opts.Checkpoint,
+		s.ckpt = &checkpoint.Writer{Path: opts.Checkpoint,
 			FS: faultinject.WrapFS(opts.CheckpointFS, opts.Faults)}
 		if opts.CheckpointEvery > 1 {
-			ckptEvery = uint64(opts.CheckpointEvery)
+			s.ckptEvery = uint64(opts.CheckpointEvery)
 		}
 	}
-
-	res := &Result{Status: StatusNoIncumbent, Fingerprint: fp}
-	incumbent := math.Inf(-1) // in score space (dir * objective)
-	var incumbentX []float64
-	bestBound := math.Inf(1)
-
-	// elapsed0 is the wall clock the checkpointed run had already consumed;
-	// it offsets elapsed-time reporting and counts against TimeLimit, so a
-	// killed-and-resumed run gets the same total budget as an uninterrupted
-	// one.
-	var elapsed0 time.Duration
-	if resume != nil {
-		elapsed0 = time.Duration(resume.ElapsedNanos)
-	}
-	elapsed := func() time.Duration {
-		return elapsed0 + time.Since(start) //gapvet:allow walltime elapsed-time reporting only
-	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit - elapsed0)
-	}
-	// Stall rule state (paper Section 3.3: stop when incremental progress in
-	// a window is below 0.5%).
-	windowStart := start
-	windowIncumbent := incumbent
-
-	h := &nodeHeap{depthFirst: opts.DepthFirst}
-	var nextID uint64 = 1
-	var waves uint64
-	interrupted := false
+	s.res = &Result{Status: StatusNoIncumbent, Fingerprint: s.fp}
 	if resume == nil {
-		heap.Push(h, &node{bound: math.Inf(1)}) // root: id 0
-	}
-
-	// A serial warm search solves its nodes one after another on this
-	// goroutine, so a child popped right after its parent can dive on the
-	// parent's terminal tableau; the handle finds that out by itself.
-	var dive *lp.Dive
-	if opts.WarmStart && workers == 1 && resume == nil {
-		dive = new(lp.Dive)
-	}
-
-	// relax is the worker-side work for one node: the LP relaxation plus a
-	// speculative polish. It is a pure function of (nd, waveIncumbent) — it
-	// reads only immutable state — so results are identical no matter which
-	// worker runs it. Each call builds its own simplex tableau (lp.SolveWith
-	// shares no scratch memory between calls) or, in a serial warm search,
-	// may dive on the one the previous call left.
-	relax := func(nd *node, waveIncumbent float64) nodeResult {
-		var r nodeResult
-		r.sol, r.err = m.P.SolveWith(lp.SolveOptions{
-			BoundOverride: nd.overrides,
-			MaxIters:      opts.LPMaxIters,
-			Deadline:      deadline, // zero when no time limit is set
-			Ctx:           opts.Ctx, // cancels in-flight pivots cooperatively
-			// Warm starting changes only how fast a node's relaxation is
-			// solved, never its outcome (lp falls back to the cold path on
-			// any doubt), so the explored tree stays bit-identical.
-			CaptureBasis: opts.WarmStart,
-			WarmStart:    nd.basis, // nil for the root or under a cold run
-			Dive:         dive,
-		})
-		if r.err != nil || r.sol == nil || r.sol.Status != lp.StatusOptimal {
-			return r
+		heap.Push(s.h, &node{bound: math.Inf(1)}) // root: id 0
+		if opts.WarmStart && s.workers == 1 {
+			s.dive = new(lp.Dive)
 		}
-		// Speculative polish: skip nodes whose score cannot beat even the
-		// wave-start incumbent — the apply step is guaranteed to prune them,
-		// so skipping is outcome-neutral.
-		if opts.Polish != nil && r.sol.X != nil && dir*r.sol.Objective > waveIncumbent+boundTol {
-			r.polishTried = true
-			r.polishObj, r.polishSol, r.polishOK = opts.Polish(r.sol.X)
-		}
-		return r
-	}
-
-	// runNode wraps relax with panic recovery: a panicking worker (a Polish
-	// bug, or the injected worker-panic fault) becomes a typed error in its
-	// fixed result slot while the rest of the pool drains normally, and the
-	// coordinator surfaces it in deterministic wave order. waveNo is the
-	// 1-based index of the wave being solved.
-	runNode := func(waveNo uint64, i int, nd *node, waveIncumbent float64) (r nodeResult) {
-		defer func() {
-			if p := recover(); p != nil {
-				r = nodeResult{err: &WorkerPanicError{Wave: waveNo, Node: nd.id, Value: p, Stack: debug.Stack()}}
-			}
-		}()
-		if i == 0 && opts.Faults.At(faultinject.OpWorkerPanic, int(waveNo)) {
-			panic(&faultinject.Error{Op: faultinject.OpWorkerPanic, N: int(waveNo)})
-		}
-		return relax(nd, waveIncumbent)
-	}
-
-	// recordIncumbent appends a fully-populated trace point and emits the
-	// matching event. obj and bound are in the problem's own sense.
-	recordIncumbent := func(obj float64, source string) {
-		bound := dir * bestBound
-		res.Trace = append(res.Trace, TracePoint{
-			Elapsed:   elapsed(),
-			Objective: obj,
-			Bound:     bound,
-			Nodes:     res.Nodes,
-			Source:    source,
-		})
-		tr.Emit(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Bound: bound,
-			Nodes: res.Nodes, Source: source})
-	}
-
-	finish := func(status Status) *Result {
-		dive.Release()
-		res.Elapsed = elapsed()
-		res.Status = status
-		if incumbentX != nil {
-			res.Objective = dir * incumbent
-			res.X = incumbentX
-			// A break path (deadline/MaxNodes/stall) or a drained heap can
-			// leave bestBound at a stale value below an incumbent raised later
-			// in the final wave — polish candidates are not constrained by the
-			// subtree bound of the node that produced them. The incumbent's
-			// score is always a valid bound, so clamp: a negative gap is never
-			// reportable (mirrors the optimality exit's clamp above).
-			bestBound = math.Max(bestBound, incumbent)
-		}
-		if math.IsInf(bestBound, 1) && incumbentX != nil {
-			res.Bound = res.Objective
-		} else {
-			res.Bound = dir * bestBound
-		}
-		// Close the trace with the terminal bound when it is tighter than the
-		// bound at the last improvement — this covers the early Target return
-		// (which tightens bestBound to the incumbent) and optimal closure, so
-		// a gap-versus-time plot always ends at the reported gap.
-		if incumbentX != nil && len(res.Trace) > 0 &&
-			res.Trace[len(res.Trace)-1].Bound != res.Bound { //gapvet:allow floateq exact repetition check: skips the closing trace point only when the bound is bit-identical
-			res.Trace = append(res.Trace, TracePoint{
-				Elapsed:   res.Elapsed,
-				Objective: res.Objective,
-				Bound:     res.Bound,
-				Nodes:     res.Nodes,
-				Source:    SourceFinal,
-			})
-		}
-		tr.Emit(obs.Event{Kind: obs.KindSolveDone, Objective: res.Objective,
-			Bound: res.Bound, Nodes: res.Nodes, Status: status.String()})
-		return res
-	}
-
-	infeasibleProven := true // becomes false the moment we stop early
-
-	if resume != nil {
-		// Reconstruct the wave-boundary state verbatim. Seeds are NOT
-		// re-installed: the snapshot's incumbent already dominates every seed
-		// the original run accepted, and replaying them would double-count
-		// trace points.
-		res.Nodes = int(resume.Nodes)
-		res.LPSolves = int(resume.LPSolves)
-		res.LPIters = int(resume.LPIters)
-		res.WarmLPSolves = int(resume.WarmLPSolves)
-		res.WarmLPFallbacks = int(resume.WarmLPFallbacks)
-		res.Trace = traceIn(resume.Trace)
-		if resume.HasIncumbent {
-			incumbent = resume.Incumbent
-			incumbentX = append([]float64(nil), resume.IncumbentX...)
-		}
-		bestBound = resume.BestBound
-		infeasibleProven = resume.InfeasibleProven
-		nextID = resume.NextID
-		waves = resume.Waves
-		h = frontierIn(resume.Frontier, opts.DepthFirst)
-		tr.Emit(obs.Event{Kind: obs.KindResume, Objective: dir * incumbent,
-			Bound: dir * bestBound, Nodes: res.Nodes, Detail: opts.Checkpoint})
 	} else {
-		// Install caller-provided seed solutions as starting incumbents.
-		for _, sd := range opts.Seeds {
-			if score := dir * sd.Objective; score > incumbent {
-				incumbent = score
-				incumbentX = append([]float64(nil), sd.X...)
-				recordIncumbent(sd.Objective, SourceSeed)
-				if opts.Target != nil && incumbent >= dir**opts.Target-boundTol {
-					infeasibleProven = false
-					return finish(StatusFeasible), nil
-				}
-			}
+		// Seeds are NOT re-installed: the snapshot's incumbent already
+		// dominates every seed the original run accepted, and replaying them
+		// would double-count trace points.
+		s.elapsed0 = time.Duration(resume.ElapsedNanos)
+		s.res.Nodes = int(resume.Nodes)
+		s.res.LPSolves = int(resume.LPSolves)
+		s.res.LPIters = int(resume.LPIters)
+		s.res.WarmLPSolves = int(resume.WarmLPSolves)
+		s.res.WarmLPFallbacks = int(resume.WarmLPFallbacks)
+		s.res.Trace = traceIn(resume.Trace)
+		if resume.HasIncumbent {
+			s.incumbent = resume.Incumbent
+			s.incumbentX = append([]float64(nil), resume.IncumbentX...)
+		}
+		s.bestBound = resume.BestBound
+		s.infeasibleProven = resume.InfeasibleProven
+		s.nextID = resume.NextID
+		s.waves = resume.Waves
+		s.h = frontierIn(resume.Frontier, opts.DepthFirst)
+		s.tr.Emit(obs.Event{Kind: obs.KindResume, Objective: s.dir * s.incumbent,
+			Bound: s.dir * s.bestBound, Nodes: s.res.Nodes, Detail: opts.Checkpoint})
+	}
+	if opts.TimeLimit > 0 {
+		s.deadline = start.Add(opts.TimeLimit - s.elapsed0)
+	}
+	s.wave = make([]*node, 0, s.batch)
+	s.results = make([]nodeResult, s.batch)
+	return s, nil
+}
+
+func (s *search) elapsed() time.Duration {
+	return s.elapsed0 + time.Since(s.start) //gapvet:allow walltime elapsed-time reporting only
+}
+
+// seed installs the caller-provided seed solutions as starting incumbents.
+// It reports whether one already meets the Target.
+func (s *search) seed() bool {
+	for _, sd := range s.opts.Seeds {
+		if score := s.dir * sd.Objective; score > s.incumbent && s.improve(score, sd.X, SourceSeed) {
+			return true
 		}
 	}
-	windowIncumbent = incumbent
+	return false
+}
 
-	// capture snapshots the wave-boundary state. Only called between waves
-	// (no node in flight), so every field is a settled coordinator-side
-	// value.
-	capture := func() *checkpoint.Snapshot {
-		st := &checkpoint.BnBState{
-			Fingerprint:      fp,
-			Waves:            waves,
-			NextID:           nextID,
-			Nodes:            int64(res.Nodes),
-			LPSolves:         int64(res.LPSolves),
-			LPIters:          int64(res.LPIters),
-			WarmLPSolves:     int64(res.WarmLPSolves),
-			WarmLPFallbacks:  int64(res.WarmLPFallbacks),
-			BestBound:        bestBound,
-			InfeasibleProven: infeasibleProven,
-			ElapsedNanos:     elapsed().Nanoseconds(),
-			Frontier:         frontierOut(h),
-			Trace:            traceOut(res.Trace),
-		}
-		if incumbentX != nil {
-			st.HasIncumbent = true
-			st.Incumbent = incumbent
-			st.IncumbentX = append([]float64(nil), incumbentX...)
-		}
-		return &checkpoint.Snapshot{BnB: st}
-	}
-	// writeCheckpoint persists the snapshot atomically. A failed write (disk
-	// full, injected fault) is reported on the trace and otherwise ignored:
-	// the previous good snapshot survives untouched, and losing a checkpoint
-	// must never lose the search.
-	writeCheckpoint := func() {
-		if ckpt == nil || waves%ckptEvery != 0 {
-			return
-		}
-		if err := ckpt.Save(capture()); err != nil {
-			if errors.Is(err, faultinject.ErrInjected) {
-				tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: res.Nodes,
-					Detail: err.Error()})
-			}
-			tr.Emit(obs.Event{Kind: obs.KindCheckpointWrite, Nodes: res.Nodes,
-				Status: "error", Detail: err.Error()})
-			return
-		}
-		tr.Emit(obs.Event{Kind: obs.KindCheckpointWrite, Nodes: res.Nodes,
-			Status: "ok", Detail: opts.Checkpoint})
-	}
+// improve installs a new incumbent (score in score space) and records it on
+// the trace. It reports whether the incumbent meets the Target; comparing in
+// score space makes "at least as good" respect the problem's sense.
+func (s *search) improve(score float64, x []float64, source string) bool {
+	s.incumbent = score
+	s.incumbentX = append([]float64(nil), x...)
+	obj, bound := s.dir*score, s.dir*s.bestBound
+	s.res.Trace = append(s.res.Trace, TracePoint{Elapsed: s.elapsed(), Objective: obj,
+		Bound: bound, Nodes: s.res.Nodes, Source: source})
+	s.tr.Emit(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Bound: bound,
+		Nodes: s.res.Nodes, Source: source})
+	return s.opts.Target != nil && score >= s.dir**s.opts.Target-boundTol
+}
 
-	wave := make([]*node, 0, batch)
-	resBuf := make([]nodeResult, batch)
-
-	for h.Len() > 0 {
+// run is the wave loop: refresh the global bound, apply the stopping rules,
+// then pop, solve and apply one wave at a time.
+func (s *search) run() (*Result, error) {
+	s.windowIncumbent = s.incumbent
+	for s.h.Len() > 0 {
 		// Global bound = best of incumbent and all open node bounds; the heap
 		// top carries the largest open bound when using best-bound order.
 		// Computed before the wave is popped, so it upper-bounds every wave
 		// node too — incumbent trace points recorded mid-wave stay valid.
-		if !opts.DepthFirst {
-			bestBound = h.nodes[0].bound
+		if !s.opts.DepthFirst {
+			s.bestBound = s.h.nodes[0].bound
 		} else {
-			bb := incumbent
-			for _, nd := range h.nodes {
-				if nd.bound > bb {
-					bb = nd.bound
+			s.bestBound = s.incumbent
+			for _, nd := range s.h.nodes {
+				if nd.bound > s.bestBound {
+					s.bestBound = nd.bound
 				}
 			}
-			bestBound = bb
 		}
-		if incumbentX != nil {
-			gap := bestBound - incumbent
-			if gap <= opts.AbsGapTol || (opts.RelGapTol > 0 && gap <= opts.RelGapTol*math.Abs(incumbent)) {
-				// Every remaining open node is prunable, so the incumbent
-				// itself is the tightest valid bound: never report a stale
-				// heap-top bound below it (that would show a spurious gap).
-				bestBound = math.Max(bestBound, incumbent)
-				return finish(StatusOptimal), nil
-			}
+		if s.incumbentX != nil && s.bestBound-s.incumbent <= absGapTol {
+			// Every remaining open node is prunable, so the incumbent itself
+			// is the tightest valid bound: never report a stale heap-top bound
+			// below it (that would show a spurious gap).
+			s.bestBound = math.Max(s.bestBound, s.incumbent)
+			return s.finish(StatusOptimal), nil
 		}
-		// Stopping rules, checked only at wave boundaries (no node is ever
-		// in flight here). The interrupt check comes BEFORE the checkpoint
-		// write: a wave cut short mid-apply pushed its unexplored nodes back,
-		// and snapshotting that mixed frontier would not reproduce the
-		// uninterrupted pop order. Disk always holds the last complete wave
-		// boundary; resume re-does the final wave in full.
-		if interrupted || ctxCancelled(opts.Ctx) {
-			interrupted = true
-			infeasibleProven = false
+		if s.stop() {
+			s.infeasibleProven = false
 			break
 		}
-		writeCheckpoint()
-		if opts.Faults.At(faultinject.OpDeadline, int(waves)+1) {
-			tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: res.Nodes,
-				Detail: fmt.Sprintf("%s fault at wave %d", faultinject.OpDeadline, waves+1)})
-			infeasibleProven = false
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			infeasibleProven = false
-			break
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			infeasibleProven = false
-			break
-		}
-		//gapvet:allow walltime the paper's Section-3.3 stall rule is deliberately a wall-clock policy
-		if opts.StallWindow > 0 && time.Since(windowStart) > opts.StallWindow {
-			improved := incumbent - windowIncumbent
-			rel := math.Abs(improved) / math.Max(1e-12, math.Abs(incumbent))
-			if incumbentX != nil && rel < opts.StallImprove {
-				tr.Emit(obs.Event{Kind: obs.KindStall, Objective: rel,
-					Nodes: res.Nodes, Status: "stop"})
-				infeasibleProven = false
-				break
-			}
-			tr.Emit(obs.Event{Kind: obs.KindStall, Objective: rel,
-				Nodes: res.Nodes, Status: "continue"})
-			windowStart = time.Now() //gapvet:allow walltime stall-rule window anchor (see StallWindow above)
-			windowIncumbent = incumbent
-		}
-
-		// Pop the wave: up to batch nodes surviving the bound prune against
-		// the current incumbent, in strict heap order. With Batch == 1 this
-		// is exactly the classic pop-prune-solve loop.
-		lim := batch
-		if opts.MaxNodes > 0 {
-			if rem := opts.MaxNodes - res.Nodes; rem < lim {
-				lim = rem
-			}
-		}
-		wave = wave[:0]
-		for len(wave) < lim && h.Len() > 0 {
-			nd := heap.Pop(h).(*node)
-			if nd.bound <= incumbent+boundTol {
-				tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: res.Nodes,
-					Bound: dir * nd.bound, Detail: "bound"})
-				continue // pruned by bound
-			}
-			wave = append(wave, nd)
-		}
+		wave := s.popWave()
 		if len(wave) == 0 {
 			continue
 		}
-
-		// Solve the wave's relaxations. Workers pull jobs dynamically; the
-		// result slot is fixed by wave position, so scheduling cannot leak
-		// into the outcome.
-		results := resBuf[:len(wave)]
-		waveNo := waves + 1
-		waveStart := time.Now() //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
-		if workers == 1 || len(wave) == 1 {
-			for i, nd := range wave {
-				results[i] = runNode(waveNo, i, nd, incumbent)
-			}
-		} else {
-			waveIncumbent := incumbent
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			nw := min(workers, len(wave))
-			wg.Add(nw)
-			for w := 0; w < nw; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(wave) {
-							return
-						}
-						// Disjoint-slot writes: the atomic cursor hands each worker a
-						// unique index, results is preallocated to len(wave), and no
-						// slot is written twice — safety lives in the indexing, not a lock.
-						//gapvet:allow sharedstate disjoint slots; atomic cursor assigns each index to exactly one worker
-						results[i] = runNode(waveNo, i, wave[i], waveIncumbent)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		bnbWaveSeconds.ObserveDuration(time.Since(waveStart)) //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
-		bnbWavesTotal.Inc()
-
-		// Apply results sequentially in wave (= deterministic pop) order.
-		for wi, nd := range wave {
-			wr := results[wi]
-			// The nth-LP-solve fault is counted here, at the apply step, so
-			// the firing point is a position in the deterministic tree rather
-			// than a race between workers.
-			if n, fire := opts.Faults.Hit(faultinject.OpLPSolve); fire && wr.err == nil {
-				wr = nodeResult{err: &faultinject.Error{Op: faultinject.OpLPSolve, N: n}}
-			}
-			if wr.err != nil {
-				// A failed relaxation (solver error, recovered worker panic, or
-				// injected fault) voids any completeness proof but not the
-				// incumbent: return the best-so-far result alongside the error.
-				if errors.Is(wr.err, faultinject.ErrInjected) {
-					tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: res.Nodes,
-						Detail: wr.err.Error()})
-				}
-				infeasibleProven = false
-				return finish(StatusInterrupted), fmt.Errorf("milp: node relaxation failed: %w", wr.err)
-			}
-			if wr.sol != nil && wr.sol.Status == lp.StatusInterrupted {
-				// Cancelled mid-pivot: the node was never evaluated, so push it
-				// back unexplored (before any counting) — the frontier and the
-				// reported bound stay exactly valid — and let the wave-boundary
-				// check stop the loop.
-				heap.Push(h, nd)
-				interrupted = true
-				continue
-			}
-			// Intra-wave re-check: an earlier node of this wave may have
-			// raised the incumbent past this node's bound. Never fires when
-			// Batch == 1 (the pop-time prune used the same incumbent).
-			latePruned := nd.bound <= incumbent+boundTol
-
-			res.LPSolves++
-			tr.Emit(obs.Event{Kind: obs.KindLPSolveStart, Nodes: res.Nodes})
-			sol := wr.sol
-			if sol != nil {
-				res.LPIters += sol.Iterations
-				switch {
-				case sol.Warm:
-					res.WarmLPSolves++
-					if sol.Dived {
-						res.Dives++
-					}
-				case sol.WarmFallback:
-					res.WarmLPFallbacks++
-					tr.Emit(obs.Event{Kind: obs.KindWarmFallback, Nodes: res.Nodes,
-						Iters: sol.Iterations})
-				}
-				tr.Emit(obs.Event{Kind: obs.KindLPSolveEnd, Nodes: res.Nodes,
-					Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
-					Status: sol.Status.String(), Detail: sol.WarmMode()})
-			}
-			if latePruned {
-				tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: res.Nodes,
-					Bound: dir * nd.bound, Detail: "bound"})
-				continue
-			}
-			res.Nodes++
-			tr.Emit(obs.Event{Kind: obs.KindNodeExplored, Nodes: res.Nodes,
-				Bound: dir * bestBound})
-			switch sol.Status {
-			case lp.StatusInfeasible:
-				tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: res.Nodes,
-					Detail: "infeasible"})
-				continue
-			case lp.StatusUnbounded:
-				// Unbounded relaxations are common here: KKT dual variables have
-				// unbounded rays until complementarity pins them. Branch with an
-				// infinite bound; only a fully resolved unbounded leaf proves the
-				// mixed problem itself unbounded (handled below).
-				sol = nil
-			case lp.StatusIterLimit:
-				// Keep the node's inherited bound and skip — we cannot evaluate
-				// it, and dropping it silently would break infeasibility proofs.
-				infeasibleProven = false
-				continue
-			case lp.StatusDeadline:
-				// Unlike an iteration-capped node, a deadline abort means the
-				// whole search is out of wall clock, not that this one node was
-				// too hard: skip it (unevaluated nodes void optimality and
-				// infeasibility proofs) and let the wave-boundary deadline
-				// check stop the loop.
-				infeasibleProven = false
-				continue
-			}
-
-			// The Solution contract guarantees X non-nil on StatusOptimal, and
-			// an unbounded sol was nil-ed above; this guard is purely defensive
-			// so a contract violation skips the node instead of panicking in
-			// polish or branching.
-			if sol != nil && sol.X == nil {
-				infeasibleProven = false
-				continue
-			}
-
-			var score float64
-			var x []float64
-			if sol == nil {
-				score = math.Inf(1)
-			} else {
-				score = dir * sol.Objective
-				x = sol.X
-			}
-			if score <= incumbent+boundTol {
-				tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: res.Nodes,
-					Bound: dir * score, Detail: "bound"})
-				continue
-			}
-
-			// Primal heuristic: let the caller turn this relaxation point into a
-			// genuine feasible solution (e.g. by evaluating the true gap of the
-			// relaxation's demand vector with the direct solvers). The worker
-			// already ran it speculatively whenever this point is reachable (the
-			// score beats the wave-start incumbent, which is never above the
-			// current one); the fallback covers the contract defensively.
-			if opts.Polish != nil && x != nil {
-				if !wr.polishTried {
-					wr.polishObj, wr.polishSol, wr.polishOK = opts.Polish(x)
-				}
-				if wr.polishOK {
-					pObj, pSol := wr.polishObj, wr.polishSol
-					if pScore := dir * pObj; pScore > incumbent {
-						incumbent = pScore
-						incumbentX = append([]float64(nil), pSol...)
-						tr.Emit(obs.Event{Kind: obs.KindPolishAccept,
-							Objective: pObj, Nodes: res.Nodes})
-						recordIncumbent(pObj, SourcePolish)
-						if opts.Target != nil && incumbent >= dir**opts.Target-boundTol {
-							infeasibleProven = false
-							bestBound = math.Max(bestBound, incumbent)
-							return finish(StatusFeasible), nil
-						}
-						if score <= incumbent+boundTol {
-							continue
-						}
-					} else {
-						tr.Emit(obs.Event{Kind: obs.KindPolishReject,
-							Objective: pObj, Nodes: res.Nodes})
-					}
-				} else {
-					tr.Emit(obs.Event{Kind: obs.KindPolishReject, Nodes: res.Nodes})
-				}
-			}
-
-			branchVar, branchPair := pickBranch(m, x, nd.overrides)
-			if branchVar == -1 && branchPair == -1 && x == nil {
-				// An unbounded node with every side constraint resolved means
-				// the mixed problem itself is unbounded.
-				return finish(StatusUnbounded), nil
-			}
-			if branchVar == -1 && branchPair == -1 && x != nil {
-				// Integral and complementary: new incumbent.
-				if score > incumbent {
-					incumbent = score
-					incumbentX = append([]float64(nil), x...)
-					recordIncumbent(dir*incumbent, SourceLeaf)
-					// Compare in score space so "at least as good" respects sense.
-					if opts.Target != nil && incumbent >= dir**opts.Target-boundTol {
-						infeasibleProven = false
-						bestBound = math.Max(bestBound, incumbent)
-						return finish(StatusFeasible), nil
-					}
-				}
-				continue
-			}
-
-			// Branch. Children take creation-order ids on the coordinator, so
-			// the heap's tie-break order is reproducible run to run. Both
-			// children inherit this node's terminal basis (nil when the
-			// relaxation was unbounded or warm starting is off): the child LP
-			// differs from this node's only in the branched bounds, which is
-			// what makes the dual-simplex repair cheap.
-			var childBasis *lp.Basis
-			if sol != nil {
-				childBasis = sol.Basis
-			}
-			mk := func(v lp.VarID, lo, hi float64) *node {
-				ov := make(map[lp.VarID][2]float64, len(nd.overrides)+1)
-				for k, b := range nd.overrides {
-					ov[k] = b
-				}
-				ov[v] = [2]float64{lo, hi}
-				id := nextID
-				nextID++
-				return &node{id: id, overrides: ov, bound: score, depth: nd.depth + 1, basis: childBasis}
-			}
-			if branchVar != -1 {
-				tr.Emit(obs.Event{Kind: obs.KindNodeBranched, Nodes: res.Nodes,
-					Detail: m.P.VarName(branchVar)})
-				heap.Push(h, mk(branchVar, 0, 0))
-				heap.Push(h, mk(branchVar, 1, 1))
-			} else {
-				pr := m.pairs[branchPair]
-				tr.Emit(obs.Event{Kind: obs.KindNodeBranched, Nodes: res.Nodes,
-					Detail: pr.Name})
-				heap.Push(h, mk(pr.U, 0, 0))
-				heap.Push(h, mk(pr.V, 0, 0))
+		results := s.solveWave(wave)
+		for i, nd := range wave {
+			if st, done, err := s.apply(nd, results[i]); done {
+				return s.finish(st), err
 			}
 		}
-		waves++
+		s.waves++
 	}
 
-	if incumbentX == nil {
-		if interrupted {
-			return finish(StatusInterrupted), nil
+	drained := s.h.Len() == 0 && s.infeasibleProven
+	switch {
+	case s.incumbentX == nil && s.interrupted:
+		return s.finish(StatusInterrupted), nil
+	case s.incumbentX == nil && drained:
+		return s.finish(StatusInfeasible), nil
+	case s.incumbentX == nil:
+		return s.finish(StatusNoIncumbent), nil
+	case drained:
+		s.bestBound = s.incumbent
+		return s.finish(StatusOptimal), nil
+	case s.interrupted:
+		return s.finish(StatusInterrupted), nil
+	}
+	return s.finish(StatusFeasible), nil
+}
+
+// stop applies the stopping rules, checked only at wave boundaries (no node
+// is ever in flight here), and reports whether the search ends. The
+// interrupt check comes BEFORE the checkpoint write: a wave cut short
+// mid-apply pushed its unexplored nodes back, and snapshotting that mixed
+// frontier would not reproduce the uninterrupted pop order. Disk always
+// holds the last complete wave boundary; resume re-does the final wave in
+// full.
+func (s *search) stop() bool {
+	if s.interrupted || ctxCancelled(s.opts.Ctx) {
+		s.interrupted = true
+		return true
+	}
+	s.writeCheckpoint()
+	if s.opts.Faults.At(faultinject.OpDeadline, int(s.waves)+1) {
+		s.tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: s.res.Nodes,
+			Detail: fmt.Sprintf("%s fault at wave %d", faultinject.OpDeadline, s.waves+1)})
+		return true
+	}
+	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		return true
+	}
+	if s.opts.MaxNodes > 0 && s.res.Nodes >= s.opts.MaxNodes {
+		return true
+	}
+	//gapvet:allow walltime the paper's Section-3.3 stall rule is deliberately a wall-clock policy
+	if s.opts.StallWindow > 0 && time.Since(s.windowStart) > s.opts.StallWindow {
+		improved := s.incumbent - s.windowIncumbent
+		rel := math.Abs(improved) / math.Max(1e-12, math.Abs(s.incumbent))
+		if s.incumbentX != nil && rel < s.opts.StallImprove {
+			s.tr.Emit(obs.Event{Kind: obs.KindStall, Objective: rel,
+				Nodes: s.res.Nodes, Status: "stop"})
+			return true
 		}
-		if infeasibleProven && h.Len() == 0 {
-			return finish(StatusInfeasible), nil
+		s.tr.Emit(obs.Event{Kind: obs.KindStall, Objective: rel,
+			Nodes: s.res.Nodes, Status: "continue"})
+		s.windowStart = time.Now() //gapvet:allow walltime stall-rule window anchor (see StallWindow above)
+		s.windowIncumbent = s.incumbent
+	}
+	return false
+}
+
+// popWave pops up to batch nodes surviving the bound prune against the
+// current incumbent, in strict heap order. With Batch == 1 this is exactly
+// the classic pop-prune-solve loop.
+func (s *search) popWave() []*node {
+	lim := s.batch
+	if s.opts.MaxNodes > 0 {
+		lim = min(lim, s.opts.MaxNodes-s.res.Nodes)
+	}
+	s.wave = s.wave[:0]
+	for len(s.wave) < lim && s.h.Len() > 0 {
+		nd := heap.Pop(s.h).(*node)
+		if nd.bound <= s.incumbent+boundTol {
+			s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
+				Bound: s.dir * nd.bound, Detail: "bound"})
+			continue // pruned by bound
 		}
-		return finish(StatusNoIncumbent), nil
+		s.wave = append(s.wave, nd)
 	}
-	if h.Len() == 0 && infeasibleProven {
-		bestBound = incumbent
-		return finish(StatusOptimal), nil
+	return s.wave
+}
+
+// solveWave solves the wave's relaxations, serially or on the worker pool.
+// Workers pull jobs dynamically; the result slot is fixed by wave position,
+// so scheduling cannot leak into the outcome.
+func (s *search) solveWave(wave []*node) []nodeResult {
+	results := s.results[:len(wave)]
+	waveNo := s.waves + 1
+	waveIncumbent := s.incumbent
+	waveStart := time.Now() //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
+	if s.workers == 1 || len(wave) == 1 {
+		for i, nd := range wave {
+			results[i] = s.relax(waveNo, i, nd, waveIncumbent)
+		}
+	} else {
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		nw := min(s.workers, len(wave))
+		wg.Add(nw)
+		for w := 0; w < nw; w++ {
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(cursor.Add(1)) - 1
+					if i >= len(wave) {
+						return
+					}
+					// Disjoint-slot writes: the atomic cursor hands each worker a
+					// unique index, results is preallocated to len(wave), and no
+					// slot is written twice — safety lives in the indexing, not a lock.
+					//gapvet:allow sharedstate disjoint slots; atomic cursor assigns each index to exactly one worker
+					results[i] = s.relax(waveNo, i, wave[i], waveIncumbent)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	if interrupted {
-		return finish(StatusInterrupted), nil
+	bnbWaveSeconds.ObserveDuration(time.Since(waveStart)) //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
+	bnbWavesTotal.Inc()
+	return results
+}
+
+// relax is the worker-side work for one node: the LP relaxation plus a
+// speculative polish. It is a pure function of (nd, waveIncumbent) — it
+// reads only immutable state — so results are identical no matter which
+// worker runs it. Each call builds its own simplex tableau (lp.SolveWith
+// shares no scratch memory between calls) or, in a serial warm search, may
+// dive on the one the previous call left.
+//
+// A panic (a Polish bug, or the injected worker-panic fault) becomes a typed
+// error in the node's fixed result slot while the rest of the pool drains
+// normally, and apply surfaces it in deterministic wave order. waveNo is the
+// 1-based index of the wave being solved.
+func (s *search) relax(waveNo uint64, i int, nd *node, waveIncumbent float64) (r nodeResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			r = nodeResult{err: &WorkerPanicError{Wave: waveNo, Node: nd.id, Value: p, Stack: debug.Stack()}}
+		}
+	}()
+	if i == 0 && s.opts.Faults.At(faultinject.OpWorkerPanic, int(waveNo)) {
+		panic(&faultinject.Error{Op: faultinject.OpWorkerPanic, N: int(waveNo)})
 	}
-	return finish(StatusFeasible), nil
+	r.sol, r.err = s.m.P.SolveWith(lp.SolveOptions{
+		BoundOverride: nd.overrides,
+		MaxIters:      s.opts.LPMaxIters,
+		Deadline:      s.deadline, // zero when no time limit is set
+		Ctx:           s.opts.Ctx, // cancels in-flight pivots cooperatively
+		// Warm starting changes only how fast a node's relaxation is solved,
+		// never its outcome (lp falls back to the cold path on any doubt),
+		// so the explored tree stays bit-identical.
+		CaptureBasis: s.opts.WarmStart,
+		WarmStart:    nd.basis, // nil for the root or under a cold run
+		Dive:         s.dive,
+	})
+	if r.err != nil || r.sol == nil || r.sol.Status != lp.StatusOptimal {
+		return r
+	}
+	// Speculative polish: skip nodes whose score cannot beat even the
+	// wave-start incumbent — the apply step is guaranteed to prune them, so
+	// skipping is outcome-neutral.
+	if s.opts.Polish != nil && r.sol.X != nil && s.dir*r.sol.Objective > waveIncumbent+boundTol {
+		r.polishObj, r.polishSol, r.polishOK = s.opts.Polish(r.sol.X)
+	}
+	return r
+}
+
+// apply folds one node's result into the search, in wave (= deterministic
+// pop) order: it counts the solve, prunes, installs the polish outcome and
+// branches. done reports that the search ends here with status st (and,
+// for a failed relaxation, err).
+func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error) {
+	// The nth-LP-solve fault is counted here, at the apply step, so the
+	// firing point is a position in the deterministic tree rather than a
+	// race between workers.
+	if n, fire := s.opts.Faults.Hit(faultinject.OpLPSolve); fire && wr.err == nil {
+		wr.err = &faultinject.Error{Op: faultinject.OpLPSolve, N: n}
+	}
+	if wr.err != nil {
+		// A failed relaxation (solver error, recovered worker panic, or
+		// injected fault) voids any completeness proof but not the
+		// incumbent: return the best-so-far result alongside the error.
+		if errors.Is(wr.err, faultinject.ErrInjected) {
+			s.tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: s.res.Nodes,
+				Detail: wr.err.Error()})
+		}
+		return StatusInterrupted, true, fmt.Errorf("milp: node relaxation failed: %w", wr.err)
+	}
+	sol := wr.sol
+	if sol != nil && sol.Status == lp.StatusInterrupted {
+		// Cancelled mid-pivot: the node was never evaluated, so push it back
+		// unexplored (before any counting) — the frontier and the reported
+		// bound stay exactly valid — and let the wave-boundary check stop the
+		// loop.
+		heap.Push(s.h, nd)
+		s.interrupted = true
+		return 0, false, nil
+	}
+	// Intra-wave re-check: an earlier node of this wave may have raised the
+	// incumbent past this node's bound. Never fires when Batch == 1 (the
+	// pop-time prune used the same incumbent).
+	latePruned := nd.bound <= s.incumbent+boundTol
+
+	s.res.LPSolves++
+	s.tr.Emit(obs.Event{Kind: obs.KindLPSolveStart, Nodes: s.res.Nodes})
+	if sol != nil {
+		s.res.LPIters += sol.Iterations
+		switch {
+		case sol.Warm:
+			s.res.WarmLPSolves++
+			if sol.Dived {
+				s.res.Dives++
+			}
+		case sol.WarmFallback:
+			s.res.WarmLPFallbacks++
+			s.tr.Emit(obs.Event{Kind: obs.KindWarmFallback, Nodes: s.res.Nodes,
+				Iters: sol.Iterations})
+		}
+		s.tr.Emit(obs.Event{Kind: obs.KindLPSolveEnd, Nodes: s.res.Nodes,
+			Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
+			Status: sol.Status.String(), Detail: sol.WarmMode()})
+	}
+	if latePruned {
+		s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
+			Bound: s.dir * nd.bound, Detail: "bound"})
+		return 0, false, nil
+	}
+	s.res.Nodes++
+	s.tr.Emit(obs.Event{Kind: obs.KindNodeExplored, Nodes: s.res.Nodes,
+		Bound: s.dir * s.bestBound})
+	switch sol.Status {
+	case lp.StatusInfeasible:
+		s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
+			Detail: "infeasible"})
+		return 0, false, nil
+	case lp.StatusUnbounded:
+		// Unbounded relaxations are common here: KKT dual variables have
+		// unbounded rays until complementarity pins them. Branch with an
+		// infinite bound; only a fully resolved unbounded leaf proves the
+		// mixed problem itself unbounded (see branch).
+		sol = nil
+	case lp.StatusIterLimit, lp.StatusDeadline:
+		// Keep the node's inherited bound and skip — it cannot be evaluated,
+		// and dropping it silently would break infeasibility proofs. A
+		// deadline abort means the whole search is out of wall clock, not
+		// that this one node was too hard; the wave-boundary deadline check
+		// stops the loop.
+		s.infeasibleProven = false
+		return 0, false, nil
+	}
+	// The Solution contract guarantees X non-nil on StatusOptimal, and an
+	// unbounded sol was nil-ed above; this guard is purely defensive so a
+	// contract violation skips the node instead of panicking in branching.
+	if sol != nil && sol.X == nil {
+		s.infeasibleProven = false
+		return 0, false, nil
+	}
+	score := math.Inf(1)
+	if sol != nil {
+		score = s.dir * sol.Objective
+	}
+	if score <= s.incumbent+boundTol {
+		s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
+			Bound: s.dir * score, Detail: "bound"})
+		return 0, false, nil
+	}
+	if s.opts.Polish != nil && sol != nil {
+		if s.polish(wr) {
+			return StatusFeasible, true, nil
+		}
+		if score <= s.incumbent+boundTol {
+			return 0, false, nil
+		}
+	}
+	return s.branch(nd, sol, score)
+}
+
+// polish installs the node's speculative polish outcome: the caller's
+// primal heuristic turned this relaxation point into a genuinely feasible
+// solution (e.g. by pricing the relaxation's demand vector with the direct
+// solvers). relax always ran it for a node that reaches this step: its
+// score beats the current incumbent, which is never below the wave-start
+// one. It reports whether the new incumbent meets the Target.
+func (s *search) polish(wr nodeResult) bool {
+	if !wr.polishOK {
+		s.tr.Emit(obs.Event{Kind: obs.KindPolishReject, Nodes: s.res.Nodes})
+		return false
+	}
+	if pScore := s.dir * wr.polishObj; pScore > s.incumbent {
+		s.tr.Emit(obs.Event{Kind: obs.KindPolishAccept,
+			Objective: wr.polishObj, Nodes: s.res.Nodes})
+		return s.improve(pScore, wr.polishSol, SourcePolish)
+	}
+	s.tr.Emit(obs.Event{Kind: obs.KindPolishReject,
+		Objective: wr.polishObj, Nodes: s.res.Nodes})
+	return false
+}
+
+// branch splits an evaluated node (sol nil when its relaxation was
+// unbounded) on its most violated binary or complementarity pair. A point
+// that already satisfies every side constraint is a leaf instead: a new
+// incumbent, or — with no point at all — proof that the mixed problem is
+// unbounded. done and st are as for apply.
+func (s *search) branch(nd *node, sol *lp.Solution, score float64) (st Status, done bool, err error) {
+	var x []float64
+	var childBasis *lp.Basis
+	if sol != nil {
+		x, childBasis = sol.X, sol.Basis
+	}
+	branchVar, branchPair := pickBranch(s.m, x, nd.overrides)
+	if branchVar == -1 && branchPair == -1 {
+		if x == nil {
+			return StatusUnbounded, true, nil
+		}
+		// Integral and complementary: new incumbent.
+		if score > s.incumbent && s.improve(score, x, SourceLeaf) {
+			return StatusFeasible, true, nil
+		}
+		return 0, false, nil
+	}
+	// Both children inherit this node's terminal basis (nil when the
+	// relaxation was unbounded or warm starting is off): the child LP
+	// differs from this node's only in the branched bounds, which is what
+	// makes the dual-simplex repair cheap.
+	if branchVar != -1 {
+		s.tr.Emit(obs.Event{Kind: obs.KindNodeBranched, Nodes: s.res.Nodes,
+			Detail: s.m.P.VarName(branchVar)})
+		heap.Push(s.h, s.child(nd, branchVar, 0, score, childBasis))
+		heap.Push(s.h, s.child(nd, branchVar, 1, score, childBasis))
+	} else {
+		pr := s.m.pairs[branchPair]
+		s.tr.Emit(obs.Event{Kind: obs.KindNodeBranched, Nodes: s.res.Nodes,
+			Detail: pr.Name})
+		heap.Push(s.h, s.child(nd, pr.U, 0, score, childBasis))
+		heap.Push(s.h, s.child(nd, pr.V, 0, score, childBasis))
+	}
+	return 0, false, nil
+}
+
+// child makes a child of nd that fixes v to val. Children take
+// creation-order ids on the coordinator, so the heap's tie-break order is
+// reproducible run to run.
+func (s *search) child(nd *node, v lp.VarID, val, bound float64, basis *lp.Basis) *node {
+	ov := make(map[lp.VarID][2]float64, len(nd.overrides)+1)
+	for k, b := range nd.overrides {
+		ov[k] = b
+	}
+	ov[v] = [2]float64{val, val}
+	id := s.nextID
+	s.nextID++
+	return &node{id: id, overrides: ov, bound: bound, depth: nd.depth + 1, basis: basis}
+}
+
+// capture snapshots the wave-boundary state. Only called between waves (no
+// node in flight), so every field is a settled coordinator-side value.
+func (s *search) capture() *checkpoint.Snapshot {
+	st := &checkpoint.BnBState{
+		Fingerprint:      s.fp,
+		Waves:            s.waves,
+		NextID:           s.nextID,
+		Nodes:            int64(s.res.Nodes),
+		LPSolves:         int64(s.res.LPSolves),
+		LPIters:          int64(s.res.LPIters),
+		WarmLPSolves:     int64(s.res.WarmLPSolves),
+		WarmLPFallbacks:  int64(s.res.WarmLPFallbacks),
+		BestBound:        s.bestBound,
+		InfeasibleProven: s.infeasibleProven,
+		ElapsedNanos:     s.elapsed().Nanoseconds(),
+		Frontier:         frontierOut(s.h),
+		Trace:            traceOut(s.res.Trace),
+	}
+	if s.incumbentX != nil {
+		st.HasIncumbent = true
+		st.Incumbent = s.incumbent
+		st.IncumbentX = append([]float64(nil), s.incumbentX...)
+	}
+	return &checkpoint.Snapshot{BnB: st}
+}
+
+// writeCheckpoint persists the snapshot atomically every ckptEvery waves. A
+// failed write (disk full, injected fault) is reported on the trace and
+// otherwise ignored: the previous good snapshot survives untouched, and
+// losing a checkpoint must never lose the search.
+func (s *search) writeCheckpoint() {
+	if s.ckpt == nil || s.waves%s.ckptEvery != 0 {
+		return
+	}
+	if err := s.ckpt.Save(s.capture()); err != nil {
+		if errors.Is(err, faultinject.ErrInjected) {
+			s.tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: s.res.Nodes,
+				Detail: err.Error()})
+		}
+		s.tr.Emit(obs.Event{Kind: obs.KindCheckpointWrite, Nodes: s.res.Nodes,
+			Status: "error", Detail: err.Error()})
+		return
+	}
+	s.tr.Emit(obs.Event{Kind: obs.KindCheckpointWrite, Nodes: s.res.Nodes,
+		Status: "ok", Detail: s.opts.Checkpoint})
+}
+
+// finish releases the dive handle and fills the Result for the given
+// terminal status.
+func (s *search) finish(status Status) *Result {
+	s.dive.Release()
+	res := s.res
+	res.Elapsed = s.elapsed()
+	res.Status = status
+	if s.incumbentX != nil {
+		res.Objective = s.dir * s.incumbent
+		res.X = s.incumbentX
+		// A break path (deadline/MaxNodes/stall) or a drained heap can leave
+		// bestBound at a stale value below an incumbent raised later in the
+		// final wave — polish candidates are not constrained by the subtree
+		// bound of the node that produced them. The incumbent's score is
+		// always a valid bound, so clamp: a negative gap is never reportable.
+		s.bestBound = math.Max(s.bestBound, s.incumbent)
+	}
+	if math.IsInf(s.bestBound, 1) && s.incumbentX != nil {
+		res.Bound = res.Objective
+	} else {
+		res.Bound = s.dir * s.bestBound
+	}
+	// Close the trace with the terminal bound when it is tighter than the
+	// bound at the last improvement — this covers the early Target return
+	// (which tightens bestBound to the incumbent) and optimal closure, so a
+	// gap-versus-time plot always ends at the reported gap.
+	if s.incumbentX != nil && len(res.Trace) > 0 &&
+		res.Trace[len(res.Trace)-1].Bound != res.Bound { //gapvet:allow floateq exact repetition check: skips the closing trace point only when the bound is bit-identical
+		res.Trace = append(res.Trace, TracePoint{
+			Elapsed:   res.Elapsed,
+			Objective: res.Objective,
+			Bound:     res.Bound,
+			Nodes:     res.Nodes,
+			Source:    SourceFinal,
+		})
+	}
+	s.tr.Emit(obs.Event{Kind: obs.KindSolveDone, Objective: res.Objective,
+		Bound: res.Bound, Nodes: res.Nodes, Status: status.String()})
+	return res
 }
 
 // pickBranch returns the most violated binary (by fractionality) or

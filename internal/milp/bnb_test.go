@@ -189,30 +189,3 @@ func TestBigMReplacementSolvesSame(t *testing.T) {
 		t.Fatalf("SOS %v != bigM %v", resSOS.Objective, resM.Objective)
 	}
 }
-
-func TestRelGapTolStopsEarly(t *testing.T) {
-	p := lp.NewProblem("relgap", lp.Maximize)
-	m := NewModel(p)
-	var e lp.Expr
-	for i := 0; i < 14; i++ {
-		v := m.AddBinary("b")
-		p.SetObj(v, 1+0.01*float64(i))
-		e = e.Add(v, 3)
-	}
-	p.AddConstraint("w", e, lp.LE, 20)
-	tight, err := Solve(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := Solve(m, Options{RelGapTol: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Nodes > tight.Nodes {
-		t.Fatalf("20%% gap tolerance explored more nodes (%d) than exact (%d)",
-			loose.Nodes, tight.Nodes)
-	}
-	if loose.Objective < 0.75*tight.Objective {
-		t.Fatalf("loose objective %v too far from %v", loose.Objective, tight.Objective)
-	}
-}

@@ -170,10 +170,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// MaxNodes caps explored nodes; 0 means unlimited.
 	MaxNodes int
-	// AbsGapTol stops when bound - incumbent <= AbsGapTol (default 1e-6).
-	AbsGapTol float64
-	// RelGapTol stops when the gap relative to the incumbent is below this.
-	RelGapTol float64
 	// StallWindow / StallImprove implement the paper's progress rule: stop
 	// when a full window elapses with relative incumbent improvement below
 	// StallImprove (paper: 0.5%). Zero window disables the rule.
@@ -269,11 +265,8 @@ type Options struct {
 	// Tracer, if non-nil, receives structured events (node explored/pruned/
 	// branched, LP solve start/end, incumbents, stall checks, polish
 	// outcomes, solve done). A nil tracer costs nothing in the hot loop.
+	// For human-readable progress lines, attach an obs.LogfSink to it.
 	Tracer *obs.Tracer
-	// Log, if non-nil, receives progress lines. It is kept as a legacy
-	// convenience: internally it is attached to the tracer as an
-	// obs.LogfSink, so Log and Tracer render the same event stream.
-	Log func(format string, args ...any)
 }
 
 // Seed is a known-feasible solution handed to the solver up front.

@@ -1,0 +1,72 @@
+package milp
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/faultinject"
+)
+
+// TestCheckpointStatePinned pins the exact bytes of a wave-boundary
+// snapshot: a fixed model is stopped by an injected deadline at a known
+// wave, and the checkpoint it left behind — with every wall-clock field
+// zeroed — must hash to the recorded constant. Any change to the order of
+// the frontier, the counters or the trace shows up here, even one that a
+// resumed run would happen to paper over.
+func TestCheckpointStatePinned(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+		wave int
+		want string
+	}{
+		{"serial-warm", Options{WarmStart: true}, 41,
+			"3ca32369df94b3a401cd5e0f43a0ba1748741e8f4e08a9c22bd992f66ea9f7a0"},
+		{"workers4-batch4", Options{Workers: 4, Batch: 4, WarmStart: true}, 12,
+			"249986d9a6f5de5c8d884966bf328804e0848cb6ee478b30ca034cf0a3da0e11"},
+	}
+	m := resumeModel(10, 7)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := faultinject.Parse(fmt.Sprintf("deadline:%d", tc.wave), 0)
+			if err != nil {
+				t.Fatalf("plan: %v", err)
+			}
+			opts := tc.opts
+			opts.Checkpoint = filepath.Join(t.TempDir(), "bnb.ckpt")
+			opts.CheckpointEvery = 1
+			opts.Faults = plan
+			res, err := Solve(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status == StatusOptimal {
+				t.Fatalf("search finished before wave %d; the fault never fired", tc.wave)
+			}
+			snap, err := checkpoint.Load(opts.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := snap.BnB
+			if st == nil || st.Waves != uint64(tc.wave-1) || len(st.Frontier) == 0 || !st.HasIncumbent {
+				t.Fatalf("snapshot is not the mid-search wave boundary %d: %+v", tc.wave-1, st)
+			}
+			st.ElapsedNanos = 0
+			for i := range st.Trace {
+				st.Trace[i].ElapsedNanos = 0
+			}
+			blob, err := checkpoint.Encode(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("snapshot hash = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}

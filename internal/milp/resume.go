@@ -70,10 +70,10 @@ func fingerprint(m *Model, batch int, depthFirst bool) uint64 {
 	return h.Sum64()
 }
 
-// resolveBatch computes the effective wave size for opts, exactly as
-// runSearch does: an explicit Batch wins; otherwise 1 for the serial search
-// and 2*Workers for the parallel one. Shared between the search itself and
-// SearchFingerprint so the two can never drift.
+// resolveBatch computes the effective wave size for opts: an explicit Batch
+// wins; otherwise 1 for the serial search and 2*Workers for the parallel
+// one. Shared between newSearch and SearchFingerprint so the two can never
+// drift.
 func resolveBatch(opts Options) int {
 	if opts.Batch > 0 {
 		return opts.Batch

@@ -249,9 +249,10 @@ func (c *Collector) Count(k Kind) int {
 	return n
 }
 
-// LogfSink adapts the legacy milp.Options.Log callback: it renders the
-// human-relevant subset of events (incumbents, stalls, phases, restarts) as
-// progress lines and drops high-frequency node/LP events.
+// LogfSink renders the human-relevant subset of events (incumbents,
+// stalls, solve done, phases, restarts) as progress lines through a
+// printf-style callback and drops high-frequency node/LP events. Attach it
+// to a tracer with Tracer.With to get progress output from any solver.
 type LogfSink struct {
 	Logf func(format string, args ...any)
 }
