@@ -31,36 +31,30 @@ type GapFunc func(demands []float64) (float64, error)
 func DPGap(inst *mcf.Instance, threshold float64) GapFunc {
 	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
-		dp, err := pc.DemandPinning(d, threshold)
+		opt, dp, err := pc.DPGap(d, threshold)
 		if errors.Is(err, mcf.ErrInfeasible) {
 			return math.Inf(-1), nil
 		}
-		if err != nil {
-			return 0, err
-		}
-		opt, err := pc.MaxFlow(d)
-		if err != nil {
-			return 0, err
-		}
-		return opt.Total - dp.Total, nil
+		return opt - dp, err // 0 on an error: both totals are 0
 	}
 }
 
 // ConcurrentDPGap returns the gap function for the max-concurrent-flow
 // objective: lambda_OPT - lambda_DP. The white-box rewrite does not apply
 // to this objective (its inner rows couple lambda with the outer demand
-// volumes), so black-box search is the supported way to attack it.
+// volumes), so black-box search is the supported way to attack it. Like
+// DPGap it prices through one mcf.Pricer.
 func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
+	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
-		at := inst.WithVolumes(d)
-		_, lamDP, err := mcf.SolveDemandPinningConcurrent(at, threshold)
+		_, lamDP, err := pc.DemandPinningConcurrent(d, threshold)
 		if errors.Is(err, mcf.ErrInfeasible) {
 			return math.Inf(-1), nil
 		}
 		if err != nil {
 			return 0, err
 		}
-		_, lamOpt, err := mcf.SolveMaxConcurrent(at)
+		_, lamOpt, err := pc.DemandPinningConcurrent(d, math.Inf(-1))
 		if err != nil {
 			return 0, err
 		}
@@ -70,29 +64,13 @@ func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
 
 // POPGap returns the gap function OPT - mean POP total over the given fixed
 // partition assignments — the same descriptor the white-box search
-// optimizes, so the two methods compete on equal footing.
+// optimizes, so the two methods compete on equal footing. Like DPGap it
+// prices through one mcf.Pricer.
 func POPGap(inst *mcf.Instance, assignments [][]int, partitions int) GapFunc {
 	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
-		at := inst.WithVolumes(d)
-		opt, err := pc.MaxFlow(d)
-		if err != nil {
-			return 0, err
-		}
-		n := at.Demands.Len()
-		clients := make([]mcf.Client, n)
-		for k := 0; k < n; k++ {
-			clients[k] = mcf.Client{Demand: k, Volume: at.Demands.Volume(k)}
-		}
-		sum := 0.0
-		for _, a := range assignments {
-			f, err := mcf.SolvePOPAssigned(at, clients, a, partitions)
-			if err != nil {
-				return 0, err
-			}
-			sum += f.Total
-		}
-		return opt.Total - sum/float64(len(assignments)), nil
+		opt, pop, err := pc.POPGap(d, assignments, partitions, nil)
+		return opt - pop, err
 	}
 }
 

@@ -223,14 +223,10 @@ func TestConcurrentDPGapFunc(t *testing.T) {
 	}
 }
 
-// TestDPGapEvalAllocations seals the allocation count of one DP gap
-// evaluation on the 12-pair B4 instance the hill-climbing benchmark
-// searches: the pricer builds the OPT LP, the phase-2 incidence and the
-// names once, so an evaluation allocates only its two LPs, their presolve
-// state and answers: 149 allocations, where rebuilding both models per call
-// and merging presolve rows through two maps each took 1020. The bound is
-// the measured count, so any new allocation per evaluation shows here.
-func TestDPGapEvalAllocations(t *testing.T) {
+// allocInstance is the 12-pair B4 instance the hill-climbing benchmark
+// searches and the demand vector the allocation seals evaluate on it.
+func allocInstance(t *testing.T) (*mcf.Instance, []float64) {
+	t.Helper()
 	g := topology.B4()
 	set := demand.RandomPairs(g, 12, rand.New(rand.NewSource(7)))
 	inst, err := mcf.NewInstance(g, set, 2)
@@ -239,14 +235,55 @@ func TestDPGapEvalAllocations(t *testing.T) {
 	}
 	d := make([]float64, set.Len())
 	for k := range d {
-		d[k] = float64(37*k%101) + 0.25 // demands 0 and 11 are pinned
+		d[k] = float64(37*k%101) + 0.25 // demands 0 and 11 are pinned at threshold 5
 	}
-	gap := DPGap(inst, 5)
+	return inst, d
+}
+
+// sealAllocs fails when one evaluation of gap at d allocates more than
+// maxAllocs times, or when gap is not finite there.
+func sealAllocs(t *testing.T, name string, gap GapFunc, d []float64, maxAllocs float64) {
+	t.Helper()
 	if v, err := gap(d); err != nil || math.IsInf(v, 0) {
-		t.Fatalf("gap %v, %v; want a finite gap", v, err)
+		t.Fatalf("%s gap %v, %v; want a finite gap", name, v, err)
 	}
-	const maxAllocs = 149
 	if allocs := testing.AllocsPerRun(50, func() { _, _ = gap(d) }); allocs > maxAllocs {
-		t.Errorf("one DPGap evaluation allocates %.0f times, want at most %d", allocs, maxAllocs)
+		t.Errorf("one %s evaluation allocates %.0f times, want at most %.0f", name, allocs, maxAllocs)
 	}
+}
+
+// TestDPGapEvalAllocations seals the allocation count of one DP gap
+// evaluation on the 12-pair B4 instance the hill-climbing benchmark
+// searches: the pricer builds the OPT LP, the phase-2 incidence and the
+// names once, so an evaluation allocates only its two LPs, their presolve
+// state and answers: 149 allocations, where rebuilding both models per call
+// and merging presolve rows through two maps each took 1020. The bound is
+// the measured count, so any new allocation per evaluation shows here.
+func TestDPGapEvalAllocations(t *testing.T) {
+	inst, d := allocInstance(t)
+	sealAllocs(t, "DPGap", DPGap(inst, 5), d, 149)
+}
+
+// TestConcurrentDPGapEvalAllocations seals one concurrent DP gap
+// evaluation on the same instance and vector: both concurrent LPs are
+// assembled from the pricer's incidence and names, 165 allocations, where
+// rebuilding each with a map, formatted names and a path scan took 523.
+func TestConcurrentDPGapEvalAllocations(t *testing.T) {
+	inst, d := allocInstance(t)
+	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 165)
+}
+
+// TestPOPGapEvalAllocations seals one POP gap evaluation over 3
+// assignments to 2 partitions on the same instance and vector: OPT on the
+// prebuilt LP and six partition LPs assembled from the pricer's incidence
+// and names, 501 allocations, where building every partition's inner LP
+// and lowering it per call took 1441.
+func TestPOPGapEvalAllocations(t *testing.T) {
+	inst, d := allocInstance(t)
+	rng := rand.New(rand.NewSource(1))
+	assignments := make([][]int, 3)
+	for i := range assignments {
+		assignments[i] = mcf.RandomAssignment(len(d), 2, rng)
+	}
+	sealAllocs(t, "POPGap", POPGap(inst, assignments, 2), d, 501)
 }

@@ -159,20 +159,11 @@ func (pr *CapacityGapProblem) search(polish bool) (*gapSearch, error) {
 	return g, nil
 }
 
-// priceCaps evaluates the true gap at a capacity assignment, or ok=false
-// when DP is infeasible there.
-func (pr *CapacityGapProblem) priceCaps(caps []float64) (gap, opt, dp float64, ok bool) {
-	g := pr.Inst.G.WithCapacities(caps)
-	at := &mcf.Instance{G: g, Demands: pr.Inst.Demands, Paths: pr.Inst.Paths}
-	optFlow, err := mcf.SolveMaxFlow(at)
-	if err != nil {
-		return 0, 0, 0, false
-	}
-	dpFlow, err := mcf.SolveDemandPinning(at, pr.Threshold)
-	if err != nil {
-		return 0, 0, 0, false
-	}
-	return optFlow.Total - dpFlow.Total, optFlow.Total, dpFlow.Total, true
+// priceCaps prices OPT and DP at a capacity assignment. Every assignment
+// is a new instance, so each call prices on a fresh pricer.
+func (pr *CapacityGapProblem) priceCaps(caps []float64) (opt, dp float64, err error) {
+	at := &mcf.Instance{G: pr.Inst.G.WithCapacities(caps), Demands: pr.Inst.Demands, Paths: pr.Inst.Paths}
+	return mcf.NewPricer(at).DPGap(pr.Inst.Demands.Volumes(), pr.Threshold)
 }
 
 // clampCaps reads the capacity assignment off a model point, clamped to
@@ -186,30 +177,18 @@ func (pr *CapacityGapProblem) clampCaps(b *capBuild, x []float64) []float64 {
 }
 
 func (pr *CapacityGapProblem) polisher(b *capBuild) func(x []float64) (float64, []float64, bool) {
-	cache := newPriceCache(512)
-	price := func(caps []float64) (float64, bool) {
-		gap, _, _, ok := pr.priceCaps(caps)
-		return gap, ok
-	}
+	cache, price := newPriceCache(512), gapPrice(pr.priceCaps).gap
 	return func(x []float64) (float64, []float64, bool) {
 		return cache.polishBest(nil, price, x, b.caps, pr.clampCaps(b, x))
 	}
 }
 
+// verify re-prices the found capacities, normalizing the gap by their
+// total.
 func (pr *CapacityGapProblem) verify(out *Result) error {
-	gap, opt, dp, ok := pr.priceCaps(out.Demands)
-	if !ok {
-		return fmt.Errorf("core: verifying capacity gap: direct solve failed")
-	}
-	out.Gap = gap
-	out.OptValue = opt
-	out.HeurValue = dp
 	total := 0.0
 	for _, c := range out.Demands {
 		total += c
 	}
-	if total > 0 {
-		out.NormalizedGap = gap / total
-	}
-	return nil
+	return gapPrice(pr.priceCaps).verifier(total)(out)
 }

@@ -52,7 +52,7 @@ func TestCapacityGapFigure1(t *testing.T) {
 	for _, c0 := range []float64{50, 150} {
 		for _, c1 := range []float64{50, 150} {
 			for _, c2 := range []float64{50, 150} {
-				if gap, _, _, ok := pr.priceCaps([]float64{c0, c1, c2}); ok && gap > best {
+				if gap, ok := gapPrice(pr.priceCaps).gap([]float64{c0, c1, c2}); ok && gap > best {
 					best = gap
 				}
 			}
@@ -105,7 +105,7 @@ func TestCapacityGapExcludesDPInfeasibleTopologies(t *testing.T) {
 	if res.Demands[0] < 50-1e-6 || res.Demands[1] < 50-1e-6 {
 		t.Fatalf("adversarial capacities %v leave DP infeasible", res.Demands)
 	}
-	if _, _, _, ok := pr.priceCaps(res.Demands); !ok {
+	if _, _, err := pr.priceCaps(res.Demands); err != nil {
 		t.Fatal("verification says DP infeasible at the found topology")
 	}
 }

@@ -387,10 +387,12 @@ type Result struct {
 }
 
 // priced records the inner values the direct solvers verified at the found
-// input, with the gap normalized by the topology's total capacity.
+// input, with the gap normalized by the total capacity when it is positive.
 func (r *Result) priced(opt, heur, totalCapacity float64) {
 	r.OptValue, r.HeurValue, r.Gap = opt, heur, opt-heur
-	r.NormalizedGap = r.Gap / totalCapacity
+	if totalCapacity > 0 {
+		r.NormalizedGap = r.Gap / totalCapacity
+	}
 }
 
 // PhaseTimings is the wall time spent in each phase of a gap search. When a
@@ -440,6 +442,32 @@ type gapSearch struct {
 	read func(x []float64) []float64
 	// verify re-prices the reported input with the direct solvers.
 	verify func(out *Result) error
+}
+
+// gapPrice prices an input exactly with the direct solvers, returning
+// OPT's value and the heuristic's. Each problem's search defines its one
+// gapPrice on one mcf.Pricer: its polisher prices candidates with it and
+// its verify step re-prices the reported input with it.
+type gapPrice func(d []float64) (opt, heur float64, err error)
+
+// gap is the polishers' view of p: the gap at d, ok=false where the
+// heuristic is infeasible or a solve fails.
+func (p gapPrice) gap(d []float64) (float64, bool) {
+	opt, heur, err := p(d)
+	return opt - heur, err == nil
+}
+
+// verifier returns the verify step that re-prices the reported input with
+// p and normalizes the gap by totalCapacity.
+func (p gapPrice) verifier(totalCapacity float64) func(out *Result) error {
+	return func(out *Result) error {
+		opt, heur, err := p(out.Demands)
+		if err != nil {
+			return fmt.Errorf("core: verifying the found input: %w", err)
+		}
+		out.priced(opt, heur, totalCapacity)
+		return nil
+	}
 }
 
 // runGap runs the search behind every gap problem: build the meta

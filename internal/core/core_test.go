@@ -319,16 +319,11 @@ func TestPOPGapSingleInstantiationMatchesBruteForce(t *testing.T) {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == 3 {
-			at := inst.WithVolumes(vols[:])
-			opt, err := mcf.SolveMaxFlow(at)
+			opt, pop, err := mcf.NewPricer(inst).POPGap(vols[:], [][]int{assign}, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			totals, err := EvaluatePOPOnAssignments(at, [][]int{assign}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := opt.Total - totals[0]; g > best {
+			if g := opt - pop; g > best {
 				best = g
 			}
 			return
@@ -399,7 +394,9 @@ func TestPOPGapTailMode(t *testing.T) {
 		Input: InputConstraints{MaxDemand: 100},
 	}
 	_ = prE
-	totals, err := EvaluatePOPOnAssignments(inst.WithVolumes(res.Demands), popAssignmentsUsed(t, pr), 2)
+	var totals []float64 // the per-instantiation POP totals, taken by the descriptor
+	_, _, err = mcf.NewPricer(inst).POPGap(res.Demands, popAssignmentsUsed(t, pr), 2,
+		func(ts []float64) float64 { totals = ts; return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

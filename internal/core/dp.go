@@ -257,7 +257,9 @@ func (pr *DPGapProblem) search(polish bool) (*gapSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gapSearch{model: b.model, verify: pr.verify, read: func(x []float64) []float64 {
+	pc := mcf.NewPricer(pr.Inst)
+	price := gapPrice(func(d []float64) (float64, float64, error) { return pc.DPGap(d, pr.Threshold) })
+	g := &gapSearch{model: b.model, verify: price.verifier(pr.Inst.G.TotalCapacity()), read: func(x []float64) []float64 {
 		out := make([]float64, len(b.demands))
 		for k, dv := range b.demands {
 			// Clean numerical dust so verification uses a legal input.
@@ -273,7 +275,7 @@ func (pr *DPGapProblem) search(polish bool) (*gapSearch, error) {
 	if !polish || pr.DisablePolish {
 		return g, nil
 	}
-	g.polish = pr.polisher(b)
+	g.polish = pr.polisher(b, price.gap)
 	for _, cand := range [][]float64{
 		constantVector(len(b.demands), pr.Input.MaxDemand),
 		constantVector(len(b.demands), pr.Threshold),
@@ -335,26 +337,14 @@ func (pr *DPGapProblem) greedyPinSeed() []float64 {
 
 // polisher returns the primal heuristic for the DP gap search: extract the
 // relaxation's demand vector, repair it into the constrained set, and price
-// it exactly with the direct solvers. Two rounded variants are also priced
+// it exactly with price. Two rounded variants are also priced
 // — "pin at the threshold" (demands the relaxation leans toward pinning are
 // set to exactly T, where a pinned demand does maximal damage) and
 // "bang-bang" (every demand at either T or the maximum) — the classic MIP
 // rounding-heuristic move adapted to this domain. Any value returned is a
 // genuinely achievable gap, so branch and bound can use it as an incumbent.
-func (pr *DPGapProblem) polisher(b *dpBuild) func(x []float64) (float64, []float64, bool) {
+func (pr *DPGapProblem) polisher(b *dpBuild, price func([]float64) (float64, bool)) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
-	pc := mcf.NewPricer(pr.Inst)
-	price := func(d []float64) (float64, bool) {
-		dp, err := pc.DemandPinning(d, pr.Threshold)
-		if err != nil {
-			return 0, false // infeasible pinning or solver trouble: skip
-		}
-		opt, err := pc.MaxFlow(d)
-		if err != nil {
-			return 0, false
-		}
-		return opt.Total - dp.Total, true
-	}
 	// Structured seeds, tried once (the cache absorbs repeats): pin every
 	// demand, and pin exactly the demands with multi-hop shortest paths —
 	// the structure Section 4 identifies as DP's weakness ("serving small
@@ -515,19 +505,4 @@ func (c *priceCache) polishBest(ic *InputConstraints, price func([]float64) (flo
 		sol[dv] = bestD[k]
 	}
 	return bestGap, sol, true
-}
-
-// verify recomputes OPT and DP at the found demands with the direct solvers.
-func (pr *DPGapProblem) verify(out *Result) error {
-	inst := pr.Inst.WithVolumes(out.Demands)
-	opt, err := mcf.SolveMaxFlow(inst)
-	if err != nil {
-		return fmt.Errorf("core: verifying OPT: %w", err)
-	}
-	dp, err := mcf.SolveDemandPinning(inst, pr.Threshold)
-	if err != nil {
-		return fmt.Errorf("core: verifying DP: %w", err)
-	}
-	out.priced(opt.Total, dp.Total, pr.Inst.G.TotalCapacity())
-	return nil
 }

@@ -196,8 +196,11 @@ func (pr *POPGapProblem) search(polish bool) (*gapSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gapSearch{model: b.model,
-		verify: func(out *Result) error { return pr.verify(out, b.assignments) },
+	pc, descriptor := mcf.NewPricer(pr.Inst), pr.descriptor()
+	price := gapPrice(func(d []float64) (float64, float64, error) {
+		return pc.POPGap(d, b.assignments, pr.Partitions, descriptor)
+	})
+	g := &gapSearch{model: b.model, verify: price.verifier(pr.Inst.G.TotalCapacity()),
 		read: func(x []float64) []float64 {
 			out := make([]float64, len(b.demands))
 			for k, dv := range b.demands {
@@ -215,7 +218,7 @@ func (pr *POPGapProblem) search(polish bool) (*gapSearch, error) {
 	if !polish || pr.DisablePolish {
 		return g, nil
 	}
-	g.polish = pr.polisher(b)
+	g.polish = pr.polisher(b, price.gap)
 	nv := b.model.P.NumVars()
 	x := make([]float64, nv)
 	for _, dv := range b.demands {
@@ -237,23 +240,10 @@ func (pr *POPGapProblem) search(polish bool) (*gapSearch, error) {
 }
 
 // polisher returns the primal heuristic for the POP gap search: price the
-// relaxation's (repaired) demand vector exactly with direct solves over the
-// same fixed assignments and descriptor.
-func (pr *POPGapProblem) polisher(b *popBuild) func(x []float64) (float64, []float64, bool) {
+// relaxation's (repaired) demand vector exactly with price, over the same
+// fixed assignments and descriptor as the search.
+func (pr *POPGapProblem) polisher(b *popBuild, price func([]float64) (float64, bool)) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
-	pc := mcf.NewPricer(pr.Inst)
-	price := func(d []float64) (float64, bool) {
-		at := pr.Inst.WithVolumes(d)
-		opt, err := pc.MaxFlow(d)
-		if err != nil {
-			return 0, false
-		}
-		totals, err := EvaluatePOPOnAssignments(at, b.assignments, pr.Partitions)
-		if err != nil {
-			return 0, false
-		}
-		return opt.Total - pr.descriptor(totals), true
-	}
 	return func(x []float64) (float64, []float64, bool) {
 		raw := make([]float64, len(b.demands))
 		maxed := make([]float64, len(b.demands))
@@ -267,66 +257,32 @@ func (pr *POPGapProblem) polisher(b *popBuild) func(x []float64) (float64, []flo
 	}
 }
 
-// verify recomputes OPT and the POP descriptor at the found demands.
-func (pr *POPGapProblem) verify(out *Result, assignments [][]int) error {
-	inst := pr.Inst.WithVolumes(out.Demands)
-	opt, err := mcf.SolveMaxFlow(inst)
-	if err != nil {
-		return fmt.Errorf("core: verifying OPT: %w", err)
+// descriptor returns the reduction of the per-instantiation POP totals the
+// search targets: nil for their mean, or the TailPercentile order
+// statistic.
+func (pr *POPGapProblem) descriptor() func(totals []float64) float64 {
+	if pr.TailPercentile == nil {
+		return nil
 	}
-	totals, err := EvaluatePOPOnAssignments(inst, assignments, pr.Partitions)
-	if err != nil {
-		return err
-	}
-	out.priced(opt.Total, pr.descriptor(totals), pr.Inst.G.TotalCapacity())
-	return nil
-}
-
-// descriptor reduces the per-instantiation POP totals to the value the
-// search targets: their mean, or the TailPercentile order statistic.
-func (pr *POPGapProblem) descriptor(totals []float64) float64 {
-	if pr.TailPercentile != nil {
+	p := *pr.TailPercentile
+	return func(totals []float64) float64 {
 		sorted := sortnet.Sort(totals)
-		return sorted[sortnet.PercentileIndex(*pr.TailPercentile, len(sorted))]
+		return sorted[sortnet.PercentileIndex(p, len(sorted))]
 	}
-	var heur float64
-	for _, v := range totals {
-		heur += v
-	}
-	return heur / float64(len(totals))
-}
-
-// EvaluatePOPOnAssignments solves POP directly under each fixed assignment
-// and returns the total flow per assignment.
-func EvaluatePOPOnAssignments(inst *mcf.Instance, assignments [][]int, partitions int) ([]float64, error) {
-	n := inst.Demands.Len()
-	clients := make([]mcf.Client, n)
-	for k := 0; k < n; k++ {
-		clients[k] = mcf.Client{Demand: k, Volume: inst.Demands.Volume(k)}
-	}
-	totals := make([]float64, len(assignments))
-	for i, a := range assignments {
-		f, err := mcf.SolvePOPAssigned(inst, clients, a, partitions)
-		if err != nil {
-			return nil, fmt.Errorf("core: verifying POP instantiation %d: %w", i, err)
-		}
-		totals[i] = f.Total
-	}
-	return totals, nil
 }
 
 // POPTransferGap evaluates how an adversarial input generalizes: it draws
 // rounds fresh random partitionings and returns the average OPT - POP gap —
 // the test of Figure 5a ("tested on 10 other random partitions").
 func POPTransferGap(inst *mcf.Instance, demands []float64, partitions, rounds int, rng *rand.Rand) (float64, error) {
-	at := inst.WithVolumes(demands)
-	opt, err := mcf.SolveMaxFlow(at)
+	pc := mcf.NewPricer(inst)
+	opt, err := pc.MaxFlow(demands)
 	if err != nil {
 		return 0, err
 	}
 	sum := 0.0
 	for i := 0; i < rounds; i++ {
-		f, err := mcf.SolvePOP(at, mcf.POPOptions{Partitions: partitions, Rng: rng})
+		f, err := pc.POP(demands, mcf.POPOptions{Partitions: partitions, Rng: rng})
 		if err != nil {
 			return 0, err
 		}

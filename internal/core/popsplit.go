@@ -281,8 +281,9 @@ func (pr *POPSplitGapProblem) search(polish bool) (*gapSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gapSearch{model: b.model,
-		verify: func(out *Result) error { return pr.verify(out, b.plan) },
+	pc := mcf.NewPricer(pr.Inst)
+	price := gapPrice(func(d []float64) (float64, float64, error) { return pr.price(pc, d, b.plan) })
+	g := &gapSearch{model: b.model, verify: price.verifier(pr.Inst.G.TotalCapacity()),
 		read: func(x []float64) []float64 {
 			out := make([]float64, len(b.demands))
 			for k, dv := range b.demands {
@@ -291,7 +292,7 @@ func (pr *POPSplitGapProblem) search(polish bool) (*gapSearch, error) {
 			return out
 		}}
 	if polish {
-		g.polish = pr.polisher(b)
+		g.polish = pr.polisher(b, price.gap)
 		x := make([]float64, b.model.P.NumVars())
 		for _, dv := range b.demands {
 			x[dv] = pr.Input.MaxDemand
@@ -301,10 +302,13 @@ func (pr *POPSplitGapProblem) search(polish bool) (*gapSearch, error) {
 	return g, nil
 }
 
-// evalSplitPOP prices split POP exactly under the fixed slot plan and
-// returns the mean total flow across instantiations.
-func (pr *POPSplitGapProblem) evalSplitPOP(d []float64, plan slotPlan) (float64, error) {
-	at := pr.Inst.WithVolumes(d)
+// price prices OPT and split POP at demands d on pc, split POP exactly
+// under the fixed slot plan as the mean total flow across instantiations.
+func (pr *POPSplitGapProblem) price(pc *mcf.Pricer, d []float64, plan slotPlan) (opt, heur float64, err error) {
+	optFlow, err := pc.MaxFlow(d)
+	if err != nil {
+		return 0, 0, err
+	}
 	sum := 0.0
 	for _, instPlan := range plan {
 		var clients []mcf.Client
@@ -317,29 +321,17 @@ func (pr *POPSplitGapProblem) evalSplitPOP(d []float64, plan slotPlan) (float64,
 				assign = append(assign, part)
 			}
 		}
-		f, err := mcf.SolvePOPAssigned(at, clients, assign, pr.Partitions)
+		f, err := pc.POPAssigned(clients, assign, pr.Partitions)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		sum += f.Total
 	}
-	return sum / float64(len(plan)), nil
+	return optFlow.Total, sum / float64(len(plan)), nil
 }
 
-func (pr *POPSplitGapProblem) polisher(b *popSplitBuild) func(x []float64) (float64, []float64, bool) {
+func (pr *POPSplitGapProblem) polisher(b *popSplitBuild, price func([]float64) (float64, bool)) func(x []float64) (float64, []float64, bool) {
 	cache := newPriceCache(512)
-	pc := mcf.NewPricer(pr.Inst)
-	price := func(d []float64) (float64, bool) {
-		opt, err := pc.MaxFlow(d)
-		if err != nil {
-			return 0, false
-		}
-		heur, err := pr.evalSplitPOP(d, b.plan)
-		if err != nil {
-			return 0, false
-		}
-		return opt.Total - heur, true
-	}
 	return func(x []float64) (float64, []float64, bool) {
 		raw := make([]float64, len(b.demands))
 		for k, dv := range b.demands {
@@ -347,18 +339,4 @@ func (pr *POPSplitGapProblem) polisher(b *popSplitBuild) func(x []float64) (floa
 		}
 		return cache.polishBest(&pr.Input, price, x, b.demands, raw)
 	}
-}
-
-func (pr *POPSplitGapProblem) verify(out *Result, plan slotPlan) error {
-	at := pr.Inst.WithVolumes(out.Demands)
-	opt, err := mcf.SolveMaxFlow(at)
-	if err != nil {
-		return fmt.Errorf("core: verifying OPT: %w", err)
-	}
-	heur, err := pr.evalSplitPOP(out.Demands, plan)
-	if err != nil {
-		return fmt.Errorf("core: verifying split POP: %w", err)
-	}
-	out.priced(opt.Total, heur, pr.Inst.G.TotalCapacity())
-	return nil
 }

@@ -87,16 +87,11 @@ func TestPOPSplitGapMatchesBruteForce(t *testing.T) {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == 3 {
-			at := inst.WithVolumes(vols[:])
-			opt, err := mcf.SolveMaxFlow(at)
+			opt, heur, err := prEval.price(mcf.NewPricer(inst), vols[:], plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			heur, err := prEval.evalSplitPOP(vols[:], plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := opt.Total - heur; g > best {
+			if g := opt - heur; g > best {
 				best = g
 			}
 			return
@@ -118,12 +113,8 @@ func TestPOPSplitReducesGapVersusPlainPOP(t *testing.T) {
 	// for plain POP.
 	inst := popLineInstance(t)
 	d := []float64{100, 100, 100}
-	at := inst.WithVolumes(d)
-	opt, err := mcf.SolveMaxFlow(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainTotals, err := EvaluatePOPOnAssignments(at, [][]int{{0, 0, 1}}, 2)
+	pc := mcf.NewPricer(inst)
+	opt, plain, err := pc.POPGap(d, [][]int{{0, 0, 1}}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,15 +127,15 @@ func TestPOPSplitReducesGapVersusPlainPOP(t *testing.T) {
 	sum, rounds := 0.0, 8
 	for i := 0; i < rounds; i++ {
 		plan := drawSlotPlan(3, 1, 2, 2, rand.New(rand.NewSource(int64(100+i))))
-		v, err := pr.evalSplitPOP(d, plan)
+		_, v, err := pr.price(pc, d, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum += v
 	}
 	splitAvg := sum / float64(rounds)
-	if splitAvg < plainTotals[0]-10 {
-		t.Fatalf("split POP %v much worse than plain %v (OPT %v)", splitAvg, plainTotals[0], opt.Total)
+	if splitAvg < plain-10 {
+		t.Fatalf("split POP %v much worse than plain %v (OPT %v)", splitAvg, plain, opt)
 	}
 }
 

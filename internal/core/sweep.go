@@ -36,17 +36,21 @@ func (pr *DPGapProblem) GapAtLeast(target float64, timeout time.Duration) (found
 
 // BinarySweepGap brackets the maximum achievable gap in [lo, hi] by binary
 // search over GapAtLeast queries — the protocol the paper uses for solvers
-// that do not report incremental progress (Section 3.3). It returns the
-// final bracket [bestFound, hi'] and the best witness seen. iters bounds
-// the number of queries.
+// that do not report incremental progress (Section 3.3). A query that times
+// out counts as "no" for the bisection, as in the paper, so the search
+// moves below its midpoint; but only a proved "no" lowers the returned
+// upper, which therefore stays a proved bound on the gap (hi when no query
+// was proved). bestFound is the best witnessed gap and witness its result.
+// iters bounds the number of queries.
 func (pr *DPGapProblem) BinarySweepGap(lo, hi float64, iters int, perQuery time.Duration) (bestFound float64, upper float64, witness *Result, err error) {
 	if lo > hi {
 		return 0, 0, nil, fmt.Errorf("core: sweep range [%g, %g] invalid", lo, hi)
 	}
 	bestFound, upper = lo, hi
-	for i := 0; i < iters && upper-bestFound > 1e-6; i++ {
-		mid := (bestFound + upper) / 2
-		found, _, r, err := pr.GapAtLeast(mid, perQuery)
+	top := hi // the bisection's upper end: lowered by every "no"
+	for i := 0; i < iters && top-bestFound > 1e-6; i++ {
+		mid := (bestFound + top) / 2
+		found, proved, r, err := pr.GapAtLeast(mid, perQuery)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -55,10 +59,10 @@ func (pr *DPGapProblem) BinarySweepGap(lo, hi float64, iters int, perQuery time.
 			// The witness may overshoot the midpoint; use its actual gap.
 			bestFound = r.Gap
 			witness = r
+		case proved:
+			top, upper = mid, mid
 		default:
-			// Proved "no", or timed out: per the paper's protocol a timeout
-			// counts as "no" too.
-			upper = mid
+			top = mid
 		}
 	}
 	return bestFound, upper, witness, nil
@@ -69,7 +73,9 @@ func (pr *DPGapProblem) BinarySweepGap(lo, hi float64, iters int, perQuery time.
 // the Section-5 use case of "identifying realistic constraints on the input
 // space with small worst-case optimality gap, then safely use the
 // heuristic". It assumes the worst-case gap grows with the threshold
-// (Figure 4a's empirical finding) and bisects with GapAtLeast queries.
+// (Figure 4a's empirical finding) and bisects with GapAtLeast queries. A
+// query that times out counts as "no" witness, so the result is proved
+// safe only when no query timed out.
 func SafeThreshold(inst *DPGapProblem, lo, hi float64, eps float64, iters int, perQuery time.Duration) (float64, error) {
 	if lo > hi {
 		return 0, fmt.Errorf("core: threshold range [%g, %g] invalid", lo, hi)

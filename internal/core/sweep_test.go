@@ -59,6 +59,31 @@ func TestBinarySweepBracketsOptimum(t *testing.T) {
 	}
 }
 
+// TestBinarySweepTimeoutKeepsUpper: on a range above every gap the seeds
+// reach, a 1ns query never gets past the solver's first deadline check, so
+// every query times out. The bisection still moves down, but no query was
+// proved, so the returned upper end must stay at hi.
+func TestBinarySweepTimeoutKeepsUpper(t *testing.T) {
+	pr := &DPGapProblem{
+		Inst:      figure1Instance(t),
+		Threshold: 50,
+		Input:     InputConstraints{MaxDemand: 100},
+	}
+	if found, proved, _, err := pr.GapAtLeast(225, time.Nanosecond); err != nil || found || proved {
+		t.Fatalf("GapAtLeast(225, 1ns) = found %v, proved %v, %v; want a timed-out query", found, proved, err)
+	}
+	best, upper, witness, err := pr.BinarySweepGap(150, 300, 4, time.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upper != 300 {
+		t.Fatalf("upper %v after queries that all timed out, want hi = 300", upper)
+	}
+	if best != 150 || witness != nil {
+		t.Fatalf("best %v, witness %v; want lo = 150 and none (Figure 1's maximum gap is 100)", best, witness)
+	}
+}
+
 func TestBinarySweepValidation(t *testing.T) {
 	pr := &DPGapProblem{
 		Inst: figure1Instance(t), Threshold: 50,

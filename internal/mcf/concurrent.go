@@ -33,62 +33,24 @@ func SolveMaxConcurrent(inst *Instance) (*Flow, float64, error) {
 // demands at or below the threshold are pinned to their shortest paths
 // (their lambda is therefore 1 if they fit), and the remaining demands
 // maximize the common fraction lambda on the residual capacities. Returns
-// ErrInfeasible when the pinned flows oversubscribe a link.
+// ErrInfeasible when the pinned flows oversubscribe a link. Callers that
+// price many volume vectors on one instance hold a Pricer.
 func SolveDemandPinningConcurrent(inst *Instance, threshold float64) (*Flow, float64, error) {
-	residual, ok := residualAfterPinning(inst, inst.Demands.Volumes(), threshold)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
+	return NewPricer(inst).DemandPinningConcurrent(inst.Demands.Volumes(), threshold)
+}
+
+// DemandPinningConcurrent is SolveDemandPinningConcurrent at the given
+// volumes; a threshold of -Inf pins nothing (SolveMaxConcurrent). It panics
+// on a vector WithVolumes would refuse.
+func (pc *Pricer) DemandPinningConcurrent(vols []float64, threshold float64) (*Flow, float64, error) {
+	out, residual, err := pc.pin(vols, threshold)
+	if err != nil {
+		return nil, 0, err
 	}
-	out := newFlow(inst)
-	vols := inst.Demands.Volumes()
-	pinned := Pinned(inst, threshold)
-	anyFree := false
-	for k, isPinned := range pinned {
-		if isPinned {
-			out.add(k, 0, vols[k])
-		} else if vols[k] > 0 {
-			anyFree = true
-		}
-	}
-	if !anyFree {
+	if !anyAbove(vols, math.Max(threshold, 0)) {
 		return out, 1, nil
 	}
-
-	p := lp.NewProblem("concurrent", lp.Maximize)
-	lam := p.AddVar("lambda", 0, 1)
-	p.SetObj(lam, 1)
-	varOf := make(map[[2]int]lp.VarID)
-	for k, ps := range inst.Paths {
-		if pinned[k] || vols[k] == 0 {
-			continue
-		}
-		e := lp.NewExpr().Add(lam, -vols[k])
-		cap := lp.NewExpr()
-		for pi := range ps {
-			v := p.AddVar(fmt.Sprintf("f%d.%d", k, pi), 0, lp.Inf)
-			varOf[[2]int{k, pi}] = v
-			e = e.Add(v, 1)
-			cap = cap.Add(v, 1)
-		}
-		p.AddConstraint(fmt.Sprintf("dem%d", k), e, lp.GE, 0)
-		p.AddConstraint(fmt.Sprintf("vol%d", k), cap, lp.LE, vols[k])
-	}
-	for e := 0; e < inst.G.NumEdges(); e++ {
-		expr := lp.NewExpr()
-		for k, ps := range inst.Paths {
-			if pinned[k] || vols[k] == 0 {
-				continue
-			}
-			for pi, path := range ps {
-				if path.Contains(e) {
-					expr = expr.Add(varOf[[2]int{k, pi}], 1)
-				}
-			}
-		}
-		if len(expr.Terms) > 0 {
-			p.AddConstraint(fmt.Sprintf("cap%d", e), expr, lp.LE, residual[e])
-		}
-	}
+	p, varOf := pc.concurrentLP(vols, threshold, residual)
 	sol, err := p.SolveWith(oneShotOpts())
 	if err != nil {
 		return nil, 0, err
@@ -96,13 +58,44 @@ func SolveDemandPinningConcurrent(inst *Instance, threshold float64) (*Flow, flo
 	if sol.Status != lp.StatusOptimal {
 		return nil, 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
 	}
-	for k, ps := range inst.Paths {
-		if pinned[k] || vols[k] == 0 {
-			continue
+	pc.addFlows(out, varOf, sol.X)
+	return out, sol.X[0], nil // variable 0 is lambda
+}
+
+// concurrentLP assembles the concurrent LP over the demands with a
+// positive volume above the threshold: lambda, then per such demand k its
+// path variables "f<k>.<p>", a "dem<k>" row (flow >= lambda * d_k) and a
+// "vol<k>" row (flow <= d_k), then the "cap<e>" rows of the edges they
+// cross over the residual capacities. varOf is as in flowLP.
+func (pc *Pricer) concurrentLP(vols []float64, threshold float64, residual []float64) (*lp.Problem, []lp.VarID) {
+	pc.incOnce.Do(pc.buildIncidence)
+	p := lp.NewProblem("concurrent", lp.Maximize)
+	lam := p.AddVar("lambda", 0, 1)
+	p.SetObj(lam, 1)
+	varOf := make([]lp.VarID, len(pc.varName))
+	terms := make([]lp.Term, 0, pc.nnz+len(pc.first)+len(pc.varName))
+	cut := math.Max(threshold, 0)
+	for k, ps := range pc.inst.Paths {
+		free := vols[k] > cut
+		dem := len(terms)
+		if free {
+			terms = append(terms, lp.Term{Var: lam, Coef: -vols[k]})
 		}
 		for pi := range ps {
-			out.add(k, pi, sol.X[varOf[[2]int{k, pi}]])
+			j := pc.first[k] + pi
+			varOf[j] = -1
+			if free {
+				varOf[j] = p.AddVar(pc.varName[j], 0, lp.Inf)
+				terms = append(terms, lp.Term{Var: varOf[j], Coef: 1})
+			}
+		}
+		if free {
+			vol := len(terms)
+			terms = append(terms, terms[dem+1:vol]...)
+			p.AddConstraint(pc.demName[k], lp.Expr{Terms: terms[dem:vol:vol]}, lp.GE, 0)
+			p.AddConstraint(pc.volName[k], lp.Expr{Terms: terms[vol:len(terms):len(terms)]}, lp.LE, vols[k])
 		}
 	}
-	return out, sol.X[lam], nil
+	pc.addCapRows(p, terms, varOf, residual, false)
+	return p, varOf
 }

@@ -308,20 +308,6 @@ func innerProblem(in *kkt.InnerLP) (*lp.Problem, []lp.VarID, error) {
 // by TestOneShotPresolveDifferential.
 func oneShotOpts() lp.SolveOptions { return lp.SolveOptions{Presolve: true} }
 
-// solveInner solves an InnerLP whose RHS entries are all constants and
-// returns the LP solution.
-func solveInner(in *kkt.InnerLP) (*lp.Solution, []lp.VarID, error) {
-	p, xs, err := innerProblem(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	sol, err := p.SolveWith(oneShotOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol, xs, nil
-}
-
 // WarmStartReport summarizes the warm-start self-check of WarmStartSelfCheck.
 type WarmStartReport struct {
 	ColdIters int     // pivots of the cold child solve

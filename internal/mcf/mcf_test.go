@@ -268,7 +268,7 @@ func TestSplitClients(t *testing.T) {
 func TestPartitionClientsConservesVolume(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	clients := SplitClients([]float64{40, 8, 13}, 10, 3)
-	per := PartitionClients(clients, 3, 3, rng)
+	per := AggregateAssigned(clients, RandomAssignment(len(clients), 3, rng), 3, 3)
 	for k, want := range []float64{40, 8, 13} {
 		got := 0.0
 		for c := range per {

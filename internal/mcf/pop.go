@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/kkt"
 	"repro/internal/lp"
 )
 
@@ -22,7 +21,7 @@ type POPOptions struct {
 	MaxSplits      int
 }
 
-func (o *POPOptions) validate(inst *Instance) error {
+func (o *POPOptions) validate() error {
 	if o.Partitions < 1 {
 		return fmt.Errorf("mcf: POP needs >= 1 partition, got %d", o.Partitions)
 	}
@@ -32,7 +31,6 @@ func (o *POPOptions) validate(inst *Instance) error {
 	if o.ClientSplit && (o.SplitThreshold <= 0 || o.MaxSplits < 1) {
 		return fmt.Errorf("mcf: client splitting needs SplitThreshold > 0 and MaxSplits >= 1")
 	}
-	_ = inst
 	return nil
 }
 
@@ -63,15 +61,6 @@ func SplitClients(vols []float64, threshold float64, maxSplits int) []Client {
 	return out
 }
 
-// PartitionClients assigns clients uniformly at random to partitions and
-// returns, per partition, the aggregate volume per demand index (clients of
-// the same demand landing in the same partition pool their volume — the
-// flow LP cannot tell them apart).
-func PartitionClients(clients []Client, partitions int, numDemands int, rng *rand.Rand) [][]float64 {
-	assign := RandomAssignment(len(clients), partitions, rng)
-	return AggregateAssigned(clients, assign, partitions, numDemands)
-}
-
 // RandomAssignment draws a uniform partition index for each of n clients —
 // the randomness POP's guarantees hinge on. Separating the draw from the
 // solve lets the gap finder optimize against fixed instantiations and then
@@ -85,7 +74,9 @@ func RandomAssignment(n, partitions int, rng *rand.Rand) []int {
 }
 
 // AggregateAssigned pools client volumes per (partition, demand) under a
-// fixed client-to-partition assignment.
+// fixed client-to-partition assignment: clients of the same demand landing
+// in the same partition pool their volume, as the flow LP cannot tell them
+// apart.
 func AggregateAssigned(clients []Client, assign []int, partitions, numDemands int) [][]float64 {
 	per := make([][]float64, partitions)
 	for c := range per {
@@ -99,42 +90,86 @@ func AggregateAssigned(clients []Client, assign []int, partitions, numDemands in
 
 // SolvePOPAssigned solves POP under a fixed client-to-partition assignment.
 func SolvePOPAssigned(inst *Instance, clients []Client, assign []int, partitions int) (*Flow, error) {
-	if len(assign) != len(clients) {
-		return nil, fmt.Errorf("mcf: %d assignments for %d clients", len(assign), len(clients))
+	return NewPricer(inst).POPAssigned(clients, assign, partitions)
+}
+
+// POPAssigned is SolvePOPAssigned on the pricer's instance: each partition
+// routes its clients' pooled volumes over the capacities divided by the
+// partition count, and the flows are unioned in partition order.
+func (pc *Pricer) POPAssigned(clients []Client, assign []int, partitions int) (*Flow, error) {
+	lps, varOfs, err := pc.popLPs(clients, assign, partitions)
+	if err != nil {
+		return nil, err
 	}
-	per := AggregateAssigned(clients, assign, partitions, inst.Demands.Len())
-	out := newFlow(inst)
-	capFrac := 1 / float64(partitions)
-	for c := 0; c < partitions; c++ {
-		pv := per[c]
-		fl := BuildInnerMaxFlow(fmt.Sprintf("pop%d", c), inst, func(k int) kkt.AffineRHS {
-			return kkt.Constant(pv[k])
-		}, capFrac, func(k int) bool { return pv[k] > 0 }, 0)
-		if fl.LP.NumVars == 0 {
+	out := newFlow(pc.inst)
+	for c, p := range lps {
+		if p == nil {
 			continue
 		}
-		sol, xs, err := solveInner(fl.LP)
+		sol, err := p.SolveWith(oneShotOpts())
 		if err != nil {
 			return nil, err
 		}
 		if sol.Status != lp.StatusOptimal {
 			return nil, fmt.Errorf("mcf: POP partition %d LP %v", c, sol.Status)
 		}
-		for k, ps := range inst.Paths {
-			for p := range ps {
-				if idx := fl.Index[k][p]; idx != -1 {
-					out.add(k, p, sol.X[xs[idx]])
-				}
-			}
-		}
+		pc.addFlows(out, varOfs[c], sol.X)
 	}
 	return out, nil
 }
 
-// Clients materializes the client list for an instance under the options:
+// popLPs assembles every partition's LP, nil for a partition with no
+// demand to route, and its varOf as in flowLP.
+func (pc *Pricer) popLPs(clients []Client, assign []int, partitions int) ([]*lp.Problem, [][]lp.VarID, error) {
+	if len(assign) != len(clients) {
+		return nil, nil, fmt.Errorf("mcf: %d assignments for %d clients", len(assign), len(clients))
+	}
+	per := AggregateAssigned(clients, assign, partitions, pc.inst.Demands.Len())
+	caps := make([]float64, pc.inst.G.NumEdges())
+	for e := range caps {
+		caps[e] = pc.inst.G.Edge(e).Capacity * (1 / float64(partitions))
+	}
+	names := pc.popNames(partitions)
+	lps, varOfs := make([]*lp.Problem, partitions), make([][]lp.VarID, partitions)
+	for c, pv := range per {
+		if p, varOf := pc.flowLP(names[c], pv, 0, caps, true); p.NumVars() > 0 {
+			lps[c], varOfs[c] = p, varOf
+		}
+	}
+	return lps, varOfs, nil
+}
+
+// POPGap prices OPT and POP at vols, one client per demand, under each
+// fixed client-to-partition assignment: the two sides of the POP gap. It
+// returns OPT's total and descriptor applied to the POP total of each
+// assignment, or their mean when descriptor is nil.
+func (pc *Pricer) POPGap(vols []float64, assignments [][]int, partitions int, descriptor func([]float64) float64) (opt, pop float64, err error) {
+	optFlow, err := pc.MaxFlow(vols)
+	if err != nil {
+		return 0, 0, err
+	}
+	clients := Clients(vols, POPOptions{})
+	totals := make([]float64, len(assignments))
+	for i, a := range assignments {
+		f, err := pc.POPAssigned(clients, a, partitions)
+		if err != nil {
+			return 0, 0, fmt.Errorf("mcf: POP instantiation %d: %w", i, err)
+		}
+		totals[i] = f.Total
+	}
+	if descriptor != nil {
+		return optFlow.Total, descriptor(totals), nil
+	}
+	sum := 0.0
+	for _, t := range totals {
+		sum += t
+	}
+	return optFlow.Total, sum / float64(len(totals)), nil
+}
+
+// Clients materializes the client list for volumes vols under the options:
 // one client per demand, or the Appendix-A split set.
-func Clients(inst *Instance, opts POPOptions) []Client {
-	vols := inst.Demands.Volumes()
+func Clients(vols []float64, opts POPOptions) []Client {
 	if opts.ClientSplit {
 		return SplitClients(vols, opts.SplitThreshold, opts.MaxSplits)
 	}
@@ -149,12 +184,19 @@ func Clients(inst *Instance, opts POPOptions) []Client {
 // random, each partition solves OptMaxFlow over its own demands with every
 // edge capacity divided by the partition count, and the flows are unioned.
 func SolvePOP(inst *Instance, opts POPOptions) (*Flow, error) {
-	if err := opts.validate(inst); err != nil {
+	return NewPricer(inst).POP(inst.Demands.Volumes(), opts)
+}
+
+// POP is SolvePOP at the given volumes. It panics on a vector WithVolumes
+// would refuse.
+func (pc *Pricer) POP(vols []float64, opts POPOptions) (*Flow, error) {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	clients := Clients(inst, opts)
+	pc.inst.Demands.CheckVolumes(vols)
+	clients := Clients(vols, opts)
 	assign := RandomAssignment(len(clients), opts.Partitions, opts.Rng)
-	return SolvePOPAssigned(inst, clients, assign, opts.Partitions)
+	return pc.POPAssigned(clients, assign, opts.Partitions)
 }
 
 // ExpectedPOPTotal estimates E[POP total flow] over rounds independent
@@ -164,9 +206,10 @@ func ExpectedPOPTotal(inst *Instance, opts POPOptions, rounds int) (float64, err
 	if rounds < 1 {
 		return 0, fmt.Errorf("mcf: need >= 1 round")
 	}
+	pc := NewPricer(inst)
 	sum := 0.0
 	for r := 0; r < rounds; r++ {
-		f, err := SolvePOP(inst, opts)
+		f, err := pc.POP(inst.Demands.Volumes(), opts)
 		if err != nil {
 			return 0, err
 		}

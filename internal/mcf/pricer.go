@@ -8,17 +8,16 @@ import (
 	"repro/internal/lp"
 )
 
-// Pricer prices demand vectors on one instance with the direct OPT and
-// Demand Pinning solvers. What does not depend on the volumes is built
-// once, on first use: the OPT LP, whose calls then only rewrite the demand
-// rows' right-hand sides, and the DP phase-2 LP's edge incidence and
-// names, from which each call assembles that LP without a map, a name
-// format or a path scan. Every LP a call hands the solver is the one
-// SolveMaxFlow and SolveDemandPinning built per call before the Pricer
-// existed (same variables, rows, term order and names), so every answer
-// is bitwise the same. A Pricer is immutable once built and safe for
-// concurrent use. It is bound to its instance's graph and paths: an
-// instance with other capacities needs its own.
+// Pricer prices demand vectors on one instance with the direct OPT, Demand
+// Pinning, concurrent-flow and POP solvers. What does not depend on the
+// volumes is built once, on first use: the OPT LP, whose calls then only
+// rewrite the demand rows' right-hand sides, and the edge incidence and
+// names from which each DP, concurrent or POP call assembles its LP without
+// a map, a name format or a path scan. Every LP a call hands the solver is
+// the one the per-call builders made before the Pricer existed (same
+// variables, rows, term order and names), so every answer is bitwise the
+// same. A Pricer is safe for concurrent use. It is bound to its instance's
+// graph and paths: an instance with other capacities needs its own.
 type Pricer struct {
 	inst *Instance
 
@@ -28,13 +27,18 @@ type Pricer struct {
 	optRHS  []float64 // opt's right-hand sides at zero volumes
 	optErr  error
 
-	dpOnce  sync.Once
+	incOnce sync.Once
 	first   []int    // first[k]: flat index of demand k's path 0
-	varName []string // "f<k>.<p>" per flat (k, p)
-	demName []string // "dem<k>" per demand
-	capName []string // "cap<e>" per edge
 	crosses [][]int  // crosses[e]: flat (k, p) whose path uses edge e, in (k, p) order
-	nnz     int      // phase-2 nonzeros when no demand is pinned
+	nnz     int      // one per flat (k, p) plus one per crossing
+	varName []string // "f<k>.<p>" per flat (k, p)
+	xName   []string // "x<j>": a POP partition's j-th variable
+	demName []string // "dem<k>" per demand
+	volName []string // "vol<k>" per demand
+	capName []string // "cap<e>" per edge
+
+	popMu   sync.Mutex
+	popName []string // "pop<c>", grown to the most partitions priced
 }
 
 // NewPricer returns a pricer for inst. It builds nothing until the first
@@ -52,10 +56,11 @@ func (pc *Pricer) buildOpt() {
 	}
 }
 
-func (pc *Pricer) buildDP() {
+func (pc *Pricer) buildIncidence() {
 	inst := pc.inst
 	pc.first = make([]int, len(inst.Paths))
 	pc.demName = make([]string, len(inst.Paths))
+	pc.volName = make([]string, len(inst.Paths))
 	pc.capName = make([]string, inst.G.NumEdges())
 	pc.crosses = make([][]int, inst.G.NumEdges())
 	for e := range pc.capName {
@@ -64,9 +69,11 @@ func (pc *Pricer) buildDP() {
 	for k, ps := range inst.Paths {
 		pc.first[k] = len(pc.varName)
 		pc.demName[k] = fmt.Sprintf("dem%d", k)
+		pc.volName[k] = fmt.Sprintf("vol%d", k)
 		for p, path := range ps {
 			j := len(pc.varName)
 			pc.varName = append(pc.varName, fmt.Sprintf("f%d.%d", k, p))
+			pc.xName = append(pc.xName, fmt.Sprintf("x%d", j))
 			pc.nnz++
 			for _, e := range path.Edges {
 				// Path.Contains counts an edge once per path, however often it is listed.
@@ -77,6 +84,17 @@ func (pc *Pricer) buildDP() {
 			}
 		}
 	}
+}
+
+// popNames returns the LP names of partitions 0..partitions-1, formatting
+// only those no earlier call needed.
+func (pc *Pricer) popNames(partitions int) []string {
+	pc.popMu.Lock()
+	defer pc.popMu.Unlock()
+	for c := len(pc.popName); c < partitions; c++ {
+		pc.popName = append(pc.popName, fmt.Sprintf("pop%d", c))
+	}
+	return pc.popName[:partitions:partitions]
 }
 
 // MaxFlow solves OptMaxFlow (3) at the given volumes, one per demand. A
@@ -122,23 +140,9 @@ func (pc *Pricer) optLP(vols []float64) (*lp.Problem, error) {
 // ErrInfeasible when the pinned flows alone exceed some link capacity, and
 // panics on a vector WithVolumes would refuse.
 func (pc *Pricer) DemandPinning(vols []float64, threshold float64) (*Flow, error) {
-	inst := pc.inst
-	inst.Demands.CheckVolumes(vols)
-	residual, ok := residualAfterPinning(inst, vols, threshold)
-	if !ok {
-		return nil, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
-	}
-	out := newFlow(inst)
-	anyFree := false
-	for k, v := range vols {
-		if v <= threshold {
-			out.add(k, 0, v)
-		} else {
-			anyFree = true
-		}
-	}
-	if !anyFree {
-		return out, nil
+	out, residual, err := pc.pin(vols, threshold)
+	if err != nil || !anyAbove(vols, threshold) {
+		return out, err
 	}
 
 	// Phase 2: joint optimization of the unpinned demands — the speedup the
@@ -151,41 +155,101 @@ func (pc *Pricer) DemandPinning(vols []float64, threshold float64) (*Flow, error
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
 	}
-	// Extract in demand/path order, the order Total has always summed in.
-	for k, ps := range inst.Paths {
-		for pi := range ps {
-			if v := varOf[pc.first[k]+pi]; v >= 0 {
-				out.add(k, pi, sol.X[v])
-			}
-		}
-	}
+	pc.addFlows(out, varOf, sol.X)
 	return out, nil
 }
 
-// phase2LP assembles the DP phase-2 LP over the residual capacities.
-// varOf[first[k]+p] is the variable of demand k's path p, or -1 when
-// demand k is pinned.
+// pin routes the demands at or below the threshold on their shortest
+// paths, in a fresh flow, and returns it with the capacities they leave.
+// The error wraps ErrInfeasible when they oversubscribe a link; a vector
+// WithVolumes would refuse panics.
+func (pc *Pricer) pin(vols []float64, threshold float64) (*Flow, []float64, error) {
+	pc.inst.Demands.CheckVolumes(vols)
+	residual, ok := residualAfterPinning(pc.inst, vols, threshold)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
+	}
+	out := newFlow(pc.inst)
+	for k, v := range vols {
+		if v <= threshold {
+			out.add(k, 0, v)
+		}
+	}
+	return out, residual, nil
+}
+
+// anyAbove reports whether some volume exceeds cut.
+func anyAbove(vols []float64, cut float64) bool {
+	for _, v := range vols {
+		if v > cut {
+			return true
+		}
+	}
+	return false
+}
+
+// DPGap prices OPT and Demand Pinning at vols and returns their totals, the
+// two sides of the DP gap. The error wraps ErrInfeasible when the pinned
+// demands oversubscribe a link.
+func (pc *Pricer) DPGap(vols []float64, threshold float64) (opt, dp float64, err error) {
+	dpFlow, err := pc.DemandPinning(vols, threshold)
+	if err != nil {
+		return 0, 0, err
+	}
+	optFlow, err := pc.MaxFlow(vols)
+	if err != nil {
+		return 0, 0, err
+	}
+	return optFlow.Total, dpFlow.Total, nil
+}
+
+// phase2LP assembles DP's phase-2 LP over the residual capacities.
 func (pc *Pricer) phase2LP(vols []float64, threshold float64, residual []float64) (*lp.Problem, []lp.VarID) {
-	pc.dpOnce.Do(pc.buildDP)
-	p := lp.NewProblem("dp-phase2", lp.Maximize)
-	varOf := make([]lp.VarID, len(pc.varName)) // -1 for a pinned demand's paths
+	return pc.flowLP("dp-phase2", vols, threshold, residual, false)
+}
+
+// flowLP assembles the total-flow LP named name over the demands whose
+// volume exceeds cut: one variable per path of such a demand, a "dem<k>"
+// row bounding its flow by its volume, and a "cap<e>" row per edge bounding
+// the flow crossing it by capRHS[e]. DP's phase 2 names its variables
+// "f<k>.<p>" and drops the rows of edges no variable crosses; a POP
+// partition (pop) names them "x<j>" and keeps every row, as
+// BuildInnerMaxFlow lowered by innerProblem did. varOf[first[k]+p] is the
+// variable of demand k's path p, or -1.
+func (pc *Pricer) flowLP(name string, vols []float64, cut float64, capRHS []float64, pop bool) (*lp.Problem, []lp.VarID) {
+	pc.incOnce.Do(pc.buildIncidence)
+	p := lp.NewProblem(name, lp.Maximize)
+	varOf := make([]lp.VarID, len(pc.varName))
 	terms := make([]lp.Term, 0, pc.nnz)
 	for k, ps := range pc.inst.Paths {
 		start := len(terms)
 		for pi := range ps {
 			j := pc.first[k] + pi
 			varOf[j] = -1
-			if vols[k] <= threshold {
+			if vols[k] <= cut {
 				continue
 			}
-			varOf[j] = p.AddVar(pc.varName[j], 0, lp.Inf)
+			vn := pc.varName[j]
+			if pop {
+				vn = pc.xName[p.NumVars()]
+			}
+			varOf[j] = p.AddVar(vn, 0, lp.Inf)
 			p.SetObj(varOf[j], 1)
 			terms = append(terms, lp.Term{Var: varOf[j], Coef: 1})
 		}
-		if vols[k] > threshold {
+		if vols[k] > cut {
 			p.AddConstraint(pc.demName[k], lp.Expr{Terms: terms[start:len(terms):len(terms)]}, lp.LE, vols[k])
 		}
 	}
+	pc.addCapRows(p, terms, varOf, capRHS, pop)
+	return p, varOf
+}
+
+// addCapRows adds the "cap<e>" row of every edge over the variables of
+// varOf that cross it, bounded by capRHS[e]; an edge no variable crosses
+// gets an empty row only when keepEmpty is set. The rows' terms are
+// appended to terms, whose capacity must cover them.
+func (pc *Pricer) addCapRows(p *lp.Problem, terms []lp.Term, varOf []lp.VarID, capRHS []float64, keepEmpty bool) {
 	for e, js := range pc.crosses {
 		start := len(terms)
 		for _, j := range js {
@@ -193,9 +257,20 @@ func (pc *Pricer) phase2LP(vols []float64, threshold float64, residual []float64
 				terms = append(terms, lp.Term{Var: varOf[j], Coef: 1})
 			}
 		}
-		if len(terms) > start {
-			p.AddConstraint(pc.capName[e], lp.Expr{Terms: terms[start:len(terms):len(terms)]}, lp.LE, residual[e])
+		if keepEmpty || len(terms) > start {
+			p.AddConstraint(pc.capName[e], lp.Expr{Terms: terms[start:len(terms):len(terms)]}, lp.LE, capRHS[e])
 		}
 	}
-	return p, varOf
+}
+
+// addFlows adds the solution x's flow of every variable in varOf to out, in
+// demand/path order, the order Total has always summed in.
+func (pc *Pricer) addFlows(out *Flow, varOf []lp.VarID, x []float64) {
+	for k, ps := range pc.inst.Paths {
+		for pi := range ps {
+			if v := varOf[pc.first[k]+pi]; v >= 0 {
+				out.add(k, pi, x[v])
+			}
+		}
+	}
 }

@@ -94,6 +94,125 @@ func refDemandPinning(t *testing.T, inst *Instance, threshold float64) (*Flow, *
 	return out, p, nil
 }
 
+// refPOPAssigned is SolvePOPAssigned as it was before the Pricer: per
+// partition, BuildInnerMaxFlow over the partition's demands at capacities
+// divided by the partition count, lowered by innerProblem and solved. It
+// also returns each partition's LP (nil for a partition with no demand).
+func refPOPAssigned(t *testing.T, inst *Instance, clients []Client, assign []int, partitions int) (*Flow, []*lp.Problem, error) {
+	t.Helper()
+	per := AggregateAssigned(clients, assign, partitions, inst.Demands.Len())
+	out := newFlow(inst)
+	lps := make([]*lp.Problem, partitions)
+	capFrac := 1 / float64(partitions)
+	for c := 0; c < partitions; c++ {
+		pv := per[c]
+		fl := BuildInnerMaxFlow(fmt.Sprintf("pop%d", c), inst, func(k int) kkt.AffineRHS {
+			return kkt.Constant(pv[k])
+		}, capFrac, func(k int) bool { return pv[k] > 0 }, 0)
+		if fl.LP.NumVars == 0 {
+			continue
+		}
+		p, xs, err := innerProblem(fl.LP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lps[c] = p
+		sol, err := p.SolveWith(oneShotOpts())
+		if err != nil {
+			return nil, nil, err
+		}
+		if sol.Status != lp.StatusOptimal {
+			return nil, nil, fmt.Errorf("mcf: POP partition %d LP %v", c, sol.Status)
+		}
+		for k, ps := range inst.Paths {
+			for p := range ps {
+				if idx := fl.Index[k][p]; idx != -1 {
+					out.add(k, p, sol.X[xs[idx]])
+				}
+			}
+		}
+	}
+	return out, lps, nil
+}
+
+// refDemandPinningConcurrent is SolveDemandPinningConcurrent as it was
+// before the Pricer: the LP rebuilt on every call with a (k, p) map,
+// formatted names and a Path.Contains scan per edge. It also returns that
+// LP (nil when nothing was left to route).
+func refDemandPinningConcurrent(t *testing.T, inst *Instance, threshold float64) (*Flow, float64, *lp.Problem, error) {
+	t.Helper()
+	residual, ok := residualAfterPinning(inst, inst.Demands.Volumes(), threshold)
+	if !ok {
+		return nil, 0, nil, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
+	}
+	out := newFlow(inst)
+	vols := inst.Demands.Volumes()
+	pinned := Pinned(inst, threshold)
+	anyFree := false
+	for k, isPinned := range pinned {
+		if isPinned {
+			out.add(k, 0, vols[k])
+		} else if vols[k] > 0 {
+			anyFree = true
+		}
+	}
+	if !anyFree {
+		return out, 1, nil, nil
+	}
+
+	p := lp.NewProblem("concurrent", lp.Maximize)
+	lam := p.AddVar("lambda", 0, 1)
+	p.SetObj(lam, 1)
+	varOf := make(map[[2]int]lp.VarID)
+	for k, ps := range inst.Paths {
+		if pinned[k] || vols[k] == 0 {
+			continue
+		}
+		e := lp.NewExpr().Add(lam, -vols[k])
+		cap := lp.NewExpr()
+		for pi := range ps {
+			v := p.AddVar(fmt.Sprintf("f%d.%d", k, pi), 0, lp.Inf)
+			varOf[[2]int{k, pi}] = v
+			e = e.Add(v, 1)
+			cap = cap.Add(v, 1)
+		}
+		p.AddConstraint(fmt.Sprintf("dem%d", k), e, lp.GE, 0)
+		p.AddConstraint(fmt.Sprintf("vol%d", k), cap, lp.LE, vols[k])
+	}
+	for e := 0; e < inst.G.NumEdges(); e++ {
+		expr := lp.NewExpr()
+		for k, ps := range inst.Paths {
+			if pinned[k] || vols[k] == 0 {
+				continue
+			}
+			for pi, path := range ps {
+				if path.Contains(e) {
+					expr = expr.Add(varOf[[2]int{k, pi}], 1)
+				}
+			}
+		}
+		if len(expr.Terms) > 0 {
+			p.AddConstraint(fmt.Sprintf("cap%d", e), expr, lp.LE, residual[e])
+		}
+	}
+	sol, err := p.SolveWith(oneShotOpts())
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, 0, nil, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
+	}
+	for k, ps := range inst.Paths {
+		if pinned[k] || vols[k] == 0 {
+			continue
+		}
+		for pi := range ps {
+			out.add(k, pi, sol.X[varOf[[2]int{k, pi}]])
+		}
+	}
+	return out, sol.X[lam], p, nil
+}
+
 // sameBits reports whether two floats are the same float64 bit pattern.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -197,6 +316,66 @@ func checkPricer(t *testing.T, pc *Pricer, inst *Instance, vols []float64, thres
 	return pricedPair{vols: vols, opt: wantOpt, dp: wantDP}
 }
 
+// checkConcurrent prices vols under the concurrent objective at threshold
+// on pc and fails unless the LP it builds, the flow and lambda it returns
+// (or its error) are bitwise the reference's. It reports whether the
+// reference routed anything in an LP, and whether pinning was infeasible.
+func checkConcurrent(t *testing.T, pc *Pricer, inst *Instance, vols []float64, threshold float64) (phase2, infeasible bool) {
+	t.Helper()
+	at := inst.WithVolumes(vols)
+	what := fmt.Sprintf("%s volumes %v concurrent threshold %v", inst.G.Name(), vols, threshold)
+	want, wantLam, wantLP, wantErr := refDemandPinningConcurrent(t, at, threshold)
+	got, gotLam, gotErr := pc.DemandPinningConcurrent(vols, threshold)
+	if errors.Is(wantErr, ErrInfeasible) != errors.Is(gotErr, ErrInfeasible) || (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return false, true
+	}
+	sameFlow(t, what, got, want)
+	if !sameBits(gotLam, wantLam) {
+		t.Fatalf("%s: lambda %v, reference %v", what, gotLam, wantLam)
+	}
+	if wantLP != nil {
+		residual, _ := residualAfterPinning(inst, vols, threshold)
+		gotLP, _ := pc.concurrentLP(vols, threshold, residual)
+		sameLP(t, what, gotLP, wantLP)
+	}
+	return wantLP != nil, false
+}
+
+// checkPOP prices clients under assign on pc and fails unless every
+// partition's LP and the union flow are bitwise the reference's. It
+// reports how many partitions had no demand to route.
+func checkPOP(t *testing.T, pc *Pricer, inst *Instance, clients []Client, assign []int, partitions int) (empty int) {
+	t.Helper()
+	what := fmt.Sprintf("%s clients %v assignment %v", inst.G.Name(), clients, assign)
+	want, wantLPs, err := refPOPAssigned(t, inst, clients, assign, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pc.POPAssigned(clients, assign, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFlow(t, what, got, want)
+	gotLPs, _, err := pc.popLPs(clients, assign, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, wantLP := range wantLPs {
+		switch {
+		case wantLP == nil && gotLPs[c] == nil:
+			empty++
+		case wantLP == nil || gotLPs[c] == nil:
+			t.Fatalf("%s: partition %d LP %v, reference %v", what, c, gotLPs[c], wantLP)
+		default:
+			sameLP(t, fmt.Sprintf("%s partition %d", what, c), gotLPs[c], wantLP)
+		}
+	}
+	return empty
+}
+
 // drawVolumes draws a volume vector that mixes zeros, values exactly at
 // the threshold, values just below and above it, and values in (0, max].
 func drawVolumes(rng *rand.Rand, n int, threshold, max float64) []float64 {
@@ -221,8 +400,10 @@ func drawVolumes(rng *rand.Rand, n int, threshold, max float64) []float64 {
 // TestPricerMatchesPerCallBuild is the pricer's differential: over random
 // volume vectors on B4, Abilene and Figure 1, every LP the pricer hands the
 // solver and every flow it returns must be bitwise those of the per-call
-// builders it replaced — zeros, volumes exactly at the threshold,
-// all-pinned and infeasible pinnings included.
+// builders it replaced, for OPT, DP, concurrent DP (at the case's threshold
+// and at -Inf) and POP — zeros, volumes exactly at the threshold,
+// all-pinned and infeasible pinnings, split clients and empty partitions
+// included.
 func TestPricerMatchesPerCallBuild(t *testing.T) {
 	cases := []struct {
 		inst      *Instance
@@ -236,6 +417,7 @@ func TestPricerMatchesPerCallBuild(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	var allPinned, infeasible, phase2 int
+	var concInfeasible, concAllPinned, concLP, split, empty int
 	for _, c := range cases {
 		pc := NewPricer(c.inst)
 		n := c.inst.Demands.Len()
@@ -255,16 +437,49 @@ func TestPricerMatchesPerCallBuild(t *testing.T) {
 			default:
 				phase2++
 			}
+
+			for _, th := range []float64{c.threshold, math.Inf(-1)} {
+				routed, inf := checkConcurrent(t, pc, c.inst, vols, th)
+				switch {
+				case inf:
+					concInfeasible++
+				case !routed && th == c.threshold:
+					concAllPinned++
+				case routed && th == math.Inf(-1):
+					concLP++
+				}
+			}
+
+			partitions := 1 + i%4
+			clients := Clients(vols, POPOptions{})
+			if i%3 == 0 {
+				clients = SplitClients(vols, c.max/4, 2)
+				if len(clients) > n {
+					split++
+				}
+			}
+			empty += checkPOP(t, pc, c.inst, clients, RandomAssignment(len(clients), partitions, rng), partitions)
 		}
 	}
-	// Figure 1 at threshold 150 pins 200 units onto the 100-capacity link 0->1.
+	// Figure 1 at threshold 150 pins 200 units onto the 100-capacity link
+	// 0->1; with three partitions and no client in partition 1, that
+	// partition's LP is empty.
 	fig := fig1Instance(t)
-	got := checkPricer(t, NewPricer(fig), fig, []float64{100, 100, 100}, 150)
+	vols := []float64{100, 100, 100}
+	got := checkPricer(t, NewPricer(fig), fig, vols, 150)
 	if got.dpErr != nil {
 		infeasible++
 	}
+	if _, inf := checkConcurrent(t, NewPricer(fig), fig, vols, 150); inf {
+		concInfeasible++
+	}
+	empty += checkPOP(t, NewPricer(fig), fig, Clients(vols, POPOptions{}), []int{0, 2, 2}, 3)
 	if allPinned == 0 || infeasible == 0 || phase2 == 0 {
 		t.Fatalf("coverage: %d all-pinned, %d infeasible, %d phase-2 vectors; want each > 0", allPinned, infeasible, phase2)
+	}
+	if concAllPinned == 0 || concInfeasible == 0 || concLP == 0 || split == 0 || empty == 0 {
+		t.Fatalf("coverage: concurrent %d all-pinned, %d infeasible, %d -Inf LPs; POP %d split-client vectors, %d empty partitions; want each > 0",
+			concAllPinned, concInfeasible, concLP, split, empty)
 	}
 }
 
@@ -288,15 +503,25 @@ func fig1Instance(t *testing.T) *Instance {
 }
 
 // TestPricerConcurrent shares one pricer between 8 goroutines (run it
-// under -race): the lazy builds happen once and every answer is still the
-// reference's, bit for bit.
+// under -race): the lazy builds happen once, the POP partition names grow
+// under their lock, and every answer is still the reference's, bit for
+// bit.
 func TestPricerConcurrent(t *testing.T) {
 	inst := randomInstance(t, topology.B4(), 12, 2, 7)
 	const threshold = 5
 	rng := rand.New(rand.NewSource(2))
 	want := make([]pricedPair, 48)
+	lams, pops, assigns := make([]float64, len(want)), make([]float64, len(want)), make([][]int, len(want))
 	for i := range want {
 		want[i] = checkPricer(t, NewPricer(inst), inst, drawVolumes(rng, inst.Demands.Len(), threshold, 100), threshold)
+		at := inst.WithVolumes(want[i].vols)
+		_, lams[i], _, _ = refDemandPinningConcurrent(t, at, math.Inf(-1))
+		assigns[i] = RandomAssignment(inst.Demands.Len(), 1+i%4, rng)
+		pop, _, err := refPOPAssigned(t, at, Clients(want[i].vols, POPOptions{}), assigns[i], 1+i%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pops[i] = pop.Total
 	}
 	pc := NewPricer(inst)
 	var wg sync.WaitGroup
@@ -309,6 +534,14 @@ func TestPricerConcurrent(t *testing.T) {
 				opt, err := pc.MaxFlow(want[i].vols)
 				if err != nil || !sameBits(opt.Total, want[i].opt.Total) {
 					errs <- fmt.Errorf("vector %d: OPT %v (%v), reference %v", i, opt, err, want[i].opt.Total)
+					return
+				}
+				if _, lam, err := pc.DemandPinningConcurrent(want[i].vols, math.Inf(-1)); err != nil || !sameBits(lam, lams[i]) {
+					errs <- fmt.Errorf("vector %d: lambda %v (%v), reference %v", i, lam, err, lams[i])
+					return
+				}
+				if pop, err := pc.POPAssigned(Clients(want[i].vols, POPOptions{}), assigns[i], 1+i%4); err != nil || !sameBits(pop.Total, pops[i]) {
+					errs <- fmt.Errorf("vector %d: POP %v (%v), reference %v", i, pop, err, pops[i])
 					return
 				}
 				dp, err := pc.DemandPinning(want[i].vols, threshold)
