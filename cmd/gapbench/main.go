@@ -236,12 +236,20 @@ func softValue(fx *benchstore.Fixture, name string) float64 {
 	return 0
 }
 
-// runFixture executes one fixture reps times. The first rep is bracketed by
-// obs registry exports and memory stats (its metric deltas become the
-// fixture's counters and histograms); later reps only contribute timing and
-// must reproduce the first rep's deterministic counters exactly — any drift
-// is a harness error, because it would poison every future comparison.
+// runFixture executes one fixture reps times after one untimed warm-up
+// rep. The warm-up fills what the process keeps between solves (the LP
+// slabs' free list, the runtime's own caches), so the first measured rep
+// starts from the state every later rep starts from, and a lone -reps 1
+// measures what a rep of a longer run does. The first measured rep is
+// bracketed by obs registry exports and memory stats (its metric deltas
+// become the fixture's counters and histograms); later reps only
+// contribute timing and must reproduce the first rep's deterministic
+// counters exactly — any drift is a harness error, because it would poison
+// every future comparison.
 func runFixture(fx fixture, seed int64, reps int) (*benchstore.Fixture, error) {
+	if _, err := fx.run(seed, obs.NewTracer(obs.NewMetricsSink(nil))); err != nil {
+		return nil, fmt.Errorf("warm-up: %w", err)
+	}
 	runtime.GC()
 	var (
 		first              = true

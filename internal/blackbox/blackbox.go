@@ -43,10 +43,16 @@ func DPGap(inst *mcf.Instance, threshold float64) GapFunc {
 // objective: lambda_OPT - lambda_DP. The white-box rewrite does not apply
 // to this objective (its inner rows couple lambda with the outer demand
 // volumes), so black-box search is the supported way to attack it. Like
-// DPGap it prices through one mcf.Pricer.
+// DPGap it prices through one mcf.Pricer. When every demand is above the
+// threshold, DP pins nothing and routes the same demands as the -Inf
+// call, so both would solve the same LP: it is solved once.
 func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
 	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
+		if allAbove(d, threshold) {
+			_, lam, err := pc.DemandPinningConcurrent(d, math.Inf(-1))
+			return lam - lam, err
+		}
 		_, lamDP, err := pc.DemandPinningConcurrent(d, threshold)
 		if errors.Is(err, mcf.ErrInfeasible) {
 			return math.Inf(-1), nil
@@ -60,6 +66,16 @@ func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
 		}
 		return lamOpt - lamDP, nil
 	}
+}
+
+// allAbove reports whether every volume of d exceeds cut.
+func allAbove(d []float64, cut float64) bool {
+	for _, v := range d {
+		if !(v > cut) {
+			return false
+		}
+	}
+	return true
 }
 
 // POPGap returns the gap function OPT - mean POP total over the given fixed

@@ -204,6 +204,11 @@ func TestConcurrentDPGapFunc(t *testing.T) {
 	if math.Abs(g-0.5) > 1e-5 {
 		t.Fatalf("gap=%v, want 0.5", g)
 	}
+	// With every demand above the threshold DP pins nothing: it is the
+	// max-concurrent flow, and the gap is exactly 0.
+	if g, err = gap([]float64{100, 100, math.Nextafter(50, 51)}); err != nil || g != 0 {
+		t.Fatalf("unpinned gap=%v (%v), want 0", g, err)
+	}
 	// Infeasible pinning maps to -Inf.
 	gap60 := ConcurrentDPGap(inst, 60)
 	g, err = gap60([]float64{60, 0, 60})
@@ -255,29 +260,47 @@ func sealAllocs(t *testing.T, name string, gap GapFunc, d []float64, maxAllocs f
 // TestDPGapEvalAllocations seals the allocation count of one DP gap
 // evaluation on the 12-pair B4 instance the hill-climbing benchmark
 // searches: the pricer builds the OPT LP, the phase-2 incidence and the
-// names once, so an evaluation allocates only its two LPs, their presolve
-// state and answers: 149 allocations, where rebuilding both models per call
-// and merging presolve rows through two maps each took 1020. The bound is
-// the measured count, so any new allocation per evaluation shows here.
+// names once and recycles its copies of the OPT LP, presized problems are
+// built without regrowing, and the totals are summed without a Flow, so an
+// evaluation allocates only the phase-2 LP, both LPs' presolve state and
+// answers: 75 allocations, where 149 went to a copy of the OPT LP, two
+// Flows and problems grown by append, and rebuilding both models per call
+// and merging presolve rows through two maps took 1020. The bound is the
+// measured count, so any new allocation per evaluation shows here. A
+// vector that pins nothing solves the OPT LP alone: 36 allocations.
 func TestDPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
-	sealAllocs(t, "DPGap", DPGap(inst, 5), d, 149)
+	sealAllocs(t, "DPGap", DPGap(inst, 5), d, 75)
+	sealAllocs(t, "unpinned DPGap", DPGap(inst, 5), unpinned(d, 5), 36)
+}
+
+// unpinned returns d with every volume raised above threshold.
+func unpinned(d []float64, threshold float64) []float64 {
+	out := make([]float64, len(d))
+	for k, v := range d {
+		out[k] = v + threshold
+	}
+	return out
 }
 
 // TestConcurrentDPGapEvalAllocations seals one concurrent DP gap
 // evaluation on the same instance and vector: both concurrent LPs are
-// assembled from the pricer's incidence and names, 165 allocations, where
-// rebuilding each with a map, formatted names and a path scan took 523.
+// assembled, presized, from the pricer's incidence and names, 110
+// allocations, where growing them by append took 165 and rebuilding each
+// with a map, formatted names and a path scan took 523. A vector that pins
+// nothing solves its one LP once: 55 allocations.
 func TestConcurrentDPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
-	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 165)
+	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 110)
+	sealAllocs(t, "unpinned ConcurrentDPGap", ConcurrentDPGap(inst, 5), unpinned(d, 5), 55)
 }
 
 // TestPOPGapEvalAllocations seals one POP gap evaluation over 3
-// assignments to 2 partitions on the same instance and vector: OPT on the
-// prebuilt LP and six partition LPs assembled from the pricer's incidence
-// and names, 501 allocations, where building every partition's inner LP
-// and lowering it per call took 1441.
+// assignments to 2 partitions on the same instance and vector: OPT on a
+// recycled copy of the prebuilt LP and six presized partition LPs
+// assembled from the pricer's incidence and names, 338 allocations, where
+// copying the OPT LP and growing the partition LPs by append took 501 and
+// building every partition's inner LP and lowering it per call took 1441.
 func TestPOPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
 	rng := rand.New(rand.NewSource(1))
@@ -285,5 +308,5 @@ func TestPOPGapEvalAllocations(t *testing.T) {
 	for i := range assignments {
 		assignments[i] = mcf.RandomAssignment(len(d), 2, rng)
 	}
-	sealAllocs(t, "POPGap", POPGap(inst, assignments, 2), d, 501)
+	sealAllocs(t, "POPGap", POPGap(inst, assignments, 2), d, 338)
 }

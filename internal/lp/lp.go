@@ -178,12 +178,32 @@ func (p *Problem) SetBounds(v VarID, lo, hi float64) {
 	p.vars[v].lo, p.vars[v].hi = lo, hi
 }
 
+// Grow reserves room for vars more variables and cons more constraints,
+// so a problem whose size is known up front is built without regrowing.
+func (p *Problem) Grow(vars, cons int) {
+	p.vars = grow(p.vars, vars)
+	p.cons = grow(p.cons, cons)
+}
+
+// grow returns s with room for n more elements. Unlike slices.Grow it
+// allocates once also in a race-instrumented build, which keeps the
+// allocation counts the tests seal the same under -race.
+func grow[T any](s []T, n int) []T {
+	if n > cap(s)-len(s) {
+		s = append(make([]T, 0, len(s)+n), s...)
+	}
+	return s
+}
+
 // AddConstraint adds the constraint expr rel rhs and returns its id.
 // Terms referencing the same variable are summed during solving.
 func (p *Problem) AddConstraint(name string, expr Expr, rel Rel, rhs float64) ConID {
 	p.cons = append(p.cons, conInfo{name: name, expr: expr, rel: rel, rhs: rhs})
 	return ConID(len(p.cons) - 1)
 }
+
+// SetRHS replaces the right-hand side of c.
+func (p *Problem) SetRHS(c ConID, rhs float64) { p.cons[c].rhs = rhs }
 
 // ConName returns the name of c.
 func (p *Problem) ConName(c ConID) string { return p.cons[c].name }
@@ -204,24 +224,6 @@ func (p *Problem) Clone() *Problem {
 		cc := c
 		cc.expr.Terms = append([]Term(nil), c.expr.Terms...)
 		q.cons[i] = cc
-	}
-	return q
-}
-
-// WithRHS returns a copy of the problem whose constraints carry the given
-// right-hand sides, one per constraint. Unlike Clone it shares the
-// constraints' term slices with p, so it costs two headers per row and
-// column rather than a copy of the matrix; neither problem may change a
-// constraint expression in place afterwards. It panics if len(rhs) is not
-// NumConstraints.
-func (p *Problem) WithRHS(rhs []float64) *Problem {
-	if len(rhs) != len(p.cons) {
-		panic(fmt.Sprintf("lp: %d right-hand sides for %d constraints of %q", len(rhs), len(p.cons), p.Name))
-	}
-	q := &Problem{Name: p.Name, sense: p.sense, vars: append([]varInfo(nil), p.vars...)}
-	q.cons = append([]conInfo(nil), p.cons...)
-	for i := range q.cons {
-		q.cons[i].rhs = rhs[i]
 	}
 	return q
 }

@@ -374,6 +374,20 @@ func (ps *presolveState) probeInfeasibility() {
 func (ps *presolveState) buildReduced() (q *Problem, colMap []int, rowMap []int) {
 	p := ps.p
 	q = NewProblem(p.Name, p.sense)
+	cols, rows, nnz := 0, 0, 0
+	for _, alive := range ps.colAlive {
+		if alive {
+			cols++
+		}
+	}
+	for i, alive := range ps.rowAlive {
+		if alive {
+			rows++
+			nnz += len(ps.terms[i])
+		}
+	}
+	q.Grow(cols, rows)
+	rowMap = make([]int, 0, rows)
 	colMap = make([]int, len(p.vars)) // original -> reduced, -1 if removed
 	for j := range colMap {
 		colMap[j] = -1
@@ -385,12 +399,6 @@ func (ps *presolveState) buildReduced() (q *Problem, colMap []int, rowMap []int)
 		id := q.AddVar(v.name, ps.lo[j], ps.hi[j])
 		q.SetObj(id, v.obj)
 		colMap[j] = int(id)
-	}
-	nnz := 0
-	for i, alive := range ps.rowAlive {
-		if alive {
-			nnz += len(ps.terms[i])
-		}
 	}
 	terms := make([]Term, 0, nnz) // one backing slice for every reduced row's terms
 	for i, con := range p.cons {

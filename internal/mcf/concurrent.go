@@ -70,6 +70,7 @@ func (pc *Pricer) DemandPinningConcurrent(vols []float64, threshold float64) (*F
 func (pc *Pricer) concurrentLP(vols []float64, threshold float64, residual []float64) (*lp.Problem, []lp.VarID) {
 	pc.incOnce.Do(pc.buildIncidence)
 	p := lp.NewProblem("concurrent", lp.Maximize)
+	p.Grow(1+len(pc.varName), 2*len(pc.first)+len(pc.crosses)) // at most lambda, every path, two rows per demand, every edge
 	lam := p.AddVar("lambda", 0, 1)
 	p.SetObj(lam, 1)
 	varOf := make([]lp.VarID, len(pc.varName))

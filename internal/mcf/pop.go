@@ -144,7 +144,7 @@ func (pc *Pricer) popLPs(clients []Client, assign []int, partitions int) ([]*lp.
 // returns OPT's total and descriptor applied to the POP total of each
 // assignment, or their mean when descriptor is nil.
 func (pc *Pricer) POPGap(vols []float64, assignments [][]int, partitions int, descriptor func([]float64) float64) (opt, pop float64, err error) {
-	optFlow, err := pc.MaxFlow(vols)
+	opt, err = pc.optTotal(vols)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -158,13 +158,13 @@ func (pc *Pricer) POPGap(vols []float64, assignments [][]int, partitions int, de
 		totals[i] = f.Total
 	}
 	if descriptor != nil {
-		return optFlow.Total, descriptor(totals), nil
+		return opt, descriptor(totals), nil
 	}
 	sum := 0.0
 	for _, t := range totals {
 		sum += t
 	}
-	return optFlow.Total, sum / float64(len(totals)), nil
+	return opt, sum / float64(len(totals)), nil
 }
 
 // Clients materializes the client list for volumes vols under the options:

@@ -11,9 +11,9 @@ import (
 // Pricer prices demand vectors on one instance with the direct OPT, Demand
 // Pinning, concurrent-flow and POP solvers. What does not depend on the
 // volumes is built once, on first use: the OPT LP, whose calls then only
-// rewrite the demand rows' right-hand sides, and the edge incidence and
-// names from which each DP, concurrent or POP call assembles its LP without
-// a map, a name format or a path scan. Every LP a call hands the solver is
+// rewrite the demand rows' right-hand sides on a recycled copy, and the
+// edge incidence and names from which each DP, concurrent or POP call
+// assembles its LP without a map, a name format or a path scan. Every LP a call hands the solver is
 // the one the per-call builders made before the Pricer existed (same
 // variables, rows, term order and names), so every answer is bitwise the
 // same. A Pricer is safe for concurrent use. It is bound to its instance's
@@ -22,10 +22,11 @@ type Pricer struct {
 	inst *Instance
 
 	optOnce sync.Once
-	opt     *lp.Problem
+	opt     *lp.Problem // the OPT LP at zero volumes, never solved: the template of every copy
 	optFlow *InnerFlow
-	optRHS  []float64 // opt's right-hand sides at zero volumes
 	optErr  error
+	optMu   sync.Mutex
+	optFree []*lp.Problem // idle copies of opt; a call takes one, sets its demand rows and puts it back
 
 	incOnce sync.Once
 	first   []int    // first[k]: flat index of demand k's path 0
@@ -50,10 +51,6 @@ func (pc *Pricer) buildOpt() {
 		return kkt.Constant(0)
 	}, 1, nil, 0)
 	pc.opt, _, pc.optErr = innerProblem(pc.optFlow.LP)
-	pc.optRHS = make([]float64, len(pc.optFlow.LP.Rows))
-	for i, r := range pc.optFlow.LP.Rows {
-		pc.optRHS[i] = r.RHS.Const
-	}
 }
 
 func (pc *Pricer) buildIncidence() {
@@ -100,38 +97,78 @@ func (pc *Pricer) popNames(partitions int) []string {
 // MaxFlow solves OptMaxFlow (3) at the given volumes, one per demand. A
 // vector the instance's demand set would refuse panics as WithVolumes does.
 func (pc *Pricer) MaxFlow(vols []float64) (*Flow, error) {
+	x, err := pc.optX(vols)
+	if err != nil {
+		return nil, err
+	}
+	out := newFlow(pc.inst)
+	for k, ps := range pc.inst.Paths {
+		for p := range ps {
+			out.add(k, p, x[pc.optFlow.Index[k][p]])
+		}
+	}
+	return out, nil
+}
+
+// optTotal is MaxFlow's Total without the Flow: the same flows summed in
+// the same (k, p) order.
+func (pc *Pricer) optTotal(vols []float64) (float64, error) {
+	x, err := pc.optX(vols)
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for _, idx := range pc.optFlow.Index {
+		for _, j := range idx {
+			total += x[j]
+		}
+	}
+	return total, nil
+}
+
+// optX solves the OPT LP at volumes vols and returns its optimal point.
+func (pc *Pricer) optX(vols []float64) ([]float64, error) {
 	pc.inst.Demands.CheckVolumes(vols)
 	p, err := pc.optLP(vols)
 	if err != nil {
 		return nil, err
 	}
 	sol, err := p.SolveWith(oneShotOpts())
+	pc.optMu.Lock()
+	pc.optFree = append(pc.optFree, p)
+	pc.optMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("mcf: max-flow LP %v", sol.Status)
 	}
-	out := newFlow(pc.inst)
-	for k, ps := range pc.inst.Paths {
-		for p := range ps {
-			out.add(k, p, sol.X[pc.optFlow.Index[k][p]])
-		}
-	}
-	return out, nil
+	return sol.X, nil
 }
 
-// optLP returns the OPT LP at volumes vols.
+// optLP returns an idle copy of the OPT LP, cloned when none is free, with
+// its demand rows' right-hand sides set to vols. Every other row keeps the
+// right-hand side it was built with, so a copy needs no reset between
+// calls. The caller owns the copy until it puts it back on optFree.
 func (pc *Pricer) optLP(vols []float64) (*lp.Problem, error) {
 	pc.optOnce.Do(pc.buildOpt)
 	if pc.optErr != nil {
 		return nil, pc.optErr
 	}
-	rhs := append([]float64(nil), pc.optRHS...)
-	for k, r := range pc.optFlow.DemandRows {
-		rhs[r] = vols[k]
+	pc.optMu.Lock()
+	var p *lp.Problem
+	if n := len(pc.optFree); n > 0 {
+		p = pc.optFree[n-1]
+		pc.optFree = pc.optFree[:n-1]
 	}
-	return pc.opt.WithRHS(rhs), nil
+	pc.optMu.Unlock()
+	if p == nil {
+		p = pc.opt.Clone()
+	}
+	for k, r := range pc.optFlow.DemandRows {
+		p.SetRHS(lp.ConID(r), vols[k])
+	}
+	return p, nil
 }
 
 // DemandPinning solves DemPinMaxFlow (5) at the given volumes: demands at
@@ -145,18 +182,28 @@ func (pc *Pricer) DemandPinning(vols []float64, threshold float64) (*Flow, error
 		return out, err
 	}
 
-	// Phase 2: joint optimization of the unpinned demands — the speedup the
-	// heuristic exists for, since this LP has far fewer demand variables.
-	p, varOf := pc.phase2LP(vols, threshold, residual)
-	sol, err := p.SolveWith(oneShotOpts())
+	x, varOf, err := pc.solvePhase2(vols, threshold, residual)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
-	}
-	pc.addFlows(out, varOf, sol.X)
+	pc.addFlows(out, varOf, x)
 	return out, nil
+}
+
+// solvePhase2 solves DP's phase 2, the joint optimization of the unpinned
+// demands over the residual capacities — the speedup the heuristic exists
+// for, since this LP has far fewer demand variables. It returns the
+// optimal point and the phase-2 LP's varOf.
+func (pc *Pricer) solvePhase2(vols []float64, threshold float64, residual []float64) ([]float64, []lp.VarID, error) {
+	p, varOf := pc.phase2LP(vols, threshold, residual)
+	sol, err := p.SolveWith(oneShotOpts())
+	if err != nil {
+		return nil, nil, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, nil, fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
+	}
+	return sol.X, varOf, nil
 }
 
 // pin routes the demands at or below the threshold on their shortest
@@ -167,7 +214,7 @@ func (pc *Pricer) pin(vols []float64, threshold float64) (*Flow, []float64, erro
 	pc.inst.Demands.CheckVolumes(vols)
 	residual, ok := residualAfterPinning(pc.inst, vols, threshold)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
+		return nil, nil, errOversubscribed
 	}
 	out := newFlow(pc.inst)
 	for k, v := range vols {
@@ -176,6 +223,20 @@ func (pc *Pricer) pin(vols []float64, threshold float64) (*Flow, []float64, erro
 		}
 	}
 	return out, residual, nil
+}
+
+// errOversubscribed is the error of a pinning whose flows exceed a link's
+// capacity.
+var errOversubscribed = fmt.Errorf("%w: pinned demands oversubscribe a link", ErrInfeasible)
+
+// allAbove reports whether every volume exceeds cut.
+func allAbove(vols []float64, cut float64) bool {
+	for _, v := range vols {
+		if !(v > cut) {
+			return false
+		}
+	}
+	return true
 }
 
 // anyAbove reports whether some volume exceeds cut.
@@ -189,18 +250,45 @@ func anyAbove(vols []float64, cut float64) bool {
 }
 
 // DPGap prices OPT and Demand Pinning at vols and returns their totals, the
-// two sides of the DP gap. The error wraps ErrInfeasible when the pinned
-// demands oversubscribe a link.
+// two sides of the DP gap: MaxFlow(vols).Total and DemandPinning(vols,
+// threshold).Total to the bit, without building either Flow. The error
+// wraps ErrInfeasible when the pinned demands oversubscribe a link.
+//
+// When nothing is pinned, DP's total is OPT's and no second LP is solved:
+// DemPinMaxFlow (5) with an empty pinned set is OptMaxFlow (3), and the
+// phase-2 LP is the OPT LP without the capacity rows no path crosses,
+// which presolve drops from the OPT LP, so the solver sees the same
+// reduced problem either way.
 func (pc *Pricer) DPGap(vols []float64, threshold float64) (opt, dp float64, err error) {
-	dpFlow, err := pc.DemandPinning(vols, threshold)
+	pc.inst.Demands.CheckVolumes(vols)
+	residual, ok := residualAfterPinning(pc.inst, vols, threshold)
+	if !ok {
+		return 0, 0, errOversubscribed
+	}
+	if opt, err = pc.optTotal(vols); err != nil {
+		return 0, 0, err
+	}
+	if allAbove(vols, threshold) { // nothing pinned
+		return opt, opt, nil
+	}
+	for _, v := range vols { // pin's order: demand by demand
+		if v <= threshold {
+			dp += v
+		}
+	}
+	if !anyAbove(vols, threshold) {
+		return opt, dp, nil
+	}
+	x, varOf, err := pc.solvePhase2(vols, threshold, residual)
 	if err != nil {
 		return 0, 0, err
 	}
-	optFlow, err := pc.MaxFlow(vols)
-	if err != nil {
-		return 0, 0, err
+	for _, v := range varOf { // addFlows' (k, p) order
+		if v >= 0 {
+			dp += x[v]
+		}
 	}
-	return optFlow.Total, dpFlow.Total, nil
+	return opt, dp, nil
 }
 
 // phase2LP assembles DP's phase-2 LP over the residual capacities.
@@ -219,6 +307,7 @@ func (pc *Pricer) phase2LP(vols []float64, threshold float64, residual []float64
 func (pc *Pricer) flowLP(name string, vols []float64, cut float64, capRHS []float64, pop bool) (*lp.Problem, []lp.VarID) {
 	pc.incOnce.Do(pc.buildIncidence)
 	p := lp.NewProblem(name, lp.Maximize)
+	p.Grow(len(pc.varName), len(pc.first)+len(pc.crosses)) // at most every path, demand and edge
 	varOf := make([]lp.VarID, len(pc.varName))
 	terms := make([]lp.Term, 0, pc.nnz)
 	for k, ps := range pc.inst.Paths {

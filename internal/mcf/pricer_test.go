@@ -503,9 +503,9 @@ func fig1Instance(t *testing.T) *Instance {
 }
 
 // TestPricerConcurrent shares one pricer between 8 goroutines (run it
-// under -race): the lazy builds happen once, the POP partition names grow
-// under their lock, and every answer is still the reference's, bit for
-// bit.
+// under -race): the lazy builds happen once, the OPT LP's copies move on
+// and off their free list and the POP partition names grow under their
+// locks, and every answer is still the reference's, bit for bit.
 func TestPricerConcurrent(t *testing.T) {
 	inst := randomInstance(t, topology.B4(), 12, 2, 7)
 	const threshold = 5
@@ -545,15 +545,20 @@ func TestPricerConcurrent(t *testing.T) {
 					return
 				}
 				dp, err := pc.DemandPinning(want[i].vols, threshold)
+				gapOpt, gapDP, gapErr := pc.DPGap(want[i].vols, threshold)
 				if want[i].dpErr != nil {
-					if !errors.Is(err, ErrInfeasible) {
-						errs <- fmt.Errorf("vector %d: DP error %v, reference %v", i, err, want[i].dpErr)
+					if !errors.Is(err, ErrInfeasible) || !errors.Is(gapErr, ErrInfeasible) {
+						errs <- fmt.Errorf("vector %d: DP error %v, DPGap error %v, reference %v", i, err, gapErr, want[i].dpErr)
 						return
 					}
 					continue
 				}
 				if err != nil || !sameBits(dp.Total, want[i].dp.Total) {
 					errs <- fmt.Errorf("vector %d: DP %v (%v), reference %v", i, dp, err, want[i].dp.Total)
+					return
+				}
+				if gapErr != nil || !sameBits(gapOpt, want[i].opt.Total) || !sameBits(gapDP, want[i].dp.Total) {
+					errs <- fmt.Errorf("vector %d: DPGap %v, %v (%v), reference %v, %v", i, gapOpt, gapDP, gapErr, want[i].opt.Total, want[i].dp.Total)
 					return
 				}
 			}
@@ -623,6 +628,69 @@ func TestPricerRejectsInvalidVolumes(t *testing.T) {
 		} {
 			if fmt.Sprintf("%T %v", got, got) != fmt.Sprintf("%T %v", want, want) {
 				t.Errorf("pricing %v panicked with %T %v, WithVolumes with %T %v", vols, got, got, want, want)
+			}
+		}
+	}
+}
+
+// TestDPGapMatchesFlows is the referee of DPGap's shortcuts: on random
+// vectors at 4, 12, 24 and 48 pairs on B4, its two totals must be bitwise
+// MaxFlow's and DemandPinning's Total, which build both Flows and always
+// solve DP's phase 2. It covers vectors that pin nothing (DPGap returns
+// OPT's total as DP's without a second LP), mixed ones, all-pinned ones
+// and oversubscribed pinnings, which must fail with ErrInfeasible.
+func TestDPGapMatchesFlows(t *testing.T) {
+	const threshold, max = 5.0, 100.0
+	rng := rand.New(rand.NewSource(4))
+	for _, pairs := range []int{4, 12, 24, 48} {
+		inst := randomInstance(t, topology.B4(), pairs, 2, int64(pairs))
+		pc := NewPricer(inst)
+		for i := 0; i < 200; i++ {
+			vols := make([]float64, pairs)
+			th := threshold
+			kind := []string{"unpinned", "mixed", "all-pinned", "oversubscribed"}[i%4]
+			switch kind {
+			case "unpinned":
+				for k := range vols {
+					vols[k] = threshold + (max-threshold)*(1-rng.Float64())
+				}
+				vols[rng.Intn(pairs)] = math.Nextafter(threshold, math.Inf(1))
+			case "mixed":
+				vols = drawVolumes(rng, pairs, threshold, max)
+				pinned := rng.Intn(pairs)
+				vols[pinned] = threshold
+				vols[(pinned+1+rng.Intn(pairs-1))%pairs] = max
+			case "all-pinned":
+				for k := range vols {
+					vols[k] = threshold * rng.Float64()
+				}
+				vols[rng.Intn(pairs)] = threshold
+			case "oversubscribed":
+				// A pinned volume above every link's capacity cannot fit
+				// on its shortest path.
+				th = 1.5 * topology.DefaultCapacity
+				vols = drawVolumes(rng, pairs, th, 2*topology.DefaultCapacity)
+				vols[rng.Intn(pairs)] = 1.2 * topology.DefaultCapacity
+			}
+			what := fmt.Sprintf("%d pairs, %s vector %v, threshold %v", pairs, kind, vols, th)
+
+			opt, dp, err := pc.DPGap(vols, th)
+			wantDP, wantErr := pc.DemandPinning(vols, th)
+			if kind == "oversubscribed" {
+				if !errors.Is(err, ErrInfeasible) || !errors.Is(wantErr, ErrInfeasible) || opt != 0 || dp != 0 {
+					t.Fatalf("%s: DPGap %v, %v, %v and DemandPinning %v; want ErrInfeasible from both", what, opt, dp, err, wantErr)
+				}
+				continue
+			}
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s: DPGap error %v, DemandPinning error %v", what, err, wantErr)
+			}
+			wantOpt, err := pc.MaxFlow(vols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(opt, wantOpt.Total) || !sameBits(dp, wantDP.Total) {
+				t.Fatalf("%s: DPGap totals %v, %v; MaxFlow and DemandPinning %v, %v", what, opt, dp, wantOpt.Total, wantDP.Total)
 			}
 		}
 	}

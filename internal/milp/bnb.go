@@ -30,12 +30,14 @@ const (
 
 // Wave-level time attribution: one bnb_wave_seconds observation per solved
 // wave (the relaxation-solving span only, serial or pooled — the apply step
-// is excluded), plus a running wave count. Observability output only; the
-// explored tree never reads these, which the gapvet:allow walltime
-// annotations at the measurement sites assert.
+// is excluded), plus a running wave count, and one bnb_polish_seconds
+// observation per speculative polish call inside a wave. Observability
+// output only; the explored tree never reads these, which the gapvet:allow
+// walltime annotations at the measurement sites assert.
 var (
-	bnbWaveSeconds = obs.Default.Histogram("bnb_wave_seconds")
-	bnbWavesTotal  = obs.Default.Counter("bnb_waves_total")
+	bnbWaveSeconds   = obs.Default.Histogram("bnb_wave_seconds")
+	bnbWavesTotal    = obs.Default.Counter("bnb_waves_total")
+	bnbPolishSeconds = obs.Default.Histogram("bnb_polish_seconds")
 )
 
 // node is a branch-and-bound node: a set of bound overrides plus the bound
@@ -478,7 +480,9 @@ func (s *search) relax(waveNo uint64, i int, nd *node, waveIncumbent float64) (r
 	// wave-start incumbent — the apply step is guaranteed to prune them, so
 	// skipping is outcome-neutral.
 	if s.opts.Polish != nil && r.sol.X != nil && s.dir*r.sol.Objective > waveIncumbent+boundTol {
+		start := time.Now() //gapvet:allow walltime polish time attribution; observed into an obs histogram, never shapes the tree
 		r.polishObj, r.polishSol, r.polishOK = s.opts.Polish(r.sol.X)
+		bnbPolishSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime polish time attribution; observed into an obs histogram, never shapes the tree
 	}
 	return r
 }

@@ -102,7 +102,8 @@ func TestTraceRecordsImprovements(t *testing.T) {
 func TestPolishInstallsIncumbents(t *testing.T) {
 	// A model whose relaxation is fractional; polish rounds it to a known
 	// feasible point with a strong objective, which must appear as the
-	// result even with a tiny node budget.
+	// result even with a tiny node budget. Each call is timed into
+	// bnb_polish_seconds.
 	p := lp.NewProblem("polish", lp.Maximize)
 	m := NewModel(p)
 	a := m.AddBinary("a")
@@ -111,6 +112,7 @@ func TestPolishInstallsIncumbents(t *testing.T) {
 	p.SetObj(b, 2)
 	p.AddConstraint("w", lp.NewExpr().Add(a, 1).Add(b, 1), lp.LE, 1.5)
 	calls := 0
+	observed := bnbPolishSeconds.Count()
 	res, err := Solve(m, Options{
 		MaxNodes: 1,
 		Polish: func(x []float64) (float64, []float64, bool) {
@@ -125,6 +127,9 @@ func TestPolishInstallsIncumbents(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("polish never called")
+	}
+	if got := bnbPolishSeconds.Count() - observed; got != uint64(calls) {
+		t.Fatalf("bnb_polish_seconds observed %d polish calls, want %d", got, calls)
 	}
 	if res.Objective < 2-1e-9 {
 		t.Fatalf("polished incumbent lost: %v", res.Objective)
