@@ -214,13 +214,10 @@ func BenchmarkAblationPOPTail(b *testing.B) {
 	}
 }
 
-// parallelMetaProblem builds a DP gap search big enough for worker-level
-// parallelism to pay off: B4 with 12 demand pairs yields 70+ SOS pairs, so
-// each wave of node relaxations carries ~40ms of simplex work. Batch is
-// pinned so Workers=1 and Workers=4 explore the identical tree (the speedup
-// is pure wall-clock, not a different search), and MaxNodes bounds the run.
-// The speedup needs real cores: with GOMAXPROCS=1 the two benches tie.
-func parallelMetaProblem(b *testing.B) *core.DPGapProblem {
+// metaProblem builds a DP gap search big enough for warm starts to show:
+// B4 with 12 demand pairs yields 70+ SOS pairs, and MaxNodes bounds the
+// run.
+func metaProblem(b *testing.B) *core.DPGapProblem {
 	b.Helper()
 	g := topology.B4()
 	set := demand.RandomPairs(g, 12, rand.New(rand.NewSource(7)))
@@ -237,40 +234,14 @@ func parallelMetaProblem(b *testing.B) *core.DPGapProblem {
 		b.Fatal(err)
 	}
 	if st.SOSPairs < 64 {
-		b.Fatalf("meta problem too small for the parallel bench: %d SOS pairs, want >= 64", st.SOSPairs)
+		b.Fatalf("meta problem too small for the warm-start bench: %d SOS pairs, want >= 64", st.SOSPairs)
 	}
 	return pr
 }
 
-func runParallelBench(b *testing.B, workers int) {
-	pr := parallelMetaProblem(b)
-	opts := milp.Options{Workers: workers, Batch: 8, MaxNodes: 64}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := pr.Solve(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Solver.Nodes == 0 {
-			b.Fatal("search explored no nodes")
-		}
-	}
-}
-
-// BenchmarkParallelBnBWorkers1 is the serial reference for the wave-based
-// parallel branch and bound: same pinned Batch (hence the same tree) as the
-// 4-worker run below, one relaxation at a time.
-func BenchmarkParallelBnBWorkers1(b *testing.B) { runParallelBench(b, 1) }
-
-// BenchmarkParallelBnBWorkers4 runs the identical search with 4 workers
-// solving each wave's relaxations concurrently. Compare ns/op against
-// BenchmarkParallelBnBWorkers1 for the parallel speedup (>= 1.8x expected on
-// 4 cores; see EXPERIMENTS.md).
-func BenchmarkParallelBnBWorkers4(b *testing.B) { runParallelBench(b, 4) }
-
 func runWarmStartBench(b *testing.B, warm bool) {
-	pr := parallelMetaProblem(b)
-	opts := milp.Options{Workers: 1, Batch: 8, MaxNodes: 64, WarmStart: warm}
+	pr := metaProblem(b)
+	opts := milp.Options{MaxNodes: 64, WarmStart: warm}
 	iters := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -290,7 +261,7 @@ func runWarmStartBench(b *testing.B, warm bool) {
 }
 
 // BenchmarkBnBWarmStartOff is the cold-resolve reference for the warm-start
-// comparison: the parallel meta problem searched serially with every node
+// comparison: the meta problem searched with every node
 // relaxation solved from scratch by the two-phase simplex.
 func BenchmarkBnBWarmStartOff(b *testing.B) { runWarmStartBench(b, false) }
 

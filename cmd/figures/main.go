@@ -70,7 +70,7 @@ func run() int {
 	pairs := flag.Int("pairs", 10, "demand-support restriction for meta optimizations (-1 = all pairs)")
 	paths := flag.Int("paths", 2, "paths per demand pair")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel workers per search; 1 = sequential")
+	workers := flag.Int("workers", runtime.NumCPU(), "black-box restarts run in parallel; 1 = sequential (white-box searches are serial)")
 	warmStart := flag.Bool("warmstart", false, "warm-start node LP relaxations from the parent basis (identical results, fewer pivots)")
 	csvOut := flag.String("csv", "", "directory to also write per-figure CSV files into")
 	fromTrace := flag.String("fromtrace", "", "replot a Figure-3 style gap-vs-time curve from a JSONL trace written with -trace")

@@ -9,9 +9,9 @@ package main
 // they cannot be gated; `go test -bench` still covers them for eyeballing.
 //
 // With the default seed (1) the derived seeds reproduce the documented
-// numbers: the warm/parallel meta problem uses demand seed 7 (matching
-// bench_test.go's parallelMetaProblem) and the smoke fixture uses demand
-// seed 5 (matching the CI smoke run of cmd/gapfinder).
+// numbers: the warm_on/warm_off meta problem uses demand seed 7 (matching
+// bench_test.go's metaProblem) and the smoke fixture uses demand seed 5
+// (matching the CI smoke run of cmd/gapfinder).
 
 import (
 	"encoding/binary"
@@ -42,18 +42,6 @@ type fixture struct {
 	name string
 	desc string
 	run  func(seed int64, tr *obs.Tracer) (*runOutcome, error)
-	// registrySoft marks fixtures whose obs-registry deltas are not exactly
-	// reproducible and must be recorded as soft metrics. No canonical
-	// fixture sets it today: the polish price cache used to tolerate a
-	// benign race where two workers priced the same fresh demand vector,
-	// costing an extra registry-counted LP solve on some schedules, but
-	// priceCache (core/dp.go) now single-flights fresh keys, so the raw LP
-	// call count equals the set of unique demand vectors and is
-	// schedule-independent. The field stays for future fixtures whose
-	// registry deltas are genuinely nondeterministic (the one remaining
-	// cache caveat — FIFO eviction past the entry cap — would qualify, but
-	// canonical workloads stay far under it).
-	registrySoft bool
 }
 
 // fixtures returns the canonical suite in display order (main sorts them
@@ -99,22 +87,13 @@ func fixtures() []fixture {
 		},
 		{
 			name: "warm_off",
-			desc: "B4 meta problem (12 pairs), serial, Batch 8, 64 nodes, cold LP resolves",
-			run:  metaFixture(1, false),
+			desc: "B4 meta problem (12 pairs), 64 nodes, cold LP resolves",
+			run:  metaFixture(false),
 		},
 		{
 			name: "warm_on",
 			desc: "identical tree to warm_off, node LPs warm-started from the parent basis",
-			run:  metaFixture(1, true),
-		},
-		{
-			name: "parallel_w4",
-			desc: "identical tree to warm_off solved by 4 wave workers (solver counters must match warm_off)",
-			// Registry deltas gate hard since the polish price cache went
-			// single-flight: every unique demand vector prices exactly once
-			// regardless of worker schedule, so even the raw LP-call
-			// counters reproduce bit-for-bit at w=4.
-			run: metaFixture(4, false),
+			run:  metaFixture(true),
 		},
 		{
 			name: "oneshot_dp_b4",
@@ -202,10 +181,9 @@ func ablationFixture(mutate func(*core.DPGapProblem, *milp.Options)) func(int64,
 	}
 }
 
-// metaProblem mirrors bench_test.go's parallelMetaProblem: B4 with 12
-// random demand pairs (demand seed = harness seed + 6, i.e. 7 by default)
-// gives 70+ SOS pairs, enough simplex work per wave for parallelism and
-// warm starts to show.
+// metaProblem mirrors bench_test.go's metaProblem: B4 with 12 random
+// demand pairs (demand seed = harness seed + 6, i.e. 7 by default) gives
+// 70+ SOS pairs, enough simplex work per node for warm starts to show.
 func metaProblem(seed int64) (*core.DPGapProblem, error) {
 	g := topology.B4()
 	set := demand.RandomPairs(g, 12, rand.New(rand.NewSource(seed+6)))
@@ -227,13 +205,13 @@ func metaProblem(seed int64) (*core.DPGapProblem, error) {
 	return pr, nil
 }
 
-func metaFixture(workers int, warm bool) func(int64, *obs.Tracer) (*runOutcome, error) {
+func metaFixture(warm bool) func(int64, *obs.Tracer) (*runOutcome, error) {
 	return func(seed int64, tr *obs.Tracer) (*runOutcome, error) {
 		pr, err := metaProblem(seed)
 		if err != nil {
 			return nil, err
 		}
-		opts := milp.Options{Workers: workers, Batch: 8, MaxNodes: 64, WarmStart: warm, Tracer: tr}
+		opts := milp.Options{MaxNodes: 64, WarmStart: warm, Tracer: tr}
 		res, err := pr.Solve(opts)
 		if err != nil {
 			return nil, err
@@ -264,7 +242,7 @@ func runSmoke(seed int64, tr *obs.Tracer) (*runOutcome, error) {
 		Inst: inst, Threshold: 5,
 		Input: core.InputConstraints{MaxDemand: 100},
 	}
-	opts := milp.Options{DepthFirst: true, WarmStart: true, Workers: 1, Tracer: tr}
+	opts := milp.Options{DepthFirst: true, WarmStart: true, Tracer: tr}
 	res, err := pr.Solve(opts)
 	if err != nil {
 		return nil, err

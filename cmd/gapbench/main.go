@@ -296,23 +296,8 @@ func runFixture(fx fixture, seed int64, reps int) (*benchstore.Fixture, error) {
 		{Name: "allocs_per_op", Value: benchstore.Float(float64(msAfter.Mallocs - msBefore.Mallocs))},
 		{Name: "bytes_per_op", Value: benchstore.Float(float64(msAfter.TotalAlloc - msBefore.TotalAlloc))},
 	}
-	if fx.registrySoft {
-		// Registry-level call counts are scheduling-dependent here (see the
-		// fixture's registrySoft doc): record them as soft values so they
-		// inform without gating exactly. The solver's own result counters in
-		// rec.Hard still gate exactly — the tree is deterministic.
-		for _, c := range counters {
-			rec.Soft = append(rec.Soft, benchstore.Value{Name: c.Name, Value: benchstore.Float(float64(c.Value))})
-		}
-		for _, h := range hists {
-			rec.Soft = append(rec.Soft,
-				benchstore.Value{Name: h.Name + "_count", Value: benchstore.Float(float64(h.Count))},
-				benchstore.Value{Name: h.Name + "_sum", Value: h.Sum})
-		}
-	} else {
-		rec.Hard = append(rec.Hard, counters...)
-		rec.Histograms = hists
-	}
+	rec.Hard = append(rec.Hard, counters...)
+	rec.Histograms = hists
 	return rec, nil
 }
 

@@ -13,8 +13,8 @@
 // SIGINT/SIGTERM interrupt the search cooperatively: the best-so-far result
 // and its SUMMARY line are still printed, and the process exits with code 3
 // (a second signal kills immediately). With -checkpoint set, a killed run
-// can be resumed with -resume from the same flags, -workers included; the
-// resumed search explores the exact tree the uninterrupted run would have.
+// can be resumed with -resume from the same model flags; the resumed search
+// explores the exact tree the uninterrupted run would have.
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -44,6 +43,12 @@ import (
 // exitInterrupted is the distinct exit code for searches stopped by a
 // signal or a cancelled context; the SUMMARY line is printed first.
 const exitInterrupted = 3
+
+// defaultWorkers is the -workers default. It is at least 2, so a black-box
+// search draws each restart from its own seeded stream and a fixed
+// -restarts answers as at any other value above 1; and it is a constant,
+// so the answer does not depend on the host's CPU count.
+const defaultWorkers = 4
 
 // robustness bundles the crash-safety knobs threaded into every search.
 type robustness struct {
@@ -70,7 +75,7 @@ func run() int {
 	instantiations := flag.Int("instantiations", 3, "POP random instantiations averaged over")
 	maxDemand := flag.Float64("maxdemand", 100, "upper bound on each demand")
 	budget := flag.Duration("budget", 10*time.Second, "search budget")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel workers: node relaxations (whitebox) or restarts (blackbox); 1 = sequential")
+	workers := flag.Int("workers", defaultWorkers, "blackbox restarts run in parallel; 1 = one restart at a time from the serial random stream (whitebox searches are serial)")
 	warmStart := flag.Bool("warmstart", false, "warm-start node LP relaxations from the parent basis (whitebox only; identical results, fewer pivots)")
 	seed := flag.Int64("seed", 1, "random seed")
 	target := flag.Float64("target", 0, "stop at the first input with gap >= target (whitebox only; 0 = off)")
@@ -81,9 +86,9 @@ func run() int {
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	metricsDump := flag.Bool("metrics", false, "print a Prometheus-style metrics dump on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. localhost:6060)")
-	ckptPath := flag.String("checkpoint", "", "write a crash-safe checkpoint to this file (atomic replace: whitebox wave state or blackbox restart ledger)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every N completed waves (whitebox) or restarts (blackbox); 0 = every one")
-	resumePath := flag.String("resume", "", "resume from this checkpoint file; rerun with the same model flags and -workers as the checkpointed run")
+	ckptPath := flag.String("checkpoint", "", "write a crash-safe checkpoint to this file (atomic replace: whitebox search state or blackbox restart ledger)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every N completed node steps (whitebox) or restarts (blackbox); 0 = every one")
+	resumePath := flag.String("resume", "", "resume from this checkpoint file; rerun with the same model flags as the checkpointed run")
 	faultSpec := flag.String("faults", "", "deterministic fault-injection plan, e.g. lp-solve:3,ckpt-write:1,deadline:2 (crash-safety testing)")
 	restarts := flag.Int("restarts", 0, "blackbox restart cap (0 = restart until -budget expires; -checkpoint needs > 0)")
 	flag.Parse()
@@ -153,7 +158,7 @@ func run() int {
 	switch *method {
 	case "whitebox":
 		interrupted = runWhitebox(inst, set, *heuristic, *threshold, *partitions, *instantiations,
-			*maxDemand, *budget, *seed, *target, *diverse, *quiet, *workers, *warmStart, tracer, rb)
+			*maxDemand, *budget, *seed, *target, *diverse, *quiet, *warmStart, tracer, rb)
 	case "hillclimb", "anneal":
 		interrupted = runBlackbox(inst, set, *heuristic, *method, *threshold, *partitions, *instantiations,
 			*maxDemand, *budget, *seed, *workers, *restarts, tracer, rb)
@@ -174,7 +179,7 @@ func run() int {
 func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic string,
 	threshold float64, partitions, instantiations int, maxDemand float64,
 	budget time.Duration, seed int64, target float64, diverse int, quiet bool,
-	workers int, warmStart bool, tracer *obs.Tracer, rb robustness) bool {
+	warmStart bool, tracer *obs.Tracer, rb robustness) bool {
 
 	input := metaopt.InputConstraints{MaxDemand: maxDemand}
 	opts := milp.Options{
@@ -183,7 +188,6 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 		StallWindow:     budget / 3,
 		StallImprove:    0.005,
 		Tracer:          tracer,
-		Workers:         workers,
 		WarmStart:       warmStart,
 		Ctx:             rb.ctx,
 		Checkpoint:      rb.checkpoint,
@@ -231,7 +235,7 @@ func runWhitebox(inst *metaopt.Instance, set *metaopt.DemandSet, heuristic strin
 		}
 		var mismatch *checkpoint.MismatchError
 		if errors.As(err, &mismatch) {
-			log.Fatalf("%v\ngapfinder: -resume continues only the search that wrote the checkpoint: rerun with the same model flags and the same -workers (the wave size defaults to twice the worker count)", err)
+			log.Fatalf("%v\ngapfinder: -resume continues only the search that wrote the checkpoint: rerun with the same model flags", err)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -7,7 +7,7 @@
 // (<state>/queue.ckpt) and every cacheable answer to the results store
 // (<state>/results.json), both checksummed record files in the format of
 // checkpoint.Table; in-flight jobs checkpoint their branch-and-bound
-// frontier to <state>/ckpt-<key>.ckpt on a configurable wave cadence. A
+// frontier to <state>/ckpt-<key>.ckpt on a configurable node-step cadence. A
 // SIGKILL mid-search therefore loses at most one cadence of work: a
 // restarted daemon re-admits the queue and resumes each job from its last
 // checkpoint to the bit-identical answer. SIGTERM/SIGINT drain gracefully:
@@ -40,11 +40,11 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8344", "listen address")
 	stateDir := flag.String("state", "gapserved-state", "durable state directory (queue ledger, results store, checkpoints)")
-	workers := flag.Int("workers", 2, "worker pool size (concurrent jobs; per-job solver parallelism is the job spec's workers field)")
+	workers := flag.Int("workers", 2, "worker pool size (concurrent jobs; each job's search is serial)")
 	queueDepth := flag.Int("queue-depth", 64, "max queued jobs before submissions are rejected with 429")
 	defaultBudget := flag.Duration("default-budget", 30*time.Second, "solve budget for jobs that do not set budget_sec")
 	maxBudget := flag.Duration("max-budget", 10*time.Minute, "upper clamp on any job's solve budget")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in solver waves (0 = every wave boundary)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in node steps (0 = before every step)")
 	quiet := flag.Bool("q", false, "suppress per-job SUMMARY lines")
 	flag.Parse()
 

@@ -67,7 +67,6 @@ func sweepMain(args []string) int {
 	budget := fs.Float64("budget", 30, "per-cell solve budget in seconds")
 	targetGap := fs.Float64("target-gap", 0, "stop a cell at the first gap >= this (0 = prove optimality)")
 	warm := fs.Bool("warm", false, "warm-start node relaxations")
-	solverWorkers := fs.Int("solver-workers", 0, "per-job solver wave-pool size (0 = daemon default)")
 
 	thresholds := fs.String("thresholds", "", "DP threshold axis, e.g. 2,5,8 (empty = single point from defaults)")
 	partitions := fs.String("partitions", "", "POP partitions axis, e.g. 1,2,4 or 1..4")
@@ -120,7 +119,6 @@ func sweepMain(args []string) int {
 			BudgetSec: *budget,
 			TargetGap: *targetGap,
 			WarmStart: *warm,
-			Workers:   *solverWorkers,
 		},
 		Thresholds: thrAxis,
 		Partitions: partAxis,

@@ -6,10 +6,9 @@ import (
 	"go/types"
 )
 
-// Sharedstate guards the deterministic-parallelism contract: the parallel
-// wave pool in milp and the restart workers in blackbox promise bit-identical
-// results at any worker count, which only holds if goroutines never race on
-// captured state. The analyzer inspects every closure launched with a go
+// Sharedstate guards the deterministic-parallelism contract: the restart
+// workers in blackbox promise bit-identical results at any worker count
+// above one, which only holds if goroutines never race on captured state. The analyzer inspects every closure launched with a go
 // statement and flags writes to variables captured from the enclosing
 // function unless the write is sanctioned by one of the disciplines the
 // codebase actually uses:
@@ -21,9 +20,9 @@ import (
 //   - read-only capture: reads are always fine.
 //
 // Writes that are deliberately disjoint — each worker owning one slot of a
-// preallocated results slice, coordinated by an atomic cursor — are real
-// code in the wave pool, but the safety argument lives in the indexing
-// scheme, not the syntax; such sites carry a
+// preallocated results slice, coordinated by an atomic cursor — are safe,
+// but the safety argument lives in the indexing scheme, not the syntax;
+// such sites carry a
 // //gapvet:allow sharedstate <reason> annotation naming that argument.
 var Sharedstate = &Analyzer{
 	Name: "sharedstate",

@@ -129,16 +129,19 @@ type Options struct {
 	// must then be positive).
 	Budget time.Duration
 	// Rng is required, keeping every search reproducible. With Workers > 1
-	// it is used only to derive one child seed per restart (drawn in restart
-	// order before any restart runs), so it must not be shared with a
-	// concurrently running consumer.
+	// or a Checkpoint it is used only to derive one child seed per restart
+	// (drawn in restart order before any restart runs), so it must not be
+	// shared with a concurrently running consumer.
 	Rng *rand.Rand
-	// Workers runs restarts concurrently on this many goroutines; 0 or 1 is
-	// the classic sequential search. Each restart gets its own rand.Rand
-	// seeded from Rng in restart order, so with a fixed Restarts count the
-	// returned Gap, Demands and Evals are identical for every Workers value
-	// (the restarts are independent; only wall clock changes). Under a pure
-	// Budget the restart count itself depends on timing, parallel or not.
+	// Workers runs restarts concurrently on this many goroutines. Workers
+	// <= 1 without a Checkpoint is the classic sequential search: every
+	// restart draws from Rng in turn. Workers > 1 (or a Checkpoint) gives
+	// each restart its own rand.Rand seeded from Rng in restart order, so
+	// with a fixed Restarts count the returned Gap, Demands and Evals are
+	// identical for every Workers value above 1 (the restarts are
+	// independent; only wall clock changes) but differ from the sequential
+	// search's. Under a pure Budget the restart count itself depends on
+	// timing, parallel or not.
 	Workers int
 	// Tracer, if non-nil, receives structured events: a restart event per
 	// random restart, move_accepted/move_rejected per neighbor evaluation,

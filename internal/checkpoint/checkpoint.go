@@ -1,7 +1,7 @@
 // Package checkpoint persists in-flight search state so a killed solver can
 // resume and finish with the bit-identical answer it would have produced
 // uninterrupted. It knows nothing about LPs or branching: it stores the two
-// state shapes the solvers export — a branch-and-bound wave snapshot and a
+// state shapes the solvers export — a branch-and-bound snapshot and a
 // black-box restart ledger — in a versioned, checksummed binary encoding
 // (JSON is ruled out by the ±Inf sentinels that are legitimate solver state).
 //
@@ -59,24 +59,25 @@ type TracePoint struct {
 	Source       string
 }
 
-// BnBState is everything the wave-based branch and bound needs to continue
-// exactly where it stopped: the incumbent, the open-node frontier with
-// warm-start bases, the effort counters, and the wave cursor. Incumbent and
-// BestBound are in the solver's internal score space (dir * objective).
+// BnBState is everything the branch and bound needs to continue exactly
+// where it stopped: the incumbent, the open-node frontier with warm-start
+// bases, the effort counters, and the step cursor (Waves: one wave is one
+// node step). Incumbent and BestBound are in the solver's internal score
+// space (dir * objective).
 //
-// Portability contract: the state pins only what determines the explored
-// tree — the model shape and the resolved Batch/DepthFirst (via
-// Fingerprint). It deliberately does NOT pin Workers or the warm-start
-// flag: both change how node relaxations are computed, never their
-// answers, so a snapshot written with 4 workers resumes with 1 (at the
-// same Batch) and still replays to the bit-identical incumbent, bound, and
-// node count of the uninterrupted run. A frontier basis blob that does
-// not decode (a retired wire version, say) only degrades that node to a
-// cold solve; TestResumeFromVersion2Bases in internal/milp seals that.
+// Portability contract: the search is serial, so the state depends on the
+// model and the options alone, never on the host that wrote it. It pins
+// only what determines the explored tree — the model shape and the node
+// order (via Fingerprint). It deliberately does NOT pin the warm-start
+// flag, which changes how node relaxations are computed, never their
+// answers: a snapshot written warm resumes cold and still replays to the
+// bit-identical incumbent, bound, and node count of the uninterrupted run.
+// A frontier basis blob that does not decode (a retired wire version, say)
+// only degrades that node to a cold solve; TestResumeFromVersion2Bases in
+// internal/milp seals that.
 type BnBState struct {
-	// Fingerprint hashes the model shape and the tree-determining options
-	// (resolved batch, depth-first flag); Resume refuses a state whose
-	// fingerprint does not match the model it is handed.
+	// Fingerprint hashes the model shape and the node order; Resume refuses
+	// a state whose fingerprint does not match the model it is handed.
 	Fingerprint      uint64
 	Waves            uint64
 	NextID           uint64

@@ -95,20 +95,20 @@ func TestDifferentialKKTvsGridSearch(t *testing.T) {
 				checkDPGapVerified(t, inst, tc.threshold, gridD, gridGap)
 			}
 
-			for _, workers := range []int{1, 4} {
+			for _, depthFirst := range []bool{false, true} {
 				pr := &DPGapProblem{Inst: inst, Threshold: tc.threshold,
 					Input: InputConstraints{MaxDemand: 100}}
-				res, err := pr.Solve(milp.Options{Workers: workers})
+				res, err := pr.Solve(milp.Options{DepthFirst: depthFirst})
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("depthFirst=%t: %v", depthFirst, err)
 				}
 				if res.Solver.Status != milp.StatusOptimal {
-					t.Fatalf("workers=%d: status %v", workers, res.Solver.Status)
+					t.Fatalf("depthFirst=%t: status %v", depthFirst, res.Solver.Status)
 				}
 				// The white-box optimum dominates any grid point.
 				if res.Gap < gridGap-1e-6 {
-					t.Fatalf("workers=%d: KKT gap %v below exhaustive grid gap %v (grid witness %v)",
-						workers, res.Gap, gridGap, gridD)
+					t.Fatalf("depthFirst=%t: KKT gap %v below exhaustive grid gap %v (grid witness %v)",
+						depthFirst, res.Gap, gridGap, gridD)
 				}
 				checkDPGapVerified(t, inst, tc.threshold, res.Demands, res.Gap)
 			}
@@ -116,8 +116,8 @@ func TestDifferentialKKTvsGridSearch(t *testing.T) {
 	}
 }
 
-// TestCoreParallelMatchesSerial runs the full DP and POP meta problems with
-// Workers=1 and Workers=4 and requires identical verified gaps — the
+// TestCoreParallelMatchesSerial runs the full DP meta problem cold and
+// warm-started and requires identical verified gaps and trees — the
 // acceptance criterion "same incumbent objective and final bound" at the
 // meta-problem level, where Polish, seeds and tracing are all in play.
 func TestCoreParallelMatchesSerial(t *testing.T) {
@@ -128,22 +128,22 @@ func TestCoreParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := &DPGapProblem{Inst: inst, Threshold: 50, Input: InputConstraints{MaxDemand: 100}}
-	serial, err := pr.Solve(milp.Options{Workers: 1, Batch: 4})
+	cold, err := pr.Solve(milp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := pr.Solve(milp.Options{Workers: 4, Batch: 4})
+	warm, err := pr.Solve(milp.Options{WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Gap != par.Gap ||
-		serial.Solver.Objective != par.Solver.Objective ||
-		serial.Solver.Bound != par.Solver.Bound ||
-		serial.Solver.Nodes != par.Solver.Nodes ||
-		serial.Solver.LPSolves != par.Solver.LPSolves {
-		t.Fatalf("fixed-batch runs diverged:\nserial gap=%v obj=%v bound=%v nodes=%d lp=%d\n"+
-			"parallel gap=%v obj=%v bound=%v nodes=%d lp=%d",
-			serial.Gap, serial.Solver.Objective, serial.Solver.Bound, serial.Solver.Nodes, serial.Solver.LPSolves,
-			par.Gap, par.Solver.Objective, par.Solver.Bound, par.Solver.Nodes, par.Solver.LPSolves)
+	if cold.Gap != warm.Gap ||
+		cold.Solver.Objective != warm.Solver.Objective ||
+		cold.Solver.Bound != warm.Solver.Bound ||
+		cold.Solver.Nodes != warm.Solver.Nodes ||
+		cold.Solver.LPSolves != warm.Solver.LPSolves {
+		t.Fatalf("warm run diverged from cold:\ncold gap=%v obj=%v bound=%v nodes=%d lp=%d\n"+
+			"warm gap=%v obj=%v bound=%v nodes=%d lp=%d",
+			cold.Gap, cold.Solver.Objective, cold.Solver.Bound, cold.Solver.Nodes, cold.Solver.LPSolves,
+			warm.Gap, warm.Solver.Objective, warm.Solver.Bound, warm.Solver.Nodes, warm.Solver.LPSolves)
 	}
 }

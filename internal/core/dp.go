@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/kkt"
@@ -240,7 +239,7 @@ func (pr *DPGapProblem) Solve(opts milp.Options) (*Result, error) {
 // written by an earlier Solve with Options.Checkpoint set. The meta model
 // is rebuilt from the problem description — which must match the
 // checkpointed run's (milp.Resume rejects mismatched fingerprints) — and
-// the search picks up at the snapshotted wave boundary; seed incumbents
+// the search picks up at the snapshotted node step; seed incumbents
 // are ignored in favor of the snapshot's.
 func (pr *DPGapProblem) Resume(st *checkpoint.BnBState, opts milp.Options) (*Result, error) {
 	if st == nil {
@@ -390,24 +389,13 @@ func (pr *DPGapProblem) polisher(b *dpBuild, price func([]float64) (float64, boo
 // so the polish step does not re-solve identical candidates node after node.
 // Unlike a plain seen-set it stores the *result*, which makes every polisher
 // a pure function of its argument: repeats return the memoized gap instead
-// of being suppressed, so the answer does not depend on call order. That, in
-// turn, is what lets milp.Solve call polish from concurrent workers (see
-// milp.Options.Polish's concurrency contract) — the mutex makes the cache
-// safe and the purity makes the schedule irrelevant.
-//
-// Fresh keys are computed single-flight: the first caller owns the solve,
-// concurrent callers of the same key wait for its result instead of
-// re-solving. Beyond saving the duplicate work, this pins the *number* of
-// underlying LP solves to the set of unique keys priced — a pure function
-// of the search tree — so solver-call counters in the bench registry are
-// schedule-independent at any worker count. (The one remaining schedule
-// dependence is FIFO eviction past max; the polish workloads stay far
-// under it.)
+// of being suppressed, so the answer does not depend on call order — what
+// milp.Options.Polish asks of a polisher so that a resumed search, whose
+// cache starts empty, polishes to the same incumbents. The search calls its
+// polisher from one goroutine, so the cache takes no lock.
 type priceCache struct {
-	mu      sync.Mutex
 	max     int
 	entries map[string]priceEntry
-	pending map[string]chan struct{}
 	fifo    []string
 }
 
@@ -417,11 +405,7 @@ type priceEntry struct {
 }
 
 func newPriceCache(max int) *priceCache {
-	return &priceCache{
-		max:     max,
-		entries: make(map[string]priceEntry, max),
-		pending: make(map[string]chan struct{}),
-	}
+	return &priceCache{max: max, entries: make(map[string]priceEntry, max)}
 }
 
 func (c *priceCache) key(d []float64) string {
@@ -435,46 +419,20 @@ func (c *priceCache) key(d []float64) string {
 	return string(buf)
 }
 
-// price returns f(d), memoized and single-flight: exactly one caller
-// computes f per fresh key while concurrent callers of that key block on
-// its completion and then read the cached result. f must be deterministic
-// — the waiters return the owner's answer as their own.
+// price returns f(d), memoized; past max entries the oldest is evicted.
 func (c *priceCache) price(d []float64, f func([]float64) (float64, bool)) (float64, bool) {
 	k := c.key(d)
-	for {
-		c.mu.Lock()
-		if e, hit := c.entries[k]; hit {
-			c.mu.Unlock()
-			return e.gap, e.ok
-		}
-		if ch, inflight := c.pending[k]; inflight {
-			c.mu.Unlock()
-			<-ch
-			// The owner has published the entry; re-read it. (If eviction
-			// churn already dropped it, the loop recomputes — correctness
-			// never depends on the entry surviving.)
-			continue
-		}
-		ch := make(chan struct{})
-		c.pending[k] = ch
-		c.mu.Unlock()
-
-		gap, ok := f(d)
-
-		c.mu.Lock()
-		if _, hit := c.entries[k]; !hit {
-			if len(c.fifo) >= c.max {
-				delete(c.entries, c.fifo[0])
-				c.fifo = c.fifo[1:]
-			}
-			c.entries[k] = priceEntry{gap: gap, ok: ok}
-			c.fifo = append(c.fifo, k)
-		}
-		delete(c.pending, k)
-		close(ch)
-		c.mu.Unlock()
-		return gap, ok
+	if e, hit := c.entries[k]; hit {
+		return e.gap, e.ok
 	}
+	gap, ok := f(d)
+	if len(c.fifo) >= c.max {
+		delete(c.entries, c.fifo[0])
+		c.fifo = c.fifo[1:]
+	}
+	c.entries[k] = priceEntry{gap: gap, ok: ok}
+	c.fifo = append(c.fifo, k)
+	return gap, ok
 }
 
 // polishBest is the shared tail of the polishers: it repairs each

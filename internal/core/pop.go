@@ -175,7 +175,7 @@ func (pr *POPGapProblem) Solve(opts milp.Options) (*Result, error) {
 // is rebuilt from the problem description — including the Rng-drawn
 // assignments, so the caller must reconstruct the problem with the same
 // seed (milp.Resume rejects mismatched fingerprints) — and the search
-// picks up at the snapshotted wave boundary.
+// picks up at the snapshotted node step.
 func (pr *POPGapProblem) Resume(st *checkpoint.BnBState, opts milp.Options) (*Result, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil checkpoint state")

@@ -44,9 +44,9 @@ type Config struct {
 	// Tracer, if non-nil, receives structured events from every search the
 	// experiment runs (white-box B&B and black-box baselines alike).
 	Tracer *obs.Tracer
-	// Workers is threaded into every search: node-relaxation parallelism in
-	// the white-box branch and bound and restart parallelism in the
-	// black-box baselines. 0 or 1 keeps everything sequential.
+	// Workers runs the black-box baselines' restarts on this many
+	// goroutines (blackbox.Options.Workers); 0 or 1 keeps them sequential.
+	// White-box searches are serial.
 	Workers int
 	// WarmStart makes every white-box search warm-start node LP relaxations
 	// from the parent basis (milp.Options.WarmStart). The explored trees and
@@ -96,7 +96,6 @@ func (c Config) searchOptions() milp.Options {
 		StallWindow:  c.Budget,
 		StallImprove: 0.005,
 		Tracer:       c.Tracer,
-		Workers:      c.Workers,
 		WarmStart:    c.WarmStart,
 		Ctx:          c.Ctx,
 	}

@@ -1,7 +1,7 @@
 // Package faultinject provides a seeded, deterministic fault plan for the
-// solver stack's resilience tests: the nth LP solve fails, a wave worker
-// panics at wave k, a checkpoint write returns an I/O error, or the search
-// deadline expires mid-wave. Faults are injected behind interfaces the
+// solver stack's resilience tests: the nth LP solve fails, a node step
+// panics at step k, a checkpoint write returns an I/O error, or the search
+// deadline expires before step k. Faults are injected behind interfaces the
 // solvers already use, so production code paths are exercised unchanged; a
 // nil *Plan injects nothing and costs one nil check.
 //
@@ -10,7 +10,7 @@
 //	lp-solve:7,worker-panic:3,ckpt-write:1,deadline:4
 //
 // where the number is the 1-based occurrence (lp-solve, ckpt-write, the
-// http-* ops) or the wave index (worker-panic, deadline) at which the fault
+// http-* ops) or the node-step index (worker-panic, deadline) at which the fault
 // fires. A trigger of the form "op:~max" draws the firing point uniformly
 // from [1, max] using the plan's seed — deterministic for a fixed
 // (spec, seed) pair, which is what lets a CI matrix sweep kill points
@@ -35,15 +35,15 @@ import (
 
 // Fault operations understood by the solvers.
 const (
-	// OpLPSolve fails the nth node-relaxation LP (counted in deterministic
-	// apply order on the branch-and-bound coordinator).
+	// OpLPSolve fails the nth node-relaxation LP (counted in the branch and
+	// bound's apply order).
 	OpLPSolve = "lp-solve"
-	// OpWorkerPanic panics inside a wave worker at the given wave index,
-	// exercising the pool's panic recovery and deterministic drain.
+	// OpWorkerPanic panics inside the branch and bound's node step at the
+	// given step index, exercising its panic recovery.
 	OpWorkerPanic = "worker-panic"
 	// OpCheckpointWrite fails the nth checkpoint write with an I/O error.
 	OpCheckpointWrite = "ckpt-write"
-	// OpDeadline forces deadline expiry at the start of the given wave.
+	// OpDeadline forces deadline expiry at the start of the given node step.
 	OpDeadline = "deadline"
 	// OpHTTPDrop closes the client connection of the triggered proxied
 	// request without answering — the client sees an abrupt EOF mid-request.
@@ -102,7 +102,7 @@ func (e *ParseError) Error() string {
 }
 func (e *ParseError) Unwrap() error { return ErrBadPlan }
 
-// Error is one fired fault: the operation and the occurrence or wave index
+// Error is one fired fault: the operation and the occurrence or step index
 // it fired at.
 type Error struct {
 	Op string
@@ -112,12 +112,12 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("faultinject: %s fault at %d", e.Op, e.N) }
 func (e *Error) Unwrap() error { return ErrInjected }
 
-// Plan is a parsed fault plan. Methods are safe for concurrent use (wave
-// workers consult it in parallel). The zero of *Plan — nil — is a valid
+// Plan is a parsed fault plan. Methods are safe for concurrent use (the
+// fault proxy consults it from concurrent requests). The zero of *Plan — nil — is a valid
 // plan that never fires.
 type Plan struct {
 	mu       sync.Mutex
-	trigger  map[string]int  // op -> occurrence / wave index / period (1-based)
+	trigger  map[string]int  // op -> occurrence / step index / period (1-based)
 	periodic map[string]bool // op -> trigger is a %k period, firing repeatedly
 	count    map[string]int  // op -> occurrences observed so far
 }
@@ -215,7 +215,7 @@ func (p *Plan) Hit(op string) (int, bool) {
 
 // At reports whether the plan fires op at index k (index-triggered ops:
 // worker-panic, deadline). Unlike Hit it does not count, so it may be
-// consulted any number of times per wave.
+// consulted any number of times per step.
 func (p *Plan) At(op string, k int) bool {
 	if p == nil {
 		return false

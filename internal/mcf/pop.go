@@ -97,25 +97,51 @@ func SolvePOPAssigned(inst *Instance, clients []Client, assign []int, partitions
 // routes its clients' pooled volumes over the capacities divided by the
 // partition count, and the flows are unioned in partition order.
 func (pc *Pricer) POPAssigned(clients []Client, assign []int, partitions int) (*Flow, error) {
-	lps, varOfs, err := pc.popLPs(clients, assign, partitions)
-	if err != nil {
+	out := newFlow(pc.inst)
+	if err := pc.solvePOP(clients, assign, partitions, func(varOf []lp.VarID, x []float64) {
+		pc.addFlows(out, varOf, x)
+	}); err != nil {
 		return nil, err
 	}
-	out := newFlow(pc.inst)
+	return out, nil
+}
+
+// popTotal is POPAssigned's Flow.Total without building the Flow: the
+// partitions' flows summed in partition, demand and path order, the order
+// Flow.add sums them in.
+func (pc *Pricer) popTotal(clients []Client, assign []int, partitions int) (float64, error) {
+	total := 0.0
+	err := pc.solvePOP(clients, assign, partitions, func(varOf []lp.VarID, x []float64) {
+		for _, v := range varOf {
+			if v >= 0 {
+				total += x[v]
+			}
+		}
+	})
+	return total, err
+}
+
+// solvePOP solves every partition's LP in partition order and hands each
+// optimal point to use with the partition's varOf.
+func (pc *Pricer) solvePOP(clients []Client, assign []int, partitions int, use func(varOf []lp.VarID, x []float64)) error {
+	lps, varOfs, err := pc.popLPs(clients, assign, partitions)
+	if err != nil {
+		return err
+	}
 	for c, p := range lps {
 		if p == nil {
 			continue
 		}
 		sol, err := p.SolveWith(oneShotOpts())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if sol.Status != lp.StatusOptimal {
-			return nil, fmt.Errorf("mcf: POP partition %d LP %v", c, sol.Status)
+			return fmt.Errorf("mcf: POP partition %d LP %v", c, sol.Status)
 		}
-		pc.addFlows(out, varOfs[c], sol.X)
+		use(varOfs[c], sol.X)
 	}
-	return out, nil
+	return nil
 }
 
 // popLPs assembles every partition's LP, nil for a partition with no
@@ -151,11 +177,9 @@ func (pc *Pricer) POPGap(vols []float64, assignments [][]int, partitions int, de
 	clients := Clients(vols, POPOptions{})
 	totals := make([]float64, len(assignments))
 	for i, a := range assignments {
-		f, err := pc.POPAssigned(clients, a, partitions)
-		if err != nil {
+		if totals[i], err = pc.popTotal(clients, a, partitions); err != nil {
 			return 0, 0, fmt.Errorf("mcf: POP instantiation %d: %w", i, err)
 		}
-		totals[i] = f.Total
 	}
 	if descriptor != nil {
 		return opt, descriptor(totals), nil

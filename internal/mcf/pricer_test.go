@@ -345,7 +345,8 @@ func checkConcurrent(t *testing.T, pc *Pricer, inst *Instance, vols []float64, t
 }
 
 // checkPOP prices clients under assign on pc and fails unless every
-// partition's LP and the union flow are bitwise the reference's. It
+// partition's LP, the union flow and POPGap's total are bitwise the
+// reference's. It
 // reports how many partitions had no demand to route.
 func checkPOP(t *testing.T, pc *Pricer, inst *Instance, clients []Client, assign []int, partitions int) (empty int) {
 	t.Helper()
@@ -359,6 +360,10 @@ func checkPOP(t *testing.T, pc *Pricer, inst *Instance, clients []Client, assign
 		t.Fatal(err)
 	}
 	sameFlow(t, what, got, want)
+	// POPGap sums each assignment's total without building the Flow.
+	if total, err := pc.popTotal(clients, assign, partitions); err != nil || !sameBits(total, got.Total) {
+		t.Fatalf("%s: popTotal %v (%v), POPAssigned total %v", what, total, err, got.Total)
+	}
 	gotLPs, _, err := pc.popLPs(clients, assign, partitions)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -28,12 +26,14 @@ const (
 	absGapTol = 1e-6
 )
 
-// Wave-level time attribution: one bnb_wave_seconds observation per solved
-// wave (the relaxation-solving span only, serial or pooled — the apply step
-// is excluded), plus a running wave count, and one bnb_polish_seconds
-// observation per speculative polish call inside a wave. Observability
-// output only; the explored tree never reads these, which the gapvet:allow
-// walltime annotations at the measurement sites assert.
+// Step-level time attribution: one bnb_wave_seconds observation per node
+// step (the relaxation-solving span only — the apply step is excluded),
+// plus a running step count, and one bnb_polish_seconds observation per
+// speculative polish call. A "wave" in these names, in the checkpoint's
+// Waves cursor and in the fault plan's step indices is one node step; the
+// benchmark and the ledger read the names. Observability output only; the
+// explored tree never reads these, which the gapvet:allow walltime
+// annotations at the measurement sites assert.
 var (
 	bnbWaveSeconds   = obs.Default.Histogram("bnb_wave_seconds")
 	bnbWavesTotal    = obs.Default.Counter("bnb_waves_total")
@@ -43,17 +43,17 @@ var (
 // node is a branch-and-bound node: a set of bound overrides plus the bound
 // inherited from its parent's relaxation. The id is a creation-order serial
 // number used as the heap's final tie-break, which makes the pop order a
-// strict total order — the anchor of the deterministic parallel mode.
+// strict total order — the anchor of checkpoint-resume determinism.
 type node struct {
 	id        uint64
 	overrides map[lp.VarID][2]float64
 	bound     float64 // parent relaxation objective, in maximize-direction score
 	depth     int
 	// basis is the parent relaxation's terminal basis, used to warm-start
-	// this node's own LP when Options.WarmStart is set. It is created on the
-	// coordinator during the deterministic apply step and immutable after,
-	// so sharing one snapshot between both children is race-free. A nil
-	// basis (root node, unbounded parent) simply solves cold.
+	// this node's own LP when Options.WarmStart is set. It is created during
+	// the apply step and immutable after, so both children share one
+	// snapshot. A nil basis (root node, unbounded parent) simply solves
+	// cold.
 	basis *lp.Basis
 }
 
@@ -92,35 +92,32 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// nodeResult is everything a worker computes for one wave node. The
-// coordinator applies results strictly in wave order, so the explored tree
-// (and every counter and trace event) is independent of which worker ran
-// which node, and of how their completions interleaved.
+// nodeResult is what relax computes for one node, before apply folds it
+// into the search.
 type nodeResult struct {
 	sol *lp.Solution
 	err error
-	// Speculative polish outcome, computed on the worker whenever the node
-	// could still improve on the wave-start incumbent.
+	// Speculative polish outcome, computed whenever the node could still
+	// improve on the incumbent.
 	polishObj float64
 	polishSol []float64
 	polishOK  bool
 }
 
 // search is one branch-and-bound run: the model and options it started
-// with plus the coordinator state every wave boundary settles. Solve and
-// Resume build it through one constructor; run then drives it through the
-// named steps stop, popWave, solveWave (relax on every node), apply (count,
-// prune, polish, branch), writeCheckpoint and finish.
+// with plus the state every node step settles. Solve and Resume build it
+// through one constructor; run then drives it through the named steps
+// stop, pop, step (relax), apply (count, prune, polish, branch),
+// writeCheckpoint and finish.
 type search struct {
-	m              *Model
-	opts           Options
-	tr             *obs.Tracer
-	dir            float64 // +1 for Maximize, -1 for Minimize: score = dir * objective
-	workers, batch int
+	m    *Model
+	opts Options
+	tr   *obs.Tracer
+	dir  float64 // +1 for Maximize, -1 for Minimize: score = dir * objective
 
 	// The fingerprint pins everything the explored tree depends on; a
-	// checkpoint from a different model or batch must fail loudly instead of
-	// resuming a structurally different search.
+	// checkpoint from a different model or node order must fail loudly
+	// instead of resuming a structurally different search.
 	fp        uint64
 	ckpt      *checkpoint.Writer
 	ckptEvery uint64
@@ -146,35 +143,28 @@ type search struct {
 
 	h      *nodeHeap
 	nextID uint64
-	waves  uint64
-	// A serial warm search solves its nodes one after another on this
-	// goroutine, so a child popped right after its parent can dive on the
-	// parent's terminal tableau; the handle finds that out by itself.
+	// waves counts completed node steps (the checkpoint's step cursor).
+	waves uint64
+	// A warm search solves its nodes one after another on this goroutine,
+	// so a child popped right after its parent can dive on the parent's
+	// terminal tableau; the handle finds that out by itself.
 	dive *lp.Dive
-
-	wave    []*node
-	results []nodeResult
 }
 
 // Solve runs branch and bound on the model. The LP's own sense is honored:
 // for Maximize the bound decreases toward the incumbent from above, for
 // Minimize from below.
 //
-// With Options.Workers > 1 the search proceeds in waves: the coordinator
-// pops up to Options.Batch nodes from the frontier, the workers solve their
-// relaxations (plus speculative Polish calls) concurrently, and the
-// coordinator applies the results sequentially in pop order. Everything
-// that shapes the tree — pruning, incumbents, branching — happens on the
-// coordinator, so a run is reproducible and Workers only changes wall-clock
-// time, never the answer.
-//
+// The search is serial: each step pops one node, solves its relaxation
+// (plus a speculative Polish call) and applies the result, all on the
+// calling goroutine, so a run is a pure function of the model and options.
 // With Options.Ctx set the search is cooperatively cancellable
 // (StatusInterrupted with the best-so-far incumbent and a valid bound), and
-// with Options.Checkpoint set the wave-boundary state is persisted
+// with Options.Checkpoint set the state between steps is persisted
 // atomically so Resume can continue a killed run to the bit-identical
-// answer. On a failed node relaxation (solver error, recovered worker
-// panic, or injected fault) Solve returns both the best-so-far
-// StatusInterrupted result and a non-nil error.
+// answer. On a failed node relaxation (solver error, recovered panic, or
+// injected fault) Solve returns both the best-so-far StatusInterrupted
+// result and a non-nil error.
 func Solve(m *Model, opts Options) (*Result, error) { return runSearch(m, opts, nil) }
 
 // runSearch is the engine behind Solve and Resume: a fresh search when resume
@@ -194,15 +184,14 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 // alone on the frontier) or reconstructs a checkpointed one verbatim.
 func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, error) {
 	start := time.Now() //gapvet:allow walltime anchors TimeLimit and elapsed-time reporting; never shapes the tree
-	s := &search{m: m, opts: opts, tr: opts.Tracer, dir: 1,
-		workers: max(opts.Workers, 1), batch: resolveBatch(opts), ckptEvery: 1,
+	s := &search{m: m, opts: opts, tr: opts.Tracer, dir: 1, ckptEvery: 1,
 		start: start, windowStart: start,
 		incumbent: math.Inf(-1), bestBound: math.Inf(1), infeasibleProven: true,
 		h: &nodeHeap{depthFirst: opts.DepthFirst}, nextID: 1}
 	if m.P.Sense() == lp.Minimize {
 		s.dir = -1
 	}
-	s.fp = fingerprint(m, s.batch, opts.DepthFirst)
+	s.fp = fingerprint(m, opts.DepthFirst)
 	if resume != nil && resume.Fingerprint != s.fp {
 		return nil, &checkpoint.MismatchError{What: "search fingerprint", Want: resume.Fingerprint, Got: s.fp}
 	}
@@ -216,7 +205,7 @@ func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, er
 	s.res = &Result{Status: StatusNoIncumbent, Fingerprint: s.fp}
 	if resume == nil {
 		heap.Push(s.h, &node{bound: math.Inf(1)}) // root: id 0
-		if opts.WarmStart && s.workers == 1 {
+		if opts.WarmStart {
 			s.dive = new(lp.Dive)
 		}
 	} else {
@@ -245,8 +234,6 @@ func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, er
 	if opts.TimeLimit > 0 {
 		s.deadline = start.Add(opts.TimeLimit - s.elapsed0)
 	}
-	s.wave = make([]*node, 0, s.batch)
-	s.results = make([]nodeResult, s.batch)
 	return s, nil
 }
 
@@ -279,15 +266,15 @@ func (s *search) improve(score float64, x []float64, source string) bool {
 	return s.opts.Target != nil && score >= s.dir**s.opts.Target-boundTol
 }
 
-// run is the wave loop: refresh the global bound, apply the stopping rules,
-// then pop, solve and apply one wave at a time.
+// run is the node loop: refresh the global bound, apply the stopping rules,
+// then pop, solve and apply one node at a time.
 func (s *search) run() (*Result, error) {
 	s.windowIncumbent = s.incumbent
 	for s.h.Len() > 0 {
 		// Global bound = best of incumbent and all open node bounds; the heap
 		// top carries the largest open bound when using best-bound order.
-		// Computed before the wave is popped, so it upper-bounds every wave
-		// node too — incumbent trace points recorded mid-wave stay valid.
+		// Computed before the node is popped, so it upper-bounds that node
+		// too — incumbent trace points recorded while applying it stay valid.
 		if !s.opts.DepthFirst {
 			s.bestBound = s.h.nodes[0].bound
 		} else {
@@ -309,15 +296,12 @@ func (s *search) run() (*Result, error) {
 			s.infeasibleProven = false
 			break
 		}
-		wave := s.popWave()
-		if len(wave) == 0 {
+		nd := s.pop()
+		if nd == nil {
 			continue
 		}
-		results := s.solveWave(wave)
-		for i, nd := range wave {
-			if st, done, err := s.apply(nd, results[i]); done {
-				return s.finish(st), err
-			}
+		if st, done, err := s.apply(nd, s.step(nd)); done {
+			return s.finish(st), err
 		}
 		s.waves++
 	}
@@ -339,13 +323,11 @@ func (s *search) run() (*Result, error) {
 	return s.finish(StatusFeasible), nil
 }
 
-// stop applies the stopping rules, checked only at wave boundaries (no node
-// is ever in flight here), and reports whether the search ends. The
-// interrupt check comes BEFORE the checkpoint write: a wave cut short
-// mid-apply pushed its unexplored nodes back, and snapshotting that mixed
-// frontier would not reproduce the uninterrupted pop order. Disk always
-// holds the last complete wave boundary; resume re-does the final wave in
-// full.
+// stop applies the stopping rules, checked only between node steps (no
+// node is ever in flight here), and reports whether the search ends. The
+// interrupt check comes BEFORE the checkpoint write: a node cut off
+// mid-pivot was pushed back unexplored, and disk keeps the state before
+// its step; resume re-does that step in full.
 func (s *search) stop() bool {
 	if s.interrupted || ctxCancelled(s.opts.Ctx) {
 		s.interrupted = true
@@ -380,86 +362,44 @@ func (s *search) stop() bool {
 	return false
 }
 
-// popWave pops up to batch nodes surviving the bound prune against the
-// current incumbent, in strict heap order. With Batch == 1 this is exactly
-// the classic pop-prune-solve loop.
-func (s *search) popWave() []*node {
-	lim := s.batch
-	if s.opts.MaxNodes > 0 {
-		lim = min(lim, s.opts.MaxNodes-s.res.Nodes)
-	}
-	s.wave = s.wave[:0]
-	for len(s.wave) < lim && s.h.Len() > 0 {
+// pop pops the best open node surviving the bound prune against the
+// current incumbent; nil when the frontier runs out.
+func (s *search) pop() *node {
+	for s.h.Len() > 0 {
 		nd := heap.Pop(s.h).(*node)
-		if nd.bound <= s.incumbent+boundTol {
-			s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
-				Bound: s.dir * nd.bound, Detail: "bound"})
-			continue // pruned by bound
+		if nd.bound > s.incumbent+boundTol {
+			return nd
 		}
-		s.wave = append(s.wave, nd)
+		s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
+			Bound: s.dir * nd.bound, Detail: "bound"})
 	}
-	return s.wave
+	return nil
 }
 
-// solveWave solves the wave's relaxations, serially or on the worker pool.
-// Workers pull jobs dynamically; the result slot is fixed by wave position,
-// so scheduling cannot leak into the outcome.
-func (s *search) solveWave(wave []*node) []nodeResult {
-	results := s.results[:len(wave)]
-	waveNo := s.waves + 1
-	waveIncumbent := s.incumbent
-	waveStart := time.Now() //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
-	if s.workers == 1 || len(wave) == 1 {
-		for i, nd := range wave {
-			results[i] = s.relax(waveNo, i, nd, waveIncumbent)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		nw := min(s.workers, len(wave))
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(wave) {
-						return
-					}
-					// Disjoint-slot writes: the atomic cursor hands each worker a
-					// unique index, results is preallocated to len(wave), and no
-					// slot is written twice — safety lives in the indexing, not a lock.
-					//gapvet:allow sharedstate disjoint slots; atomic cursor assigns each index to exactly one worker
-					results[i] = s.relax(waveNo, i, wave[i], waveIncumbent)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	bnbWaveSeconds.ObserveDuration(time.Since(waveStart)) //gapvet:allow walltime wave time attribution; observed into an obs histogram, never shapes the tree
+// step solves one node's relaxation and times it as one node step.
+func (s *search) step(nd *node) nodeResult {
+	start := time.Now() //gapvet:allow walltime step time attribution; observed into an obs histogram, never shapes the tree
+	r := s.relax(s.waves+1, nd)
+	bnbWaveSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime step time attribution; observed into an obs histogram, never shapes the tree
 	bnbWavesTotal.Inc()
-	return results
+	return r
 }
 
-// relax is the worker-side work for one node: the LP relaxation plus a
-// speculative polish. It is a pure function of (nd, waveIncumbent) — it
-// reads only immutable state — so results are identical no matter which
-// worker runs it. Each call builds its own simplex tableau (lp.SolveWith
-// shares no scratch memory between calls) or, in a serial warm search, may
-// dive on the one the previous call left.
+// relax is the node's LP relaxation plus a speculative polish. It changes
+// no search state but the dive handle: in a warm search it may dive on the
+// tableau the previous call left.
 //
-// A panic (a Polish bug, or the injected worker-panic fault) becomes a typed
-// error in the node's fixed result slot while the rest of the pool drains
-// normally, and apply surfaces it in deterministic wave order. waveNo is the
-// 1-based index of the wave being solved.
-func (s *search) relax(waveNo uint64, i int, nd *node, waveIncumbent float64) (r nodeResult) {
+// A panic (a Polish bug, or the injected worker-panic fault) becomes a
+// typed error in the result, which apply surfaces with the best-so-far
+// result. stepNo is the 1-based index of the node step.
+func (s *search) relax(stepNo uint64, nd *node) (r nodeResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			r = nodeResult{err: &WorkerPanicError{Wave: waveNo, Node: nd.id, Value: p, Stack: debug.Stack()}}
+			r = nodeResult{err: &WorkerPanicError{Wave: stepNo, Node: nd.id, Value: p, Stack: debug.Stack()}}
 		}
 	}()
-	if i == 0 && s.opts.Faults.At(faultinject.OpWorkerPanic, int(waveNo)) {
-		panic(&faultinject.Error{Op: faultinject.OpWorkerPanic, N: int(waveNo)})
+	if s.opts.Faults.At(faultinject.OpWorkerPanic, int(stepNo)) {
+		panic(&faultinject.Error{Op: faultinject.OpWorkerPanic, N: int(stepNo)})
 	}
 	r.sol, r.err = s.m.P.SolveWith(lp.SolveOptions{
 		BoundOverride: nd.overrides,
@@ -476,10 +416,10 @@ func (s *search) relax(waveNo uint64, i int, nd *node, waveIncumbent float64) (r
 	if r.err != nil || r.sol == nil || r.sol.Status != lp.StatusOptimal {
 		return r
 	}
-	// Speculative polish: skip nodes whose score cannot beat even the
-	// wave-start incumbent — the apply step is guaranteed to prune them, so
-	// skipping is outcome-neutral.
-	if s.opts.Polish != nil && r.sol.X != nil && s.dir*r.sol.Objective > waveIncumbent+boundTol {
+	// Speculative polish: skip nodes whose score cannot beat the incumbent
+	// — the apply step is guaranteed to prune them, so skipping is
+	// outcome-neutral.
+	if s.opts.Polish != nil && r.sol.X != nil && s.dir*r.sol.Objective > s.incumbent+boundTol {
 		start := time.Now() //gapvet:allow walltime polish time attribution; observed into an obs histogram, never shapes the tree
 		r.polishObj, r.polishSol, r.polishOK = s.opts.Polish(r.sol.X)
 		bnbPolishSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime polish time attribution; observed into an obs histogram, never shapes the tree
@@ -487,19 +427,17 @@ func (s *search) relax(waveNo uint64, i int, nd *node, waveIncumbent float64) (r
 	return r
 }
 
-// apply folds one node's result into the search, in wave (= deterministic
-// pop) order: it counts the solve, prunes, installs the polish outcome and
-// branches. done reports that the search ends here with status st (and,
-// for a failed relaxation, err).
+// apply folds one node's result into the search: it counts the solve,
+// prunes, installs the polish outcome and branches. done reports that the
+// search ends here with status st (and, for a failed relaxation, err).
 func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error) {
 	// The nth-LP-solve fault is counted here, at the apply step, so the
-	// firing point is a position in the deterministic tree rather than a
-	// race between workers.
+	// firing point is a position in the deterministic tree.
 	if n, fire := s.opts.Faults.Hit(faultinject.OpLPSolve); fire && wr.err == nil {
 		wr.err = &faultinject.Error{Op: faultinject.OpLPSolve, N: n}
 	}
 	if wr.err != nil {
-		// A failed relaxation (solver error, recovered worker panic, or
+		// A failed relaxation (solver error, recovered panic, or
 		// injected fault) voids any completeness proof but not the
 		// incumbent: return the best-so-far result alongside the error.
 		if errors.Is(wr.err, faultinject.ErrInjected) {
@@ -512,17 +450,12 @@ func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error
 	if sol != nil && sol.Status == lp.StatusInterrupted {
 		// Cancelled mid-pivot: the node was never evaluated, so push it back
 		// unexplored (before any counting) — the frontier and the reported
-		// bound stay exactly valid — and let the wave-boundary check stop the
-		// loop.
+		// bound stay exactly valid — and let the check before the next step
+		// stop the loop.
 		heap.Push(s.h, nd)
 		s.interrupted = true
 		return 0, false, nil
 	}
-	// Intra-wave re-check: an earlier node of this wave may have raised the
-	// incumbent past this node's bound. Never fires when Batch == 1 (the
-	// pop-time prune used the same incumbent).
-	latePruned := nd.bound <= s.incumbent+boundTol
-
 	s.res.LPSolves++
 	s.tr.Emit(obs.Event{Kind: obs.KindLPSolveStart, Nodes: s.res.Nodes})
 	if sol != nil {
@@ -542,11 +475,6 @@ func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error
 			Iters: sol.Iterations, Degenerate: sol.DegeneratePivots,
 			Status: sol.Status.String(), Detail: sol.WarmMode()})
 	}
-	if latePruned {
-		s.tr.Emit(obs.Event{Kind: obs.KindNodePruned, Nodes: s.res.Nodes,
-			Bound: s.dir * nd.bound, Detail: "bound"})
-		return 0, false, nil
-	}
 	s.res.Nodes++
 	s.tr.Emit(obs.Event{Kind: obs.KindNodeExplored, Nodes: s.res.Nodes,
 		Bound: s.dir * s.bestBound})
@@ -565,8 +493,8 @@ func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error
 		// Keep the node's inherited bound and skip — it cannot be evaluated,
 		// and dropping it silently would break infeasibility proofs. A
 		// deadline abort means the whole search is out of wall clock, not
-		// that this one node was too hard; the wave-boundary deadline check
-		// stops the loop.
+		// that this one node was too hard; the deadline check before the
+		// next step stops the loop.
 		s.infeasibleProven = false
 		return 0, false, nil
 	}
@@ -601,8 +529,8 @@ func (s *search) apply(nd *node, wr nodeResult) (st Status, done bool, err error
 // primal heuristic turned this relaxation point into a genuinely feasible
 // solution (e.g. by pricing the relaxation's demand vector with the direct
 // solvers). relax always ran it for a node that reaches this step: its
-// score beats the current incumbent, which is never below the wave-start
-// one. It reports whether the new incumbent meets the Target.
+// score beats the incumbent relax saw. It reports whether the new incumbent
+// meets the Target.
 func (s *search) polish(wr nodeResult) bool {
 	if !wr.polishOK {
 		s.tr.Emit(obs.Event{Kind: obs.KindPolishReject, Nodes: s.res.Nodes})
@@ -660,8 +588,8 @@ func (s *search) branch(nd *node, sol *lp.Solution, score float64) (st Status, d
 }
 
 // child makes a child of nd that fixes v to val. Children take
-// creation-order ids on the coordinator, so the heap's tie-break order is
-// reproducible run to run.
+// creation-order ids, so the heap's tie-break order is reproducible run to
+// run.
 func (s *search) child(nd *node, v lp.VarID, val, bound float64, basis *lp.Basis) *node {
 	ov := make(map[lp.VarID][2]float64, len(nd.overrides)+1)
 	for k, b := range nd.overrides {
@@ -673,8 +601,8 @@ func (s *search) child(nd *node, v lp.VarID, val, bound float64, basis *lp.Basis
 	return &node{id: id, overrides: ov, bound: bound, depth: nd.depth + 1, basis: basis}
 }
 
-// capture snapshots the wave-boundary state. Only called between waves (no
-// node in flight), so every field is a settled coordinator-side value.
+// capture snapshots the search state. Only called between node steps (no
+// node in flight), so every field is a settled value.
 func (s *search) capture() *checkpoint.Snapshot {
 	st := &checkpoint.BnBState{
 		Fingerprint:      s.fp,
@@ -699,7 +627,7 @@ func (s *search) capture() *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{BnB: st}
 }
 
-// writeCheckpoint persists the snapshot atomically every ckptEvery waves. A
+// writeCheckpoint persists the snapshot atomically every ckptEvery steps. A
 // failed write (disk full, injected fault) is reported on the trace and
 // otherwise ignored: the previous good snapshot survives untouched, and
 // losing a checkpoint must never lose the search.
@@ -731,8 +659,8 @@ func (s *search) finish(status Status) *Result {
 		res.Objective = s.dir * s.incumbent
 		res.X = s.incumbentX
 		// A break path (deadline/MaxNodes/stall) or a drained heap can leave
-		// bestBound at a stale value below an incumbent raised later in the
-		// final wave — polish candidates are not constrained by the subtree
+		// bestBound at a stale value below an incumbent raised by the final
+		// step — polish candidates are not constrained by the subtree
 		// bound of the node that produced them. The incumbent's score is
 		// always a valid bound, so clamp: a negative gap is never reportable.
 		s.bestBound = math.Max(s.bestBound, s.incumbent)

@@ -14,9 +14,9 @@ import (
 // the parent's terminal basis. The two paths are built to be
 // observationally identical, so switching Options.WarmStart must leave the
 // explored tree invariant — same incumbent, bound, point and node / LP-solve
-// counters — at any worker count; only the pivot counts may differ. These
+// counters — in either node order; only the pivot counts may differ. These
 // tests pin that contract over representative models, each checked against
-// its known optimum, and over seeded random instances at the default Batch.
+// its known optimum, and over seeded random instances.
 
 // milpFixture is one model of the differential corpus with its known
 // answer: the optimal objective, or StatusInfeasible.
@@ -127,25 +127,25 @@ func assertSameTree(t *testing.T, name string, ref, got *Result, pivots bool) {
 	}
 }
 
-// TestEngineDifferentialFixtures: every fixture at workers 1 and 4 reaches
-// its known answer cold, and the warm run replays the cold run's tree.
+// TestEngineDifferentialFixtures: every fixture reaches its known answer
+// cold in both node orders, and the warm run replays the cold run's tree.
 func TestEngineDifferentialFixtures(t *testing.T) {
 	for name, fx := range milpFixtures() {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				cold, err := Solve(fx.build(), Options{Workers: workers})
+			for _, depthFirst := range []bool{false, true} {
+				cold, err := Solve(fx.build(), Options{DepthFirst: depthFirst})
 				if err != nil {
-					t.Fatalf("cold workers=%d: %v", workers, err)
+					t.Fatalf("cold depthFirst=%t: %v", depthFirst, err)
 				}
 				if cold.Status != fx.status {
-					t.Fatalf("cold workers=%d: status %v, want %v", workers, cold.Status, fx.status)
+					t.Fatalf("cold depthFirst=%t: status %v, want %v", depthFirst, cold.Status, fx.status)
 				}
 				if fx.status == StatusOptimal && math.Abs(cold.Objective-fx.want) > 1e-6 {
-					t.Fatalf("cold workers=%d: objective %v, want %v", workers, cold.Objective, fx.want)
+					t.Fatalf("cold depthFirst=%t: objective %v, want %v", depthFirst, cold.Objective, fx.want)
 				}
-				warm, err := Solve(fx.build(), Options{Workers: workers, WarmStart: true})
+				warm, err := Solve(fx.build(), Options{DepthFirst: depthFirst, WarmStart: true})
 				if err != nil {
-					t.Fatalf("warm workers=%d: %v", workers, err)
+					t.Fatalf("warm depthFirst=%t: %v", depthFirst, err)
 				}
 				assertSameTree(t, name, cold, warm, false)
 			}
@@ -154,19 +154,19 @@ func TestEngineDifferentialFixtures(t *testing.T) {
 }
 
 // TestEngineDifferentialRandom sweeps the shared seeded instance generator
-// (the same one the fuzz harness uses) at 1 and 4 workers with the default
-// Batch: the warm run must explore the cold run's tree, and running the
-// same options again must replay it down to the pivot count.
+// (the same one the fuzz harness uses) in both node orders: the warm run
+// must explore the cold run's tree, and running the same options again must
+// replay it down to the pivot count.
 func TestEngineDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		m := randomModel(rand.New(rand.NewSource(seed)))
-		for _, workers := range []int{1, 4} {
+		for _, depthFirst := range []bool{false, true} {
 			var runs [2][2]*Result // [warm][replay]
 			for w, warm := range []bool{false, true} {
 				for r := range runs[w] {
-					res, err := Solve(m, Options{Workers: workers, WarmStart: warm})
+					res, err := Solve(m, Options{DepthFirst: depthFirst, WarmStart: warm})
 					if err != nil {
-						t.Fatalf("seed %d workers=%d warm=%t: %v", seed, workers, warm, err)
+						t.Fatalf("seed %d depthFirst=%t warm=%t: %v", seed, depthFirst, warm, err)
 					}
 					runs[w][r] = res
 				}

@@ -8,9 +8,11 @@ import (
 )
 
 // FuzzParallelSolve feeds arbitrary bytes into the seeded instance generator
-// and cross-checks the sequential solver against a 4-worker run: identical
-// optimal objective (within 1e-6) and a model-feasible returned point. Run
-// with `go test -fuzz=FuzzParallelSolve ./internal/milp`.
+// and cross-checks the best-bound search against the depth-first one:
+// identical optimal objective (within 1e-6) and model-feasible returned
+// points; the warm search must replay the cold one's tree. (The name is
+// kept so the seed corpus ids stay stable.) Run with
+// `go test -fuzz=FuzzParallelSolve ./internal/milp`.
 func FuzzParallelSolve(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(3))
@@ -24,34 +26,40 @@ func FuzzParallelSolve(f *testing.F) {
 		mixed := int64(binary.LittleEndian.Uint64(b[:]))
 		m := randomModel(rand.New(rand.NewSource(mixed)))
 
-		serial, err := Solve(m, Options{Workers: 1})
+		best, err := Solve(m, Options{})
 		if err != nil {
-			t.Fatalf("serial: %v", err)
+			t.Fatalf("best-bound: %v", err)
 		}
-		par, err := Solve(m, Options{Workers: 4, DepthFirst: knobs&1 == 1})
+		deep, err := Solve(m, Options{DepthFirst: true})
 		if err != nil {
-			t.Fatalf("parallel: %v", err)
+			t.Fatalf("depth-first: %v", err)
 		}
-		if serial.Status != StatusOptimal || par.Status != StatusOptimal {
-			t.Fatalf("status %v vs %v, want optimal", serial.Status, par.Status)
+		if best.Status != StatusOptimal || deep.Status != StatusOptimal {
+			t.Fatalf("status %v vs %v, want optimal", best.Status, deep.Status)
 		}
-		if math.Abs(serial.Objective-par.Objective) > 1e-6 {
-			t.Fatalf("objective diverged: %v vs %v", serial.Objective, par.Objective)
+		if math.Abs(best.Objective-deep.Objective) > 1e-6 {
+			t.Fatalf("objective diverged: %v vs %v", best.Objective, deep.Objective)
 		}
-		if obj := checkModelFeasible(t, m, par.X); math.Abs(obj-par.Objective) > 1e-5 {
-			t.Fatalf("parallel objective %v does not match its point (%v)", par.Objective, obj)
+		for _, r := range []*Result{best, deep} {
+			if obj := checkModelFeasible(t, m, r.X); math.Abs(obj-r.Objective) > 1e-5 {
+				t.Fatalf("objective %v does not match its point (%v)", r.Objective, obj)
+			}
 		}
 		// Warm starting must leave the explored tree bit-identical: same
-		// objective, bound, node and LP-solve counts as the cold parallel run.
-		warm, err := Solve(m, Options{Workers: 4, DepthFirst: knobs&1 == 1, WarmStart: true})
+		// objective, bound, node and LP-solve counts as the cold run.
+		cold := best
+		if knobs&1 == 1 {
+			cold = deep
+		}
+		warm, err := Solve(m, Options{DepthFirst: knobs&1 == 1, WarmStart: true})
 		if err != nil {
 			t.Fatalf("warm: %v", err)
 		}
-		if warm.Objective != par.Objective || warm.Bound != par.Bound ||
-			warm.Nodes != par.Nodes || warm.LPSolves != par.LPSolves || warm.Status != par.Status {
+		if warm.Objective != cold.Objective || warm.Bound != cold.Bound ||
+			warm.Nodes != cold.Nodes || warm.LPSolves != cold.LPSolves || warm.Status != cold.Status {
 			t.Fatalf("warm run diverged from cold: obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d",
-				warm.Objective, par.Objective, warm.Bound, par.Bound,
-				warm.Nodes, par.Nodes, warm.LPSolves, par.LPSolves)
+				warm.Objective, cold.Objective, warm.Bound, cold.Bound,
+				warm.Nodes, cold.Nodes, warm.LPSolves, cold.LPSolves)
 		}
 	})
 }

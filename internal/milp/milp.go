@@ -139,8 +139,8 @@ const (
 	// StatusInterrupted means Options.Ctx was cancelled (operator signal,
 	// parent shutdown) before the search finished. The incumbent, bound and
 	// counters are the valid best-so-far state — exactly what a checkpoint
-	// written at the last wave boundary holds — so an interrupted run still
-	// reports a genuine gap certificate.
+	// written between the last two node steps holds — so an interrupted
+	// run still reports a genuine gap certificate.
 	StatusInterrupted
 )
 
@@ -184,21 +184,6 @@ type Options struct {
 	DepthFirst bool
 	// LPMaxIters overrides the per-node LP iteration cap.
 	LPMaxIters int
-	// Workers sets how many goroutines solve node relaxations (and run the
-	// Polish heuristic) concurrently. 0 or 1 selects the sequential search.
-	// Parallelism is wave-based and deterministic: the set of explored nodes
-	// is a pure function of Batch, never of Workers, so Workers=1 and
-	// Workers=N with the same Batch explore the identical tree and return
-	// the identical incumbent and bound. See DESIGN.md, "Deterministic
-	// work-sharing".
-	Workers int
-	// Batch is the wave size: how many nodes are popped from the frontier
-	// and relaxed before any of their results are applied. 0 selects a
-	// default of 1 when Workers <= 1 (exactly the classic serial loop) and
-	// 2*Workers otherwise (amortizing stragglers). Larger batches increase
-	// parallel occupancy but act on staler incumbents, so they may explore
-	// nodes a smaller batch would have pruned.
-	Batch int
 	// WarmStart makes every non-root node warm-start its LP relaxation from
 	// its parent's terminal basis (dual-simplex repair of the one or two
 	// branched bounds) instead of solving cold from scratch. The lp package
@@ -206,10 +191,9 @@ type Options struct {
 	// reports an infeasible child straight from the repair's certificate
 	// only once that certificate, scaled as a dual of the cold phase 1,
 	// holds on the child's data as built, so the explored tree, incumbent,
-	// bound, and node counters are bit-identical with the flag on or off,
-	// for any Workers/Batch setting — only the pivot counts
-	// (Result.LPIters, lp_iterations_total) change. See
-	// DESIGN.md, "Warm-started re-solves". (lp's Presolve knob is
+	// bound, and node counters are bit-identical with the flag on or off —
+	// only the pivot counts (Result.LPIters, lp_iterations_total) change.
+	// See DESIGN.md, "Warm-started re-solves". (lp's Presolve knob is
 	// intentionally NOT exposed here: a presolved relaxation may report a
 	// different vertex of a degenerate optimal face, which would steer
 	// branching and break this contract.)
@@ -227,39 +211,37 @@ type Options struct {
 	// treated opaquely (returned through Result.X); it is the caller's
 	// responsibility that it encodes a real solution. This is how the gap
 	// finder grounds the search: any relaxation's demand vector can be
-	// evaluated exactly with the direct OPT/heuristic solvers.
-	//
-	// Concurrency contract: when Workers > 1 the solver calls Polish from
-	// several goroutines at once, so it must be safe for concurrent use; and
-	// for runs to be reproducible its return value must depend only on its
+	// evaluated exactly with the direct OPT/heuristic solvers. The search
+	// calls Polish on its own goroutine; for a checkpointed run to resume
+	// to the same answer, the return value must depend only on the
 	// argument, not on call order (memoize results rather than suppressing
 	// repeats — see internal/core's priceCache).
 	Polish func(x []float64) (obj float64, sol []float64, ok bool)
-	// Ctx, if non-nil, cancels the search cooperatively: the coordinator
-	// polls it at every wave boundary (and forwards it to node LPs), and a
+	// Ctx, if non-nil, cancels the search cooperatively: the search polls
+	// it before every node step (and forwards it to node LPs), and a
 	// cancelled context ends the run with StatusInterrupted carrying the
 	// best-so-far incumbent and a valid bound. Nodes whose relaxation was
 	// cut off mid-pivot are pushed back onto the frontier unexplored, so the
 	// open-node set — and any checkpoint written from it — stays complete.
 	Ctx context.Context
-	// Checkpoint, when non-empty, is a file path the coordinator atomically
+	// Checkpoint, when non-empty, is a file path the search atomically
 	// rewrites with the full search state (incumbent, frontier with
-	// warm-start bases, counters, wave cursor) at wave boundaries. A run
+	// warm-start bases, counters, step cursor) between node steps. A run
 	// killed at any point can be continued with Resume and finishes with
 	// the bit-identical incumbent, bound and node count the uninterrupted
 	// run would have reported. Write failures are reported as
 	// KindCheckpointWrite error events and do not stop the search.
 	Checkpoint string
-	// CheckpointEvery writes the snapshot every N completed waves
-	// (default 1: every wave boundary).
+	// CheckpointEvery writes the snapshot every N completed node steps
+	// (default 1: every step).
 	CheckpointEvery int
 	// CheckpointFS overrides the filesystem used for checkpoint writes —
 	// the fault-injection seam. Nil selects the OS.
 	CheckpointFS checkpoint.FS
 	// Faults, if non-nil, is a deterministic fault plan (see
 	// internal/faultinject): injected LP failures surface as typed errors
-	// alongside a StatusInterrupted best-so-far result, worker panics are
-	// recovered and drained deterministically, and forced deadline expiry
+	// alongside a StatusInterrupted best-so-far result, an injected panic
+	// is recovered into a WorkerPanicError, and forced deadline expiry
 	// takes the regular deadline path.
 	Faults *faultinject.Plan
 	// Tracer, if non-nil, receives structured events (node explored/pruned/
@@ -318,12 +300,11 @@ type Result struct {
 	Dives   int
 	Elapsed time.Duration
 	// Fingerprint is the search fingerprint: an FNV-1a hash of everything
-	// the explored tree depends on — model shape plus the tree-determining
-	// options (resolved Batch, node order); Workers is deliberately
-	// excluded. It is the same value the checkpoint layer pins snapshots
-	// to, so two Results with equal fingerprints explored comparable trees
-	// and their node/pivot counters may be diffed (the benchmark ledger
-	// keys fixtures by it).
+	// the explored tree depends on — model shape plus the node order. It is
+	// the same value the checkpoint layer pins snapshots to, so two Results
+	// with equal fingerprints explored comparable trees and their
+	// node/pivot counters may be diffed (the benchmark ledger keys fixtures
+	// by it).
 	Fingerprint uint64
 	// Trace lists every incumbent improvement in time order, closed by a
 	// SourceFinal point when the solve's terminal bound is tighter than the

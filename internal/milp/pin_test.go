@@ -11,9 +11,9 @@ import (
 	"repro/internal/faultinject"
 )
 
-// TestCheckpointStatePinned pins the exact bytes of a wave-boundary
-// snapshot: a fixed model is stopped by an injected deadline at a known
-// wave, and the checkpoint it left behind — with every wall-clock field
+// TestCheckpointStatePinned pins the exact bytes of a snapshot taken
+// between node steps: a fixed model is stopped by an injected deadline at a
+// known step, and the checkpoint it left behind — with every wall-clock field
 // zeroed — must hash to the recorded constant. Any change to the order of
 // the frontier, the counters or the trace shows up here, even one that a
 // resumed run would happen to paper over.
@@ -26,8 +26,6 @@ func TestCheckpointStatePinned(t *testing.T) {
 	}{
 		{"serial-warm", Options{WarmStart: true}, 41,
 			"3ca32369df94b3a401cd5e0f43a0ba1748741e8f4e08a9c22bd992f66ea9f7a0"},
-		{"workers4-batch4", Options{Workers: 4, Batch: 4, WarmStart: true}, 12,
-			"249986d9a6f5de5c8d884966bf328804e0848cb6ee478b30ca034cf0a3da0e11"},
 	}
 	m := resumeModel(10, 7)
 	for _, tc := range cases {

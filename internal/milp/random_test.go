@@ -11,8 +11,8 @@ import (
 // randomModel generates a small random MILP/SOS instance. Everything is
 // boxed and every row is "nonnegative-combination <= positive rhs", so the
 // origin is always feasible and the relaxation always bounded: the solver
-// must reach StatusOptimal, which lets the tests compare serial and parallel
-// runs on the strongest possible footing.
+// must reach StatusOptimal, which lets the tests compare runs under
+// different options on the strongest possible footing.
 func randomModel(rng *rand.Rand) *Model {
 	p := lp.NewProblem("rand", lp.Maximize)
 	m := NewModel(p)
@@ -102,103 +102,52 @@ func checkModelFeasible(t *testing.T, m *Model, x []float64) float64 {
 	return obj
 }
 
-// TestParallelMatchesSerialRandom is the satellite property test: on random
-// instances, Workers=1 and Workers=4 (each with its own default Batch) agree
-// on the objective within 1e-6 and both return model-feasible points.
+// TestParallelMatchesSerialRandom checks, on random instances, that the
+// best-bound and the depth-first searches agree on the objective and the
+// bound within 1e-6 and both return model-feasible points matching their
+// reported objectives.
 func TestParallelMatchesSerialRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		m := randomModel(rand.New(rand.NewSource(seed)))
-		serial, err := Solve(m, Options{Workers: 1})
+		best, err := Solve(m, Options{})
 		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
+			t.Fatalf("seed %d best-bound: %v", seed, err)
 		}
-		par, err := Solve(m, Options{Workers: 4})
+		deep, err := Solve(m, Options{DepthFirst: true})
 		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
+			t.Fatalf("seed %d depth-first: %v", seed, err)
 		}
-		if serial.Status != StatusOptimal || par.Status != StatusOptimal {
+		if best.Status != StatusOptimal || deep.Status != StatusOptimal {
 			t.Fatalf("seed %d: status %v vs %v, want optimal (boxed feasible model)",
-				seed, serial.Status, par.Status)
+				seed, best.Status, deep.Status)
 		}
-		if math.Abs(serial.Objective-par.Objective) > 1e-6 {
-			t.Fatalf("seed %d: objectives diverged: serial %v vs parallel %v",
-				seed, serial.Objective, par.Objective)
+		if math.Abs(best.Objective-deep.Objective) > 1e-6 {
+			t.Fatalf("seed %d: objectives diverged: best-bound %v vs depth-first %v",
+				seed, best.Objective, deep.Objective)
 		}
-		if math.Abs(serial.Bound-par.Bound) > 1e-6 {
-			t.Fatalf("seed %d: bounds diverged: serial %v vs parallel %v",
-				seed, serial.Bound, par.Bound)
+		if math.Abs(best.Bound-deep.Bound) > 1e-6 {
+			t.Fatalf("seed %d: bounds diverged: best-bound %v vs depth-first %v",
+				seed, best.Bound, deep.Bound)
 		}
-		so := checkModelFeasible(t, m, serial.X)
-		po := checkModelFeasible(t, m, par.X)
-		if math.Abs(so-serial.Objective) > 1e-5 || math.Abs(po-par.Objective) > 1e-5 {
+		bo := checkModelFeasible(t, m, best.X)
+		do := checkModelFeasible(t, m, deep.X)
+		if math.Abs(bo-best.Objective) > 1e-5 || math.Abs(do-deep.Objective) > 1e-5 {
 			t.Fatalf("seed %d: reported objective does not match returned point", seed)
 		}
 	}
 }
 
-// TestParallelIdenticalTreeAtFixedBatch pins Batch and checks the strong
-// determinism contract: the explored tree is a pure function of Batch, so
-// every counter — not just the answer — is identical across worker counts,
-// in both node orders.
-func TestParallelIdenticalTreeAtFixedBatch(t *testing.T) {
-	for _, depthFirst := range []bool{false, true} {
-		for seed := int64(0); seed < 25; seed++ {
-			m := randomModel(rand.New(rand.NewSource(seed)))
-			var ref *Result
-			for _, workers := range []int{1, 2, 4} {
-				res, err := Solve(m, Options{Workers: workers, Batch: 4, DepthFirst: depthFirst})
-				if err != nil {
-					t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if res.Objective != ref.Objective || res.Bound != ref.Bound ||
-					res.Nodes != ref.Nodes || res.LPSolves != ref.LPSolves ||
-					res.LPIters != ref.LPIters || res.Status != ref.Status {
-					t.Fatalf("seed %d depthFirst=%v: workers=%d tree diverged from workers=1:\n"+
-						"obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d, iters %d vs %d",
-						seed, depthFirst, workers,
-						res.Objective, ref.Objective, res.Bound, ref.Bound,
-						res.Nodes, ref.Nodes, res.LPSolves, ref.LPSolves,
-						res.LPIters, ref.LPIters)
-				}
-			}
-		}
-	}
-}
-
-// TestDefaultBatchMatchesLegacySerial checks that Workers=0/1 with Batch=0
-// remains the exact classic loop: the same counters as an explicit Batch=1.
-func TestDefaultBatchMatchesLegacySerial(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		m := randomModel(rand.New(rand.NewSource(seed)))
-		a, err := Solve(m, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Solve(m, Options{Workers: 1, Batch: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Objective != b.Objective || a.Nodes != b.Nodes || a.LPSolves != b.LPSolves {
-			t.Fatalf("seed %d: zero options diverged from explicit serial: %+v vs %+v", seed, a, b)
-		}
-	}
-}
-
-// TestParallelWithPolishAndTarget exercises the worker-side speculative
-// polish path plus the early Target return under contention.
+// TestParallelWithPolishAndTarget exercises the speculative polish path
+// plus the early Target return.
 func TestParallelWithPolishAndTarget(t *testing.T) {
 	m := randomModel(rand.New(rand.NewSource(11)))
-	serial, err := Solve(m, Options{Workers: 1})
+	plain, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A polish that rounds binaries and zeroes the larger pair side would
 	// need model knowledge; instead hand back the relaxation point only when
-	// it is already feasible (a pure, concurrency-safe heuristic).
+	// it is already feasible (a pure heuristic).
 	polish := func(x []float64) (float64, []float64, bool) {
 		for _, b := range m.Binaries() {
 			if f := math.Min(x[b], 1-x[b]); f > 1e-7 {
@@ -216,18 +165,18 @@ func TestParallelWithPolishAndTarget(t *testing.T) {
 		}
 		return obj, append([]float64(nil), x...), true
 	}
-	par, err := Solve(m, Options{Workers: 4, Polish: polish})
+	polished, err := Solve(m, Options{Polish: polish})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Status != StatusOptimal || math.Abs(par.Objective-serial.Objective) > 1e-6 {
-		t.Fatalf("polish changed the answer: %v vs %v", par.Objective, serial.Objective)
+	if polished.Status != StatusOptimal || math.Abs(polished.Objective-plain.Objective) > 1e-6 {
+		t.Fatalf("polish changed the answer: %v vs %v", polished.Objective, plain.Objective)
 	}
 
 	// Target: ask for anything within 60% of the known optimum; the run must
 	// stop early with a feasible incumbent at least that good.
-	target := 0.6 * serial.Objective
-	res, err := Solve(m, Options{Workers: 4, Target: &target})
+	target := 0.6 * plain.Objective
+	res, err := Solve(m, Options{Target: &target})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ import (
 	"repro/internal/lp"
 )
 
-// WorkerPanicError is a panic recovered inside a wave-pool worker,
-// converted to a typed error so the pool drains deterministically and the
-// coordinator can report it (with the best-so-far result) instead of the
-// process dying. Value is the recovered panic value; when it is an error,
-// Unwrap exposes it (so an injected faultinject panic still satisfies
-// errors.Is(err, faultinject.ErrInjected)).
+// WorkerPanicError is a panic recovered while a node step solved its
+// relaxation or ran Polish, converted to a typed error so the search can
+// report it (with the best-so-far result) instead of the process dying.
+// Wave is the 1-based node step. Value is the recovered panic value; when
+// it is an error, Unwrap exposes it (so an injected faultinject panic still
+// satisfies errors.Is(err, faultinject.ErrInjected)).
 type WorkerPanicError struct {
 	Wave  uint64
 	Node  uint64
@@ -38,11 +38,12 @@ func (e *WorkerPanicError) Unwrap() error {
 
 // fingerprint hashes everything that determines the explored tree: the
 // model's shape (variables, constraints, sense, binaries, pairs) and the
-// tree-shaping options (resolved batch, node order). A checkpoint only
-// resumes a search with the same fingerprint; notably Workers is excluded —
-// PR 2's wave determinism makes the tree a pure function of Batch — so a
-// run checkpointed under 4 workers may resume under 1 and still match.
-func fingerprint(m *Model, batch int, depthFirst bool) uint64 {
+// node order. A checkpoint only resumes a search with the same fingerprint.
+// The hash still mixes in a batch size of 1, the node count per step, so
+// that serial fingerprints, pinned checkpoints and result-store keys stay
+// valid, and a checkpoint from a search that relaxed several nodes per step
+// is refused.
+func fingerprint(m *Model, depthFirst bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	mix := func(v uint64) {
@@ -61,7 +62,8 @@ func fingerprint(m *Model, batch int, depthFirst bool) uint64 {
 		mix(uint64(pr.U))
 		mix(uint64(pr.V))
 	}
-	mix(uint64(batch))
+	const batch = 1
+	mix(batch)
 	if depthFirst {
 		mix(1)
 	} else {
@@ -70,29 +72,14 @@ func fingerprint(m *Model, batch int, depthFirst bool) uint64 {
 	return h.Sum64()
 }
 
-// resolveBatch computes the effective wave size for opts: an explicit Batch
-// wins; otherwise 1 for the serial search and 2*Workers for the parallel
-// one. Shared between newSearch and SearchFingerprint so the two can never
-// drift.
-func resolveBatch(opts Options) int {
-	if opts.Batch > 0 {
-		return opts.Batch
-	}
-	if opts.Workers > 1 {
-		return 2 * opts.Workers
-	}
-	return 1
-}
-
 // SearchFingerprint reports the fingerprint Solve(m, opts) would stamp on
 // its Result — without solving anything. Callers that key caches or result
 // stores by search identity (cmd/gapserved's results store) use this to
 // look up a fingerprint before paying for the solve. The hash covers the
-// model shape and the tree-determining options (resolved Batch, DepthFirst);
-// Workers and WarmStart are deliberately excluded because
-// they never change the explored tree or the answer.
+// model shape and DepthFirst; WarmStart is deliberately excluded because it
+// never changes the explored tree or the answer.
 func SearchFingerprint(m *Model, opts Options) uint64 {
-	return fingerprint(m, resolveBatch(opts), opts.DepthFirst)
+	return fingerprint(m, opts.DepthFirst)
 }
 
 // frontierOut converts the open-node heap to its wire form, sorted by node
@@ -182,14 +169,14 @@ func traceIn(tr []checkpoint.TracePoint) []TracePoint {
 }
 
 // Resume continues a branch-and-bound search from a checkpoint written by a
-// previous Solve (or Resume) of the same model under the same
-// tree-determining options. The restored run explores exactly the nodes the
-// uninterrupted run would have explored from that wave on, so its final
-// incumbent, bound and node count are bit-identical to the run that was
-// never killed. opts must carry the same Batch/DepthFirst (and model) the
-// snapshot was taken under — a *checkpoint.MismatchError is returned
-// otherwise; Workers may differ freely. When opts.TimeLimit is set, the
-// wall clock already consumed before the snapshot counts against it.
+// previous Solve (or Resume) of the same model under the same node order.
+// The restored run explores exactly the nodes the uninterrupted run would
+// have explored from that step on, so its final incumbent, bound and node
+// count are bit-identical to the run that was never killed. opts must carry
+// the same DepthFirst (and model) the snapshot was taken under — a
+// *checkpoint.MismatchError is returned otherwise; WarmStart may differ
+// freely. When opts.TimeLimit is set, the wall clock already consumed
+// before the snapshot counts against it.
 func Resume(m *Model, st *checkpoint.BnBState, opts Options) (*Result, error) {
 	if st == nil {
 		return nil, fmt.Errorf("milp: Resume called with a nil state")

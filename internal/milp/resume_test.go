@@ -41,16 +41,17 @@ func resumeModel(n int, seed int64) *Model {
 }
 
 // TestKillAndResumeMatchesUninterrupted is the tentpole property: for every
-// wave k at which the search can die, resuming from the checkpoint written
-// at the last complete wave boundary finishes with the bit-identical
-// incumbent, bound and effort counters of the run that was never killed —
-// at one worker and at four (the checkpoint is written under the same
-// Batch, which is all the tree depends on).
+// node step k at which the search can die, resuming from the checkpoint
+// written before that step finishes with the bit-identical incumbent, bound
+// and effort counters of the run that was never killed — warm and cold.
 func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	m := resumeModel(10, 7)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := Options{Workers: workers, Batch: 4, WarmStart: true}
+	for _, tc := range []struct {
+		name string
+		warm bool
+	}{{"warm", true}, {"cold", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := Options{WarmStart: tc.warm}
 			ref := solve(t, m, base)
 			if ref.Status != StatusOptimal {
 				t.Fatalf("reference run not optimal: %v", ref.Status)
@@ -111,53 +112,33 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossWorkerCounts checks the documented contract that Workers
-// is excluded from the fingerprint: a run checkpointed under 4 workers
-// resumes under 1 (and vice versa) to the identical answer.
-func TestResumeAcrossWorkerCounts(t *testing.T) {
-	m := resumeModel(10, 7)
-	ref := solve(t, m, Options{Batch: 4})
-	path := filepath.Join(t.TempDir(), "bnb.ckpt")
-	plan, _ := faultinject.Parse("deadline:3", 0)
-	_, err := Solve(m, Options{Workers: 4, Batch: 4, Checkpoint: path, Faults: plan})
-	if err != nil {
-		t.Fatalf("kill: %v", err)
-	}
-	snap, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	res, err := Resume(m, snap.BnB, Options{Workers: 1, Batch: 4})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if res.Objective != ref.Objective || res.Nodes != ref.Nodes {
-		t.Fatalf("cross-worker resume diverged: obj %v nodes %d, want %v / %d",
-			res.Objective, res.Nodes, ref.Objective, ref.Nodes)
-	}
-}
-
-// TestResumeAcrossDefaultBatchesMismatches pins the limit of that contract:
-// with Batch unset, the wave size defaults to 2*Workers, so a snapshot taken
-// at 4 workers names a batch of 8 and a resume at 1 worker (batch 1) is a
-// different search, which must be refused rather than continued.
+// TestResumeAcrossDefaultBatchesMismatches pins the fingerprint across the
+// retirement of node-level workers: a serial search keeps its fingerprint,
+// while a snapshot taken by a 4-worker search of the same model, whose wave
+// size defaulted to 8 nodes, names a different search and must be refused
+// rather than continued.
 func TestResumeAcrossDefaultBatchesMismatches(t *testing.T) {
+	const serialFP, pooledFP = 0x77bfcdd92a7a7727, 0xa0b26651b00e20ee
 	m := resumeModel(10, 7)
+	if got := SearchFingerprint(m, Options{}); got != serialFP {
+		t.Fatalf("serial fingerprint %#x, want %#x", got, uint64(serialFP))
+	}
 	path := filepath.Join(t.TempDir(), "bnb.ckpt")
 	plan, _ := faultinject.Parse("deadline:2", 0)
-	if _, err := Solve(m, Options{Workers: 4, Checkpoint: path, Faults: plan}); err != nil {
+	if _, err := Solve(m, Options{Checkpoint: path, Faults: plan}); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
 	snap, err := checkpoint.Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	var mm *checkpoint.MismatchError
-	if _, err := Resume(m, snap.BnB, Options{Workers: 1}); !errors.As(err, &mm) {
-		t.Fatalf("resume at 1 worker of a 4-worker default-batch snapshot: %v, want a MismatchError", err)
+	if _, err := Resume(m, snap.BnB, Options{}); err != nil {
+		t.Fatalf("resume of a serial snapshot: %v", err)
 	}
-	if _, err := Resume(m, snap.BnB, Options{Workers: 4}); err != nil {
-		t.Fatalf("resume at the same worker count: %v", err)
+	snap.BnB.Fingerprint = pooledFP
+	var mm *checkpoint.MismatchError
+	if _, err := Resume(m, snap.BnB, Options{}); !errors.As(err, &mm) {
+		t.Fatalf("resume of a default-batch 4-worker snapshot: %v, want a MismatchError", err)
 	}
 }
 
@@ -165,7 +146,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	m := resumeModel(8, 3)
 	path := filepath.Join(t.TempDir(), "bnb.ckpt")
 	plan, _ := faultinject.Parse("deadline:2", 0)
-	if _, err := Solve(m, Options{Batch: 4, Checkpoint: path, Faults: plan}); err != nil {
+	if _, err := Solve(m, Options{Checkpoint: path, Faults: plan}); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
 	snap, err := checkpoint.Load(path)
@@ -173,14 +154,14 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	var mm *checkpoint.MismatchError
-	if _, err := Resume(m, snap.BnB, Options{Batch: 8}); !errors.As(err, &mm) {
-		t.Fatalf("batch mismatch not rejected: %v", err)
+	if _, err := Resume(m, snap.BnB, Options{DepthFirst: true}); !errors.As(err, &mm) {
+		t.Fatalf("node-order mismatch not rejected: %v", err)
 	}
 	other := resumeModel(9, 3)
-	if _, err := Resume(other, snap.BnB, Options{Batch: 4}); !errors.As(err, &mm) {
+	if _, err := Resume(other, snap.BnB, Options{}); !errors.As(err, &mm) {
 		t.Fatalf("model mismatch not rejected: %v", err)
 	}
-	if _, err := Resume(m, nil, Options{Batch: 4}); err == nil {
+	if _, err := Resume(m, nil, Options{}); err == nil {
 		t.Fatal("nil state accepted")
 	}
 }
@@ -204,7 +185,7 @@ func TestContextCancelReturnsInterrupted(t *testing.T) {
 func TestWorkerPanicBecomesTypedError(t *testing.T) {
 	m := resumeModel(8, 3)
 	plan, _ := faultinject.Parse("worker-panic:2", 0)
-	res, err := Solve(m, Options{Workers: 4, Batch: 4, Faults: plan})
+	res, err := Solve(m, Options{Faults: plan})
 	if err == nil {
 		t.Fatal("injected panic produced no error")
 	}
@@ -226,7 +207,7 @@ func TestWorkerPanicBecomesTypedError(t *testing.T) {
 func TestLPSolveFaultKeepsBestSoFar(t *testing.T) {
 	m := resumeModel(8, 3)
 	plan, _ := faultinject.Parse("lp-solve:5", 0)
-	res, err := Solve(m, Options{Batch: 2, Faults: plan})
+	res, err := Solve(m, Options{Faults: plan})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
@@ -240,10 +221,10 @@ func TestLPSolveFaultKeepsBestSoFar(t *testing.T) {
 // must survive.
 func TestCheckpointWriteFaultDoesNotStopSearch(t *testing.T) {
 	m := resumeModel(10, 7)
-	ref := solve(t, m, Options{Batch: 4})
+	ref := solve(t, m, Options{})
 	path := filepath.Join(t.TempDir(), "bnb.ckpt")
 	plan, _ := faultinject.Parse("ckpt-write:2", 0)
-	res, err := Solve(m, Options{Batch: 4, Checkpoint: path, Faults: plan})
+	res, err := Solve(m, Options{Checkpoint: path, Faults: plan})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -263,7 +244,7 @@ func TestBasisRoundTripThroughFrontier(t *testing.T) {
 	m := resumeModel(10, 7)
 	path := filepath.Join(t.TempDir(), "bnb.ckpt")
 	plan, _ := faultinject.Parse("deadline:3", 0)
-	if _, err := Solve(m, Options{Batch: 4, WarmStart: true, Checkpoint: path, Faults: plan}); err != nil {
+	if _, err := Solve(m, Options{WarmStart: true, Checkpoint: path, Faults: plan}); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
 	snap, err := checkpoint.Load(path)
@@ -292,7 +273,7 @@ func TestBasisRoundTripThroughFrontier(t *testing.T) {
 // counts equal the uninterrupted run's. Only pivot counts may differ.
 func TestResumeFromVersion2Bases(t *testing.T) {
 	m := resumeModel(10, 7)
-	base := Options{Batch: 4, WarmStart: true}
+	base := Options{WarmStart: true}
 	ref := solve(t, m, base)
 	if ref.Status != StatusOptimal {
 		t.Fatalf("reference run not optimal: %v", ref.Status)
@@ -345,42 +326,21 @@ func TestResumeFromVersion2Bases(t *testing.T) {
 }
 
 // TestSearchFingerprintMatchesSolve pins the exported fingerprint preview to
-// the one Solve actually stamps, across the option axes that must (Batch,
-// DepthFirst) and must not (Workers, WarmStart) move it.
+// the one Solve actually stamps, across the option axes that must
+// (DepthFirst) and must not (WarmStart) move it.
 func TestSearchFingerprintMatchesSolve(t *testing.T) {
 	m := resumeModel(8, 3)
-	for _, opts := range []Options{
-		{},
-		{Batch: 4},
-		{Workers: 4},
-		{Batch: 4, DepthFirst: true},
-	} {
+	for _, opts := range []Options{{}, {DepthFirst: true}, {WarmStart: true}} {
 		res := solve(t, m, opts)
 		if got := SearchFingerprint(m, opts); got != res.Fingerprint {
 			t.Fatalf("SearchFingerprint(%+v) = %#x, Solve stamped %#x", opts, got, res.Fingerprint)
 		}
 	}
-	base := SearchFingerprint(m, Options{Batch: 4})
-	for _, opts := range []Options{
-		{Batch: 4, Workers: 8},
-		{Batch: 4, WarmStart: true},
-	} {
-		if got := SearchFingerprint(m, opts); got != base {
-			t.Fatalf("answer-neutral options moved the fingerprint: %+v -> %#x, want %#x", opts, got, base)
-		}
+	base := SearchFingerprint(m, Options{})
+	if got := SearchFingerprint(m, Options{WarmStart: true}); got != base {
+		t.Fatalf("warm start moved the fingerprint: %#x, want %#x", got, base)
 	}
-	if SearchFingerprint(m, Options{Batch: 8}) == base {
-		t.Fatal("batch change did not move the fingerprint")
-	}
-	if SearchFingerprint(m, Options{Batch: 4, DepthFirst: true}) == base {
+	if SearchFingerprint(m, Options{DepthFirst: true}) == base {
 		t.Fatal("depth-first change did not move the fingerprint")
-	}
-	// The default-batch rule: Batch 0 resolves to 1 serially and 2*Workers
-	// in parallel, and the fingerprint follows the resolved value.
-	if SearchFingerprint(m, Options{}) != SearchFingerprint(m, Options{Batch: 1}) {
-		t.Fatal("serial default batch does not resolve to 1")
-	}
-	if SearchFingerprint(m, Options{Workers: 4}) != SearchFingerprint(m, Options{Batch: 8}) {
-		t.Fatal("parallel default batch does not resolve to 2*Workers")
 	}
 }

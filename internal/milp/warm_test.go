@@ -12,49 +12,42 @@ import (
 
 // TestWarmVsColdIdenticalTree is the warm-start determinism contract: with
 // Options.WarmStart on, the explored tree — objective, bound, node count, LP
-// solve count, status — is bit-identical to the cold run for every worker
-// count; only pivot counts (LPIters) may differ. The sweep must also actually
-// exercise the warm path, otherwise the assertion is vacuous, and at one
-// worker it must dive: a child solved right after its parent starts from the
-// parent's terminal tableau. Parallel waves never dive.
+// solve count, status — is bit-identical to the cold run in either node
+// order; only pivot counts (LPIters) may differ. The sweep must also
+// actually exercise the warm path, otherwise the assertion is vacuous, and
+// it must dive: a child solved right after its parent starts from the
+// parent's terminal tableau.
 func TestWarmVsColdIdenticalTree(t *testing.T) {
 	warmTotal, dives := 0, 0
 	for _, depthFirst := range []bool{false, true} {
 		for seed := int64(0); seed < 30; seed++ {
 			m := randomModel(rand.New(rand.NewSource(seed)))
-			cold, err := Solve(m, Options{Workers: 1, Batch: 4, DepthFirst: depthFirst})
+			cold, err := Solve(m, Options{DepthFirst: depthFirst})
 			if err != nil {
 				t.Fatalf("seed %d cold: %v", seed, err)
 			}
-			for _, workers := range []int{1, 4} {
-				warm, err := Solve(m, Options{Workers: workers, Batch: 4,
-					DepthFirst: depthFirst, WarmStart: true})
-				if err != nil {
-					t.Fatalf("seed %d warm workers=%d: %v", seed, workers, err)
-				}
-				if warm.Objective != cold.Objective || warm.Bound != cold.Bound ||
-					warm.Nodes != cold.Nodes || warm.LPSolves != cold.LPSolves ||
-					warm.Status != cold.Status {
-					t.Fatalf("seed %d depthFirst=%v workers=%d: warm tree diverged from cold:\n"+
-						"obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d (warm=%d fallback=%d)",
-						seed, depthFirst, workers,
-						warm.Objective, cold.Objective, warm.Bound, cold.Bound,
-						warm.Nodes, cold.Nodes, warm.LPSolves, cold.LPSolves,
-						warm.WarmLPSolves, warm.WarmLPFallbacks)
-				}
-				warmTotal += warm.WarmLPSolves
-				if workers == 1 {
-					dives += warm.Dives
-				} else if warm.Dives != 0 {
-					t.Fatalf("seed %d: %d dives at %d workers", seed, warm.Dives, workers)
-				}
-				if warm.Dives > warm.WarmLPSolves {
-					t.Fatalf("seed %d: %d dives exceed %d warm solves", seed, warm.Dives, warm.WarmLPSolves)
-				}
-				if cold.WarmLPSolves != 0 || cold.WarmLPFallbacks != 0 {
-					t.Fatalf("seed %d: cold run reports warm counters %d/%d",
-						seed, cold.WarmLPSolves, cold.WarmLPFallbacks)
-				}
+			warm, err := Solve(m, Options{DepthFirst: depthFirst, WarmStart: true})
+			if err != nil {
+				t.Fatalf("seed %d warm: %v", seed, err)
+			}
+			if warm.Objective != cold.Objective || warm.Bound != cold.Bound ||
+				warm.Nodes != cold.Nodes || warm.LPSolves != cold.LPSolves ||
+				warm.Status != cold.Status {
+				t.Fatalf("seed %d depthFirst=%v: warm tree diverged from cold:\n"+
+					"obj %v vs %v, bound %v vs %v, nodes %d vs %d, lp %d vs %d (warm=%d fallback=%d)",
+					seed, depthFirst,
+					warm.Objective, cold.Objective, warm.Bound, cold.Bound,
+					warm.Nodes, cold.Nodes, warm.LPSolves, cold.LPSolves,
+					warm.WarmLPSolves, warm.WarmLPFallbacks)
+			}
+			warmTotal += warm.WarmLPSolves
+			dives += warm.Dives
+			if warm.Dives > warm.WarmLPSolves {
+				t.Fatalf("seed %d: %d dives exceed %d warm solves", seed, warm.Dives, warm.WarmLPSolves)
+			}
+			if cold.WarmLPSolves != 0 || cold.WarmLPFallbacks != 0 {
+				t.Fatalf("seed %d: cold run reports warm counters %d/%d",
+					seed, cold.WarmLPSolves, cold.WarmLPFallbacks)
 			}
 		}
 	}
@@ -62,7 +55,7 @@ func TestWarmVsColdIdenticalTree(t *testing.T) {
 		t.Fatalf("warm path never completed a node relaxation across the sweep")
 	}
 	if dives == 0 {
-		t.Fatalf("no node relaxation dived at one worker")
+		t.Fatalf("no node relaxation dived")
 	}
 	t.Logf("warm path completed %d node relaxations, %d of them dives", warmTotal, dives)
 }
@@ -78,7 +71,7 @@ func TestWarmTraceDetailsMatchCounters(t *testing.T) {
 	search := func(name string, m *Model) (*Result, map[string]int) {
 		t.Helper()
 		col := &obs.Collector{}
-		res, err := Solve(m, Options{Workers: 1, Batch: 4, WarmStart: true, Tracer: obs.NewTracer(col)})
+		res, err := Solve(m, Options{WarmStart: true, Tracer: obs.NewTracer(col)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -171,10 +164,10 @@ func iterLimitModel(t *testing.T) (*Model, lp.VarID, int, int, int) {
 
 // TestNegativeGapClampedOnDroppedNode is the regression for the stale-bound
 // bug: when a node is dropped unevaluated (here: its LP hits the iteration
-// cap) and a later node of the same wave raises the incumbent above every
-// open bound via polish, the search drains the heap and used to report the
-// wave-top bound — below the incumbent, a negative gap. The clamp in finish
-// must report Bound >= Objective instead.
+// cap) and the next node raises the incumbent above every open bound via
+// polish, the search drains the heap and used to report the bound taken
+// before that last step — below the incumbent, a negative gap. The clamp in
+// finish must report Bound >= Objective instead.
 func TestNegativeGapClampedOnDroppedNode(t *testing.T) {
 	m, b, rootIters, aIters, bIters := iterLimitModel(t)
 	if bIters <= rootIters || bIters <= aIters {
@@ -192,7 +185,7 @@ func TestNegativeGapClampedOnDroppedNode(t *testing.T) {
 		}
 		return 0, nil, false
 	}
-	res, err := Solve(m, Options{Workers: 1, Batch: 2, LPMaxIters: cap, Polish: polish})
+	res, err := Solve(m, Options{LPMaxIters: cap, Polish: polish})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +212,7 @@ func TestIterLimitNodeSkippedWithoutPanic(t *testing.T) {
 		_ = x[len(x)-1] // would panic on a nil point
 		return 0, nil, false
 	}
-	res, err := Solve(m, Options{Workers: 1, LPMaxIters: 1, Polish: polish})
+	res, err := Solve(m, Options{LPMaxIters: 1, Polish: polish})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +223,7 @@ func TestIterLimitNodeSkippedWithoutPanic(t *testing.T) {
 	// With a seed the capped run must surface the seed, never claim
 	// optimality, and never report a bound below it.
 	seedObj := 1.5
-	res, err = Solve(m, Options{Workers: 1, LPMaxIters: 1, Polish: polish,
+	res, err = Solve(m, Options{LPMaxIters: 1, Polish: polish,
 		Seeds: []Seed{{Objective: seedObj, X: make([]float64, m.P.NumVars())}}})
 	if err != nil {
 		t.Fatal(err)
@@ -246,28 +239,33 @@ func TestIterLimitNodeSkippedWithoutPanic(t *testing.T) {
 	}
 }
 
-// TestDeadlineDistinctFromIterLimit asserts the milp layer sees — and traces —
-// lp deadline aborts as "deadline", not "iteration-limit". The deadline is
-// driven into the middle of a wave by a polish that outsleeps the TimeLimit,
-// so the sibling node's LP starts after the clock expired.
-func TestDeadlineDistinctFromIterLimit(t *testing.T) {
-	m, b, _, _, _ := iterLimitModel(t)
-	var col obs.Collector
-	polish := func(x []float64) (float64, []float64, bool) {
-		if x[b] > 0.75 {
-			time.Sleep(80 * time.Millisecond) //gapvet:allow walltime test drives a deadline expiry mid-wave
-		}
-		return 0, nil, false
+// stallSleeper is a trace sink that sleeps on the first stall check. The
+// check runs after the deadline test between two node steps, so the next
+// node LP starts with the clock already expired.
+type stallSleeper struct {
+	obs.Collector
+	slept bool
+}
+
+func (s *stallSleeper) Emit(e obs.Event) {
+	if e.Kind == obs.KindStall && !s.slept {
+		s.slept = true
+		time.Sleep(80 * time.Millisecond) //gapvet:allow walltime test drives a deadline expiry into a node LP
 	}
+	s.Collector.Emit(e)
+}
+
+// TestDeadlineDistinctFromIterLimit asserts the milp layer sees — and traces —
+// lp deadline aborts as "deadline", not "iteration-limit". A trace sink
+// outsleeps the TimeLimit inside the first stall check, so the root LP
+// starts with the clock already expired.
+func TestDeadlineDistinctFromIterLimit(t *testing.T) {
+	m, _, _, _, _ := iterLimitModel(t)
+	var col stallSleeper
 	res, err := Solve(m, Options{
-		Workers: 1,
-		// Batch 2 pops both children into one wave: the b=1 child's polish
-		// outsleeps the TimeLimit, so the b=0 sibling's LP — solved later in
-		// the same wave — starts with the clock already expired.
-		Batch:     2,
-		TimeLimit: 40 * time.Millisecond,
-		Polish:    polish,
-		Tracer:    obs.NewTracer(&col),
+		TimeLimit:   40 * time.Millisecond,
+		StallWindow: time.Nanosecond,
+		Tracer:      obs.NewTracer(&col),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,6 @@ type Spec struct {
 	TargetGap float64 `json:"target_gap,omitempty"`
 	// WarmStart warm-starts node relaxations from the parent basis.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// Workers sets the solver's wave-pool size (default 1). Note the
-	// resolved batch — and therefore the explored tree and the search
-	// fingerprint — depends on it (batch = 2*Workers when Workers > 1).
-	Workers int `json:"workers,omitempty"`
 }
 
 // canonicalize fills defaults in place and validates every field. It is the
@@ -116,12 +112,6 @@ func (s *Spec) canonicalize(defaultBudget, maxBudget time.Duration) error {
 	if s.TargetGap < 0 {
 		return fmt.Errorf("serve: negative target_gap %g", s.TargetGap)
 	}
-	if s.Workers == 0 {
-		s.Workers = 1
-	}
-	if s.Workers < 1 || s.Workers > 64 {
-		return fmt.Errorf("serve: workers %d out of range", s.Workers)
-	}
 	return nil
 }
 
@@ -181,7 +171,6 @@ func (s *Spec) options(tracer *obs.Tracer) milp.Options {
 		DepthFirst:   true,
 		StallWindow:  budget / 3,
 		StallImprove: 0.005,
-		Workers:      s.Workers,
 		WarmStart:    s.WarmStart,
 		Tracer:       tracer,
 	}
@@ -194,14 +183,14 @@ func (s *Spec) options(tracer *obs.Tracer) milp.Options {
 
 // cacheKey composes the result-store key from three layers:
 //
-//   - the milp search fingerprint (model shape + resolved batch +
-//     depth-first — what determines the explored tree);
+//   - the milp search fingerprint (model shape + depth-first — what
+//     determines the explored tree);
 //   - the canonical spec with the budget zeroed. The fingerprint alone is
 //     NOT sufficient: it hashes the model's shape, not its coefficients, so
 //     two seeds drawing different demand pairs of the same count would
 //     alias. The spec pins the exact instance — and carries the
-//     solve-determining options (warm-start, workers) the ledger key
-//     must distinguish because they change effort counters. The budget
+//     solve-determining option (warm-start) the ledger key must
+//     distinguish because it changes effort counters. The budget
 //     is excluded deliberately: it is a deadline, not a different search.
 //     The exclusion is sound because only budget-independent answers are
 //     ever stored (see cacheable) — a truncated solve leaves its

@@ -237,10 +237,14 @@ func TestDuplicateJobHitsCache(t *testing.T) {
 // duplicate keys from many goroutines: every job must land done, and each
 // unique key must be solved exactly once (singleflight + store).
 func TestConcurrentDuplicateSubmissions(t *testing.T) {
-	s := newServer(t, testConfig(t))
+	const uniques, dups = 3, 3
+	// Every submission may pass admission before a worker takes a job off
+	// the queue, so the queue must hold all of them.
+	cfg := testConfig(t)
+	cfg.QueueDepth = uniques * dups
+	s := newServer(t, cfg)
 	s.Start()
 
-	const uniques, dups = 3, 3
 	var wg sync.WaitGroup
 	ids := make(chan string, uniques*dups)
 	for u := 0; u < uniques; u++ {
@@ -395,11 +399,11 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 // on the same state dir, and the resumed job must report the bit-identical
 // gap, bound, and node count of an uninterrupted run of the same spec.
 func TestDrainMidSolveResumesBitIdentical(t *testing.T) {
-	// b4/3-pairs/seed-5 proves optimality in ~10s under the race detector
-	// across ~50 waves (batch 4), so a checkpoint exists almost immediately
-	// and the drain lands mid-search.
+	// b4/3-pairs/seed-5 takes many node steps to prove optimality, with a
+	// checkpoint written before each, so a checkpoint exists almost
+	// immediately and the drain lands mid-search.
 	spec := func() *Spec {
-		return &Spec{Topology: "b4", Heuristic: "dp", Pairs: 3, Seed: 5, Workers: 2, BudgetSec: 120}
+		return &Spec{Topology: "b4", Heuristic: "dp", Pairs: 3, Seed: 5, BudgetSec: 120}
 	}
 
 	// Reference: the uninterrupted run, on its own state dir.
@@ -475,7 +479,7 @@ func TestSpecCanonicalization(t *testing.T) {
 		t.Fatalf("canonicalize: %v", err)
 	}
 	if s.Pairs != 12 || s.Paths != 2 || s.Seed != 1 || s.Threshold != 5 ||
-		s.MaxDemand != 100 || s.Workers != 1 || s.BudgetSec != 30 {
+		s.MaxDemand != 100 || s.BudgetSec != 30 {
 		t.Fatalf("defaults not filled: %+v", s)
 	}
 	over := &Spec{Topology: "b4", Heuristic: "dp", BudgetSec: 3600}
@@ -488,7 +492,7 @@ func TestSpecCanonicalization(t *testing.T) {
 	for _, bad := range []*Spec{
 		{Topology: "nope", Heuristic: "dp"},
 		{Topology: "b4", Heuristic: "greedy"},
-		{Topology: "b4", Heuristic: "dp", Workers: -1},
+		{Topology: "b4", Heuristic: "dp", Pairs: -2},
 		{Topology: "b4", Heuristic: "dp", BudgetSec: -5},
 	} {
 		if err := bad.canonicalize(30*time.Second, time.Minute); err == nil {
@@ -520,7 +524,6 @@ func TestCacheKeyComposition(t *testing.T) {
 	}
 	for name, mut := range map[string]func(*Spec){
 		"warmstart": func(s *Spec) { s.WarmStart = true },
-		"workers":   func(s *Spec) { s.Workers = 4 }, // resolved batch moves the fingerprint
 		"topology":  func(s *Spec) { s.Topology = "b4"; s.Pairs = 4 },
 		// Same model SHAPE, different instance: only the spec layer of the
 		// key separates these — the milp fingerprint alone would alias.
@@ -820,8 +823,8 @@ func TestKillSkipsDrainPersistence(t *testing.T) {
 
 // TestSubmitRejectsRetiredEngineFields: the job body is decoded with
 // unknown fields disallowed, so a client still sending the retired
-// "engine" or "pricing" selectors gets a 400 instead of a silently
-// different solve.
+// "engine", "pricing" or "workers" selectors gets a 400 instead of a
+// silently different solve.
 func TestSubmitRejectsRetiredEngineFields(t *testing.T) {
 	s := newServer(t, testConfig(t))
 	s.Start()
@@ -830,6 +833,7 @@ func TestSubmitRejectsRetiredEngineFields(t *testing.T) {
 	for _, body := range []string{
 		`{"topology":"figure1","heuristic":"dp","pairs":-1,"engine":"dense"}`,
 		`{"topology":"figure1","heuristic":"dp","pairs":-1,"pricing":"auto"}`,
+		`{"topology":"figure1","heuristic":"dp","pairs":-1,"workers":2}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -843,9 +847,9 @@ func TestSubmitRejectsRetiredEngineFields(t *testing.T) {
 }
 
 // TestRestoreQueueWithRetiredEngineFields: a queue ledger written by an
-// earlier daemon stores canonical specs that still name the LP engine and
-// pricing rule. Restore decodes them with the fields ignored, and the job
-// solves to the Figure-1 answer.
+// earlier daemon stores canonical specs that still name the LP engine, the
+// pricing rule and the node-level worker count. Restore decodes them with
+// the fields ignored, and the job solves to the Figure-1 answer.
 func TestRestoreQueueWithRetiredEngineFields(t *testing.T) {
 	cfg := testConfig(t)
 	// figure1Spec in the earlier daemon's canonical form, byte for byte.

@@ -9,7 +9,7 @@
 //     checkpointing through internal/checkpoint on the configured cadence
 //     so a killed daemon resumes mid-search;
 //   - a durable results store keyed by the milp search fingerprint extended
-//     with the solve-determining options (warm-start, workers, presolve) —
+//     with the solve-determining options (warm-start, presolve) —
 //     see cacheKey;
 //   - a durable job queue (queue.ckpt) persisted on every job state change,
 //     so queued and in-flight jobs survive a crash or drain and re-run to
@@ -49,7 +49,7 @@ type Config struct {
 	// ckpt-<key>.ckpt per in-flight job. Required.
 	StateDir string
 	// Workers is the pool size (default 1). Each worker runs one job at a
-	// time; the job's own solver parallelism is Spec.Workers.
+	// time; each job's search is serial.
 	Workers int
 	// QueueDepth caps the jobs waiting for a worker; submissions beyond it
 	// are rejected with 429 (default 64).
@@ -62,8 +62,8 @@ type Config struct {
 	// deadline — the backstop for a solver that overruns its TimeLimit
 	// (default 10s).
 	DeadlineGrace time.Duration
-	// CheckpointEvery is the milp checkpoint cadence in waves (0 = every
-	// wave boundary).
+	// CheckpointEvery is the milp checkpoint cadence in node steps (0 =
+	// before every step).
 	CheckpointEvery int
 	// Registry receives the daemon's metrics (nil = a fresh registry,
 	// exposed at /metrics either way).
@@ -434,7 +434,7 @@ func (s *Server) Start() {
 }
 
 // Shutdown drains the daemon: new submissions are rejected, running jobs
-// are cancelled at the next wave boundary (their checkpoints hold the
+// are cancelled at the next node step (their checkpoints hold the
 // search state), and the job ledger is persisted so a restarted daemon
 // re-admits everything unfinished. It returns when the pool has stopped or
 // ctx expires.
@@ -475,7 +475,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Kill stops the server abruptly, WITHOUT the drain-time queue persistence —
 // the in-process approximation of SIGKILL for crash tests. The durable state
-// is whatever the last state-change persist and wave-cadence checkpoints
+// is whatever the last state-change persist and step-cadence checkpoints
 // already wrote, which is exactly the guarantee a real kill -9 leaves behind:
 // a New on the same StateDir re-admits the queue and resumes the searches.
 func (s *Server) Kill() {
@@ -689,7 +689,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	if res.Solver.Status == milp.StatusInterrupted && s.baseCtx.Err() != nil {
-		// Drain: the checkpoint written at the last wave boundary carries
+		// Drain: the checkpoint written before the last node step carries
 		// the search; the restarted daemon re-admits the job and resumes.
 		j.requeued()
 		s.cfg.logf("job %s: drained at %d nodes; checkpoint retained", j.id, res.Solver.Nodes)
@@ -728,7 +728,7 @@ func (s *Server) runJob(j *job) {
 // key deliberately excludes the budget — see cacheKey). Optimal,
 // infeasible, and unbounded closures hold under any budget. A feasible stop
 // is budget-independent only when it reached the spec's TargetGap: the
-// deterministic wave order stops such a search at the same node under every
+// deterministic node order stops such a search at the same node under every
 // budget that gets that far. A feasible stop from the time or stall rule —
 // like an interrupted or no-incumbent one — is a truncation of this
 // particular budget, so caching it would freeze the search forever.
