@@ -260,18 +260,20 @@ func sealAllocs(t *testing.T, name string, gap GapFunc, d []float64, maxAllocs f
 // TestDPGapEvalAllocations seals the allocation count of one DP gap
 // evaluation on the 12-pair B4 instance the hill-climbing benchmark
 // searches: the pricer builds the OPT LP, the phase-2 incidence and the
-// names once and recycles its copies of the OPT LP, presized problems are
-// built without regrowing, and the totals are summed without a Flow, so an
-// evaluation allocates only the phase-2 LP, both LPs' presolve state and
-// answers: 75 allocations, where 149 went to a copy of the OPT LP, two
-// Flows and problems grown by append, and rebuilding both models per call
-// and merging presolve rows through two maps took 1020. The bound is the
-// measured count, so any new allocation per evaluation shows here. A
-// vector that pins nothing solves the OPT LP alone: 36 allocations.
+// names once, recycles its copies of the OPT LP and the phase-2 LP's
+// assembly scratch, the totals are summed without a Flow, and a presolved
+// solve keeps its reduction state on a free list, so an evaluation
+// allocates only the residual capacities and both LPs' answers (Solution,
+// X, Dual): 7 allocations, where a fresh phase-2 LP and fresh presolve
+// state took 75, a copy of the OPT LP, two Flows and problems grown by
+// append 149, and rebuilding both models per call and merging presolve
+// rows through two maps 1020. The bound is the measured count, so any new
+// allocation per evaluation shows here. A vector that pins nothing solves
+// the OPT LP alone: 4 allocations, where 36 went to fresh presolve state.
 func TestDPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
-	sealAllocs(t, "DPGap", DPGap(inst, 5), d, 75)
-	sealAllocs(t, "unpinned DPGap", DPGap(inst, 5), unpinned(d, 5), 36)
+	sealAllocs(t, "DPGap", DPGap(inst, 5), d, 7)
+	sealAllocs(t, "unpinned DPGap", DPGap(inst, 5), unpinned(d, 5), 4)
 }
 
 // unpinned returns d with every volume raised above threshold.
@@ -285,24 +287,28 @@ func unpinned(d []float64, threshold float64) []float64 {
 
 // TestConcurrentDPGapEvalAllocations seals one concurrent DP gap
 // evaluation on the same instance and vector: both concurrent LPs are
-// assembled, presized, from the pricer's incidence and names, 110
-// allocations, where growing them by append took 165 and rebuilding each
-// with a map, formatted names and a path scan took 523. A vector that pins
-// nothing solves its one LP once: 55 allocations.
+// assembled on the pricer's recycled scratch from its incidence and names
+// and solved on recycled presolve state, so what remains is mostly the two
+// Flows DemandPinningConcurrent returns: 38 allocations, where fresh LPs
+// and presolve state took 110, growing the LPs by append 165 and
+// rebuilding each with a map, formatted names and a path scan 523. A
+// vector that pins nothing solves its one LP once: 19 allocations, where
+// 55 went to a fresh LP and presolve state.
 func TestConcurrentDPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
-	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 110)
-	sealAllocs(t, "unpinned ConcurrentDPGap", ConcurrentDPGap(inst, 5), unpinned(d, 5), 55)
+	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 38)
+	sealAllocs(t, "unpinned ConcurrentDPGap", ConcurrentDPGap(inst, 5), unpinned(d, 5), 19)
 }
 
 // TestPOPGapEvalAllocations seals one POP gap evaluation over 3
 // assignments to 2 partitions on the same instance and vector: OPT on a
-// recycled copy of the prebuilt LP and six presized partition LPs
-// assembled from the pricer's incidence and names, with each assignment's
-// total summed without a Flow, 293 allocations, where building a Flow per
-// assignment took 338, copying the OPT LP and growing the partition LPs by
-// append took 501 and building every partition's inner LP and lowering it
-// per call took 1441.
+// recycled copy of the prebuilt LP and six partition LPs assembled one
+// after another on the pricer's recycled scratch from its incidence and
+// names, each solved on recycled presolve state, with each assignment's
+// total summed without a Flow, 35 allocations, where a fresh LP and fresh
+// presolve state per partition took 293, building a Flow per assignment
+// 338, copying the OPT LP and growing the partition LPs by append 501 and
+// building every partition's inner LP and lowering it per call 1441.
 func TestPOPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
 	rng := rand.New(rand.NewSource(1))
@@ -310,5 +316,5 @@ func TestPOPGapEvalAllocations(t *testing.T) {
 	for i := range assignments {
 		assignments[i] = mcf.RandomAssignment(len(d), 2, rng)
 	}
-	sealAllocs(t, "POPGap", POPGap(inst, assignments, 2), d, 293)
+	sealAllocs(t, "POPGap", POPGap(inst, assignments, 2), d, 35)
 }

@@ -301,3 +301,27 @@ func TestHotpathMoveBDoesNotAllocate(t *testing.T) {
 		t.Errorf("moveB allocates %.0f times per run, want 0 (//gapvet:hotpath contract)", allocs)
 	}
 }
+
+// TestPresolvedSolveAllocatesOnlyItsAnswer seals the recycled presolve
+// state: a presolved one-shot solve allocates the Solution, X and Dual it
+// returns, three objects however large the problem. The reduction, the
+// reduced problem and its maps live on the state, the reduced solve's
+// form on a slab, and postsolve spreads the reduced answer out in place.
+// Each LP pins one column, so presolve substitutes it and its solve
+// postsolves real reductions.
+func TestPresolvedSolveAllocatesOnlyItsAnswer(t *testing.T) {
+	const answer = 3 // Solution, X, Dual
+	for _, size := range [][2]int{{6, 4}, {40, 30}, {120, 90}} {
+		p, _ := randomLP(rand.New(rand.NewSource(4)), size[0], size[1])
+		lo, _ := p.Bounds(0)
+		p.SetBounds(0, lo, lo)
+		opts := SolveOptions{Presolve: true}
+		sol, err := p.SolveWith(opts)
+		if err != nil || sol.Status != StatusOptimal || sol.PresolveCols == 0 {
+			t.Fatalf("%v: presolved solve %v %v, want an optimum with a column removed", size, err, sol)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.SolveWith(opts) }); allocs != answer {
+			t.Errorf("%v: a presolved solve allocates %.0f objects, want %d", size, allocs, answer)
+		}
+	}
+}

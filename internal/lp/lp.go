@@ -132,11 +132,22 @@ type Problem struct {
 	sense Sense
 	vars  []varInfo
 	cons  []conInfo
+	// answerCap, when larger, is the capacity a solve gives Solution.X and
+	// Dual: presolve's reduced problem reserves the original problem's
+	// lengths, so postsolve spreads the reduced answer out in place.
+	answerCap [2]int
 }
 
 // NewProblem returns an empty problem with the given name and sense.
 func NewProblem(name string, sense Sense) *Problem {
 	return &Problem{Name: name, sense: sense}
+}
+
+// Reset empties the problem and gives it a new name and sense. It keeps
+// the capacity of its variables and constraints, so a caller that
+// assembles one LP after another on a recycled Problem does not regrow it.
+func (p *Problem) Reset(name string, sense Sense) {
+	*p = Problem{Name: name, sense: sense, vars: p.vars[:0], cons: p.cons[:0]}
 }
 
 // Sense reports the optimization direction.
@@ -190,7 +201,9 @@ func (p *Problem) Grow(vars, cons int) {
 // allocation counts the tests seal the same under -race.
 func grow[T any](s []T, n int) []T {
 	if n > cap(s)-len(s) {
-		s = append(make([]T, 0, len(s)+n), s...)
+		t := make([]T, len(s), len(s)+n)
+		copy(t, s)
+		s = t
 	}
 	return s
 }

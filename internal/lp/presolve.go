@@ -19,6 +19,7 @@ package lp
 
 import (
 	"math"
+	"time"
 )
 
 type psKind int
@@ -42,6 +43,9 @@ type psEntry struct {
 }
 
 // presolveState is the working reduction state over the original problem.
+// It owns every slice a presolved solve uses, the reduced problem included,
+// and lives on freePresolve between solves, so a presolved solve allocates
+// only its answer.
 type presolveState struct {
 	p        *Problem
 	lo, hi   []float64
@@ -52,6 +56,20 @@ type presolveState struct {
 	colAlive []bool
 	journal  []psEntry
 
+	// The reduced problem, the backing of its rows' terms, and its maps
+	// into the original spaces.
+	q              Problem
+	qTerms         []Term
+	colMap, rowMap []int
+
+	// Scratch: merged backs terms; sum, stamp and order merge a row's
+	// duplicate terms; appears counts a column's live rows.
+	merged  []Term
+	sum     []float64
+	stamp   []int
+	order   []VarID
+	appears []int
+
 	infeasible bool
 	// unboundedIfFeasible is set when an empty column's certifying bound is
 	// infinite: the problem is unbounded provided the rest is feasible, which
@@ -59,20 +77,41 @@ type presolveState struct {
 	unboundedIfFeasible bool
 }
 
+// freePresolve holds the released presolve states.
+var freePresolve freeList[presolveState]
+
+// newPresolveState returns a state over p from the free list; release
+// hands it back.
+//
+//gapvet:hotpath once per presolved solve; every slice is recycled state
 func newPresolveState(p *Problem) *presolveState {
-	ps := &presolveState{p: p}
+	ps := freePresolve.get()
+	ps.load(p)
+	return ps
+}
+
+// release hands the state back to the free list. Nothing a solve returns
+// aliases it.
+func (ps *presolveState) release() {
+	ps.p = nil
+	freePresolve.put(ps)
+}
+
+// load resets the state onto p, resizing its slices in place.
+//
+//gapvet:hotpath once per presolved solve; every slice is recycled state
+func (ps *presolveState) load(p *Problem) {
 	n, m := len(p.vars), len(p.cons)
-	ps.lo = make([]float64, n)
-	ps.hi = make([]float64, n)
-	ps.colAlive = make([]bool, n)
+	ps.p, ps.infeasible, ps.unboundedIfFeasible = p, false, false
+	ps.lo, ps.hi, ps.colAlive = resize(ps.lo, n), resize(ps.hi, n), resize(ps.colAlive, n)
 	for j, v := range p.vars {
 		ps.lo[j], ps.hi[j] = v.lo, v.hi
 		ps.colAlive[j] = true
 	}
-	ps.terms = make([][]Term, m)
-	ps.rhs = make([]float64, m)
-	ps.rel = make([]Rel, m)
-	ps.rowAlive = make([]bool, m)
+	ps.terms = resize(ps.terms, m)
+	ps.rhs, ps.rel, ps.rowAlive = resize(ps.rhs, m), resize(ps.rel, m), resize(ps.rowAlive, m)
+	// Every row and every column is removed at most once, by one entry.
+	ps.journal = grow(ps.journal[:0], m+n)
 	nnz := 0
 	for _, con := range p.cons {
 		nnz += len(con.expr.Terms)
@@ -82,33 +121,34 @@ func newPresolveState(p *Problem) *presolveState {
 	// j as seen in row i, and order keeps the row's columns in
 	// first-appearance order (never map order), so the reduced constraint
 	// matrix is a pure function of the input problem. Every row's merged
-	// terms live in one backing slice.
-	sum := make([]float64, n)
-	stamp := make([]int, n)
-	var order []VarID
-	merged := make([]Term, 0, nnz)
+	// terms live in one backing slice. The stamps start cleared: a mark
+	// left by the previous problem would merge its terms in.
+	ps.sum, ps.stamp = resize(ps.sum, n), resize(ps.stamp, n)
+	clear(ps.stamp)
+	ps.order = grow(ps.order[:0], n)
+	ps.merged = grow(ps.merged[:0], nnz)
+	sum, stamp := ps.sum, ps.stamp
 	for i, con := range p.cons {
-		order = order[:0]
+		ps.order = ps.order[:0]
 		for _, t := range con.expr.Terms {
 			if stamp[t.Var] != i+1 {
 				stamp[t.Var] = i + 1
 				sum[t.Var] = 0
-				order = append(order, t.Var)
+				ps.order = append(ps.order, t.Var)
 			}
 			sum[t.Var] += t.Coef
 		}
-		start := len(merged)
-		for _, v := range order {
+		start := len(ps.merged)
+		for _, v := range ps.order {
 			if c := sum[v]; c != 0 {
-				merged = append(merged, Term{Var: v, Coef: c})
+				ps.merged = append(ps.merged, Term{Var: v, Coef: c})
 			}
 		}
-		ps.terms[i] = merged[start:len(merged):len(merged)]
+		ps.terms[i] = ps.merged[start:len(ps.merged):len(ps.merged)]
 		ps.rhs[i] = con.rhs
 		ps.rel[i] = con.rel
 		ps.rowAlive[i] = true
 	}
-	return ps
 }
 
 // tightenLo/tightenHi fold an implied bound in, reporting infeasibility when
@@ -157,6 +197,8 @@ func (ps *presolveState) activityBounds(i int) (minAct, maxAct float64) {
 // reduce runs reduction passes to a fixpoint (bounded by the problem size —
 // every pass that changes anything removes a row or column or tightens a
 // bound through a removed row).
+//
+//gapvet:hotpath once per presolved solve; the journal and the column counts are presized state
 func (ps *presolveState) reduce() {
 	maxPasses := len(ps.rowAlive) + len(ps.colAlive) + 2
 	for pass := 0; pass < maxPasses; pass++ {
@@ -267,7 +309,9 @@ func (ps *presolveState) reduceRows() bool {
 func (ps *presolveState) reduceCols() bool {
 	changed := false
 	// Count live appearances per column.
-	appears := make([]int, len(ps.colAlive))
+	ps.appears = resize(ps.appears, len(ps.colAlive))
+	appears := ps.appears
+	clear(appears)
 	for i := range ps.rowAlive {
 		if !ps.rowAlive[i] {
 			continue
@@ -370,10 +414,14 @@ func (ps *presolveState) probeInfeasibility() {
 }
 
 // buildReduced assembles the reduced Problem plus the column/row maps into
-// the original spaces.
+// the original spaces, all on the state's storage. The reduced problem
+// reserves room for the original problem's answer (Problem.answerCap).
+//
+//gapvet:hotpath once per presolved solve; the reduced problem and its maps are recycled state
 func (ps *presolveState) buildReduced() (q *Problem, colMap []int, rowMap []int) {
 	p := ps.p
-	q = NewProblem(p.Name, p.sense)
+	q = &ps.q
+	q.Reset(p.Name, p.sense)
 	cols, rows, nnz := 0, 0, 0
 	for _, alive := range ps.colAlive {
 		if alive {
@@ -387,51 +435,62 @@ func (ps *presolveState) buildReduced() (q *Problem, colMap []int, rowMap []int)
 		}
 	}
 	q.Grow(cols, rows)
-	rowMap = make([]int, 0, rows)
-	colMap = make([]int, len(p.vars)) // original -> reduced, -1 if removed
-	for j := range colMap {
-		colMap[j] = -1
-	}
+	q.answerCap = [2]int{len(p.vars), len(p.cons)}
+	ps.rowMap = grow(ps.rowMap[:0], rows)
+	ps.colMap = resize(ps.colMap, len(p.vars)) // original -> reduced, -1 if removed
+	colMap = ps.colMap
 	for j, v := range p.vars {
+		colMap[j] = -1
 		if !ps.colAlive[j] {
 			continue
 		}
-		id := q.AddVar(v.name, ps.lo[j], ps.hi[j])
+		id := q.AddVar(v.name, ps.lo[j], ps.hi[j]) //gapvet:allow hotalloc AddVar formats only the panic of lo > hi, and presolve keeps lo <= hi
 		q.SetObj(id, v.obj)
 		colMap[j] = int(id)
 	}
-	terms := make([]Term, 0, nnz) // one backing slice for every reduced row's terms
+	ps.qTerms = grow(ps.qTerms[:0], nnz) // one backing slice for every reduced row's terms
 	for i, con := range p.cons {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		start := len(terms)
+		start := len(ps.qTerms)
 		for _, t := range ps.terms[i] {
 			if cj := colMap[int(t.Var)]; cj >= 0 {
-				terms = append(terms, Term{Var: VarID(cj), Coef: t.Coef})
+				ps.qTerms = append(ps.qTerms, Term{Var: VarID(cj), Coef: t.Coef})
 			}
 		}
-		q.AddConstraint(con.name, Expr{Terms: terms[start:len(terms):len(terms)]}, ps.rel[i], ps.rhs[i])
-		rowMap = append(rowMap, i)
+		q.AddConstraint(con.name, Expr{Terms: ps.qTerms[start:len(ps.qTerms):len(ps.qTerms)]}, ps.rel[i], ps.rhs[i])
+		ps.rowMap = append(ps.rowMap, i)
 	}
-	return q, colMap, rowMap
+	return q, colMap, ps.rowMap
 }
 
-// postsolve maps the reduced solution back to the original spaces in place
-// on sol: X for every original variable, duals for every original row —
-// removed rows recover theirs from the journal in reverse order.
-func (ps *presolveState) postsolve(sol *Solution, reduced *Solution, colMap, rowMap []int) {
+// postsolve maps the reduced optimal answer sol back to the original spaces
+// in place: X for every original variable, duals for every original row —
+// removed rows recover theirs from the journal in reverse order. The reduced
+// solve gave X and Dual room for the original lengths; reduced column
+// colMap[j] is at most j and reduced row k at most rowMap[k], so a
+// descending walk reads every reduced entry before it is overwritten.
+func (ps *presolveState) postsolve(sol *Solution, colMap, rowMap []int) {
 	p := ps.p
-	sol.X = make([]float64, len(p.vars))
-	sol.Dual = make([]float64, len(p.cons))
-	for j := range p.vars {
+	x := sol.X[:len(p.vars)]
+	for j := len(x) - 1; j >= 0; j-- {
 		if cj := colMap[j]; cj >= 0 {
-			sol.X[j] = reduced.X[cj]
+			x[j] = x[cj]
+		} else {
+			x[j] = 0
 		}
 	}
-	for k, i := range rowMap {
-		sol.Dual[i] = reduced.Dual[k]
+	dual, k := sol.Dual[:len(p.cons)], len(rowMap)-1
+	for i := len(dual) - 1; i >= 0; i-- {
+		if k >= 0 && rowMap[k] == i {
+			dual[i] = dual[k]
+			k--
+		} else {
+			dual[i] = 0
+		}
 	}
+	sol.X, sol.Dual = x, dual
 	// Reverse-replay the journal: restore pinned values first, then recover
 	// singleton-row duals against the progressively completed dual vector.
 	for e := len(ps.journal) - 1; e >= 0; e-- {
@@ -469,9 +528,19 @@ func (ps *presolveState) postsolve(sol *Solution, reduced *Solution, colMap, row
 
 // solvePresolved is the Presolve dispatch: reduce, solve the reduced problem,
 // and postsolve the answer. Presolve-detected infeasibility or unboundedness
-// short-circuits the simplex entirely.
-func (p *Problem) solvePresolved(opts SolveOptions) (*Solution, error) {
+// short-circuits the simplex entirely. The reduced solve's Solution is the
+// answer, mapped back in place, so the call allocates only the Solution, X
+// and Dual it returns.
+func (p *Problem) solvePresolved(opts SolveOptions) (sol *Solution, err error) {
 	ps := newPresolveState(p)
+	defer ps.release()
+	// lp_presolve_seconds takes presolve's own time: everything but the
+	// reduced solve.
+	var spent time.Duration
+	mark := time.Now() //gapvet:allow walltime presolve time attribution; observed into an obs histogram, never read by the solve
+	defer func() {
+		lpPresolveSeconds.ObserveDuration(spent + time.Since(mark)) //gapvet:allow walltime presolve time attribution; observed into an obs histogram, never read by the solve
+	}()
 	ps.reduce()
 	removedRows, removedCols := 0, 0
 	for _, alive := range ps.rowAlive {
@@ -493,37 +562,34 @@ func (p *Problem) solvePresolved(opts SolveOptions) (*Solution, error) {
 	inner.Presolve = false
 	inner.CaptureBasis = false // a reduced-space basis must not leak out
 	inner.WarmStart = nil
+	inner.Dive = nil // the reduced problem is recycled storage, never a dive's
 	inner.Tracer = nil
-	reduced, err := q.solveDense(inner)
+	spent = time.Since(mark) //gapvet:allow walltime presolve time attribution; observed into an obs histogram, never read by the solve
+	sol, err = q.solveDense(inner)
+	mark = time.Now() //gapvet:allow walltime presolve time attribution; observed into an obs histogram, never read by the solve
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{
-		Status:           reduced.Status,
-		Iterations:       reduced.Iterations,
-		Phase1Iterations: reduced.Phase1Iterations,
-		DegeneratePivots: reduced.DegeneratePivots,
-		PresolveRows:     removedRows,
-		PresolveCols:     removedCols,
-	}
+	sol.PresolveRows, sol.PresolveCols = removedRows, removedCols
 	if ps.unboundedIfFeasible {
 		// An empty column rides to infinity as soon as the rest is feasible.
-		switch reduced.Status {
+		switch sol.Status {
 		case StatusOptimal, StatusUnbounded:
 			sol.Status = StatusUnbounded
 		}
+		sol.Objective, sol.X, sol.Dual = 0, nil, nil
 		return sol, nil
 	}
-	if reduced.Status != StatusOptimal {
+	if sol.Status != StatusOptimal {
 		return sol, nil
 	}
-	ps.postsolve(sol, reduced, colMap, rowMap)
+	ps.postsolve(sol, colMap, rowMap)
 	objConst := 0.0
 	for j := range p.vars {
 		if colMap[j] == -1 {
 			objConst += p.vars[j].obj * sol.X[j]
 		}
 	}
-	sol.Objective = reduced.Objective + objConst
+	sol.Objective += objConst
 	return sol, nil
 }

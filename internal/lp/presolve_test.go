@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -369,5 +370,101 @@ func TestPresolveMergeMatchesMapReference(t *testing.T) {
 	}
 	if len(got[0]) != 2 || got[0][0].Var != 3 || len(got[2]) != 0 || len(got[3]) != 2 {
 		t.Fatalf("hand-made rows merged to %v %v %v, want x3,x0 / none / x5,x0", got[0], got[2], got[3])
+	}
+}
+
+// freshPresolved solves p presolved on a state no earlier solve touched:
+// the free list is empty for the call, and the state the solve releases is
+// dropped with it.
+func freshPresolved(t *testing.T, p *Problem) *Solution {
+	t.Helper()
+	freePresolve.mu.Lock()
+	saved := freePresolve.list
+	freePresolve.list = nil
+	freePresolve.mu.Unlock()
+	sol, err := p.SolveWith(SolveOptions{Presolve: true})
+	freePresolve.mu.Lock()
+	freePresolve.list = saved
+	freePresolve.mu.Unlock()
+	if err != nil {
+		t.Fatalf("%s: fresh presolved solve: %v", p.Name, err)
+	}
+	return sol
+}
+
+// requireBitwise fails unless got reports exactly ref: status, counters,
+// objective, point and duals, every float to the bit.
+func requireBitwise(t *testing.T, what string, ref, got *Solution) {
+	t.Helper()
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) || (a == nil) != (b == nil) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if got.Status != ref.Status || got.Iterations != ref.Iterations ||
+		got.PresolveRows != ref.PresolveRows || got.PresolveCols != ref.PresolveCols ||
+		math.Float64bits(got.Objective) != math.Float64bits(ref.Objective) ||
+		!same(got.X, ref.X) || !same(got.Dual, ref.Dual) {
+		t.Fatalf("%s: recycled state answers %v X=%v dual=%v, fresh state %v X=%v dual=%v",
+			what, got, got.X, got.Dual, ref, ref.X, ref.Dual)
+	}
+}
+
+// TestPresolveStateReuseMatchesFresh is the referee of the recycled presolve
+// state: problems of different shapes, with duplicate and cancelling terms,
+// fixed and empty columns and singleton rows, are solved presolved in an
+// interleaved order through the one state the free list hands back each
+// time, and every answer must equal, bit for bit, the same problem's solve
+// on a fresh state. Every slice the state keeps carries the previous
+// problem's entries, the merge stamps in particular.
+func TestPresolveStateReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var probs []*Problem
+	fixtures := lpFixtures()
+	names := make([]string, 0, len(fixtures))
+	for name := range fixtures {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		probs = append(probs, fixtures[name]())
+	}
+	for _, size := range [][2]int{{30, 20}, {4, 3}, {60, 45}, {12, 9}} {
+		probs = append(probs, sparseLP(rng, size[0], size[1]))
+		p, _ := randomLP(rng, size[0], size[1])
+		probs = append(probs, p)
+	}
+	// Pin a few columns so the reductions fix and substitute them.
+	for k, p := range probs {
+		if k%3 == 0 && p.NumVars() > 1 {
+			lo, _ := p.Bounds(1)
+			p.SetBounds(1, lo, lo)
+		}
+	}
+	refs := make([]*Solution, len(probs))
+	for k, p := range probs {
+		refs[k] = freshPresolved(t, p)
+	}
+	ps := newPresolveState(probs[0])
+	ps.release()
+	for round := 0; round < 3; round++ {
+		for _, k := range rng.Perm(len(probs)) {
+			if again := newPresolveState(probs[k]); again != ps {
+				t.Fatal("the free list did not hand back the one recycled state")
+			} else {
+				again.release()
+			}
+			got, err := probs[k].SolveWith(SolveOptions{Presolve: true})
+			if err != nil {
+				t.Fatalf("%s: %v", probs[k].Name, err)
+			}
+			requireBitwise(t, fmt.Sprintf("round %d, problem %d (%s)", round, k, probs[k].Name), refs[k], got)
+		}
 	}
 }

@@ -59,6 +59,12 @@ var (
 	// replay, inside lp_warm_repair_seconds.
 	lpBuildSeconds   = obs.Default.Histogram("lp_build_seconds")
 	lpInstallSeconds = obs.Default.Histogram("lp_install_seconds")
+	// lpDualRepairSeconds times a warm solve's dual simplex, runDual,
+	// inside lp_warm_repair_seconds. lpPresolveSeconds times a presolved
+	// solve's own work, the reduction, the reduced problem's assembly and
+	// the postsolve, but not the reduced solve between them.
+	lpDualRepairSeconds = obs.Default.Histogram("lp_dual_repair_seconds")
+	lpPresolveSeconds   = obs.Default.Histogram("lp_presolve_seconds")
 
 	lpPhase1Pivots     = obs.Default.Counter("lp_phase1_pivots_total")
 	lpPhase2Pivots     = obs.Default.Counter("lp_phase2_pivots_total")
@@ -234,40 +240,53 @@ type (
 	}
 )
 
-// freeSlabs is the free list of released slabs, last in first out. Unlike
-// a sync.Pool it is not emptied by garbage collection, so a solve reuses a
-// slab whenever one is free and its cost and allocation do not depend on
-// when the collector last ran. One solve holds one slab at a time: its
-// form, whose slab also carries the refactorization kernel (the warm path
-// releases its form before a fallback rebuild). A Dive handle keeps one
-// more between solves, the last terminal form, and a solve that does not
-// dive releases it before building its own. The list keeps two per P,
-// so solves on more goroutines than Ps (parallel branch-and-bound waves,
-// concurrent daemon jobs) still mostly find one, and drops the rest to the
-// collector.
-var freeSlabs struct {
+// freeList is a last-in-first-out list of released per-solve storage, a
+// stdSlab or a presolveState. Unlike a sync.Pool it is not emptied by
+// garbage collection, so a solve reuses storage whenever some is free and
+// its cost and allocation do not depend on when the collector last ran.
+// The list keeps two values per P, so solves on more goroutines than Ps
+// (concurrent daemon jobs, black-box restarts) still mostly find one, and
+// drops the rest to the collector.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	list []*stdSlab
+	list []*T
 }
 
-// maxFreeSlabs bounds freeSlabs: two slabs per P.
-var maxFreeSlabs = 2 * runtime.GOMAXPROCS(0)
+// maxFree bounds every freeList: two values per P.
+var maxFree = 2 * runtime.GOMAXPROCS(0)
 
-// getSlab returns a recycled slab when one is free, else a new one.
-func getSlab() *stdSlab {
-	var sl *stdSlab
-	freeSlabs.mu.Lock()
-	if k := len(freeSlabs.list); k > 0 {
-		sl = freeSlabs.list[k-1]
-		freeSlabs.list[k-1] = nil
-		freeSlabs.list = freeSlabs.list[:k-1]
+// get returns a released value when one is free, else a new one.
+func (f *freeList[T]) get() *T {
+	var v *T
+	f.mu.Lock()
+	if k := len(f.list); k > 0 {
+		v = f.list[k-1]
+		f.list[k-1] = nil
+		f.list = f.list[:k-1]
 	}
-	freeSlabs.mu.Unlock()
-	if sl == nil {
-		sl = new(stdSlab)
+	f.mu.Unlock()
+	if v == nil {
+		v = new(T)
 	}
-	return sl
+	return v
 }
+
+// put lists v for the next get, or drops it when the list is full. The
+// caller must not use v afterwards.
+func (f *freeList[T]) put(v *T) {
+	f.mu.Lock()
+	if len(f.list) < maxFree {
+		f.list = append(f.list, v)
+	}
+	f.mu.Unlock()
+}
+
+// freeSlabs holds the released slabs. One solve holds one slab at a time:
+// its form, whose slab also carries the refactorization kernel (the warm
+// path releases its form before a fallback rebuild). A Dive handle keeps
+// one more between solves, the last terminal form, and a solve that does
+// not dive releases it before building its own.
+var freeSlabs freeList[stdSlab]
 
 // size lays an all-zero m x n matrix out on the slab.
 func (sl *stdSlab) size(m, n int) {
@@ -343,11 +362,7 @@ func (s *stdForm) release() {
 	// listed: from then on the next solve may own it.
 	sl := s.slab
 	s.slab, s.a = nil, nil
-	freeSlabs.mu.Lock()
-	if len(freeSlabs.list) < maxFreeSlabs {
-		freeSlabs.list = append(freeSlabs.list, sl)
-	}
-	freeSlabs.mu.Unlock()
+	freeSlabs.put(sl)
 }
 
 // buildStandard converts p (with optional bound overrides) to standard form
@@ -355,7 +370,7 @@ func (s *stdForm) release() {
 // done with the form.
 func buildStandard(p *Problem, override map[VarID][2]float64) (*stdForm, error) {
 	start := time.Now() //gapvet:allow walltime build time attribution; observed into an obs histogram, never read by the solve
-	sl := getSlab()
+	sl := freeSlabs.get()
 	s := &sl.form
 	s.slab = sl
 	nnz, err := s.layout(p, override)
@@ -989,7 +1004,7 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 	// Duals from the terminal state: y_i = -(reduced cost of row i's +1
 	// unit column) in the standardized min problem; map through row flips and
 	// problem sense.
-	sol.Dual = make([]float64, len(p.cons))
+	sol.Dual = make([]float64, len(p.cons), max(len(p.cons), p.answerCap[1]))
 	for i := range p.cons {
 		col := s.rowUnit[i]
 		if col < 0 {
@@ -1040,7 +1055,7 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 		xs[col] = bval[i]
 	}
 	// Map back to user variables.
-	sol.X = make([]float64, len(p.vars))
+	sol.X = make([]float64, len(p.vars), max(len(p.vars), p.answerCap[0]))
 	for j := range p.vars {
 		vm := s.varMap[j]
 		v := vm.shift + vm.sign*xs[vm.col]
@@ -1415,7 +1430,10 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions, dived bool) *Solution
 			return nil
 		}
 	}
-	switch st := t.runDual(); st {
+	dualStart := time.Now() //gapvet:allow walltime dual-repair time attribution; observed into an obs histogram, never read by the solve
+	st := t.runDual()
+	lpDualRepairSeconds.ObserveDuration(time.Since(dualStart)) //gapvet:allow walltime dual-repair time attribution; observed into an obs histogram, never read by the solve
+	switch st {
 	case statusWarmAbort, StatusIterLimit:
 		// Dual cycling, a refused certificate or the iteration cap: the cold
 		// path answers, capped exactly as the cold solver would be.
@@ -1433,7 +1451,7 @@ func (p *Problem) solveWarm(s *stdForm, opts SolveOptions, dived bool) *Solution
 	// the refactorization (usually zero pivots), then walk to the canonical
 	// vertex exactly as the cold path does.
 	lpWarmEvictPivots.Add(int64(t.evictBlocked()))
-	st := t.optimum()
+	st = t.optimum()
 	switch st {
 	case StatusDeadline, StatusInterrupted:
 		sol := t.solution(st)

@@ -50,15 +50,16 @@ func (pc *Pricer) DemandPinningConcurrent(vols []float64, threshold float64) (*F
 	if !anyAbove(vols, math.Max(threshold, 0)) {
 		return out, 1, nil
 	}
-	p, varOf := pc.concurrentLP(vols, threshold, residual)
-	sol, err := p.SolveWith(oneShotOpts())
+	sc := pc.concurrentLP(vols, threshold, residual)
+	defer pc.putScratch(sc)
+	sol, err := sc.p.SolveWith(oneShotOpts())
 	if err != nil {
 		return nil, 0, err
 	}
 	if sol.Status != lp.StatusOptimal {
 		return nil, 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
 	}
-	pc.addFlows(out, varOf, sol.X)
+	pc.addFlows(out, sc.varOf, sol.X)
 	return out, sol.X[0], nil // variable 0 is lambda
 }
 
@@ -66,15 +67,15 @@ func (pc *Pricer) DemandPinningConcurrent(vols []float64, threshold float64) (*F
 // positive volume above the threshold: lambda, then per such demand k its
 // path variables "f<k>.<p>", a "dem<k>" row (flow >= lambda * d_k) and a
 // "vol<k>" row (flow <= d_k), then the "cap<e>" rows of the edges they
-// cross over the residual capacities. varOf is as in flowLP.
-func (pc *Pricer) concurrentLP(vols []float64, threshold float64, residual []float64) (*lp.Problem, []lp.VarID) {
-	pc.incOnce.Do(pc.buildIncidence)
-	p := lp.NewProblem("concurrent", lp.Maximize)
+// cross over the residual capacities. It assembles on scratch the caller
+// puts back; varOf is as in flowLP.
+func (pc *Pricer) concurrentLP(vols []float64, threshold float64, residual []float64) *lpScratch {
+	sc := pc.takeScratch()
+	sc.reset("concurrent", len(pc.varName), pc.nnz+len(pc.first)+len(pc.varName))
+	p, varOf, terms := sc.p, sc.varOf, sc.terms
 	p.Grow(1+len(pc.varName), 2*len(pc.first)+len(pc.crosses)) // at most lambda, every path, two rows per demand, every edge
 	lam := p.AddVar("lambda", 0, 1)
 	p.SetObj(lam, 1)
-	varOf := make([]lp.VarID, len(pc.varName))
-	terms := make([]lp.Term, 0, pc.nnz+len(pc.first)+len(pc.varName))
 	cut := math.Max(threshold, 0)
 	for k, ps := range pc.inst.Paths {
 		free := vols[k] > cut
@@ -98,5 +99,5 @@ func (pc *Pricer) concurrentLP(vols []float64, threshold float64, residual []flo
 		}
 	}
 	pc.addCapRows(p, terms, varOf, residual, false)
-	return p, varOf
+	return sc
 }

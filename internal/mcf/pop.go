@@ -124,31 +124,26 @@ func (pc *Pricer) popTotal(clients []Client, assign []int, partitions int) (floa
 // solvePOP solves every partition's LP in partition order and hands each
 // optimal point to use with the partition's varOf.
 func (pc *Pricer) solvePOP(clients []Client, assign []int, partitions int, use func(varOf []lp.VarID, x []float64)) error {
-	lps, varOfs, err := pc.popLPs(clients, assign, partitions)
-	if err != nil {
-		return err
-	}
-	for c, p := range lps {
-		if p == nil {
-			continue
-		}
-		sol, err := p.SolveWith(oneShotOpts())
+	return pc.popLPs(clients, assign, partitions, func(c int, sc *lpScratch) error {
+		sol, err := sc.p.SolveWith(oneShotOpts())
 		if err != nil {
 			return err
 		}
 		if sol.Status != lp.StatusOptimal {
 			return fmt.Errorf("mcf: POP partition %d LP %v", c, sol.Status)
 		}
-		use(varOfs[c], sol.X)
-	}
-	return nil
+		use(sc.varOf, sol.X)
+		return nil
+	})
 }
 
-// popLPs assembles every partition's LP, nil for a partition with no
-// demand to route, and its varOf as in flowLP.
-func (pc *Pricer) popLPs(clients []Client, assign []int, partitions int) ([]*lp.Problem, [][]lp.VarID, error) {
+// popLPs assembles each partition's LP in partition order, on one recycled
+// scratch, and hands it to each with its varOf as in flowLP, skipping a
+// partition with no demand to route. It stops at the first error each
+// returns.
+func (pc *Pricer) popLPs(clients []Client, assign []int, partitions int, each func(c int, sc *lpScratch) error) error {
 	if len(assign) != len(clients) {
-		return nil, nil, fmt.Errorf("mcf: %d assignments for %d clients", len(assign), len(clients))
+		return fmt.Errorf("mcf: %d assignments for %d clients", len(assign), len(clients))
 	}
 	per := AggregateAssigned(clients, assign, partitions, pc.inst.Demands.Len())
 	caps := make([]float64, pc.inst.G.NumEdges())
@@ -156,13 +151,18 @@ func (pc *Pricer) popLPs(clients []Client, assign []int, partitions int) ([]*lp.
 		caps[e] = pc.inst.G.Edge(e).Capacity * (1 / float64(partitions))
 	}
 	names := pc.popNames(partitions)
-	lps, varOfs := make([]*lp.Problem, partitions), make([][]lp.VarID, partitions)
+	sc := pc.takeScratch()
+	defer pc.putScratch(sc)
 	for c, pv := range per {
-		if p, varOf := pc.flowLP(names[c], pv, 0, caps, true); p.NumVars() > 0 {
-			lps[c], varOfs[c] = p, varOf
+		pc.flowLP(sc, names[c], pv, 0, caps, true)
+		if sc.p.NumVars() == 0 {
+			continue
+		}
+		if err := each(c, sc); err != nil {
+			return err
 		}
 	}
-	return lps, varOfs, nil
+	return nil
 }
 
 // POPGap prices OPT and POP at vols, one client per demand, under each

@@ -40,6 +40,57 @@ type Pricer struct {
 
 	popMu   sync.Mutex
 	popName []string // "pop<c>", grown to the most partitions priced
+
+	scratchMu   sync.Mutex
+	scratchFree []*lpScratch // idle assembly scratch; a call takes one per LP and puts it back once it has read the answer
+}
+
+// lpScratch is the recycled storage of one LP a call assembles: the
+// problem, its varOf (as in flowLP) and the backing of its rows' terms.
+// The LP's rows alias terms, so a call gives its scratch back only after
+// the solve and after it has read the answer through varOf.
+type lpScratch struct {
+	p     *lp.Problem
+	varOf []lp.VarID
+	terms []lp.Term
+}
+
+// reset empties sc for a maximization LP named name, with one varOf entry
+// per flat (k, p) and room for nnz terms.
+func (sc *lpScratch) reset(name string, paths, nnz int) {
+	sc.p.Reset(name, lp.Maximize)
+	if cap(sc.varOf) < paths {
+		sc.varOf = make([]lp.VarID, paths)
+	}
+	sc.varOf = sc.varOf[:paths]
+	if cap(sc.terms) < nnz {
+		sc.terms = make([]lp.Term, 0, nnz)
+	}
+	sc.terms = sc.terms[:0]
+}
+
+// takeScratch returns idle assembly scratch, new when none is free, with
+// the incidence built.
+func (pc *Pricer) takeScratch() *lpScratch {
+	pc.incOnce.Do(pc.buildIncidence)
+	pc.scratchMu.Lock()
+	var sc *lpScratch
+	if n := len(pc.scratchFree); n > 0 {
+		sc = pc.scratchFree[n-1]
+		pc.scratchFree = pc.scratchFree[:n-1]
+	}
+	pc.scratchMu.Unlock()
+	if sc == nil {
+		sc = &lpScratch{p: lp.NewProblem("", lp.Maximize)}
+	}
+	return sc
+}
+
+// putScratch gives sc back for a later call.
+func (pc *Pricer) putScratch(sc *lpScratch) {
+	pc.scratchMu.Lock()
+	pc.scratchFree = append(pc.scratchFree, sc)
+	pc.scratchMu.Unlock()
 }
 
 // NewPricer returns a pricer for inst. It builds nothing until the first
@@ -182,28 +233,31 @@ func (pc *Pricer) DemandPinning(vols []float64, threshold float64) (*Flow, error
 		return out, err
 	}
 
-	x, varOf, err := pc.solvePhase2(vols, threshold, residual)
-	if err != nil {
+	if err := pc.solvePhase2(vols, threshold, residual, func(varOf []lp.VarID, x []float64) {
+		pc.addFlows(out, varOf, x)
+	}); err != nil {
 		return nil, err
 	}
-	pc.addFlows(out, varOf, x)
 	return out, nil
 }
 
 // solvePhase2 solves DP's phase 2, the joint optimization of the unpinned
 // demands over the residual capacities — the speedup the heuristic exists
-// for, since this LP has far fewer demand variables. It returns the
-// optimal point and the phase-2 LP's varOf.
-func (pc *Pricer) solvePhase2(vols []float64, threshold float64, residual []float64) ([]float64, []lp.VarID, error) {
-	p, varOf := pc.phase2LP(vols, threshold, residual)
-	sol, err := p.SolveWith(oneShotOpts())
+// for, since this LP has far fewer demand variables. It hands the optimal
+// point to use with the phase-2 LP's varOf, before the LP's scratch goes
+// back.
+func (pc *Pricer) solvePhase2(vols []float64, threshold float64, residual []float64, use func(varOf []lp.VarID, x []float64)) error {
+	sc := pc.phase2LP(vols, threshold, residual)
+	defer pc.putScratch(sc)
+	sol, err := sc.p.SolveWith(oneShotOpts())
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, nil, fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
+		return fmt.Errorf("mcf: DP phase-2 LP %v", sol.Status)
 	}
-	return sol.X, varOf, nil
+	use(sc.varOf, sol.X)
+	return nil
 }
 
 // pin routes the demands at or below the threshold on their shortest
@@ -279,39 +333,42 @@ func (pc *Pricer) DPGap(vols []float64, threshold float64) (opt, dp float64, err
 	if !anyAbove(vols, threshold) {
 		return opt, dp, nil
 	}
-	x, varOf, err := pc.solvePhase2(vols, threshold, residual)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, v := range varOf { // addFlows' (k, p) order
-		if v >= 0 {
-			dp += x[v]
+	if err := pc.solvePhase2(vols, threshold, residual, func(varOf []lp.VarID, x []float64) {
+		for _, v := range varOf { // addFlows' (k, p) order
+			if v >= 0 {
+				dp += x[v]
+			}
 		}
+	}); err != nil {
+		return 0, 0, err
 	}
 	return opt, dp, nil
 }
 
-// phase2LP assembles DP's phase-2 LP over the residual capacities.
-func (pc *Pricer) phase2LP(vols []float64, threshold float64, residual []float64) (*lp.Problem, []lp.VarID) {
-	return pc.flowLP("dp-phase2", vols, threshold, residual, false)
+// phase2LP assembles DP's phase-2 LP over the residual capacities on
+// scratch the caller puts back.
+func (pc *Pricer) phase2LP(vols []float64, threshold float64, residual []float64) *lpScratch {
+	sc := pc.takeScratch()
+	pc.flowLP(sc, "dp-phase2", vols, threshold, residual, false)
+	return sc
 }
 
-// flowLP assembles the total-flow LP named name over the demands whose
-// volume exceeds cut: one variable per path of such a demand, a "dem<k>"
-// row bounding its flow by its volume, and a "cap<e>" row per edge bounding
-// the flow crossing it by capRHS[e]. DP's phase 2 names its variables
-// "f<k>.<p>" and drops the rows of edges no variable crosses; a POP
-// partition (pop) names them "x<j>" and keeps every row, as
-// BuildInnerMaxFlow lowered by innerProblem did. varOf[first[k]+p] is the
-// variable of demand k's path p, or -1.
-func (pc *Pricer) flowLP(name string, vols []float64, cut float64, capRHS []float64, pop bool) (*lp.Problem, []lp.VarID) {
-	pc.incOnce.Do(pc.buildIncidence)
-	p := lp.NewProblem(name, lp.Maximize)
+// flowLP assembles on sc the total-flow LP named name over the demands
+// whose volume exceeds cut: one variable per path of such a demand, a
+// "dem<k>" row bounding its flow by its volume, and a "cap<e>" row per edge
+// bounding the flow crossing it by capRHS[e]. DP's phase 2 names its
+// variables "f<k>.<p>" and drops the rows of edges no variable crosses; a
+// POP partition (pop) names them "x<j>" and keeps every row, as
+// BuildInnerMaxFlow lowered by innerProblem did. sc.varOf[first[k]+p] is
+// the variable of demand k's path p, or -1.
+//
+//gapvet:hotpath once per DP phase-2 or POP partition LP; it assembles on recycled scratch
+func (pc *Pricer) flowLP(sc *lpScratch, name string, vols []float64, cut float64, capRHS []float64, pop bool) {
+	sc.reset(name, len(pc.varName), pc.nnz)
+	p, varOf := sc.p, sc.varOf
 	p.Grow(len(pc.varName), len(pc.first)+len(pc.crosses)) // at most every path, demand and edge
-	varOf := make([]lp.VarID, len(pc.varName))
-	terms := make([]lp.Term, 0, pc.nnz)
 	for k, ps := range pc.inst.Paths {
-		start := len(terms)
+		start := len(sc.terms)
 		for pi := range ps {
 			j := pc.first[k] + pi
 			varOf[j] = -1
@@ -322,16 +379,15 @@ func (pc *Pricer) flowLP(name string, vols []float64, cut float64, capRHS []floa
 			if pop {
 				vn = pc.xName[p.NumVars()]
 			}
-			varOf[j] = p.AddVar(vn, 0, lp.Inf)
+			varOf[j] = p.AddVar(vn, 0, lp.Inf) //gapvet:allow hotalloc AddVar formats only the panic of lo > hi, never of [0, Inf)
 			p.SetObj(varOf[j], 1)
-			terms = append(terms, lp.Term{Var: varOf[j], Coef: 1})
+			sc.terms = append(sc.terms, lp.Term{Var: varOf[j], Coef: 1})
 		}
 		if vols[k] > cut {
-			p.AddConstraint(pc.demName[k], lp.Expr{Terms: terms[start:len(terms):len(terms)]}, lp.LE, vols[k])
+			p.AddConstraint(pc.demName[k], lp.Expr{Terms: sc.terms[start:len(sc.terms):len(sc.terms)]}, lp.LE, vols[k])
 		}
 	}
-	pc.addCapRows(p, terms, varOf, capRHS, pop)
-	return p, varOf
+	pc.addCapRows(p, sc.terms, varOf, capRHS, pop)
 }
 
 // addCapRows adds the "cap<e>" row of every edge over the variables of

@@ -310,8 +310,9 @@ func checkPricer(t *testing.T, pc *Pricer, inst *Instance, vols []float64, thres
 	sameFlow(t, what+" DP", gotDP, wantDP)
 	if wantLP != nil {
 		residual, _ := residualAfterPinning(inst, vols, threshold)
-		gotLP, _ := pc.phase2LP(vols, threshold, residual)
-		sameLP(t, what+" DP phase 2", gotLP, wantLP)
+		sc := pc.phase2LP(vols, threshold, residual)
+		sameLP(t, what+" DP phase 2", sc.p, wantLP)
+		pc.putScratch(sc)
 	}
 	return pricedPair{vols: vols, opt: wantOpt, dp: wantDP}
 }
@@ -338,8 +339,9 @@ func checkConcurrent(t *testing.T, pc *Pricer, inst *Instance, vols []float64, t
 	}
 	if wantLP != nil {
 		residual, _ := residualAfterPinning(inst, vols, threshold)
-		gotLP, _ := pc.concurrentLP(vols, threshold, residual)
-		sameLP(t, what, gotLP, wantLP)
+		sc := pc.concurrentLP(vols, threshold, residual)
+		sameLP(t, what, sc.p, wantLP)
+		pc.putScratch(sc)
 	}
 	return wantLP != nil, false
 }
@@ -364,18 +366,23 @@ func checkPOP(t *testing.T, pc *Pricer, inst *Instance, clients []Client, assign
 	if total, err := pc.popTotal(clients, assign, partitions); err != nil || !sameBits(total, got.Total) {
 		t.Fatalf("%s: popTotal %v (%v), POPAssigned total %v", what, total, err, got.Total)
 	}
-	gotLPs, _, err := pc.popLPs(clients, assign, partitions)
-	if err != nil {
+	built := make([]bool, len(wantLPs))
+	if err := pc.popLPs(clients, assign, partitions, func(c int, sc *lpScratch) error {
+		if wantLPs[c] == nil {
+			t.Fatalf("%s: partition %d LP %v, reference none", what, c, sc.p)
+		}
+		sameLP(t, fmt.Sprintf("%s partition %d", what, c), sc.p, wantLPs[c])
+		built[c] = true
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for c, wantLP := range wantLPs {
 		switch {
-		case wantLP == nil && gotLPs[c] == nil:
+		case wantLP == nil:
 			empty++
-		case wantLP == nil || gotLPs[c] == nil:
-			t.Fatalf("%s: partition %d LP %v, reference %v", what, c, gotLPs[c], wantLP)
-		default:
-			sameLP(t, fmt.Sprintf("%s partition %d", what, c), gotLPs[c], wantLP)
+		case !built[c]:
+			t.Fatalf("%s: partition %d has no LP, reference %v", what, c, wantLP)
 		}
 	}
 	return empty
@@ -508,19 +515,25 @@ func fig1Instance(t *testing.T) *Instance {
 }
 
 // TestPricerConcurrent shares one pricer between 8 goroutines (run it
-// under -race): the lazy builds happen once, the OPT LP's copies move on
-// and off their free list and the POP partition names grow under their
-// locks, and every answer is still the reference's, bit for bit.
+// under -race): the lazy builds happen once, the OPT LP's copies and the
+// assembly scratch of the DP phase-2, concurrent and POP partition LPs
+// move on and off their free lists, the POP partition names grow under
+// their locks, and presolve states and slabs pass between goroutines.
+// Every answer, the gap evaluations' (DPGap, POPGap and both concurrent
+// DP solves of a concurrent DP gap) included, is still the reference's,
+// bit for bit.
 func TestPricerConcurrent(t *testing.T) {
 	inst := randomInstance(t, topology.B4(), 12, 2, 7)
 	const threshold = 5
 	rng := rand.New(rand.NewSource(2))
 	want := make([]pricedPair, 48)
 	lams, pops, assigns := make([]float64, len(want)), make([]float64, len(want)), make([][]int, len(want))
+	lamsDP, errsDP := make([]float64, len(want)), make([]error, len(want))
 	for i := range want {
 		want[i] = checkPricer(t, NewPricer(inst), inst, drawVolumes(rng, inst.Demands.Len(), threshold, 100), threshold)
 		at := inst.WithVolumes(want[i].vols)
 		_, lams[i], _, _ = refDemandPinningConcurrent(t, at, math.Inf(-1))
+		_, lamsDP[i], _, errsDP[i] = refDemandPinningConcurrent(t, at, threshold)
 		assigns[i] = RandomAssignment(inst.Demands.Len(), 1+i%4, rng)
 		pop, _, err := refPOPAssigned(t, at, Clients(want[i].vols, POPOptions{}), assigns[i], 1+i%4)
 		if err != nil {
@@ -545,8 +558,16 @@ func TestPricerConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("vector %d: lambda %v (%v), reference %v", i, lam, err, lams[i])
 					return
 				}
+				if _, lam, err := pc.DemandPinningConcurrent(want[i].vols, threshold); (err == nil) != (errsDP[i] == nil) || !sameBits(lam, lamsDP[i]) {
+					errs <- fmt.Errorf("vector %d: concurrent DP lambda %v (%v), reference %v (%v)", i, lam, err, lamsDP[i], errsDP[i])
+					return
+				}
 				if pop, err := pc.POPAssigned(Clients(want[i].vols, POPOptions{}), assigns[i], 1+i%4); err != nil || !sameBits(pop.Total, pops[i]) {
 					errs <- fmt.Errorf("vector %d: POP %v (%v), reference %v", i, pop, err, pops[i])
+					return
+				}
+				if opt, pop, err := pc.POPGap(want[i].vols, [][]int{assigns[i]}, 1+i%4, nil); err != nil || !sameBits(opt, want[i].opt.Total) || !sameBits(pop, pops[i]) {
+					errs <- fmt.Errorf("vector %d: POPGap %v, %v (%v), reference %v, %v", i, opt, pop, err, want[i].opt.Total, pops[i])
 					return
 				}
 				dp, err := pc.DemandPinning(want[i].vols, threshold)
