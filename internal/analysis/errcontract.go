@@ -9,8 +9,9 @@ import (
 
 // Errcontract enforces the error-identity discipline the recovery layers
 // depend on. The codebase signals recoverable conditions with typed
-// sentinels — faultinject.ErrInjected, benchstore's *BasisVersionError —
-// and both checkpoint/resume and the differential harness branch on them.
+// sentinels — faultinject.ErrInjected, checkpoint.ErrCorrupt,
+// faultinject's *UnknownOpError — and both checkpoint/resume and the
+// differential harness branch on them.
 // That only works if every layer between the throw and the catch preserves
 // identity:
 //

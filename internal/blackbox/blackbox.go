@@ -43,39 +43,17 @@ func DPGap(inst *mcf.Instance, threshold float64) GapFunc {
 // objective: lambda_OPT - lambda_DP. The white-box rewrite does not apply
 // to this objective (its inner rows couple lambda with the outer demand
 // volumes), so black-box search is the supported way to attack it. Like
-// DPGap it prices through one mcf.Pricer. When every demand is above the
-// threshold, DP pins nothing and routes the same demands as the -Inf
-// call, so both would solve the same LP: it is solved once.
+// DPGap it prices through one mcf.Pricer, which solves one LP when DP
+// pins nothing.
 func ConcurrentDPGap(inst *mcf.Instance, threshold float64) GapFunc {
 	pc := mcf.NewPricer(inst)
 	return func(d []float64) (float64, error) {
-		if allAbove(d, threshold) {
-			_, lam, err := pc.DemandPinningConcurrent(d, math.Inf(-1))
-			return lam - lam, err
-		}
-		_, lamDP, err := pc.DemandPinningConcurrent(d, threshold)
+		opt, dp, err := pc.ConcurrentDPGap(d, threshold)
 		if errors.Is(err, mcf.ErrInfeasible) {
 			return math.Inf(-1), nil
 		}
-		if err != nil {
-			return 0, err
-		}
-		_, lamOpt, err := pc.DemandPinningConcurrent(d, math.Inf(-1))
-		if err != nil {
-			return 0, err
-		}
-		return lamOpt - lamDP, nil
+		return opt - dp, err // 0 on an error: both lambdas are 0
 	}
-}
-
-// allAbove reports whether every volume of d exceeds cut.
-func allAbove(d []float64, cut float64) bool {
-	for _, v := range d {
-		if !(v > cut) {
-			return false
-		}
-	}
-	return true
 }
 
 // POPGap returns the gap function OPT - mean POP total over the given fixed

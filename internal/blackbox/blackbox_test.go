@@ -287,17 +287,18 @@ func unpinned(d []float64, threshold float64) []float64 {
 
 // TestConcurrentDPGapEvalAllocations seals one concurrent DP gap
 // evaluation on the same instance and vector: both concurrent LPs are
-// assembled on the pricer's recycled scratch from its incidence and names
-// and solved on recycled presolve state, so what remains is mostly the two
-// Flows DemandPinningConcurrent returns: 38 allocations, where fresh LPs
-// and presolve state took 110, growing the LPs by append 165 and
+// assembled on the pricer's recycled scratch from its incidence and names,
+// solved on recycled presolve state, and read for lambda alone, so what
+// remains is the residual capacities and both LPs' answers: 7
+// allocations, where the two Flows DemandPinningConcurrent returns took
+// 38, fresh LPs and presolve state 110, growing the LPs by append 165 and
 // rebuilding each with a map, formatted names and a path scan 523. A
-// vector that pins nothing solves its one LP once: 19 allocations, where
-// 55 went to a fresh LP and presolve state.
+// vector that pins nothing solves its one LP once: 4 allocations, where
+// its Flow took 19 and a fresh LP and presolve state 55.
 func TestConcurrentDPGapEvalAllocations(t *testing.T) {
 	inst, d := allocInstance(t)
-	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 38)
-	sealAllocs(t, "unpinned ConcurrentDPGap", ConcurrentDPGap(inst, 5), unpinned(d, 5), 19)
+	sealAllocs(t, "ConcurrentDPGap", ConcurrentDPGap(inst, 5), d, 7)
+	sealAllocs(t, "unpinned ConcurrentDPGap", ConcurrentDPGap(inst, 5), unpinned(d, 5), 4)
 }
 
 // TestPOPGapEvalAllocations seals one POP gap evaluation over 3

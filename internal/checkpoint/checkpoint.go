@@ -2,23 +2,24 @@
 // resume and finish with the bit-identical answer it would have produced
 // uninterrupted. It knows nothing about LPs or branching: it stores the two
 // state shapes the solvers export — a branch-and-bound snapshot and a
-// black-box restart ledger — in a versioned, checksummed binary encoding
-// (JSON is ruled out by the ±Inf sentinels that are legitimate solver state).
+// black-box restart ledger — in a compact binary payload. Beside them it
+// holds the one keyed-record format (Table) that the daemon's results store
+// and job queue and the sweep ledger share.
 //
-// Beside the snapshots it holds the one keyed-record format (Table) that
-// the daemon's results store and job queue and the sweep ledger share: a
-// checksummed header line over records as indented JSON, sorted by key.
-//
-// Both are written atomically via temp-file + rename (writeAtomic), so a
-// crash mid-write can never tear the previous good file. The filesystem is
-// injected through the FS interface, which is also the seam the
-// deterministic fault injector (internal/faultinject) wraps to exercise
-// write failures.
+// Every state file is sealed alike (seal, unseal): a header line of its
+// format's magic and the FNV-64a checksum of the payload behind it, so a
+// torn, bit-flipped or foreign file fails loudly (ErrCorrupt) instead of
+// silently resuming from a wrong state. Files are written atomically via
+// temp-file + rename (writeAtomic), so a crash mid-write can never tear
+// the previous good file. The filesystem is injected through the FS
+// interface, which is also the seam the deterministic fault injector
+// (internal/faultinject) wraps to exercise write failures.
 package checkpoint
 
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 )
@@ -38,14 +39,21 @@ type Override struct {
 }
 
 // FrontierNode is one open node of the branch-and-bound heap. Basis is the
-// lp.Basis wire form from (*lp.Basis).MarshalBinary, or nil when the node
-// carries no warm-start snapshot.
+// warm-start basis the node inherited, or nil when it carries none.
 type FrontierNode struct {
 	ID        uint64
 	Bound     float64
 	Depth     int32
 	Overrides []Override
-	Basis     []byte
+	Basis     *Basis
+}
+
+// Basis is a warm-start basis as lp.NewBasis takes it: the layout hash of
+// the standard form it was captured on and its basic columns, non-negative
+// and strictly ascending (Save's self-check refuses any other order).
+type Basis struct {
+	Shape uint64
+	Cols  []int32
 }
 
 // TracePoint mirrors the solvers' incumbent-trace entries (milp.TracePoint
@@ -61,9 +69,9 @@ type TracePoint struct {
 
 // BnBState is everything the branch and bound needs to continue exactly
 // where it stopped: the incumbent, the open-node frontier with warm-start
-// bases, the effort counters, and the step cursor (Waves: one wave is one
-// node step). Incumbent and BestBound are in the solver's internal score
-// space (dir * objective).
+// bases, and the effort counters. Nodes, the count of node steps taken, is
+// also the step cursor. Incumbent and BestBound are in the solver's
+// internal score space (dir * objective).
 //
 // Portability contract: the search is serial, so the state depends on the
 // model and the options alone, never on the host that wrote it. It pins
@@ -72,20 +80,17 @@ type TracePoint struct {
 // flag, which changes how node relaxations are computed, never their
 // answers: a snapshot written warm resumes cold and still replays to the
 // bit-identical incumbent, bound, and node count of the uninterrupted run.
-// A frontier basis blob that does not decode (a retired wire version, say)
-// only degrades that node to a cold solve; TestResumeFromVersion2Bases in
-// internal/milp seals that.
 type BnBState struct {
 	// Fingerprint hashes the model shape and the node order; Resume refuses
 	// a state whose fingerprint does not match the model it is handed.
 	Fingerprint      uint64
-	Waves            uint64
 	NextID           uint64
 	Nodes            int64
 	LPSolves         int64
 	LPIters          int64
 	WarmLPSolves     int64
 	WarmLPFallbacks  int64
+	Dives            int64
 	HasIncumbent     bool
 	Incumbent        float64
 	IncumbentX       []float64
@@ -120,7 +125,8 @@ type BlackboxState struct {
 }
 
 // MismatchError reports a checkpoint that structurally cannot resume the
-// search it was handed to (different model, batch, or search options).
+// search it was handed to (different model, node order, or black-box
+// method and seeds).
 type MismatchError struct {
 	What string
 	Want uint64
@@ -221,11 +227,52 @@ func writeAtomic(fs FS, path string, data []byte) error {
 	return nil
 }
 
-// Load reads and decodes a snapshot written by Writer.Save.
+// sumLen is the length of a header line after its magic: a space, the 16
+// hex digits of the checksum and the newline.
+const sumLen = 18
+
+// sealBuf returns a buffer for a sealed file of the given magic with room
+// for size payload bytes behind the header that seal fills in.
+func sealBuf(magic string, size int) []byte {
+	return make([]byte, len(magic)+sumLen, len(magic)+sumLen+size)
+}
+
+// seal fills in the header line of file, a buffer from sealBuf with the
+// payload appended: magic and the payload's FNV-64a checksum in hex.
+func seal(magic string, file []byte) []byte {
+	copy(file, fmt.Sprintf("%s %016x\n", magic, checksum(file[len(magic)+sumLen:])))
+	return file
+}
+
+// unseal checks a sealed file's header line against magic and the
+// checksum of the payload behind it, and returns the payload.
+func unseal(magic string, data []byte) ([]byte, error) {
+	n := len(magic) + sumLen
+	if len(data) < n || string(data[:len(magic)+1]) != magic+" " || data[n-1] != '\n' {
+		return nil, corrupt("bad header, want %s", magic)
+	}
+	if sum, want := string(data[len(magic)+1:n-1]), fmt.Sprintf("%016x", checksum(data[n:])); sum != want {
+		return nil, corrupt("checksum %s, want %s", sum, want)
+	}
+	return data[n:], nil
+}
+
+func checksum(payload []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(payload)
+	return h.Sum64()
+}
+
+// Load reads and decodes a snapshot written by Writer.Save. A file that
+// does not decode is an error naming path.
 func Load(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(data)
+	s, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }

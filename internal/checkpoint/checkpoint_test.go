@@ -6,19 +6,21 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
 func sampleBnB() *Snapshot {
 	return &Snapshot{BnB: &BnBState{
 		Fingerprint:      0xdeadbeefcafe,
-		Waves:            17,
 		NextID:           41,
 		Nodes:            120,
 		LPSolves:         130,
 		LPIters:          4096,
 		WarmLPSolves:     100,
 		WarmLPFallbacks:  3,
+		Dives:            17,
 		HasIncumbent:     true,
 		Incumbent:        42.5,
 		IncumbentX:       []float64{0, 1, 0.25, math.SmallestNonzeroFloat64},
@@ -28,7 +30,7 @@ func sampleBnB() *Snapshot {
 		Frontier: []FrontierNode{
 			{ID: 3, Bound: 50.25, Depth: 2,
 				Overrides: []Override{{Var: 1, Lo: 0, Hi: 0}, {Var: 4, Lo: 1, Hi: 1}},
-				Basis:     []byte{1, 2, 3}},
+				Basis:     &Basis{Shape: 0x9e3779b97f4a7c15, Cols: []int32{0, 2, 3, 130, math.MaxInt32}}},
 			{ID: 9, Bound: math.Inf(1), Depth: 1}, // unbounded parent, no basis
 		},
 		Trace: []TracePoint{
@@ -72,13 +74,15 @@ func TestRoundTripBnB(t *testing.T) {
 	if st == nil || back.Blackbox != nil {
 		t.Fatalf("wrong snapshot kind: %+v", back)
 	}
-	if st.Waves != 17 || st.NextID != 41 || !st.HasIncumbent || st.Incumbent != 42.5 {
+	if st.Dives != 17 || st.NextID != 41 || !st.HasIncumbent || st.Incumbent != 42.5 {
 		t.Fatalf("fields lost: %+v", st)
 	}
 	if !math.IsInf(st.BestBound, 1) {
 		t.Fatalf("+Inf bound did not survive: %v", st.BestBound)
 	}
-	if len(st.Frontier) != 2 || len(st.Frontier[0].Overrides) != 2 || string(st.Frontier[0].Basis) != "\x01\x02\x03" {
+	want := sampleBnB().BnB.Frontier[0].Basis
+	if len(st.Frontier) != 2 || len(st.Frontier[0].Overrides) != 2 || st.Frontier[1].Basis != nil ||
+		st.Frontier[0].Basis.Shape != want.Shape || !slices.Equal(st.Frontier[0].Basis.Cols, want.Cols) {
 		t.Fatalf("frontier lost: %+v", st.Frontier)
 	}
 	if len(st.Trace) != 2 || st.Trace[1].Source != "leaf" {
@@ -137,6 +141,57 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if _, err := Decode(mut); err == nil {
 			t.Fatalf("corrupt snapshot (byte %d flipped) decoded", i)
 		}
+	}
+}
+
+// TestDecodeRefusesBadBasisSteps: a frontier basis is written as the
+// steps between its ascending columns, each at least 1. A zero step (a
+// repeated column) or one that carries a column past the int32 range is
+// refused as corrupt, even under a valid checksum.
+func TestDecodeRefusesBadBasisSteps(t *testing.T) {
+	for _, cols := range [][]int32{{0, 2, 2}, {5, 3}, {-2}} {
+		snap := sampleBnB()
+		snap.BnB.Frontier[0].Basis.Cols = cols
+		data, err := Encode(snap)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "basis column") {
+			t.Fatalf("columns %v decoded with err=%v, want a corrupt basis column", cols, err)
+		}
+		if err := (&Writer{Path: filepath.Join(t.TempDir(), "s.ckpt")}).Save(snap); err == nil {
+			t.Fatalf("columns %v saved", cols)
+		}
+	}
+	// The last column steps past math.MaxInt32.
+	snap := sampleBnB()
+	snap.BnB.Frontier[0].Basis.Cols = []int32{math.MaxInt32}
+	data, err := Encode(snap)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	step := []byte{0x80, 0x80, 0x80, 0x80, 0x08} // uvarint 1<<31, the step from -1 to math.MaxInt32
+	if bytes.Count(data, step) != 1 {
+		t.Fatal("the encoding does not hold the 1<<31 step exactly once")
+	}
+	data = bytes.Replace(data, step, []byte{0x81, 0x80, 0x80, 0x80, 0x08}, 1)
+	if _, err := Decode(seal(magic, data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "basis column") {
+		t.Fatalf("an out-of-range column decoded with err=%v, want a corrupt basis column", err)
+	}
+}
+
+// TestDecodeRefusesVersion1: a snapshot written in the retired version-1
+// format (magic GAPCKP, a version byte, frontier bases as lp's LPBS blobs)
+// is refused with an error that names the format, not read as corrupt
+// and not resumed.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	path := filepath.Join("testdata", "v1-bnb.ckpt")
+	_, err := Load(path)
+	if err == nil {
+		t.Fatal("a version-1 snapshot decoded")
+	}
+	if errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version-1 GAPCKP") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("version-1 snapshot refused with %v, want an error naming the format and the file", err)
 	}
 }
 

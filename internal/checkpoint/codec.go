@@ -1,31 +1,31 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
-// Wire format (little endian throughout):
-//
-//	magic "GAPCKP" | version byte | kind byte | payload | fnv64a checksum
-//
-// Floats are stored as raw IEEE-754 bits so the solver's ±Inf sentinels and
-// any NaN survive the round trip exactly. Integers use varints; slices and
-// strings are length-prefixed. The checksum covers every preceding byte, so
-// a torn or bit-flipped file fails loudly instead of resuming a wrong
-// search.
+// Snapshot file format: a sealed file (seal) of magic GAPCKP2 whose
+// payload is a kind byte, then the state, little endian: floats as raw
+// IEEE-754 bits, so ±Inf sentinels and any NaN round-trip exactly;
+// integers as varints; slices and strings length-prefixed; a basis as its
+// shape hash and the varint steps between its ascending columns (the first
+// from -1), each at least 1. The payload is binary because a JSON record's
+// self-checked save allocates about three times as much (DESIGN.md, "Crash
+// safety and fault injection").
 const (
-	magic   = "GAPCKP"
-	version = 1
+	magic = "GAPCKP2"
+	// magicV1 starts a version-1 snapshot: the magic, then version byte 1.
+	magicV1 = "GAPCKP\x01"
 
 	kindBnB      = 1
 	kindBlackbox = 2
 
 	// maxLen bounds every decoded length prefix, so a corrupted count cannot
-	// drive a huge allocation before the checksum is even reachable.
+	// drive a huge allocation.
 	maxLen = 1 << 28
 )
 
@@ -57,11 +57,6 @@ func (e *encoder) boolean(b bool) {
 func (e *encoder) str(s string) {
 	e.uv(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) blob(b []byte) {
-	e.uv(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 func (e *encoder) f64s(v []float64) {
@@ -149,7 +144,8 @@ func (d *decoder) boolean() bool {
 }
 
 // length reads a slice-length prefix, bounding it both by the sanity cap and
-// by the bytes actually remaining (each element takes >= min bytes).
+// by the bytes actually remaining (each element takes >= min bytes). It is
+// 0 once decoding has failed.
 func (d *decoder) length(min int) int {
 	n := d.uv()
 	if d.err != nil {
@@ -164,27 +160,14 @@ func (d *decoder) length(min int) int {
 
 func (d *decoder) str() string {
 	n := d.length(1)
-	if d.err != nil {
-		return ""
-	}
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
 }
 
-func (d *decoder) blob() []byte {
-	n := d.length(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	b := append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return b
-}
-
 func (d *decoder) f64s() []float64 {
 	n := d.length(8)
-	if d.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	v := make([]float64, n)
@@ -207,7 +190,7 @@ func encodeTrace(e *encoder, tr []TracePoint) {
 
 func decodeTrace(d *decoder) []TracePoint {
 	n := d.length(4)
-	if d.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	tr := make([]TracePoint, n)
@@ -228,9 +211,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
 	}
-	e := &encoder{buf: make([]byte, 0, 1024)}
-	e.buf = append(e.buf, magic...)
-	e.u8(version)
+	e := &encoder{buf: sealBuf(magic, 1024)}
 	switch {
 	case s.BnB != nil && s.Blackbox == nil:
 		e.u8(kindBnB)
@@ -241,21 +222,18 @@ func Encode(s *Snapshot) ([]byte, error) {
 	default:
 		return nil, errors.New("checkpoint: snapshot must hold exactly one of BnB / Blackbox")
 	}
-	h := fnv.New64a()
-	h.Write(e.buf)
-	e.u64(h.Sum64())
-	return e.buf, nil
+	return seal(magic, e.buf), nil
 }
 
 func encodeBnB(e *encoder, st *BnBState) {
 	e.u64(st.Fingerprint)
-	e.uv(st.Waves)
 	e.uv(st.NextID)
 	e.iv(st.Nodes)
 	e.iv(st.LPSolves)
 	e.iv(st.LPIters)
 	e.iv(st.WarmLPSolves)
 	e.iv(st.WarmLPFallbacks)
+	e.iv(st.Dives)
 	e.boolean(st.HasIncumbent)
 	e.f64(st.Incumbent)
 	e.f64s(st.IncumbentX)
@@ -273,21 +251,56 @@ func encodeBnB(e *encoder, st *BnBState) {
 			e.f64(ov.Lo)
 			e.f64(ov.Hi)
 		}
-		e.blob(nd.Basis)
+		encodeBasis(e, nd.Basis)
 	}
 	encodeTrace(e, st.Trace)
+}
+
+func encodeBasis(e *encoder, b *Basis) {
+	e.boolean(b != nil)
+	if b == nil {
+		return
+	}
+	e.u64(b.Shape)
+	e.uv(uint64(len(b.Cols)))
+	prev := int64(-1)
+	for _, c := range b.Cols {
+		e.uv(uint64(int64(c) - prev))
+		prev = int64(c)
+	}
+}
+
+func decodeBasis(d *decoder) *Basis {
+	if !d.boolean() {
+		return nil
+	}
+	b := &Basis{Shape: d.u64()}
+	if n := d.length(1); n > 0 {
+		b.Cols = make([]int32, n)
+	}
+	prev := int64(-1)
+	for i := range b.Cols {
+		step := d.uv() // 0 once decoding has failed
+		if step == 0 || step > uint64(math.MaxInt32-prev) {
+			d.fail("basis column %d steps %d from %d", i, step, prev)
+			return b
+		}
+		prev += int64(step)
+		b.Cols[i] = int32(prev)
+	}
+	return b
 }
 
 func decodeBnB(d *decoder) *BnBState {
 	st := &BnBState{
 		Fingerprint:     d.u64(),
-		Waves:           d.uv(),
 		NextID:          d.uv(),
 		Nodes:           d.iv(),
 		LPSolves:        d.iv(),
 		LPIters:         d.iv(),
 		WarmLPSolves:    d.iv(),
 		WarmLPFallbacks: d.iv(),
+		Dives:           d.iv(),
 		HasIncumbent:    d.boolean(),
 		Incumbent:       d.f64(),
 	}
@@ -295,19 +308,17 @@ func decodeBnB(d *decoder) *BnBState {
 	st.BestBound = d.f64()
 	st.InfeasibleProven = d.boolean()
 	st.ElapsedNanos = d.iv()
-	n := d.length(4)
-	if n > 0 && d.err == nil {
+	if n := d.length(4); n > 0 {
 		st.Frontier = make([]FrontierNode, n)
 		for i := range st.Frontier {
 			nd := FrontierNode{ID: d.uv(), Bound: d.f64(), Depth: int32(d.iv())}
-			no := d.length(4)
-			if no > 0 && d.err == nil {
+			if no := d.length(4); no > 0 {
 				nd.Overrides = make([]Override, no)
 				for j := range nd.Overrides {
 					nd.Overrides[j] = Override{Var: int32(d.iv()), Lo: d.f64(), Hi: d.f64()}
 				}
 			}
-			nd.Basis = d.blob()
+			nd.Basis = decodeBasis(d)
 			st.Frontier[i] = nd
 			if d.err != nil {
 				return st
@@ -339,16 +350,14 @@ func encodeBlackbox(e *encoder, st *BlackboxState) {
 
 func decodeBlackbox(d *decoder) *BlackboxState {
 	st := &BlackboxState{Fingerprint: d.u64(), Method: d.str()}
-	ns := d.length(1)
-	if ns > 0 && d.err == nil {
+	if ns := d.length(1); ns > 0 {
 		st.Seeds = make([]int64, ns)
 		for i := range st.Seeds {
 			st.Seeds[i] = d.iv()
 		}
 	}
 	st.ElapsedNanos = d.iv()
-	nc := d.length(4)
-	if nc > 0 && d.err == nil {
+	if nc := d.length(4); nc > 0 {
 		st.Completed = make([]RestartState, nc)
 		for i := range st.Completed {
 			st.Completed[i] = RestartState{
@@ -367,26 +376,18 @@ func decodeBlackbox(d *decoder) *BlackboxState {
 	return st
 }
 
-// Decode parses bytes produced by Encode, verifying magic, version, and the
-// trailing checksum before trusting any payload field.
+// Decode parses bytes produced by Encode, verifying the header line and its
+// checksum before trusting any payload field. A version-1 snapshot is
+// refused with an error that names its format.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magic)+2+8 {
-		return nil, corrupt("short file (%d bytes)", len(data))
+	if bytes.HasPrefix(data, []byte(magicV1)) {
+		return nil, errors.New("checkpoint: a version-1 GAPCKP snapshot; this build reads only " + magic)
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, corrupt("bad magic")
+	payload, err := unseal(magic, data)
+	if err != nil {
+		return nil, err
 	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		return nil, corrupt("checksum mismatch")
-	}
-	d := &decoder{buf: body[len(magic):]}
-	ver := d.u8()
-	if ver != version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", ver, version)
-	}
+	d := &decoder{buf: payload}
 	kind := d.u8()
 	s := &Snapshot{}
 	switch kind {

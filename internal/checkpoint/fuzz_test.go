@@ -2,12 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // FuzzDecode asserts two properties over arbitrary input bytes: Decode never
 // panics, and anything it accepts re-encodes to the identical byte string
-// (the canonical-form invariant Writer.Save's self-check relies on).
+// (the canonical-form invariant Writer.Save's self-check relies on). The
+// seeds hold a snapshot whose frontier carries a basis, a black-box
+// snapshot and a version-1 file.
 func FuzzDecode(f *testing.F) {
 	if data, err := Encode(sampleBnB()); err == nil {
 		f.Add(data)
@@ -17,6 +21,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte("GAPCKP"))
 	f.Add([]byte{})
+	if data, err := os.ReadFile(filepath.Join("testdata", "v1-bnb.ckpt")); err == nil {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

@@ -1,10 +1,8 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"slices"
 	"strings"
@@ -13,14 +11,9 @@ import (
 
 // Record file format, shared by every keyed-record table (the daemon's
 // results store and job queue, the sweep ledger), each with its own magic:
-//
-//	<magic> <16-hex fnv64a of payload>\n
-//	<payload: JSON array of the records, indented, sorted by key>
-//
-// The header line makes a torn, bit-flipped or foreign file fail loudly
-// (ErrCorrupt) instead of silently resuming from a wrong state. The payload
-// stays readable JSON; records that carry floats store them as strings
-// where ±Inf is legitimate state.
+// a sealed file (seal) whose payload is a JSON array of the records,
+// indented and sorted by key. The payload stays readable JSON; records
+// that carry floats store them as strings where ±Inf is legitimate state.
 
 // Record is a value a Table files under its own key. A nil pointer record
 // must report the empty key, which the decoder rejects.
@@ -52,10 +45,7 @@ func encodeSorted[R Record](magic string, recs []R, enc [][]byte) ([]byte, error
 		}
 		size += len(enc[i]) + len(",\n  ")
 	}
-	// The header is written with a zero checksum and patched once the
-	// payload behind it is complete, so the file is built in one buffer.
-	header := magic + " 0000000000000000\n"
-	out := append(make([]byte, 0, len(header)+size+len("[\n]")), header...)
+	out := sealBuf(magic, size+len("[\n]"))
 	if len(recs) == 0 {
 		out = append(out, "[]"...)
 	} else {
@@ -69,27 +59,15 @@ func encodeSorted[R Record](magic string, recs []R, enc [][]byte) ([]byte, error
 		}
 		out = append(out, "\n]"...)
 	}
-	h := fnv.New64a()
-	h.Write(out[len(header):])
-	copy(out[len(magic)+1:], fmt.Sprintf("%016x", h.Sum64()))
-	return out, nil
+	return seal(magic, out), nil
 }
 
 // DecodeRecords parses and verifies a record file's bytes. It accepts only
 // the canonical order: keys non-empty and strictly increasing.
 func DecodeRecords[R Record](magic string, data []byte) ([]R, error) {
-	header, payload, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return nil, corrupt("missing header line")
-	}
-	sum, ok := strings.CutPrefix(string(header), magic+" ")
-	if !ok || len(sum) != 16 {
-		return nil, corrupt("bad header %q, want %s", header, magic)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if want := fmt.Sprintf("%016x", h.Sum64()); sum != want {
-		return nil, corrupt("checksum %s, want %s", sum, want)
+	payload, err := unseal(magic, data)
+	if err != nil {
+		return nil, err
 	}
 	var recs []R
 	if err := json.Unmarshal(payload, &recs); err != nil {

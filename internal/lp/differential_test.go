@@ -272,11 +272,11 @@ func assertSolutionsIdentical(t *testing.T, name string, ref, got *Solution) {
 // TestDifferentialWarmDenseVsSparse branches every optimal fixture the way
 // branch-and-bound does — fix one variable at the floor of its relaxation
 // value — and warm-starts the child from the parent's snapshot along each
-// route a snapshot travels: in memory, and through the wire codec as a
-// checkpoint carries it. Each warm child must match the cold child on
+// route a snapshot travels: in memory, and rebuilt by NewBasis from its
+// Shape and Cols as a checkpoint carries it. Each warm child must match the cold child on
 // status, objective and canonical point, and the warm children must match
 // EACH OTHER exactly, duals and pivot count included: they start from the
-// same snapshot, so any spread between them is a codec or install bug, not
+// same snapshot, so any spread between them is a rebuild or install bug, not
 // dual multiplicity. (The name dates from when a sparse revised simplex sat
 // beside the dense tableau and the snapshot also crossed engines.)
 func TestDifferentialWarmDenseVsSparse(t *testing.T) {
@@ -308,13 +308,9 @@ func TestDifferentialWarmDenseVsSparse(t *testing.T) {
 			if err != nil || capt.Basis == nil {
 				t.Fatalf("capture: %v", err)
 			}
-			blob, err := capt.Basis.MarshalBinary()
+			wire, err := NewBasis(capt.Basis.Shape(), capt.Basis.Cols())
 			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			wire, err := UnmarshalBasis(blob)
-			if err != nil {
-				t.Fatalf("unmarshal: %v", err)
+				t.Fatalf("NewBasis: %v", err)
 			}
 			var warmRef *Solution
 			for _, route := range []struct {

@@ -385,9 +385,9 @@ type SolveOptions struct {
 	WarmStart *Basis
 	// Tracer, when non-nil, receives a KindLPSolveStart/KindLPSolveEnd pair
 	// bracketing the solve, with pivot and degeneracy counts on the end
-	// event. Branch and bound deliberately does not forward its tracer
-	// here: node relaxations run on concurrent workers, so milp emits its
-	// LP events on the coordinator in deterministic apply order instead.
+	// event. Branch and bound does not forward its tracer here: its apply
+	// step emits each node's LP events itself, stamped with the node count,
+	// so forwarding would report every node solve twice.
 	Tracer *obs.Tracer
 	// Dive, when non-nil, lets the solve start from the previous solve's
 	// terminal tableau when WarmStart is the Basis captured with it.

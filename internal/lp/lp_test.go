@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -346,5 +347,29 @@ func TestExprEval(t *testing.T) {
 	e2 := NewExpr().AddExpr(e, 2)
 	if got := e2.Eval([]float64{3, 4}); !almost(got, 4) {
 		t.Fatalf("scaled eval=%v, want 4", got)
+	}
+}
+
+func TestSolveWithCancelledContext(t *testing.T) {
+	p := NewProblem("ctx", Maximize)
+	x := p.AddVar("x", 0, 10)
+	p.SetObj(x, 1)
+	p.AddConstraint("c", NewExpr().Add(x, 1), LE, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sol, err := p.SolveWith(SolveOptions{Ctx: ctx})
+	if err != nil {
+		t.Fatalf("cancelled solve errored: %v", err)
+	}
+	if sol.Status != StatusInterrupted {
+		t.Fatalf("status = %v, want interrupted", sol.Status)
+	}
+	if sol.Status.String() != "interrupted" {
+		t.Fatalf("status string = %q", sol.Status.String())
+	}
+	// A live context leaves the solve untouched.
+	sol, err = p.SolveWith(SolveOptions{Ctx: context.Background()})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("background-ctx solve: %v %v", err, sol.Status)
 	}
 }

@@ -115,12 +115,12 @@ func TestEverySolveOutcomeKeepsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := s.sig
+	shape := s.shape
 	s.release()
 	// x basic in row m1 with the other two rows' slacks: a nonsingular basis
 	// whose install replays an eta, and whose reduced cost for y is
 	// negative, so the warm attempt falls back to a rebuild.
-	notOptimal := &Basis{cols: []int32{0, 3, 4}, sig: sig}
+	notOptimal := &Basis{cols: []int32{0, 3, 4}, shape: shape}
 	if sol := solve("production fallback", prod, SolveOptions{WarmStart: notOptimal}); sol.WarmMode() != "warm-fallback" {
 		t.Fatalf("dual-infeasible basis: mode %q, want warm-fallback", sol.WarmMode())
 	}

@@ -101,28 +101,48 @@ const statusWarmAbort Status = -1
 // so anything beyond refactorization noise means the basis does not fit.
 const warmDualTol = 1e-7
 
-// Basis is an opaque snapshot of a terminal simplex basis: the set of basic
-// columns of the standard form, plus a signature of that form's shape so a
-// later solve can tell whether the snapshot is transplantable. Create one
-// with SolveOptions.CaptureBasis; consume it with SolveOptions.WarmStart.
-// A Basis is immutable after creation and safe to share across goroutines
-// (branch-and-bound hands one parent snapshot to both children).
+// Basis is a snapshot of a terminal simplex basis: the set of basic
+// columns of the standard form, plus the shape hash of that form so a later
+// solve can tell whether the snapshot is transplantable. Create one with
+// SolveOptions.CaptureBasis, or rebuild a persisted one with NewBasis;
+// consume it with SolveOptions.WarmStart. A Basis is immutable after
+// creation and safe to share across goroutines (branch-and-bound hands one
+// parent snapshot to both children).
 type Basis struct {
-	cols []int32 // basic columns, ascending
-	sig  uint64  // structure signature of the originating stdForm
+	cols  []int32 // basic columns, ascending
+	shape uint64  // shape hash of the originating stdForm
 }
 
-// NumBasic reports how many basic columns the snapshot holds (the row count
-// of the standard form it was taken from).
-func (b *Basis) NumBasic() int { return len(b.cols) }
+// Cols returns the basic columns, ascending. The slice is the snapshot's
+// own and must not be modified.
+func (b *Basis) Cols() []int32 { return b.cols }
 
-func newBasis(basis []int, sig uint64) *Basis {
+// Shape returns the layout hash of the form the snapshot was taken from.
+func (b *Basis) Shape() uint64 { return b.shape }
+
+// NewBasis rebuilds a snapshot from what Shape and Cols reported, for
+// example after a checkpoint round trip. The columns must be non-negative
+// and strictly ascending; a warm start refuses a snapshot whose shape or
+// column count does not match its form, and an install refuses one whose
+// columns do not fit it.
+func NewBasis(shape uint64, cols []int32) (*Basis, error) {
+	prev := int32(-1)
+	for i, c := range cols {
+		if c <= prev {
+			return nil, fmt.Errorf("lp: basis column %d is %d, not above %d", i, c, prev)
+		}
+		prev = c
+	}
+	return &Basis{cols: slices.Clone(cols), shape: shape}, nil
+}
+
+func newBasis(basis []int, shape uint64) *Basis {
 	cols := make([]int32, len(basis))
 	for i, c := range basis {
 		cols[i] = int32(c)
 	}
 	slices.Sort(cols)
-	return &Basis{cols: cols, sig: sig}
+	return &Basis{cols: cols, shape: shape}
 }
 
 // stdForm is the computational form: minimize c'x subject to Ax = b, x >= 0,
@@ -164,14 +184,12 @@ type stdForm struct {
 	// basis transplantable onto a child that fixes one more variable.
 	fixed []int
 
-	// sig is a hash of everything that determines the standard form's shape
-	// (row/column counts and the column layout), deliberately excluding the
-	// fixed set and all numeric values. Two forms with equal sig from the
-	// same Problem have identical column meanings, so a basis from one is
-	// well-defined in the other.
-	sig uint64
-	// shape hashes what sig does, but strongly enough for a dive, which
-	// keeps the matrix when it matches (DESIGN.md, "Live-tableau dives").
+	// shape hashes everything that determines the standard form's shape
+	// (row/column counts, the column layout and the row flips), deliberately
+	// excluding the fixed set and all numeric values. Two forms with equal
+	// shape from the same Problem have identical column meanings, so a basis
+	// from one is well-defined in the other, and a dive may keep the
+	// matrix (DESIGN.md, "Live-tableau dives").
 	shape uint64
 
 	objConst float64 // constant folded out of the objective by shifts
@@ -516,20 +534,12 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 	}
 	s.m, s.n = m, next
 
-	// Structure signature: everything that fixes the shape and column layout
-	// of the standard form (never numeric values, never the fixed set — a
-	// child that pins one more column must still match its parent). sig is
-	// FNV-1a over the layout-determining integers, shape the same integers
-	// through the splitmix64 finalizer.
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h, k := uint64(fnvOffset), uint64(0)
-	mix := func(v uint64) {
-		h = (h ^ v) * fnvPrime
-		k = splitmix64(k ^ v)
-	}
+	// Shape hash: everything that fixes the shape and column layout of the
+	// standard form (never numeric values, never the fixed set — a child
+	// that pins one more column must still match its parent), each integer
+	// mixed through the splitmix64 finalizer.
+	k := uint64(0)
+	mix := func(v uint64) { k = splitmix64(k ^ v) }
 	mix(uint64(s.m))
 	mix(uint64(s.n))
 	mix(uint64(s.nStruct))
@@ -546,7 +556,7 @@ func (s *stdForm) layout(p *Problem, override map[VarID][2]float64) (int, error)
 	for i := 0; i < m; i++ {
 		mix(math.Float64bits(s.rowFlip[i]))
 	}
-	s.sig, s.shape = h, k
+	s.shape = k
 	return nnz, nil
 }
 
@@ -716,7 +726,7 @@ func (p *Problem) solveDense(opts SolveOptions) (sol *Solution, err error) {
 		s.release()
 	}()
 	if ws := opts.WarmStart; ws != nil {
-		if dived || ws.sig == s.sig && len(ws.cols) == s.m {
+		if dived || ws.shape == s.shape && len(ws.cols) == s.m {
 			if sol = p.solveWarm(s, opts, dived); sol != nil {
 				sol.Dived = dived
 				return sol, nil
@@ -1021,7 +1031,7 @@ func finishSolution(p *Problem, t *tableau, st Status, opts SolveOptions) *Solut
 		sol.Dual[i] = y
 	}
 	if opts.CaptureBasis {
-		sol.Basis = newBasis(t.basis, s.sig)
+		sol.Basis = newBasis(t.basis, s.shape)
 	}
 
 	// Support of the terminal vertex: the basic columns carrying genuinely

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -87,7 +88,7 @@ func TestWarmCaptureOnlyWhenRequested(t *testing.T) {
 	if err != nil || sol.Status != StatusOptimal {
 		t.Fatalf("solve: %v %v", err, sol.Status)
 	}
-	if sol.Basis == nil || sol.Basis.NumBasic() == 0 {
+	if sol.Basis == nil || len(sol.Basis.Cols()) == 0 {
 		t.Fatalf("CaptureBasis produced no snapshot")
 	}
 }
@@ -167,7 +168,7 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 }
 
 // TestWarmStructureMismatchFallsBack hands a basis from a differently-shaped
-// problem to the solver: it must ignore it (signature mismatch), answer via
+// problem to the solver: it must ignore it (shape mismatch), answer via
 // the cold path, and mark the solution as a fallback.
 func TestWarmStructureMismatchFallsBack(t *testing.T) {
 	a, _ := randomLP(rand.New(rand.NewSource(3)), 5, 5)
@@ -393,14 +394,13 @@ func TestWarmCertificateRejectedFallsBack(t *testing.T) {
 	}
 }
 
-// TestDiveRefusesSwappedFlips pins why a dive checks the form's shape and
-// not its sig: raising x's lower bound to 9 unflips row lo (-x <= -3) and
-// flips row hi (x - y <= 8), so the two rows trade their ±1 flips, which
-// sig's xor-multiply step cannot always tell apart. Padding variables walk
-// the hash state until sig collides; the dive must then refuse the parent's
-// matrix, and the child must still get the cold answer.
+// TestDiveRefusesSwappedFlips pins why a warm start checks the form's
+// shape: raising x's lower bound to 9 unflips row lo (-x <= -3) and flips
+// row hi (x - y <= 8 becomes -x + y >= 1 after the shift), two ±1 row flips
+// that trade places. For every padding the child's shape differs from its
+// parent's, so the warm start is refused before any dive or install, and
+// the child gets the cold answer.
 func TestDiveRefusesSwappedFlips(t *testing.T) {
-	collided := 0
 	for pad := 0; pad < 32; pad++ {
 		p := NewProblem("flips", Maximize)
 		for k := 0; k < pad; k++ {
@@ -417,16 +417,12 @@ func TestDiveRefusesSwappedFlips(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
-		sameSig, sameShape := a.sig == b.sig, a.shape == b.shape
+		sameShape := a.shape == b.shape
 		a.release()
 		b.release()
 		if sameShape {
 			t.Fatalf("pad %d: the flipped rows left the shape unchanged", pad)
 		}
-		if !sameSig {
-			continue
-		}
-		collided++
 		d := new(Dive)
 		parent, err := p.SolveWith(SolveOptions{CaptureBasis: true, Dive: d})
 		if err != nil || parent.Status != StatusOptimal {
@@ -435,14 +431,106 @@ func TestDiveRefusesSwappedFlips(t *testing.T) {
 		cold, _ := p.SolveWith(SolveOptions{BoundOverride: child})
 		sol, err := p.SolveWith(SolveOptions{BoundOverride: child, WarmStart: parent.Basis, Dive: d})
 		d.Release()
-		if err != nil || sol.Dived {
-			t.Fatalf("pad %d: err=%v dived=%v, want the dive refused", pad, err, sol != nil && sol.Dived)
+		if err != nil || sol.Dived || sol.Warm || !sol.WarmFallback {
+			t.Fatalf("pad %d: err=%v mode=%q, want the warm start refused", pad, err, sol.WarmMode())
 		}
-		if sol.Status != cold.Status || sol.Objective != cold.Objective {
+		if sol.Status != cold.Status || math.Float64bits(sol.Objective) != math.Float64bits(cold.Objective) {
 			t.Fatalf("pad %d: %v, want the cold answer %v", pad, sol, cold)
 		}
+		for j := range cold.X {
+			if math.Float64bits(sol.X[j]) != math.Float64bits(cold.X[j]) {
+				t.Fatalf("pad %d: x[%d] = %v, want the cold %v", pad, j, sol.X[j], cold.X[j])
+			}
+		}
 	}
-	if collided == 0 {
-		t.Fatal("no padding made sig collide; the test no longer covers the collision")
+}
+
+// basisFixture solves a small LP with basis capture on and returns the
+// terminal basis.
+func basisFixture(t *testing.T) *Basis {
+	t.Helper()
+	p := NewProblem("basis-io", Maximize)
+	x := p.AddVar("x", 0, 4)
+	y := p.AddVar("y", 0, 4)
+	p.SetObj(x, 3)
+	p.SetObj(y, 2)
+	p.AddConstraint("c", NewExpr().Add(x, 1).Add(y, 1), LE, 6)
+	sol, err := p.SolveWith(SolveOptions{CaptureBasis: true})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("solve: %v %v", err, sol)
+	}
+	if sol.Basis == nil {
+		t.Fatal("no basis captured")
+	}
+	return sol.Basis
+}
+
+// TestNewBasisRoundTrip rebuilds a captured basis from its Shape and Cols,
+// as a checkpoint resume does: the copy holds the same shape and columns,
+// and owns them, so a later change to the caller's slice cannot reach it.
+func TestNewBasisRoundTrip(t *testing.T) {
+	b := basisFixture(t)
+	cols := slices.Clone(b.Cols())
+	back, err := NewBasis(b.Shape(), cols)
+	if err != nil {
+		t.Fatalf("NewBasis: %v", err)
+	}
+	if back.Shape() != b.Shape() || !slices.Equal(back.Cols(), b.Cols()) {
+		t.Fatalf("basis lost: %+v vs %+v", back, b)
+	}
+	cols[0]++
+	if back.Cols()[0] != b.Cols()[0] {
+		t.Fatal("NewBasis aliases the caller's columns")
+	}
+}
+
+// TestNewBasisRejectsBadColumns: a column list that is not non-negative
+// and strictly ascending cannot come from a capture, so NewBasis refuses
+// it instead of handing the warm path an unusable snapshot.
+func TestNewBasisRejectsBadColumns(t *testing.T) {
+	for _, cols := range [][]int32{{-1, 2}, {0, 2, 2}, {3, 1}, {0, -5}} {
+		if _, err := NewBasis(7, cols); err == nil {
+			t.Fatalf("columns %v accepted", cols)
+		}
+	}
+	for _, cols := range [][]int32{nil, {0}, {0, 1, 1 << 30}} {
+		if _, err := NewBasis(7, cols); err != nil {
+			t.Fatalf("columns %v refused: %v", cols, err)
+		}
+	}
+}
+
+// TestBasisWireRoundTripWarmStarts rebuilds a captured basis from its
+// persisted form (Shape and Cols) and reinstalls it as a warm start: the
+// rebuilt snapshot must take (Warm=true, no fallback) and reproduce the
+// optimal objective.
+func TestBasisWireRoundTripWarmStarts(t *testing.T) {
+	p := NewProblem("wire-warm", Maximize)
+	x := p.AddVar("x", 0, 9)
+	y := p.AddVar("y", 0, 9)
+	z := p.AddVar("z", 0, 9)
+	p.SetObj(x, 3)
+	p.SetObj(y, 5)
+	p.SetObj(z, 4)
+	p.AddConstraint("c1", NewExpr().Add(x, 2).Add(y, 3), LE, 12)
+	p.AddConstraint("c2", NewExpr().Add(y, 2).Add(z, 5), LE, 10)
+	p.AddConstraint("c3", NewExpr().Add(x, 3).Add(y, 2).Add(z, 4), LE, 15)
+	capt, err := p.SolveWith(SolveOptions{CaptureBasis: true})
+	if err != nil || capt.Status != StatusOptimal || capt.Basis == nil {
+		t.Fatalf("capture: %v %v", err, capt)
+	}
+	wire, err := NewBasis(capt.Basis.Shape(), capt.Basis.Cols())
+	if err != nil {
+		t.Fatalf("NewBasis: %v", err)
+	}
+	warm, err := p.SolveWith(SolveOptions{WarmStart: wire})
+	if err != nil {
+		t.Fatalf("warm solve: %v", err)
+	}
+	if warm.Status != StatusOptimal || !warm.Warm || warm.WarmFallback {
+		t.Fatalf("warm solve: status=%v warm=%v fallback=%v", warm.Status, warm.Warm, warm.WarmFallback)
+	}
+	if diff := warm.Objective - capt.Objective; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("warm objective %v, want %v", warm.Objective, capt.Objective)
 	}
 }

@@ -47,20 +47,67 @@ func (pc *Pricer) DemandPinningConcurrent(vols []float64, threshold float64) (*F
 	if err != nil {
 		return nil, 0, err
 	}
+	lam, err := pc.solveConcurrent(vols, threshold, residual, func(varOf []lp.VarID, x []float64) {
+		pc.addFlows(out, varOf, x)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, lam, nil
+}
+
+// ConcurrentDPGap prices the concurrent objective's OPT and Demand Pinning
+// at vols and returns their lambdas, the two sides of the concurrent DP
+// gap: DemandPinningConcurrent's lambda at -Inf and at threshold to the
+// bit, without building either Flow. The error wraps ErrInfeasible when
+// the pinned demands oversubscribe a link. When every volume is above the
+// threshold, DP pins nothing and routes the same demands as OPT over the
+// same capacities, so the one LP is solved once.
+func (pc *Pricer) ConcurrentDPGap(vols []float64, threshold float64) (opt, dp float64, err error) {
+	pc.inst.Demands.CheckVolumes(vols)
+	residual, ok := residualAfterPinning(pc.inst, vols, threshold)
+	if !ok {
+		return 0, 0, errOversubscribed
+	}
+	if allAbove(vols, threshold) { // nothing pinned: DP's LP is OPT's
+		if opt, err = pc.solveConcurrent(vols, math.Inf(-1), residual, nil); err != nil {
+			return 0, 0, err
+		}
+		return opt, opt, nil
+	}
+	if dp, err = pc.solveConcurrent(vols, threshold, residual, nil); err != nil {
+		return 0, 0, err
+	}
+	for e := range residual { // OPT pins nothing
+		residual[e] = pc.inst.G.Edge(e).Capacity
+	}
+	if opt, err = pc.solveConcurrent(vols, math.Inf(-1), residual, nil); err != nil {
+		return 0, 0, err
+	}
+	return opt, dp, nil
+}
+
+// solveConcurrent maximizes lambda for the demands above the threshold on
+// the residual capacities and returns it, 1 when no demand has a positive
+// volume above it. A non-nil use is handed the optimal point with the LP's
+// varOf before the LP's scratch goes back.
+func (pc *Pricer) solveConcurrent(vols []float64, threshold float64, residual []float64, use func(varOf []lp.VarID, x []float64)) (float64, error) {
 	if !anyAbove(vols, math.Max(threshold, 0)) {
-		return out, 1, nil
+		return 1, nil
 	}
 	sc := pc.concurrentLP(vols, threshold, residual)
 	defer pc.putScratch(sc)
 	sol, err := sc.p.SolveWith(oneShotOpts())
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
+		return 0, fmt.Errorf("mcf: concurrent LP %v", sol.Status)
 	}
-	pc.addFlows(out, sc.varOf, sol.X)
-	return out, sol.X[0], nil // variable 0 is lambda
+	if use != nil {
+		use(sc.varOf, sol.X)
+	}
+	return sol.X[0], nil // variable 0 is lambda
 }
 
 // concurrentLP assembles the concurrent LP over the demands with a

@@ -346,6 +346,36 @@ func checkConcurrent(t *testing.T, pc *Pricer, inst *Instance, vols []float64, t
 	return wantLP != nil, false
 }
 
+// checkConcurrentGap fails unless ConcurrentDPGap's two lambdas are
+// bitwise DemandPinningConcurrent's at -Inf and at threshold, or both
+// refuse an oversubscribing pinning. It reports whether DP pinned nothing,
+// the case ConcurrentDPGap solves with one LP.
+func checkConcurrentGap(t *testing.T, pc *Pricer, vols []float64, threshold float64) (unpinned bool) {
+	t.Helper()
+	_, wantOpt, errOpt := pc.DemandPinningConcurrent(vols, math.Inf(-1))
+	_, wantDP, errDP := pc.DemandPinningConcurrent(vols, threshold)
+	opt, dp, err := pc.ConcurrentDPGap(vols, threshold)
+	if errOpt != nil {
+		t.Fatalf("volumes %v: concurrent OPT: %v", vols, errOpt)
+	}
+	if errors.Is(errDP, ErrInfeasible) {
+		if !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("volumes %v threshold %v: ConcurrentDPGap error %v, want ErrInfeasible", vols, threshold, err)
+		}
+		return false
+	}
+	if err != nil || errDP != nil || !sameBits(opt, wantOpt) || !sameBits(dp, wantDP) {
+		t.Fatalf("volumes %v threshold %v: ConcurrentDPGap %v, %v (%v), DemandPinningConcurrent %v, %v (%v)",
+			vols, threshold, opt, dp, err, wantOpt, wantDP, errDP)
+	}
+	for _, v := range vols {
+		if v <= threshold {
+			return false
+		}
+	}
+	return true
+}
+
 // checkPOP prices clients under assign on pc and fails unless every
 // partition's LP, the union flow and POPGap's total are bitwise the
 // reference's. It
@@ -413,7 +443,8 @@ func drawVolumes(rng *rand.Rand, n int, threshold, max float64) []float64 {
 // volume vectors on B4, Abilene and Figure 1, every LP the pricer hands the
 // solver and every flow it returns must be bitwise those of the per-call
 // builders it replaced, for OPT, DP, concurrent DP (at the case's threshold
-// and at -Inf) and POP — zeros, volumes exactly at the threshold,
+// and at -Inf, and both lambdas of ConcurrentDPGap) and POP — zeros,
+// volumes exactly at the threshold,
 // all-pinned and infeasible pinnings, split clients and empty partitions
 // included.
 func TestPricerMatchesPerCallBuild(t *testing.T) {
@@ -429,7 +460,7 @@ func TestPricerMatchesPerCallBuild(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	var allPinned, infeasible, phase2 int
-	var concInfeasible, concAllPinned, concLP, split, empty int
+	var concInfeasible, concAllPinned, concLP, concUnpinned, split, empty int
 	for _, c := range cases {
 		pc := NewPricer(c.inst)
 		n := c.inst.Demands.Len()
@@ -450,6 +481,14 @@ func TestPricerMatchesPerCallBuild(t *testing.T) {
 				phase2++
 			}
 
+			checkConcurrentGap(t, pc, vols, c.threshold)
+			above := make([]float64, n)
+			for k, v := range vols {
+				above[k] = v + c.threshold + 1
+			}
+			if checkConcurrentGap(t, pc, above, c.threshold) {
+				concUnpinned++
+			}
 			for _, th := range []float64{c.threshold, math.Inf(-1)} {
 				routed, inf := checkConcurrent(t, pc, c.inst, vols, th)
 				switch {
@@ -485,13 +524,14 @@ func TestPricerMatchesPerCallBuild(t *testing.T) {
 	if _, inf := checkConcurrent(t, NewPricer(fig), fig, vols, 150); inf {
 		concInfeasible++
 	}
+	checkConcurrentGap(t, NewPricer(fig), vols, 150)
 	empty += checkPOP(t, NewPricer(fig), fig, Clients(vols, POPOptions{}), []int{0, 2, 2}, 3)
 	if allPinned == 0 || infeasible == 0 || phase2 == 0 {
 		t.Fatalf("coverage: %d all-pinned, %d infeasible, %d phase-2 vectors; want each > 0", allPinned, infeasible, phase2)
 	}
-	if concAllPinned == 0 || concInfeasible == 0 || concLP == 0 || split == 0 || empty == 0 {
-		t.Fatalf("coverage: concurrent %d all-pinned, %d infeasible, %d -Inf LPs; POP %d split-client vectors, %d empty partitions; want each > 0",
-			concAllPinned, concInfeasible, concLP, split, empty)
+	if concAllPinned == 0 || concInfeasible == 0 || concLP == 0 || concUnpinned == 0 || split == 0 || empty == 0 {
+		t.Fatalf("coverage: concurrent %d all-pinned, %d infeasible, %d -Inf LPs, %d unpinned gaps; POP %d split-client vectors, %d empty partitions; want each > 0",
+			concAllPinned, concInfeasible, concLP, concUnpinned, split, empty)
 	}
 }
 
@@ -519,9 +559,9 @@ func fig1Instance(t *testing.T) *Instance {
 // assembly scratch of the DP phase-2, concurrent and POP partition LPs
 // move on and off their free lists, the POP partition names grow under
 // their locks, and presolve states and slabs pass between goroutines.
-// Every answer, the gap evaluations' (DPGap, POPGap and both concurrent
-// DP solves of a concurrent DP gap) included, is still the reference's,
-// bit for bit.
+// Every answer, the gap evaluations' (DPGap, POPGap, ConcurrentDPGap and
+// both concurrent DP solves of a concurrent DP gap) included, is still the
+// reference's, bit for bit.
 func TestPricerConcurrent(t *testing.T) {
 	inst := randomInstance(t, topology.B4(), 12, 2, 7)
 	const threshold = 5
@@ -560,6 +600,11 @@ func TestPricerConcurrent(t *testing.T) {
 				}
 				if _, lam, err := pc.DemandPinningConcurrent(want[i].vols, threshold); (err == nil) != (errsDP[i] == nil) || !sameBits(lam, lamsDP[i]) {
 					errs <- fmt.Errorf("vector %d: concurrent DP lambda %v (%v), reference %v (%v)", i, lam, err, lamsDP[i], errsDP[i])
+					return
+				}
+				if opt, dp, err := pc.ConcurrentDPGap(want[i].vols, threshold); errors.Is(err, ErrInfeasible) != (errsDP[i] != nil) ||
+					errsDP[i] == nil && (err != nil || !sameBits(opt, lams[i]) || !sameBits(dp, lamsDP[i])) {
+					errs <- fmt.Errorf("vector %d: ConcurrentDPGap %v, %v (%v), reference %v, %v (%v)", i, opt, dp, err, lams[i], lamsDP[i], errsDP[i])
 					return
 				}
 				if pop, err := pc.POPAssigned(Clients(want[i].vols, POPOptions{}), assigns[i], 1+i%4); err != nil || !sameBits(pop.Total, pops[i]) {

@@ -29,11 +29,11 @@ const (
 // Step-level time attribution: one bnb_wave_seconds observation per node
 // step (the relaxation-solving span only — the apply step is excluded),
 // plus a running step count, and one bnb_polish_seconds observation per
-// speculative polish call. A "wave" in these names, in the checkpoint's
-// Waves cursor and in the fault plan's step indices is one node step; the
-// benchmark and the ledger read the names. Observability output only; the
-// explored tree never reads these, which the gapvet:allow walltime
-// annotations at the measurement sites assert.
+// speculative polish call. A "wave" in these names and in
+// WorkerPanicError.Wave is one node step; the benchmark and the ledger
+// read the names. Observability output only; the explored tree never reads
+// these, which the gapvet:allow walltime annotations at the measurement
+// sites assert.
 var (
 	bnbWaveSeconds   = obs.Default.Histogram("bnb_wave_seconds")
 	bnbWavesTotal    = obs.Default.Counter("bnb_waves_total")
@@ -118,9 +118,8 @@ type search struct {
 	// The fingerprint pins everything the explored tree depends on; a
 	// checkpoint from a different model or node order must fail loudly
 	// instead of resuming a structurally different search.
-	fp        uint64
-	ckpt      *checkpoint.Writer
-	ckptEvery uint64
+	fp   uint64
+	ckpt *checkpoint.Writer
 
 	start time.Time
 	// elapsed0 is the wall clock the checkpointed run had already consumed;
@@ -143,8 +142,6 @@ type search struct {
 
 	h      *nodeHeap
 	nextID uint64
-	// waves counts completed node steps (the checkpoint's step cursor).
-	waves uint64
 	// A warm search solves its nodes one after another on this goroutine,
 	// so a child popped right after its parent can dive on the parent's
 	// terminal tableau; the handle finds that out by itself.
@@ -184,7 +181,7 @@ func runSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*Result, er
 // alone on the frontier) or reconstructs a checkpointed one verbatim.
 func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, error) {
 	start := time.Now() //gapvet:allow walltime anchors TimeLimit and elapsed-time reporting; never shapes the tree
-	s := &search{m: m, opts: opts, tr: opts.Tracer, dir: 1, ckptEvery: 1,
+	s := &search{m: m, opts: opts, tr: opts.Tracer, dir: 1,
 		start: start, windowStart: start,
 		incumbent: math.Inf(-1), bestBound: math.Inf(1), infeasibleProven: true,
 		h: &nodeHeap{depthFirst: opts.DepthFirst}, nextID: 1}
@@ -198,16 +195,13 @@ func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, er
 	if opts.Checkpoint != "" {
 		s.ckpt = &checkpoint.Writer{Path: opts.Checkpoint,
 			FS: faultinject.WrapFS(opts.CheckpointFS, opts.Faults)}
-		if opts.CheckpointEvery > 1 {
-			s.ckptEvery = uint64(opts.CheckpointEvery)
-		}
 	}
 	s.res = &Result{Status: StatusNoIncumbent, Fingerprint: s.fp}
+	if opts.WarmStart {
+		s.dive = new(lp.Dive)
+	}
 	if resume == nil {
 		heap.Push(s.h, &node{bound: math.Inf(1)}) // root: id 0
-		if opts.WarmStart {
-			s.dive = new(lp.Dive)
-		}
 	} else {
 		// Seeds are NOT re-installed: the snapshot's incumbent already
 		// dominates every seed the original run accepted, and replaying them
@@ -218,6 +212,7 @@ func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, er
 		s.res.LPIters = int(resume.LPIters)
 		s.res.WarmLPSolves = int(resume.WarmLPSolves)
 		s.res.WarmLPFallbacks = int(resume.WarmLPFallbacks)
+		s.res.Dives = int(resume.Dives)
 		s.res.Trace = traceIn(resume.Trace)
 		if resume.HasIncumbent {
 			s.incumbent = resume.Incumbent
@@ -226,8 +221,11 @@ func newSearch(m *Model, opts Options, resume *checkpoint.BnBState) (*search, er
 		s.bestBound = resume.BestBound
 		s.infeasibleProven = resume.InfeasibleProven
 		s.nextID = resume.NextID
-		s.waves = resume.Waves
-		s.h = frontierIn(resume.Frontier, opts.DepthFirst)
+		h, err := frontierIn(resume.Frontier, opts.DepthFirst)
+		if err != nil {
+			return nil, err
+		}
+		s.h = h
 		s.tr.Emit(obs.Event{Kind: obs.KindResume, Objective: s.dir * s.incumbent,
 			Bound: s.dir * s.bestBound, Nodes: s.res.Nodes, Detail: opts.Checkpoint})
 	}
@@ -303,7 +301,6 @@ func (s *search) run() (*Result, error) {
 		if st, done, err := s.apply(nd, s.step(nd)); done {
 			return s.finish(st), err
 		}
-		s.waves++
 	}
 
 	drained := s.h.Len() == 0 && s.infeasibleProven
@@ -334,9 +331,9 @@ func (s *search) stop() bool {
 		return true
 	}
 	s.writeCheckpoint()
-	if s.opts.Faults.At(faultinject.OpDeadline, int(s.waves)+1) {
+	if s.opts.Faults.At(faultinject.OpDeadline, s.res.Nodes+1) {
 		s.tr.Emit(obs.Event{Kind: obs.KindFaultInjected, Nodes: s.res.Nodes,
-			Detail: fmt.Sprintf("%s fault at wave %d", faultinject.OpDeadline, s.waves+1)})
+			Detail: fmt.Sprintf("%s fault at wave %d", faultinject.OpDeadline, s.res.Nodes+1)})
 		return true
 	}
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
@@ -379,7 +376,7 @@ func (s *search) pop() *node {
 // step solves one node's relaxation and times it as one node step.
 func (s *search) step(nd *node) nodeResult {
 	start := time.Now() //gapvet:allow walltime step time attribution; observed into an obs histogram, never shapes the tree
-	r := s.relax(s.waves+1, nd)
+	r := s.relax(uint64(s.res.Nodes)+1, nd)
 	bnbWaveSeconds.ObserveDuration(time.Since(start)) //gapvet:allow walltime step time attribution; observed into an obs histogram, never shapes the tree
 	bnbWavesTotal.Inc()
 	return r
@@ -606,13 +603,13 @@ func (s *search) child(nd *node, v lp.VarID, val, bound float64, basis *lp.Basis
 func (s *search) capture() *checkpoint.Snapshot {
 	st := &checkpoint.BnBState{
 		Fingerprint:      s.fp,
-		Waves:            s.waves,
 		NextID:           s.nextID,
 		Nodes:            int64(s.res.Nodes),
 		LPSolves:         int64(s.res.LPSolves),
 		LPIters:          int64(s.res.LPIters),
 		WarmLPSolves:     int64(s.res.WarmLPSolves),
 		WarmLPFallbacks:  int64(s.res.WarmLPFallbacks),
+		Dives:            int64(s.res.Dives),
 		BestBound:        s.bestBound,
 		InfeasibleProven: s.infeasibleProven,
 		ElapsedNanos:     s.elapsed().Nanoseconds(),
@@ -627,12 +624,13 @@ func (s *search) capture() *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{BnB: st}
 }
 
-// writeCheckpoint persists the snapshot atomically every ckptEvery steps. A
-// failed write (disk full, injected fault) is reported on the trace and
-// otherwise ignored: the previous good snapshot survives untouched, and
-// losing a checkpoint must never lose the search.
+// writeCheckpoint persists the snapshot atomically every CheckpointEvery
+// node steps (every step when it is below 2). A failed write (disk full,
+// injected fault) is reported on the trace and otherwise ignored: the
+// previous good snapshot survives untouched, and losing a checkpoint must
+// never lose the search.
 func (s *search) writeCheckpoint() {
-	if s.ckpt == nil || s.waves%s.ckptEvery != 0 {
+	if s.ckpt == nil || s.res.Nodes%max(1, s.opts.CheckpointEvery) != 0 {
 		return
 	}
 	if err := s.ckpt.Save(s.capture()); err != nil {

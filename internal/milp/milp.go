@@ -296,7 +296,7 @@ type Result struct {
 	WarmLPFallbacks int
 	// Dives counts the warm node relaxations that started from the
 	// previous node's terminal tableau (lp.Dive): a serial warm search's
-	// child solved right after its parent. A resumed search does not dive.
+	// child solved right after its parent. A resume restores the count.
 	Dives   int
 	Elapsed time.Duration
 	// Fingerprint is the search fingerprint: an FNV-1a hash of everything

@@ -25,7 +25,10 @@ func TestCheckpointStatePinned(t *testing.T) {
 		want string
 	}{
 		{"serial-warm", Options{WarmStart: true}, 41,
-			"3ca32369df94b3a401cd5e0f43a0ba1748741e8f4e08a9c22bd992f66ea9f7a0"},
+			"7f8a1c95e32e88b89e7cb41e07aeff13fa912595745e295a705b77a1b5c33a18"},
+		// A cold search's frontier carries no bases.
+		{"serial-cold", Options{}, 41,
+			"7ab6a5f0e8b78fd311026a96430607197e42e71414dce4191f8d7c5c03b31401"},
 	}
 	m := resumeModel(10, 7)
 	for _, tc := range cases {
@@ -50,8 +53,17 @@ func TestCheckpointStatePinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := snap.BnB
-			if st == nil || st.Waves != uint64(tc.wave-1) || len(st.Frontier) == 0 || !st.HasIncumbent {
+			if st == nil || st.Nodes != int64(tc.wave-1) || len(st.Frontier) == 0 || !st.HasIncumbent {
 				t.Fatalf("snapshot is not the mid-search wave boundary %d: %+v", tc.wave-1, st)
+			}
+			bases := 0
+			for _, fn := range st.Frontier {
+				if fn.Basis != nil {
+					bases++
+				}
+			}
+			if warm := tc.opts.WarmStart; warm != (bases > 0) {
+				t.Fatalf("warm=%v snapshot carries %d frontier bases", warm, bases)
 			}
 			st.ElapsedNanos = 0
 			for i := range st.Trace {

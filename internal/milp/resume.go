@@ -84,7 +84,8 @@ func SearchFingerprint(m *Model, opts Options) uint64 {
 
 // frontierOut converts the open-node heap to its wire form, sorted by node
 // id so the encoded bytes are canonical regardless of the heap's internal
-// array layout. Bases marshal to their opaque lp wire form.
+// array layout. A basis goes out as its shape and columns, which the
+// snapshot shares with the immutable lp.Basis.
 func frontierOut(h *nodeHeap) []checkpoint.FrontierNode {
 	out := make([]checkpoint.FrontierNode, 0, len(h.nodes))
 	for _, nd := range h.nodes {
@@ -97,9 +98,7 @@ func frontierOut(h *nodeHeap) []checkpoint.FrontierNode {
 			sort.Slice(fn.Overrides, func(i, j int) bool { return fn.Overrides[i].Var < fn.Overrides[j].Var })
 		}
 		if nd.basis != nil {
-			if blob, err := nd.basis.MarshalBinary(); err == nil {
-				fn.Basis = blob
-			}
+			fn.Basis = &checkpoint.Basis{Shape: nd.basis.Shape(), Cols: nd.basis.Cols()}
 		}
 		out = append(out, fn)
 	}
@@ -110,10 +109,9 @@ func frontierOut(h *nodeHeap) []checkpoint.FrontierNode {
 // frontierIn reconstructs the open-node heap. The heap's Less is a strict
 // total order over (depth, bound, id), so heap.Init over the restored node
 // set reproduces the exact pop sequence of the original run — the anchor of
-// resume determinism. An unusable basis blob degrades to a cold solve,
-// which by the warm-start contract changes pivot counts only, never the
-// tree.
-func frontierIn(fr []checkpoint.FrontierNode, depthFirst bool) *nodeHeap {
+// resume determinism. A basis lp.NewBasis refuses makes the checkpoint
+// corrupt: a capture cannot have produced it.
+func frontierIn(fr []checkpoint.FrontierNode, depthFirst bool) (*nodeHeap, error) {
 	h := &nodeHeap{depthFirst: depthFirst, nodes: make([]*node, 0, len(fr))}
 	for _, fn := range fr {
 		nd := &node{id: fn.ID, bound: fn.Bound, depth: int(fn.Depth)}
@@ -123,15 +121,17 @@ func frontierIn(fr []checkpoint.FrontierNode, depthFirst bool) *nodeHeap {
 				nd.overrides[lp.VarID(ov.Var)] = [2]float64{ov.Lo, ov.Hi}
 			}
 		}
-		if len(fn.Basis) > 0 {
-			if b, err := lp.UnmarshalBasis(fn.Basis); err == nil {
-				nd.basis = b
+		if fn.Basis != nil {
+			b, err := lp.NewBasis(fn.Basis.Shape, fn.Basis.Cols)
+			if err != nil {
+				return nil, fmt.Errorf("%w: frontier node %d: %w", checkpoint.ErrCorrupt, fn.ID, err)
 			}
+			nd.basis = b
 		}
 		h.nodes = append(h.nodes, nd)
 	}
 	heap.Init(h)
-	return h
+	return h, nil
 }
 
 func traceOut(tr []TracePoint) []checkpoint.TracePoint {

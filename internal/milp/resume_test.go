@@ -253,9 +253,9 @@ func TestBasisRoundTripThroughFrontier(t *testing.T) {
 	}
 	withBasis := 0
 	for _, fn := range snap.BnB.Frontier {
-		if len(fn.Basis) > 0 {
-			if _, err := lp.UnmarshalBasis(fn.Basis); err != nil {
-				t.Fatalf("frontier basis does not unmarshal: %v", err)
+		if fn.Basis != nil {
+			if _, err := lp.NewBasis(fn.Basis.Shape, fn.Basis.Cols); err != nil {
+				t.Fatalf("frontier basis does not rebuild: %v", err)
 			}
 			withBasis++
 		}
@@ -265,63 +265,77 @@ func TestBasisRoundTripThroughFrontier(t *testing.T) {
 	}
 }
 
-// TestResumeFromVersion2Bases resumes a checkpoint whose frontier bases are
-// in the retired version-2 wire layout (magic, version 2, an engine byte,
-// then the payload). lp rejects those blobs with *lp.BasisVersionError,
-// frontierIn degrades each such node to a cold solve, and by the warm-start
-// contract the tree is untouched: incumbent, bound, X and node and LP-solve
-// counts equal the uninterrupted run's. Only pivot counts may differ.
-func TestResumeFromVersion2Bases(t *testing.T) {
+// TestWarmResumeKeepsDiving resumes a warm search at several kill points.
+// The resumed run makes a dive handle of its own and restores Dives from
+// the snapshot, so besides the tree (nodes, LP solves, bound, incumbent)
+// its pivot and dive counts equal the uninterrupted run's. At the kill
+// points used here the first node after the kill does not dive in the
+// uninterrupted run either; where it does, the resumed run installs that
+// node's basis instead, as the tableau died with the killed run, and
+// reports one dive fewer.
+func TestWarmResumeKeepsDiving(t *testing.T) {
 	m := resumeModel(10, 7)
 	base := Options{WarmStart: true}
 	ref := solve(t, m, base)
-	if ref.Status != StatusOptimal {
-		t.Fatalf("reference run not optimal: %v", ref.Status)
+	if ref.Status != StatusOptimal || ref.Dives == 0 {
+		t.Fatalf("reference run: %v with %d dives, want optimal with dives", ref.Status, ref.Dives)
 	}
-	for _, k := range []int{2, 3, 4} {
+	for _, k := range []int{1, 3, 10, 20, 30, 40} {
 		path := filepath.Join(t.TempDir(), "bnb.ckpt")
 		plan, _ := faultinject.Parse(fmt.Sprintf("deadline:%d", k), 0)
 		opts := base
 		opts.Checkpoint = path
 		opts.Faults = plan
-		if _, err := Solve(m, opts); err != nil {
-			t.Fatalf("kill at wave %d: %v", k, err)
+		dead, err := Solve(m, opts)
+		if err != nil {
+			t.Fatalf("kill at node step %d: %v", k, err)
+		}
+		if dead.Status == StatusOptimal {
+			t.Fatalf("the search finished before node step %d; the fault never fired", k)
 		}
 		snap, err := checkpoint.Load(path)
 		if err != nil {
-			t.Fatalf("load at wave %d: %v", k, err)
-		}
-		rewritten := 0
-		for i, fn := range snap.BnB.Frontier {
-			if len(fn.Basis) == 0 {
-				continue
-			}
-			v2 := append([]byte("LPBS\x02\x01"), fn.Basis[5:]...)
-			var verr *lp.BasisVersionError
-			if _, err := lp.UnmarshalBasis(v2); !errors.As(err, &verr) {
-				t.Fatalf("version-2 blob decoded with err=%v, want *lp.BasisVersionError", err)
-			}
-			snap.BnB.Frontier[i].Basis = v2
-			rewritten++
-		}
-		if rewritten == 0 {
-			t.Fatalf("wave %d: warm-started frontier carries no bases", k)
+			t.Fatalf("load at node step %d: %v", k, err)
 		}
 		res, err := Resume(m, snap.BnB, base)
 		if err != nil {
-			t.Fatalf("resume at wave %d: %v", k, err)
+			t.Fatalf("resume at node step %d: %v", k, err)
 		}
 		if res.Status != ref.Status || res.Objective != ref.Objective || res.Bound != ref.Bound ||
-			res.Nodes != ref.Nodes || res.LPSolves != ref.LPSolves {
-			t.Fatalf("resume at wave %d from version-2 bases diverged:\n got %v obj=%v bound=%v nodes=%d lp=%d\nwant %v obj=%v bound=%v nodes=%d lp=%d",
-				k, res.Status, res.Objective, res.Bound, res.Nodes, res.LPSolves,
-				ref.Status, ref.Objective, ref.Bound, ref.Nodes, ref.LPSolves)
+			res.Nodes != ref.Nodes || res.LPSolves != ref.LPSolves || res.LPIters != ref.LPIters || res.Dives != ref.Dives {
+			t.Fatalf("resume at node step %d diverged:\n got %v obj=%v bound=%v nodes=%d lp=%d iters=%d dives=%d\nwant %v obj=%v bound=%v nodes=%d lp=%d iters=%d dives=%d",
+				k, res.Status, res.Objective, res.Bound, res.Nodes, res.LPSolves, res.LPIters, res.Dives,
+				ref.Status, ref.Objective, ref.Bound, ref.Nodes, ref.LPSolves, ref.LPIters, ref.Dives)
 		}
-		for i, x := range ref.X {
-			if res.X[i] != x {
-				t.Fatalf("resume at wave %d: X[%d] = %v, want %v", k, i, res.X[i], x)
-			}
+	}
+}
+
+// TestResumeRefusesBadFrontierBasis: a frontier basis lp.NewBasis refuses
+// cannot come from a capture, so resuming it fails as a corrupt
+// checkpoint instead of quietly solving that node cold.
+func TestResumeRefusesBadFrontierBasis(t *testing.T) {
+	m := resumeModel(10, 7)
+	path := filepath.Join(t.TempDir(), "bnb.ckpt")
+	plan, _ := faultinject.Parse("deadline:3", 0)
+	if _, err := Solve(m, Options{WarmStart: true, Checkpoint: path, Faults: plan}); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	snap, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	bad := 0
+	for _, fn := range snap.BnB.Frontier {
+		if fn.Basis != nil && len(fn.Basis.Cols) > 1 {
+			fn.Basis.Cols[1] = fn.Basis.Cols[0]
+			bad++
 		}
+	}
+	if bad == 0 {
+		t.Fatal("warm-started frontier carries no bases")
+	}
+	if _, err := Resume(m, snap.BnB, Options{WarmStart: true}); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("resume over a repeated basis column: %v, want ErrCorrupt", err)
 	}
 }
 

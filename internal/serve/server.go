@@ -17,7 +17,7 @@
 //
 // The results store (results.json) and the job queue are keyed-record files
 // in the one format of checkpoint.Table; in-flight searches checkpoint to
-// GAPCKP snapshots (ckpt-<key>.ckpt).
+// sealed GAPCKP2 snapshots (ckpt-<key>.ckpt).
 //
 // Every decision is surfaced through an obs.Registry (cache hits/misses,
 // queue depth, worker utilization, per-phase timings) and each job's solver
@@ -618,7 +618,7 @@ func (s *Server) workerLoop() {
 
 // ckptPath is the per-cache-key checkpoint file: two jobs with the same key
 // are the same search, so a follower resumed after a crash picks up the
-// leader's waves.
+// nodes the leader already explored.
 func (s *Server) ckptPath(key uint64) string {
 	return filepath.Join(s.cfg.StateDir, fmt.Sprintf("ckpt-%016x.ckpt", key))
 }
